@@ -30,14 +30,18 @@ let balanced t =
 (* Owner-side join of the youngest descriptor: inline, or wait out the
    thief and reclaim — the pool's join protocol reduced to the stack. *)
 let join ?record t =
-  match Ds.pop t with
-  | Ds.Task (v, _) -> ( match record with Some r -> r v | None -> ())
-  | Ds.Stolen { thief; index } ->
-      if thief >= 0 then
-        while not (Ds.stolen_done t ~index) do
-          Shadow_atomic.cpu_relax ()
-        done;
-      Ds.reclaim t ~index
+  let v = Ds.top_payload t in
+  let code = Ds.pop t in
+  if code < Ds.stolen_finished then
+    match record with Some r -> r v | None -> ()
+  else begin
+    let index = Ds.depth t in
+    if code >= 0 then
+      while not (Ds.stolen_done t ~index) do
+        Shadow_atomic.cpu_relax ()
+      done;
+    Ds.reclaim t ~index
+  end
 
 (* A thief making one steal attempt, completing on success. *)
 let attempt ?on_backoff ~thief ~record t =
@@ -259,9 +263,8 @@ let trip_wire_steal_vs_privatize =
           (* unscheduled prefix: 15 consecutive public inlines *)
           for _ = 1 to 15 do
             Ds.push t (-2);
-            match Ds.pop t with
-            | Ds.Task (-2, true) -> ()
-            | _ -> failwith "setup: expected a public inline"
+            if Ds.top_payload t <> -2 || Ds.pop t <> Ds.inline_public then
+              failwith "setup: expected a public inline"
           done;
           Ds.push t 0 (* public at slot 0, wire at 0 *);
           Sched.spawn (fun () ->

@@ -73,31 +73,48 @@ val steal_pressure : 'a t -> bool
     [true] on a single-worker pool (no thieves, both signals flat).
     Owner only. *)
 
-type 'a outcome =
-  | Task of 'a * bool
-      (** The task was still here and is now inlined; the flag says whether
-          it was public (i.e. paid the exchange). *)
-  | Stolen of { thief : int; index : int }
-      (** The task was stolen. [thief = -1] means the thief had already
-          finished (state was DONE at the join) and there is nothing to wait
-          for. Otherwise the owner must leapfrog on [thief] until
-          {!stolen_done} reports true; in both cases it finishes with
-          {!reclaim}. *)
+val top_payload : 'a t -> 'a
+(** The payload of the youngest descriptor — the task the next {!pop}
+    joins. Valid until that pop, whatever it returns: a thief never
+    clears a payload cell. Owner only; raises [Invalid_argument] on an
+    empty stack. *)
 
-val pop : 'a t -> 'a outcome
-(** Join with the most recent push. Spins (with [Domain.cpu_relax]) through
-    the transient EMPTY window of an in-flight steal; the spin ends as soon
-    as the thief either completes the steal or backs off. Owner only; raises
-    [Invalid_argument] on an empty stack. *)
+(** {2 Join codes}
+
+    {!pop} allocates nothing: it returns one of the negative codes below,
+    or the id [>= 0] of the thief that holds the task. The two inline
+    codes are the ones below {!stolen_finished}. For every other code,
+    the joined descriptor's index is {!depth} after the pop. *)
+
+val inline_private : int
+(** The task was still here, private, and is now inlined. *)
+
+val inline_public : int
+(** The task was still here, public (the join paid the exchange), and is
+    now inlined. *)
+
+val stolen_finished : int
+(** The task was stolen and its thief had already finished (state DONE at
+    the join): nothing to wait for; finish with {!reclaim}. A code
+    [>= 0] instead names the thief: the owner must leapfrog on it until
+    {!stolen_done} reports true, then {!reclaim}. *)
+
+val pop : 'a t -> int
+(** Join with the most recent push; returns a join code. Spins (with
+    [Domain.cpu_relax]) through the transient EMPTY window of an in-flight
+    steal; the spin ends as soon as the thief either completes the steal
+    or backs off. Owner only; raises [Invalid_argument] on an empty
+    stack. *)
 
 val stolen_done : 'a t -> index:int -> bool
-(** After [Stolen] with [thief >= 0]: has the thief marked the descriptor
-    DONE? Not meaningful for [thief = -1] joins (the owner's exchange may
-    have consumed the DONE state); those are complete by construction. *)
+(** After a thief-id join code: has the thief marked the descriptor DONE?
+    Not meaningful after {!stolen_finished} (the owner's exchange may have
+    consumed the DONE state); those joins are complete by construction. *)
 
 val reclaim : 'a t -> index:int -> unit
-(** After [Stolen] and {!stolen_done}: pop the dead descriptor, moving [bot]
-    down. Owner only. *)
+(** After a stolen join ({!stolen_finished}, or a thief id and
+    {!stolen_done}): pop the dead descriptor, moving [bot] down. Owner
+    only. *)
 
 type 'a steal_result =
   | Stolen_task of 'a * int

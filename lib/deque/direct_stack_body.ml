@@ -253,8 +253,6 @@ let[@inline] push t v =
   if own.top > own.max_depth then own.max_depth <- own.top;
   own.n_spawns <- own.n_spawns + 1
 
-type 'a outcome = Task of 'a * bool | Stolen of { thief : int; index : int }
-
 (* Shrink the public window after a run of inlined public joins; only
    future pushes are affected (descriptors already published keep their
    synchronised join path via [pushed_public]).
@@ -291,10 +289,59 @@ let maybe_privatize t i =
         own.consec_public_inlines <- 0
       end
 
-let[@inline] take_payload slot dummy =
-  let v = slot.payload in
-  slot.payload <- dummy;
-  v
+(* Join codes returned by [pop]; a code >= 0 is the thief's id. *)
+let inline_private = -3
+let inline_public = -2
+let stolen_finished = -1
+
+let top_payload t =
+  let top = t.own.top in
+  if top <= 0 then invalid_arg "Direct_stack.top_payload: empty stack";
+  t.slots.(top - 1).payload
+
+(* A public join whose exchange found the task gone: stolen by [code], or
+   already finished ([stolen_finished]). *)
+let[@inline] joined_stolen own code =
+  own.n_joins_stolen <- own.n_joins_stolen + 1;
+  own.consec_public_inlines <- 0;
+  code
+
+(* Spin through a thief's transient EMPTY until it commits STOLEN or backs
+   off to TASK. *)
+let rec wait_settled slot =
+  let s = A.get slot.state in
+  if s = Ts.empty then begin
+    A.cpu_relax ();
+    wait_settled slot
+  end
+  else s
+
+(* The public join path. Top-level rather than local to [pop], so a
+   public join allocates no closure. *)
+let rec join_public t slot i =
+  let own = t.own in
+  let s = A.exchange slot.state Ts.empty in
+  if s = Ts.task_public then begin
+    own.n_inlined_public <- own.n_inlined_public + 1;
+    maybe_privatize t i;
+    slot.payload <- t.dummy;
+    inline_public
+  end
+  else if s = Ts.empty then begin
+    (* Transient: a thief CASed the descriptor and is mid-steal; it will
+       either commit STOLEN or back off to TASK. *)
+    let s' = wait_settled slot in
+    if s' = Ts.task_public then join_public t slot i
+    else if Ts.is_stolen s' then joined_stolen own (Ts.thief s')
+    else (* DONE *) joined_stolen own stolen_finished
+  end
+  else if Ts.is_stolen s then
+    (* Our exchange clobbered STOLEN with EMPTY; harmless — the thief's
+       unconditional DONE store still lands and the owner polls only for
+       DONE. *)
+    joined_stolen own (Ts.thief s)
+  else (* DONE: the thief finished before we even joined. *)
+    joined_stolen own stolen_finished
 
 let[@inline] pop t =
   let own = t.own in
@@ -307,58 +354,10 @@ let[@inline] pop t =
     (* Private fast path: no atomic read-modify-write, no fence — the
        descriptor was never visible to thieves. *)
     own.n_inlined_private <- own.n_inlined_private + 1;
-    Task (take_payload slot t.dummy, false)
+    slot.payload <- t.dummy;
+    inline_private
   end
-  else begin
-    let rec resolve () =
-      let s = A.exchange slot.state Ts.empty in
-      if s = Ts.task_public then begin
-        own.n_inlined_public <- own.n_inlined_public + 1;
-        maybe_privatize t i;
-        Task (take_payload slot t.dummy, true)
-      end
-      else if s = Ts.empty then begin
-        (* Transient: a thief CASed the descriptor and is mid-steal; it
-           will either commit STOLEN or back off to TASK. *)
-        let rec wait () =
-          let s' = A.get slot.state in
-          if s' = Ts.empty then begin
-            A.cpu_relax ();
-            wait ()
-          end
-          else s'
-        in
-        let s' = wait () in
-        if s' = Ts.task_public then resolve ()
-        else if Ts.is_stolen s' then begin
-          own.n_joins_stolen <- own.n_joins_stolen + 1;
-          own.consec_public_inlines <- 0;
-          Stolen { thief = Ts.thief s'; index = i }
-        end
-        else begin
-          (* DONE *)
-          own.n_joins_stolen <- own.n_joins_stolen + 1;
-          own.consec_public_inlines <- 0;
-          Stolen { thief = -1; index = i }
-        end
-      end
-      else if Ts.is_stolen s then begin
-        (* Our exchange clobbered STOLEN with EMPTY; harmless — the
-           thief's unconditional DONE store still lands and the owner
-           polls only for DONE. *)
-        own.n_joins_stolen <- own.n_joins_stolen + 1;
-        own.consec_public_inlines <- 0;
-        Stolen { thief = Ts.thief s; index = i }
-      end
-      else begin
-        (* DONE: the thief finished before we even joined. *)
-        own.n_joins_stolen <- own.n_joins_stolen + 1;
-        own.consec_public_inlines <- 0;
-        Stolen { thief = -1; index = i }
-      end
-    in
-    resolve ()
-  end
+  else join_public t slot i
 
 let stolen_done t ~index = A.get t.slots.(index).state = Ts.done_
 

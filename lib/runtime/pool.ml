@@ -253,7 +253,7 @@ end
 type worker = {
   id : int;
   pool : pool;
-  dstack : (worker -> unit) Ds.t;
+  dstack : packed Ds.t;
   ldeque : (worker -> unit) Locked_deque.t;
   cdeque : (worker -> unit) Chase_lev.t;
   (* relaxed modes pool {wrapper, completed-flag} pairs so poppers can
@@ -422,8 +422,13 @@ and 'a future = {
   completed : bool Atomic.t;
   index : int; (* descriptor index in the owner's direct stack; -1 otherwise *)
   owner_id : int;
-  mutable wrapper : worker -> unit;
+  mutable wrapper : worker -> unit; (* queued and relaxed modes only *)
 }
+
+(* A direct-stack descriptor's payload: the future itself, its type
+   hidden. Unboxed, so a spawn stores the future and allocates nothing
+   beside it; the runner unpacks it and calls [run_body]. *)
+and packed = P : 'a future -> packed [@@unboxed]
 
 type t = pool
 type ctx = worker
@@ -449,6 +454,22 @@ exception Submission_rejected
 exception Submission_expired
 
 let dummy_task (_ : worker) = ()
+
+(* Direct-stack modes signal completion through the descriptor state, so
+   their futures share one never-read completion flag instead of
+   allocating one per spawn. *)
+let unused_completed = Atomic.make false
+
+let dummy_packed =
+  P
+    {
+      fn = dummy_task;
+      value = None;
+      completed = unused_completed;
+      index = -1;
+      owner_id = -1;
+      wrapper = dummy_task;
+    }
 
 let dummy_injected =
   {
@@ -555,6 +576,18 @@ let idle_backoff w =
       nap w.pool ~factor;
       if w.tr_on then record w Event.Nap_exit ~a:(-1) ~b:(-1)
 
+(* Run a task body, storing the result — or, on an exception, unwinding
+   the body's own spawns and storing the exception with the backtrace
+   captured at the raise point. Never raises. *)
+let run_body wk (fut : _ future) =
+  let mark = wk.pool.backend.bk_mark wk in
+  match fut.fn wk with
+  | v -> fut.value <- Some (Ok v)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      wk.pool.backend.bk_unwind wk ~mark;
+      fut.value <- Some (Error (e, bt))
+
 (* ---- mode-specific steal attempts (the [bk_steal] implementations) ----
 
    Each implementation counts its own [n_steals] *before* running the
@@ -591,10 +624,10 @@ let steal_direct w ~(victim : worker) =
     else Ds.steal victim.dstack ~thief:w.id
   in
   match result with
-  | Ds.Stolen_task (task, index) ->
+  | Ds.Stolen_task (P fut, index) ->
       w.hot.n_steals <- w.hot.n_steals + 1;
       if w.tr_on then record w Event.Steal_ok ~a:index ~b:victim.id;
-      task w;
+      run_body w fut;
       Ds.complete_steal victim.dstack ~index;
       true
   | Ds.Backoff ->
@@ -655,6 +688,28 @@ let select_victim w =
   | None -> None
   | Some v -> Some w.pool.workers.(v)
 
+(* Run an admitted job on [w]: [ij_run], counted and traced as an
+   executed injected job, twice when [dup] (the [Dup] drain fault, which
+   turns a drain into an at-least-once delivery the ticket layer's
+   first-writer-wins resolution must absorb). *)
+let exec_injected w ij ~lane ~dup =
+  w.hot.n_injected <- w.hot.n_injected + 1;
+  if w.tr_on then record w Event.Dequeue_injected ~a:lane ~b:(-1);
+  match ij.ij_token with
+  | Some _ as tok ->
+      (* expose the job's token to its whole task tree: every [spawn]
+         under it checks the ambient token. [ij_run] never raises (the
+         body's outcome is settled into the ticket), so a plain
+         save/restore suffices. *)
+      let saved = w.hot.ambient_cancel in
+      w.hot.ambient_cancel <- tok;
+      ij.ij_run w;
+      if dup then ij.ij_run w;
+      w.hot.ambient_cancel <- saved
+  | None ->
+      ij.ij_run w;
+      if dup then ij.ij_run w
+
 (* Try to pop one injected job off the pool's ingress lanes and run it.
    Called only from the idle loop — after the worker has run out of local
    work, before it turns to remote steals — so the private-task fast path
@@ -665,9 +720,6 @@ let drain_injected w =
   let nl = Array.length pool.lanes in
   if nl = 0 then false
   else begin
-    (* [Dup] turns this drain into an at-least-once delivery: the popped
-       job runs twice on this worker, which is exactly the duplicate the
-       ticket layer's first-writer-wins resolution must absorb. *)
     let dup =
       w.fl_on
       &&
@@ -707,39 +759,16 @@ let drain_injected w =
                   Cancel.is_set c
               | None -> false
             in
-            if cancelled then begin
-              ij.ij_cancel ();
-              true
-            end
+            if cancelled then ij.ij_cancel ()
             else if
               ij.ij_deadline <> max_int
               && begin
                    if w.fl_on then fault_delay w Fault.Site.Expire;
                    Wool_util.Clock.now_ns () > ij.ij_deadline
                  end
-            then begin
-              ij.ij_expire ();
-              true
-            end
-            else begin
-              w.hot.n_injected <- w.hot.n_injected + 1;
-              if w.tr_on then record w Event.Dequeue_injected ~a:lane ~b:(-1);
-              (match ij.ij_token with
-              | Some _ as tok ->
-                  (* expose the job's token to its whole task tree: every
-                     [spawn] under it checks the ambient token. [ij_run]
-                     never raises (the body's outcome is settled into the
-                     ticket), so a plain save/restore suffices. *)
-                  let saved = w.hot.ambient_cancel in
-                  w.hot.ambient_cancel <- tok;
-                  ij.ij_run w;
-                  if dup then ij.ij_run w;
-                  w.hot.ambient_cancel <- saved
-              | None ->
-                  ij.ij_run w;
-                  if dup then ij.ij_run w);
-              true
-            end
+            then ij.ij_expire ()
+            else exec_injected w ij ~lane ~dup;
+            true
         | None -> scan (i + 1)
       end
     in
@@ -810,9 +839,10 @@ let leapfrog w ~victim_id ~index =
   while not (Ds.stolen_done w.dstack ~index) do
     w.hot.progress <- w.hot.progress + 1;
     if w.fl_on then fault_delay w Fault.Site.Leapfrog;
-    let before = w.hot.n_steals in
     if steal_once w ~victim then begin
-      w.hot.n_leap_steals <- w.hot.n_leap_steals + (w.hot.n_steals - before);
+      (* one per successful attempt: steals made by nested leapfrogs
+         inside the stolen task count themselves *)
+      w.hot.n_leap_steals <- w.hot.n_leap_steals + 1;
       if w.tr_on then record w Event.Leap_steal ~a:(-1) ~b:victim_id
     end
     else idle_backoff w
@@ -845,12 +875,15 @@ let wait_child w pc =
 
 let unwind_direct w ~mark =
   while Ds.depth w.dstack > mark do
-    match Ds.pop w.dstack with
-    | Ds.Task (wrapper, _public) -> (try wrapper w with _ -> ())
-    | Ds.Stolen { thief; index } ->
-        if w.tr_on then record w Event.Join_stolen ~a:index ~b:thief;
-        if thief >= 0 then leapfrog w ~victim_id:thief ~index;
-        Ds.reclaim w.dstack ~index
+    let (P fut) = Ds.top_payload w.dstack in
+    let code = Ds.pop w.dstack in
+    if code < Ds.stolen_finished then run_body w fut
+    else begin
+      let index = Ds.depth w.dstack in
+      if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
+      if code >= 0 then leapfrog w ~victim_id:code ~index;
+      Ds.reclaim w.dstack ~index
+    end
   done
 
 let unwind_queued ~pop ~push w ~mark =
@@ -876,24 +909,7 @@ let unwind_queued ~pop ~push w ~mark =
             wait_child w pc)
   done
 
-(* Run a task body, storing the result — or, on an exception, unwinding
-   the body's own spawns and storing the exception with the backtrace
-   captured at the raise point. Never raises. *)
-let run_body wk (fut : _ future) =
-  let mark = wk.pool.backend.bk_mark wk in
-  match fut.fn wk with
-  | v -> fut.value <- Some (Ok v)
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      wk.pool.backend.bk_unwind wk ~mark;
-      fut.value <- Some (Error (e, bt))
-
 (* ---- spawn (the [bk_spawn] implementations) ---- *)
-
-(* Direct-stack modes signal completion through the descriptor state, so
-   their futures share one never-read completion flag instead of
-   allocating one per spawn. *)
-let unused_completed = Atomic.make false
 
 let spawn_queued push w (fn : worker -> 'a) : 'a future =
   let fut =
@@ -924,11 +940,9 @@ let spawn_direct w (fn : worker -> 'a) : 'a future =
     { fn; value = None; completed = unused_completed; index;
       owner_id = w.id; wrapper = dummy_task }
   in
-  let wrapper wk = run_body wk fut in
-  fut.wrapper <- wrapper;
   (* the push may raise [Pool_overflow]; the event is recorded only for
      spawns that happened *)
-  Ds.push w.dstack wrapper;
+  Ds.push w.dstack (P fut);
   if w.tr_on then record w Event.Spawn ~a:index ~b:(-1);
   fut
 
@@ -944,30 +958,36 @@ let pop_child w fut =
         List.filter (fun pc -> pc.pc_wrapper != fut.wrapper) w.hot.children
 
 let join_direct ~generic w fut =
-  if fut.index <> Ds.depth w.dstack - 1 then
+  let index = fut.index in
+  if index <> Ds.depth w.dstack - 1 then
     invalid_arg "Wool.join: joins must be made in LIFO spawn order";
-  match Ds.pop w.dstack with
-  | Ds.Task (wrapper, public) ->
-      if w.tr_on then
-        record w
-          (if public then Event.Inline_public else Event.Inline_private)
-          ~a:fut.index ~b:(-1);
-      if generic then begin
-        (* Generic join: go through the wrapper and the result cell, as a
-           runtime without task-specific join functions must. *)
-        wrapper w;
-        value_exn fut
-      end
-      else
-        (* Task-specific join: direct call of the typed task function.
-           An exception here unwinds in the caller's [run_body]. *)
-        fut.fn w
-  | Ds.Stolen { thief; index } ->
-      if w.tr_on then record w Event.Join_stolen ~a:index ~b:thief;
-      Select.stolen_by w.sel ~thief;
-      if thief >= 0 then leapfrog w ~victim_id:thief ~index;
-      Ds.reclaim w.dstack ~index;
+  let code = Ds.pop w.dstack in
+  if code < Ds.stolen_finished then begin
+    if w.tr_on then
+      record w
+        (if code = Ds.inline_public then Event.Inline_public
+         else Event.Inline_private)
+        ~a:index ~b:(-1);
+    if generic then begin
+      (* Generic join: run the descriptor's payload into its result cell
+         and read it back, as a runtime without task-specific join
+         functions must. *)
+      run_body w fut;
       value_exn fut
+    end
+    else
+      (* Task-specific join: direct call of the typed task function.
+         An exception here unwinds in the caller's [run_body]. *)
+      fut.fn w
+  end
+  else begin
+    (* [code] is the thief's id, or [Ds.stolen_finished] *)
+    if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
+    Select.stolen_by w.sel ~thief:code;
+    if code >= 0 then leapfrog w ~victim_id:code ~index;
+    Ds.reclaim w.dstack ~index;
+    value_exn fut
+  end
 
 let join_locked w fut =
   pop_child w fut;
@@ -2046,7 +2066,7 @@ let make_worker ~id ~pool ~publicity ~capacity ~trace ~trace_capacity ~faults
     {
       id;
       pool;
-      dstack = Ds.create ~capacity ~publicity ~dummy:dummy_task ();
+      dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
       ldeque = Locked_deque.create ~capacity ~dummy:dummy_task ();
       cdeque = Chase_lev.create ~dummy:dummy_task ();
       wmdeque = Ws_mult.create ~dummy:dummy_pending ();
@@ -2198,17 +2218,14 @@ let shutdown pool =
     Array.iteri (fun lane _ -> drain_lane_reject pool lane) pool.lanes
   end
 
-(* [run] is submit-and-help: the job goes through the same lanes as any
-   external submission, and the calling domain — worker 0 on a
-   non-server pool — drains and steals until the ticket resolves (the
-   common case is that its first drain runs the job right here,
-   synchronously). On a server pool the caller is not a worker, so it
-   blocks on the ticket like any other producer. *)
+(* [run] on a non-server pool: the job is counted through the ingress
+   like any submission, but the calling domain — worker 0 — executes it
+   itself rather than queueing it, where an idle worker could take it
+   first. It first helps drain the jobs already queued ahead of it. On a
+   server pool the caller is not a worker, so it submits and blocks on
+   the ticket like any other producer. *)
 let run pool f =
   if pool.stopped then invalid_arg "Wool.run: pool is shut down";
-  (* the root job travels through an exactly-once lane and is popped at
-     most once (absent an explicit [Dup] fault plan), so [run] needs no
-     idempotency declaration even on a relaxed pool *)
   if pool.server then begin
     let v = await_ticket (submit_one pool ~lane:(lane_of pool) ~batch:(-1) f) in
     quiesce_relaxed pool;
@@ -2244,29 +2261,26 @@ let run pool f =
     Atomic.incr pool.ingress.ig_submitted;
     ig_record pool Event.Submit ~a:lane ~b:(-1);
     Atomic.incr pool.inflight;
-    (* privileged admission: the pool owner helps drain until a slot
-       frees, so [run] is never rejected by backpressure *)
-    while not (Inject_queue.try_push pool.lanes.(lane) ij) do
-      ignore (steal_idle w0 : bool)
-    done;
     Atomic.incr pool.ingress.ig_admitted;
     ig_record pool Event.Admit ~a:lane ~b:(-1);
-    let rec help () =
-      match tk_read tk with
-      | Tk_pending ->
-          ignore (steal_idle w0 : bool);
-          help ()
-      | st -> st
+    (* Jobs queued before this call go first, as if the root job had
+       queued behind them; the bound keeps producers that keep
+       submitting from starving it. *)
+    let ahead =
+      Array.fold_left (fun n q -> n + Inject_queue.size q) 0 pool.lanes
     in
-    let st = help () in
+    let rec help n = if n > 0 && drain_injected w0 then help (n - 1) in
+    help ahead;
+    (* the root job is never queued, so never duplicated: [run] needs no
+       idempotency declaration even on a relaxed pool *)
+    exec_injected w0 ij ~lane ~dup:false;
     quiesce_relaxed pool;
     Atomic.set pool.active false;
-    match st with
+    match tk_read tk with
     | Tk_done (Ok v) -> v
     | Tk_done (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | Tk_rejected -> raise Submission_rejected
-    (* the root job carries no deadline and no token *)
-    | Tk_cancelled | Tk_expired | Tk_pending -> assert false
+    (* [ij_run] settled the job; nothing else can resolve its ticket *)
+    | Tk_rejected | Tk_cancelled | Tk_expired | Tk_pending -> assert false
   end
 
 let with_pool ?config f =

@@ -22,8 +22,9 @@
       verbs {!spawn} / {!join} / {!call}. A [ctx] must never escape the
       task that received it.
 
-    Work enters a pool only through the ingress: {!Submit.submit} from
-    any domain, or {!run} — submit-and-help from the owning domain. Once
+    Work enters a pool through the ingress: {!Submit.submit} from any
+    domain, or {!run} from the owning domain, which counts its main task
+    through the ingress and runs it as worker 0. Once
     a job is running, everything it spawns stays in the work-stealing
     core and never touches the injection lanes.
 
@@ -293,17 +294,16 @@ val create : ?config:Config.t -> unit -> t
     function once took are gone; build a config with {!Config.make}. *)
 
 val run : t -> (ctx -> 'a) -> 'a
-(** Execute a main task to completion. [run] is sugar over the ingress:
-    the job goes through the same injection lanes as any
-    {!Submit.submit}.
+(** Execute a main task to completion. The job is counted through the
+    ingress like any {!Submit.submit} (submitted, admitted, executed).
 
     On a non-server pool, it must be called from the domain that created
-    the pool (which acts as worker 0) and not from inside task code; the
-    call is {e privileged} — if the lane is full the caller helps drain
-    until a slot frees, so [run] is never rejected by backpressure — and
-    the calling domain then drains and steals until the job completes
-    (the common case is that its first drain runs the job right here,
-    synchronously, exactly as before the ingress existed).
+    the pool, which acts as worker 0, and not from inside task code. The
+    calling domain first helps drain the jobs already queued in the
+    injection lanes, then runs the main task itself, synchronously:
+    the task never enters a lane, so it is never rejected by
+    backpressure, no idle worker can take it first, and
+    {!self_id} of its context is always 0.
 
     On a [server] pool the caller is not a worker; [run pool f] is
     [Submit.await (Submit.submit pool f)] and blocks the calling domain

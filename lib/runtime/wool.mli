@@ -95,8 +95,9 @@ val create : ?config:Config.t -> unit -> pool
     every setting. *)
 
 val run : pool -> (ctx -> 'a) -> 'a
-(** Submit-and-help sugar over the ingress; see {!Pool.run} for the
-    server/non-server semantics. *)
+(** Run a main task to completion as worker 0 (on a server pool:
+    submit and await); see {!Pool.run} for the server/non-server
+    semantics. *)
 
 val shutdown : pool -> unit
 (** Stop and join the workers, then drain the injection lanes rejecting

@@ -1,0 +1,48 @@
+(* Allocation gate for the spawn/join fast path: the minor words one
+   [Wool.spawn] + [Wool.join] pair allocates on a 1-worker pool, where
+   the join always inlines and every allocation lands on the measuring
+   domain, so the count repeats exactly. The body is a closed function,
+   so the count is the runtime's own: the future record (7 words) and,
+   on the generic join, the result cell it stores and reads back (4
+   words). A body closure capturing one variable, as in fib or the
+   benchmark's pair probe, adds 4 words: 11 per pair. *)
+
+let body _ = 1
+let pairs = 10_000
+
+let words_per_pair ~mode ~publicity =
+  Test_util.with_pool ~workers:1 ~mode ~publicity (fun pool ->
+      Wool.run pool (fun ctx ->
+          let sum = ref 0 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to pairs do
+            sum := !sum + Wool.join ctx (Wool.spawn ctx body)
+          done;
+          let w1 = Gc.minor_words () in
+          Alcotest.(check int) "results" pairs !sum;
+          (w1 -. w0) /. float_of_int pairs))
+
+let test_spawn_join_words () =
+  List.iter
+    (fun (mode, bound) ->
+      List.iter
+        (fun publicity ->
+          let name =
+            Printf.sprintf "%s/%s" (Wool.Mode.name mode)
+              (match publicity with
+              | Wool.All_private -> "all-private"
+              | Wool.All_public -> "all-public"
+              | Wool.Adaptive w -> Printf.sprintf "adaptive-%d" w)
+          in
+          let w = words_per_pair ~mode ~publicity in
+          if w > float_of_int bound +. 0.01 then
+            Alcotest.failf "%s: %.2f minor words per spawn+join pair (bound %d)"
+              name w bound)
+        [ Wool.All_private; Wool.All_public; Wool.Adaptive 4 ])
+    [ (Wool.Private, 7); (Wool.Task_specific, 7); (Wool.Swap_generic, 11) ]
+
+let suite =
+  [
+    ( "alloc",
+      [ Alcotest.test_case "spawn+join words" `Quick test_spawn_join_words ] );
+  ]

@@ -3,28 +3,43 @@ module Ds = Wool_deque.Direct_stack
 let mk ?(publicity = Ds.All_public) ?(capacity = 1024) () =
   Ds.create ~capacity ~publicity ~dummy:(-1) ()
 
-let expect_task what = function
-  | Ds.Task (v, public) -> (v, public)
-  | Ds.Stolen _ -> Alcotest.failf "%s: expected inlined task" what
+(* An owner join: the joined payload, read before the pop, and the pop's
+   join code. *)
+let pop t =
+  let v = Ds.top_payload t in
+  (v, Ds.pop t)
 
-let expect_stolen what = function
-  | Ds.Task _ -> Alcotest.failf "%s: expected stolen" what
-  | Ds.Stolen { thief; index } -> (thief, index)
+let inlined code = code < Ds.stolen_finished
+
+(* The inlined payload and whether its join was public. *)
+let expect_task what t =
+  let v, code = pop t in
+  if not (inlined code) then Alcotest.failf "%s: expected inlined task" what;
+  (v, code = Ds.inline_public)
+
+(* The thief's id (or [Ds.stolen_finished]) and the descriptor index. *)
+let expect_stolen what t =
+  let code = Ds.pop t in
+  if inlined code then Alcotest.failf "%s: expected stolen" what;
+  (code, Ds.depth t)
 
 let test_lifo () =
   let t = mk () in
   List.iter (Ds.push t) [ 1; 2; 3 ];
   Alcotest.(check int) "depth" 3 (Ds.depth t);
-  Alcotest.(check int) "pop 3" 3 (fst (expect_task "a" (Ds.pop t)));
-  Alcotest.(check int) "pop 2" 2 (fst (expect_task "b" (Ds.pop t)));
-  Alcotest.(check int) "pop 1" 1 (fst (expect_task "c" (Ds.pop t)));
+  Alcotest.(check int) "pop 3" 3 (fst (expect_task "a" t));
+  Alcotest.(check int) "pop 2" 2 (fst (expect_task "b" t));
+  Alcotest.(check int) "pop 1" 1 (fst (expect_task "c" t));
   Alcotest.(check int) "empty" 0 (Ds.depth t)
 
 let test_pop_empty () =
   let t = mk () in
   Alcotest.check_raises "empty pop"
     (Invalid_argument "Direct_stack.pop: empty stack") (fun () ->
-      ignore (Ds.pop t))
+      ignore (Ds.pop t));
+  Alcotest.check_raises "empty top_payload"
+    (Invalid_argument "Direct_stack.top_payload: empty stack") (fun () ->
+      ignore (Ds.top_payload t))
 
 let test_all_private_never_stealable () =
   let t = mk ~publicity:Ds.All_private () in
@@ -32,7 +47,7 @@ let test_all_private_never_stealable () =
   (match Ds.steal t ~thief:1 with
   | Ds.Fail -> ()
   | Ds.Stolen_task _ | Ds.Backoff -> Alcotest.fail "stole a private task");
-  let _, public = expect_task "pop" (Ds.pop t) in
+  let _, public = expect_task "pop" t in
   Alcotest.(check bool) "private join" false public;
   let s = Ds.stats t in
   Alcotest.(check int) "inlined private" 1 s.Ds.inlined_private;
@@ -67,9 +82,9 @@ let test_join_with_completed_thief () =
     | Ds.Fail | Ds.Backoff -> Alcotest.fail "steal failed"
   in
   Ds.complete_steal t ~index:idx;
-  let thief, index = expect_stolen "join" (Ds.pop t) in
+  let thief, index = expect_stolen "join" t in
   (* The thief already finished, so the owner's exchange saw DONE. *)
-  Alcotest.(check int) "already done" (-1) thief;
+  Alcotest.(check int) "already done" Ds.stolen_finished thief;
   Ds.reclaim t ~index;
   Alcotest.(check int) "reclaimed" 0 (Ds.depth t);
   Alcotest.(check int) "bot reset" 0 (Ds.bot_index t)
@@ -82,7 +97,7 @@ let test_join_with_running_thief () =
     | Ds.Stolen_task (_, idx) -> idx
     | Ds.Fail | Ds.Backoff -> Alcotest.fail "steal failed"
   in
-  let thief, index = expect_stolen "join" (Ds.pop t) in
+  let thief, index = expect_stolen "join" t in
   Alcotest.(check int) "thief id" 2 thief;
   Alcotest.(check bool) "not done yet" false (Ds.stolen_done t ~index);
   Ds.complete_steal t ~index:idx;
@@ -95,11 +110,11 @@ let test_reuse_after_reclaim () =
   (match Ds.steal t ~thief:1 with
   | Ds.Stolen_task (_, idx) -> Ds.complete_steal t ~index:idx
   | Ds.Fail | Ds.Backoff -> Alcotest.fail "steal failed");
-  let _, index = expect_stolen "join" (Ds.pop t) in
+  let _, index = expect_stolen "join" t in
   Ds.reclaim t ~index;
   (* the slot must be cleanly reusable *)
   Ds.push t 2;
-  Alcotest.(check int) "reused slot" 2 (fst (expect_task "pop" (Ds.pop t)))
+  Alcotest.(check int) "reused slot" 2 (fst (expect_task "pop" t))
 
 let test_adaptive_window_and_trip_wire () =
   let t = mk ~publicity:(Ds.Adaptive 2) () in
@@ -157,7 +172,7 @@ let test_trip_wire_survives_privatize_below_bot () =
      the inline of slot 4 where [max bot i = bot]: nothing public at or
      above [bot] is left alive *)
   for i = 20 downto 4 do
-    Alcotest.(check int) "inline order" i (fst (expect_task "inline" (Ds.pop t)))
+    Alcotest.(check int) "inline order" i (fst (expect_task "inline" t))
   done;
   let s = Ds.stats t in
   Alcotest.(check int) "privatized once" 1 s.Ds.privatize_events;
@@ -172,16 +187,14 @@ let test_trip_wire_survives_privatize_below_bot () =
   | Ds.Fail | Ds.Backoff -> Alcotest.fail "re-armed push was not stealable");
   (* that steal took the wire descriptor, so the owner's next operation
      services a publish request: the window is live again *)
-  (match Ds.pop t with
-  | Ds.Task _ -> Alcotest.fail "expected the stolen join"
-  | Ds.Stolen { index; _ } -> Ds.reclaim t ~index);
+  let _, index = expect_stolen "re-armed wire join" t in
+  Ds.reclaim t ~index;
   let s = Ds.stats t in
   Alcotest.(check int) "wire re-armed and sprung" 1 s.Ds.publish_events;
   (* drain the thief-1 steals and verify a clean shutdown state *)
   while Ds.depth t > 0 do
-    match Ds.pop t with
-    | Ds.Task _ -> Alcotest.fail "leftover inline"
-    | Ds.Stolen { index; _ } -> Ds.reclaim t ~index
+    let _, index = expect_stolen "drain" t in
+    Ds.reclaim t ~index
   done;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
@@ -222,9 +235,8 @@ let test_capacity_overflow () =
   (* the raise must precede any mutation: the stack still works *)
   Alcotest.(check int) "depth untouched" 4 (Ds.depth t);
   for i = 4 downto 1 do
-    match Ds.pop t with
-    | Ds.Task (v, _) -> Alcotest.(check int) "pops survive overflow" i v
-    | Ds.Stolen _ -> Alcotest.fail "unexpected steal"
+    Alcotest.(check int) "pops survive overflow" i
+      (fst (expect_task "pop after overflow" t))
   done;
   Alcotest.(check (list string)) "quiescent after overflow" []
     (Ds.check_quiescent t)
@@ -261,9 +273,8 @@ let qcheck_sequential_stack_model =
               | [] -> true (* skip: popping empty is a precondition violation *)
               | expect :: rest -> (
                   model := rest;
-                  match Ds.pop t with
-                  | Ds.Task (v, _) -> v = expect
-                  | Ds.Stolen _ -> false)))
+                  let v, code = pop t in
+                  inlined code && v = expect)))
         ops)
 
 (* The same owner-only list-model property under Adaptive publicity (the
@@ -293,9 +304,8 @@ let qcheck_owner_model =
               | [] -> true
               | expect :: rest -> (
                   model := rest;
-                  match Ds.pop t with
-                  | Ds.Task (v, _) -> v = expect
-                  | Ds.Stolen _ -> false)))
+                  let v, code = pop t in
+                  inlined code && v = expect)))
         ops
       && (Ds.check_quiescent t = []) = (!model = []))
 
@@ -315,11 +325,11 @@ let test_recycled_descriptor_backoff () =
   | _ -> Alcotest.fail "expected to steal task 10 at slot 0");
   let interfere = function
     | Ds.Pre_cas ->
-        let v, public = expect_task "inline 11" (Ds.pop t) in
+        let v, public = expect_task "inline 11" t in
         Alcotest.(check int) "inlined 11" 11 v;
         Alcotest.(check bool) "was public" true public;
-        let thief, index = expect_stolen "join 10" (Ds.pop t) in
-        Alcotest.(check int) "thief already done" (-1) thief;
+        let thief, index = expect_stolen "join 10" t in
+        Alcotest.(check int) "thief already done" Ds.stolen_finished thief;
         Ds.reclaim t ~index;
         Ds.push t 12;
         Ds.push t 13 (* recycles slot 1's descriptor *);
@@ -339,9 +349,9 @@ let test_recycled_descriptor_backoff () =
   (match Ds.steal t ~thief:2 with
   | Ds.Stolen_task (13, 1) -> Ds.complete_steal t ~index:1
   | _ -> Alcotest.fail "expected 13 at slot 1 after back-off");
-  let _, index = expect_stolen "join 13" (Ds.pop t) in
+  let _, index = expect_stolen "join 13" t in
   Ds.reclaim t ~index;
-  let _, index = expect_stolen "join 12" (Ds.pop t) in
+  let _, index = expect_stolen "join 12" t in
   Ds.reclaim t ~index;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
@@ -377,18 +387,20 @@ let concurrent_soak ~publicity ~thieves ~batches ~batch () =
       Ds.push t ((b * batch) + i)
     done;
     for _ = 1 to batch do
-      match Ds.pop t with
-      | Ds.Task (payload, _) -> Atomic.incr executed.(payload)
-      | Ds.Stolen { thief; index } ->
-          if thief >= 0 then begin
-            let spins = ref 0 in
-            while not (Ds.stolen_done t ~index) do
-              Domain.cpu_relax ();
-              incr spins;
-              if !spins land 4095 = 0 then Unix.sleepf 0.0002
-            done
-          end;
-          Ds.reclaim t ~index
+      let payload, code = pop t in
+      if inlined code then Atomic.incr executed.(payload)
+      else begin
+        let index = Ds.depth t in
+        if code >= 0 then begin
+          let spins = ref 0 in
+          while not (Ds.stolen_done t ~index) do
+            Domain.cpu_relax ();
+            incr spins;
+            if !spins land 4095 = 0 then Unix.sleepf 0.0002
+          done
+        end;
+        Ds.reclaim t ~index
+      end
     done
   done;
   Atomic.set stop true;

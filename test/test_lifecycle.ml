@@ -180,8 +180,8 @@ let test_submit_retry_exhausts () =
     (elapsed >= 300_000);
   let ig = Wool.ingress_stats pool in
   Alcotest.(check int) "three rejections" 3 ig.Wool.Pool.rejected;
-  (* [run] is privileged: it helps drain the full lane, running the
-     filler, so the earlier admission still completes *)
+  (* [run] first helps drain the queued jobs, running the filler, so
+     the earlier admission still completes *)
   ignore (Wool.run pool (fun _ctx -> 0));
   Alcotest.(check int) "queued job ran" 3 (Wool.Submit.await filler);
   Wool.shutdown pool

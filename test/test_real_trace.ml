@@ -81,6 +81,46 @@ let test_traced_fib_invariants () =
     agg.Wool.Pool.joins_stolen
     (count_tag events Ev.Join_stolen)
 
+(* Regression: a leap steal whose stolen task joins a stolen child of its
+   own leapfrogs again, nested; the nested leap steal counts itself, so
+   the outer one must add exactly one. Each task [k < 4] spawns task
+   [k + 1] and spins until the other worker has started it, which forces
+   the ping-pong: worker 1 steals task 1 idle, worker 0 leap-steals
+   task 2 while joining task 1, worker 1 leap-steals task 3 while
+   joining task 2, and worker 0 leap-steals task 4 inside task 2's join
+   of task 3 — nested in its first leapfrog. A task running inside a
+   leapfrog first spawns a pad: its first spawn reuses the slot of the
+   stolen join it is nested in, below [bot], where no thief looks. *)
+let test_nested_leap_steals_counted_once () =
+  let pool =
+    Wool.create
+      ~config:
+        (Wool.Config.make ~workers:2 ~mode:Wool.Task_specific ~trace:true ())
+      ()
+  in
+  let started = Array.init 5 (fun _ -> Atomic.make false) in
+  let rec task k ctx =
+    Atomic.set started.(k) true;
+    if k = 4 then 1
+    else begin
+      let pad = if k >= 2 then Some (Wool.spawn ctx (fun _ -> 0)) else None in
+      let child = Wool.spawn ctx (task (k + 1)) in
+      while not (Atomic.get started.(k + 1)) do
+        Domain.cpu_relax ()
+      done;
+      let r = 1 + Wool.join ctx child in
+      match pad with Some p -> r + Wool.join ctx p | None -> r
+    end
+  in
+  let result = Wool.run pool (task 0) in
+  Wool.shutdown pool;
+  Alcotest.(check int) "every task ran" 5 result;
+  let agg = Wool.Stats.aggregate pool in
+  Alcotest.(check int) "steals" 4 agg.Wool.Pool.steals;
+  Alcotest.(check int) "leap steal events" 3
+    (count_tag (Wool.trace_events pool) Ev.Leap_steal);
+  Alcotest.(check int) "leap steal counter" 3 agg.Wool.Pool.leap_steals
+
 let test_overflow_drops_oldest () =
   let cap = 64 in
   let pool = traced_pool ~workers:1 ~trace_capacity:cap () in
@@ -155,6 +195,8 @@ let suite =
       [
         Alcotest.test_case "4-worker fib invariants" `Quick
           test_traced_fib_invariants;
+        Alcotest.test_case "nested leap steals counted once" `Quick
+          test_nested_leap_steals_counted_once;
         Alcotest.test_case "overflow drops oldest" `Quick
           test_overflow_drops_oldest;
         Alcotest.test_case "disabled tracing is silent" `Quick

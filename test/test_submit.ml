@@ -28,8 +28,8 @@ let test_poll_lifecycle () =
   (match Wool.Submit.poll tk with
   | `Pending -> ()
   | _ -> Alcotest.fail "undrained ticket must poll Pending");
-  (* the lane is FIFO: run's own job queues behind ours, so helping
-     run's job to completion necessarily ran ours first *)
+  (* run drains the jobs queued ahead of its own first, so ours ran
+     before run returned *)
   Alcotest.(check int) "run alongside" 5 (Wool.run pool (fun _ctx -> 5));
   (match Wool.Submit.poll tk with
   | `Done (Ok 7) -> ()
