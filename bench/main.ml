@@ -27,9 +27,7 @@ let table2_group =
   let mk name mode publicity =
     let pool =
       Wool.create
-        ~config:
-          (Wool.Config.make ~workers:1 ~mode ~publicity
-             ~allow_relaxed:(Wool.Mode.is_relaxed mode) ())
+        ~config:(Wool.Config.make ~workers:1 ~mode ~publicity ())
         ()
     in
     Test.make ~name (Staged.stage (fun () -> Wool.run pool (fun ctx -> F.wool ctx 15)))
@@ -43,8 +41,6 @@ let table2_group =
       mk "private(all)" Wool.Private Wool.All_private;
       Test.make ~name:"serial" (Staged.stage (fun () -> F.serial 15));
       mk "chase-lev" Wool.Clev Wool.All_public;
-      mk "ws-mult" Wool.Ws_mult Wool.All_public;
-      mk "low-sync" Wool.Lowsync Wool.All_public;
       (let module C = Wool_cactus.Cactus in
        let pool = C.create ~workers:1 () in
        let rec fib ctx n =

@@ -307,8 +307,8 @@ let bench_cmd =
     let doc =
       Printf.sprintf
         "Comma-separated scheduler modes to sweep (default all: %s); e.g. \
-         --modes private,ws_mult,lowsync for the relaxed-vs-direct \
-         comparison without the full matrix."
+         --modes private,clev to compare two modes without the full \
+         matrix."
         (String.concat "," (List.map Wool.Mode.name Wool.Mode.all))
     in
     Arg.(

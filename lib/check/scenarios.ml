@@ -596,9 +596,10 @@ let submit_vs_submit =
     run;
   }
 
-(* ---- relaxed-protocol scenarios: the runtime's at-least-once
-   discipline (pool.ml) reduced to the checker. A task is an index into
-   a completion-flag array. Every execution goes through the spawn
+(* ---- relaxed-protocol scenarios: the at-least-once discipline a
+   runtime needs on top of these pools, reduced to the checker (no pool
+   mode ships them; EXPERIMENTS.md records why). A task is an index
+   into a completion-flag array. Every execution goes through the spawn
    wrapper's second-chance guard — check the flag, run, set the flag —
    whose check/set window is itself interleaved by the scheduler, so the
    bounded multiplicity these protocols permit is explored, not modelled

@@ -1,6 +1,6 @@
 (* Reproducible benchmark harness ("woolbench bench <workload|all>"): run
    the tier-1 workloads across worker counts and the scheduler modes
-   (all seven by default, filterable with --modes), compute Table II-style
+   (all five by default, filterable with --modes), compute Table II-style
    single-worker spawn/join overheads (including the All_private vs
    All_public publicity split), speedups, steal counts and measured
    granularities, and emit a schema-stable BENCH_<date>.json.
@@ -95,11 +95,10 @@ let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
   let ok = ref true in
   let spawns = ref 0 and steals = ref 0 in
   for i = 0 to repeats - 1 do
-    let allow_relaxed = Wool.Mode.is_relaxed mode in
     let config =
       match publicity with
-      | None -> Wool.Config.make ~workers ~mode ~allow_relaxed ()
-      | Some p -> Wool.Config.make ~workers ~mode ~publicity:p ~allow_relaxed ()
+      | None -> Wool.Config.make ~workers ~mode ()
+      | Some p -> Wool.Config.make ~workers ~mode ~publicity:p ()
     in
     Wool.with_pool ~config (fun pool ->
         let result, ns = Clock.time (fun () -> Wool.run pool spec.Spec.wool) in
@@ -150,19 +149,12 @@ let measure ?(size = Spec.Std) ?(workers = [ 1; 2; 4 ]) ?(repeats = 3)
                  ignore (spec.Spec.serial () : int)))
         in
         let cell = measure_cell spec ~expected ~serial ~repeats in
-        (* the mode sweep, every worker count; relaxed modes execute
-           bodies at-least-once, so only idempotent kernels qualify *)
+        (* the mode sweep, every worker count *)
         List.concat_map
           (fun (mode_name, mode) ->
-            if Wool.Mode.is_relaxed mode && not spec.Spec.relaxed_ok then begin
-              Printf.printf "note: skipping %s on %s (kernel not idempotent)\n"
-                spec.Spec.name mode_name;
-              []
-            end
-            else
-              List.map
-                (fun w -> cell ~mode_name ~mode ~publicity:None ~workers:w)
-                workers)
+            List.map
+              (fun w -> cell ~mode_name ~mode ~publicity:None ~workers:w)
+              workers)
           selected
         (* Table II's publicity split: single worker, default (Private)
            mode, everything kept private vs everything made stealable —

@@ -1,15 +1,14 @@
 (** Reproducible benchmark harness ("woolbench bench <workload|all>").
 
-    Runs {!Exp_common.Spec} workloads across worker counts and all seven
-    scheduler modes ({!Wool.Mode.all}) on the real runtime — the relaxed
-    at-least-once modes only on kernels whose specs declare
-    [relaxed_ok] — computes Table II-style single-worker spawn/join
+    Runs {!Exp_common.Spec} workloads across worker counts and all five
+    scheduler modes ({!Wool.Mode.all}) on the real runtime, computes
+    Table II-style single-worker spawn/join
     overheads (including the [All_private] vs [All_public] publicity
     split in [Private] mode), speedups, steal counts and measured
     [G_T]/[G_L], and emits a schema-stable [BENCH_<date>.json] (schema
     {!schema_version}, parseable with {!Wool_trace.Json}). [--modes]
-    restricts the sweep to a subset (e.g. the relaxed-vs-direct
-    comparison without the full matrix). [--compare old.json] re-reads a
+    restricts the sweep to a subset (e.g. two modes without the full
+    matrix). [--compare old.json] re-reads a
     committed baseline, divides out the whole-matrix machine drift
     (median new/old ratio over all shared cells), and flags runs whose
     drift-corrected median lands beyond the baseline's own noise band
@@ -40,9 +39,11 @@ type run = {
   workload : string;
   descr : string;  (** e.g. ["fib(22)"] *)
   mode : string;  (** a canonical {!Wool.Mode.name}, e.g. ["locked"],
-                      ["swap_generic"], ["clev"], ["ws_mult"],
-                      ["lowsync"]; older baselines' hyphenated spellings
-                      are re-parsed via {!Wool.Mode.of_name} *)
+                      ["swap_generic"], ["clev"]; older baselines'
+                      hyphenated spellings are re-parsed via
+                      {!Wool.Mode.of_name}, and the retired
+                      ["ws_mult"]/["lowsync"] cells they hold parse but
+                      match nothing in a new report *)
   publicity : string;
       (** ["default"] for the mode sweep; ["all-private"] /
           ["all-public"] for the single-worker publicity split *)
@@ -76,10 +77,9 @@ val measure :
   string list ->
   report
 (** [measure ~date names] benches each named workload: the selected
-    modes (default all seven) at every worker count (default [[1; 2; 4]],
+    modes (default all five) at every worker count (default [[1; 2; 4]],
     [repeats] = 3 timed pool runs per cell, a fresh pool each), plus the
-    two publicity cells when [Private] is selected. Relaxed modes are
-    skipped (with a note) on kernels without [Spec.relaxed_ok]. Raises
+    two publicity cells when [Private] is selected. Raises
     [Failure] on an unknown name, [Invalid_argument] on an empty mode
     filter, an empty or non-positive worker list, or [repeats < 1]. *)
 
@@ -137,7 +137,7 @@ val run :
   int
 (** CLI driver: measure ([[]] or [["all"]] = every tier-1 workload;
     [mode_names] are parsed with {!Wool.Mode.of_name}, default all
-    seven), print the tables, write [out] (default {!default_out}),
+    five), print the tables, write [out] (default {!default_out}),
     optionally compare against [compare_with] (printing the drift
     caveat and any drift-corrected regressions), and return the
     regression count (0 when not comparing). Raises [Failure] on

@@ -58,13 +58,9 @@ let spin n =
 let rec task counts ctx spec =
   ignore (Atomic.fetch_and_add counts.(spec.id) 1 : int);
   spin (1000 + (spec.id * 37 mod 4000));
-  (* [spawn_idempotent] so the same workload runs on the relaxed modes;
-     on exactly-once pools it is [spawn]. The body is idempotent by
-     construction: the counts are occurrence counters (the relaxed
-     assertion is >= 1), and the value is a pure function of the spec. *)
   let futs =
     List.map
-      (fun c -> Wool.spawn_idempotent ctx (fun ctx -> task counts ctx c))
+      (fun c -> Wool.spawn ctx (fun ctx -> task counts ctx c))
       spec.children
   in
   (* joins must be LIFO: most recent spawn first *)
@@ -87,14 +83,13 @@ type row = {
   violations : string list;  (** oracle violations (must be empty) *)
 }
 
-(* Every mode, including the relaxed ones: the single source of truth is
-   {!Wool.Mode.all}, so a new mode is fuzzed the day it exists. *)
+(* Every mode: the single source of truth is {!Wool.Mode.all}, so a new
+   mode is fuzzed the day it exists. *)
 let all_modes = Array.of_list Wool.Mode.all
 let publicities = [| Wool.All_public; Wool.Adaptive 1; Wool.Adaptive 4;
                      Wool.All_private |]
 
 let direct = Wool.Mode.is_direct
-let relaxed = Wool.Mode.is_relaxed
 
 let counts_of_stats (s : Wool.Stats.t) =
   {
@@ -111,7 +106,7 @@ let counts_of_stats (s : Wool.Stats.t) =
 
 let run_one ~seed =
   (* Everything about the history flows from the seed: the mode rotates
-     so any consecutive window of 7 seeds covers all seven, the rest is
+     so any consecutive window of 5 seeds covers all five, the rest is
      drawn from a seed-keyed generator. *)
   let rng = Rng.make (0x5eed0 + seed) in
   let mode = all_modes.(seed mod Array.length all_modes) in
@@ -169,13 +164,13 @@ let run_one ~seed =
   let counts = Array.init nodes (fun _ -> Atomic.make 0) in
   let config =
     Wool.Config.make ~workers ~mode ~publicity ~policy ?faults ~seed ~server
-      ~allow_relaxed:(relaxed mode) ~trace:true ~trace_capacity:(1 lsl 14) ()
+      ~trace:true ~trace_capacity:(1 lsl 14) ()
   in
   let pool = Wool.create ~config () in
   let violations = ref [] in
   let add v = violations := !violations @ v in
   let tickets =
-    Wool.Submit.submit_batch ~idempotent:true pool
+    Wool.Submit.submit_batch pool
       (List.init n_inject (fun i _ctx ->
            spin (500 + (i * 131));
            0x1000 + i))
@@ -186,13 +181,11 @@ let run_one ~seed =
     List.init n_cancel (fun _ ->
         let c = Wool.Cancel.create () in
         Wool.Cancel.cancel c;
-        Wool.Submit.submit ~idempotent:true ~cancel:c pool drop_body)
+        Wool.Submit.submit ~cancel:c pool drop_body)
   in
   let expire_tickets =
     List.init n_expire (fun _ ->
-        Wool.Submit.submit ~idempotent:true
-          ~deadline:(Clock.now_ns () - 1)
-          pool drop_body)
+        Wool.Submit.submit ~deadline:(Clock.now_ns () - 1) pool drop_body)
   in
   let (), elapsed_ns =
     Clock.time (fun () ->
@@ -267,27 +260,20 @@ let run_one ~seed =
         Printf.sprintf "%d dropped submission bodies executed"
           (Atomic.get dropped_ran);
       ];
-  (* Execution multiplicity is the ground truth the guarantee names:
-     exactly-once modes must show every task at 1; the relaxed modes are
-     allowed duplicates but must still cover every task (>= 1). *)
+  (* Execution multiplicity is the ground truth: every mode must show
+     every task at exactly 1. *)
   Array.iteri
     (fun id c ->
       let n = Atomic.get c in
-      if relaxed mode then begin
-        if n < 1 then
-          add
-            [ Printf.sprintf "task %d executed %d times, expected >= 1" id n ]
-      end
-      else if n <> 1 then
+      if n <> 1 then
         add [ Printf.sprintf "task %d executed %d times, expected 1" id n ])
     counts;
   add (Wool.Invariants.check pool);
   let stats = Wool.Stats.aggregate pool in
-  (* A duplicate body run re-spawns its whole subtree, so relaxed modes
-     bound spawns below by the edge count instead of matching exactly;
-     likewise a rope run adds however many splits steal pressure forced
-     (a schedule-dependent, nonnegative count). *)
-  (if relaxed mode || rope then begin
+  (* A rope run adds however many splits steal pressure forced (a
+     schedule-dependent, nonnegative count), so with a rope the edge
+     count is a lower bound instead of an exact match. *)
+  (if rope then begin
      if stats.spawns < nodes - 1 then
        add
          [

@@ -70,11 +70,6 @@ module Spec = struct
         (** sequential run (for [T_S]) returning a result digest *)
     wool : Wool.ctx -> int;
         (** parallel run; its digest must equal [serial]'s *)
-    relaxed_ok : bool;
-        (** the kernel's task bodies are idempotent (pure values or
-            write-one-slot), so it runs under the at-least-once modes;
-            kernels with shared accumulators or in-place mutation must
-            leave this [false] and are skipped in relaxed sweeps *)
     sim_descr : string;
     sim_tree : unit -> Wool_ir.Task_tree.t;  (** simulator counterpart *)
   }
@@ -97,7 +92,6 @@ module Spec = struct
       descr = Printf.sprintf "fib(%d)" n;
       serial = (fun () -> Wool_workloads.Fib.serial n);
       wool = (fun ctx -> Wool_workloads.Fib.wool ctx n);
-      relaxed_ok = true;
       sim_descr = Printf.sprintf "fib(%d)" sim_n;
       sim_tree = (fun () -> Wool_workloads.Fib.tree sim_n);
     }
@@ -119,7 +113,6 @@ module Spec = struct
           S.reset_leaf_result ();
           S.wool ctx ~height ~leaf_iters;
           S.leaf_result ());
-      relaxed_ok = false (* shared leaf-result accumulator *);
       sim_descr = Printf.sprintf "stress(height=%d)" height;
       sim_tree = (fun () -> S.tree ~height ~leaf_iters);
     }
@@ -131,7 +124,6 @@ module Spec = struct
       descr = Printf.sprintf "nqueens(%d)" n;
       serial = (fun () -> Wool_workloads.Nqueens.serial n);
       wool = (fun ctx -> Wool_workloads.Nqueens.wool ctx n);
-      relaxed_ok = true;
       sim_descr = Printf.sprintf "nqueens(%d)" n;
       sim_tree = (fun () -> Wool_workloads.Nqueens.tree n);
     }
@@ -148,7 +140,6 @@ module Spec = struct
       wool =
         (fun ctx ->
           digest_of_matrix (Wool_workloads.Mm.wool ctx (Lazy.force a) (Lazy.force b)));
-      relaxed_ok = true (* each row task writes only its own row *);
       sim_descr = Printf.sprintf "mm(%dx%d)" n n;
       sim_tree = (fun () -> Wool_workloads.Mm.tree n);
     }
@@ -166,9 +157,6 @@ module Spec = struct
       serial = (fun () -> digest_of_int_array (Wool_workloads.Sort.serial (Lazy.force input)));
       wool =
         (fun ctx -> digest_of_int_array (Wool_workloads.Sort.wool ctx (Lazy.force input)));
-      relaxed_ok = true
-        (* the rope block-sort merges into fresh arrays: a duplicate run
-           rebuilds the same value instead of racing an in-place twin *);
       sim_descr = Printf.sprintf "sort(%d)" n;
       sim_tree = (fun () -> Wool_workloads.Sort.tree n);
     }
@@ -181,7 +169,6 @@ module Spec = struct
       descr = Printf.sprintf "wordcount(%d)" n;
       serial = (fun () -> Wool_workloads.Wordcount.serial (Lazy.force text));
       wool = (fun ctx -> Wool_workloads.Wordcount.wool ctx (Lazy.force text));
-      relaxed_ok = true (* pure per-position folds *);
       sim_descr = Printf.sprintf "wordcount(%d)" n;
       sim_tree = (fun () -> Wool_workloads.Wordcount.tree n);
     }
@@ -198,7 +185,6 @@ module Spec = struct
       wool =
         (fun ctx ->
           digest_of_int_array (Wool_workloads.Histogram.wool ctx (Lazy.force data)));
-      relaxed_ok = true (* fresh bucket arrays per block and per combine *);
       sim_descr = Printf.sprintf "histogram(%d)" n;
       sim_tree = (fun () -> Wool_workloads.Histogram.tree n);
     }

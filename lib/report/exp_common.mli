@@ -66,10 +66,6 @@ module Spec : sig
         (** sequential run (for [T_S]) returning a result digest *)
     wool : Wool.ctx -> int;
         (** parallel run; its digest must equal [serial]'s *)
-    relaxed_ok : bool;
-        (** task bodies are idempotent — the kernel may run under the
-            at-least-once ([Ws_mult]/[Lowsync]) modes; [false] skips it
-            in relaxed sweeps *)
     sim_descr : string;
     sim_tree : unit -> Wool_ir.Task_tree.t;  (** simulator counterpart *)
   }

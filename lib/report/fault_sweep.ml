@@ -12,14 +12,11 @@ module Table = Wool_util.Table
 module Clock = Wool_util.Clock
 module Fault = Wool_fault
 
-(* The canonical mode list, relaxed modes included: fault plans perturb
-   their (fence-free) steal windows just like everyone else's, and the
-   post-quiesce invariant check uses the relaxed counter balances. *)
+(* The canonical mode list. *)
 let all_modes = Wool.Mode.all
 
 (* The workload: naive fork-join fib with a serial cut-off low enough to
-   keep plenty of steal traffic but bounded work per task. Pure, hence
-   idempotent, hence spawnable on the relaxed modes. *)
+   keep plenty of steal traffic but bounded work per task. *)
 let fib_arg = 18
 
 let rec fib_serial n = if n < 2 then n else fib_serial (n - 1) + fib_serial (n - 2)
@@ -27,7 +24,7 @@ let rec fib_serial n = if n < 2 then n else fib_serial (n - 1) + fib_serial (n -
 let rec fib_task ctx n =
   if n < 2 then n
   else begin
-    let a = Wool.spawn_idempotent ctx (fun ctx -> fib_task ctx (n - 1)) in
+    let a = Wool.spawn ctx (fun ctx -> fib_task ctx (n - 1)) in
     let b = Wool.call ctx (fun ctx -> fib_task ctx (n - 2)) in
     a |> Wool.join ctx |> ( + ) b
   end
@@ -51,8 +48,7 @@ let max_runs ~workers = (2 * workers) + 2
 
 let run_one ~workers ~mode ~policy (plan : Fault.Plan.t) =
   let config =
-    Wool.Config.make ~workers ~mode ~policy ~faults:plan ~seed:plan.seed
-      ~allow_relaxed:(Wool.Mode.is_relaxed mode) ()
+    Wool.Config.make ~workers ~mode ~policy ~faults:plan ~seed:plan.seed ()
   in
   let pool = Wool.create ~config () in
   let expect = fib_serial fib_arg in
@@ -69,11 +65,11 @@ let run_one ~workers ~mode ~policy (plan : Fault.Plan.t) =
   let cancelled_token = Wool.Cancel.create () in
   Wool.Cancel.cancel cancelled_token;
   let tk_cancel =
-    Wool.Submit.submit ~idempotent:true ~cancel:cancelled_token pool
+    Wool.Submit.submit ~cancel:cancelled_token pool
       (fun _ctx -> Atomic.incr dropped_ran)
   in
   let tk_expire =
-    Wool.Submit.submit ~idempotent:true ~deadline:(Clock.now_ns () - 1) pool
+    Wool.Submit.submit ~deadline:(Clock.now_ns () - 1) pool
       (fun _ctx -> Atomic.incr dropped_ran)
   in
   let (), elapsed_ns =

@@ -204,13 +204,9 @@ let kernels =
     nqueens_kernel; knapsack_kernel;
   ]
 
-(* The exactly-once modes, from the canonical table: several kernels
-   here (stress, sort, cholesky) mutate shared state and are not
-   idempotent, so the relaxed modes sit this comparison out. *)
+(* Every mode, from the canonical table. *)
 let wool_modes =
-  Wool.Mode.all
-  |> List.filter (fun m -> not (Wool.Mode.is_relaxed m))
-  |> List.map (fun m -> ("wool/" ^ Wool.Mode.name m, m))
+  List.map (fun m -> ("wool/" ^ Wool.Mode.name m, m)) Wool.Mode.all
 
 let compute ?(workers = 3) () =
   List.concat_map

@@ -37,10 +37,7 @@ let measure ~mode ~workers ~repeats ~expected f =
   let ok = ref true in
   let spawns = ref 0 in
   for i = 0 to repeats - 1 do
-    let config =
-      Wool.Config.make ~workers ~mode
-        ~allow_relaxed:(Wool.Mode.is_relaxed mode) ()
-    in
+    let config = Wool.Config.make ~workers ~mode () in
     Wool.with_pool ~config (fun pool ->
         let result, ns = Clock.time (fun () -> Wool.run pool f) in
         if result <> expected then ok := false;
@@ -113,8 +110,7 @@ let compute ?(size = Spec.Std) ?(workers = [ 1; 2; 4 ]) ?(repeats = 3) () =
     (subjects size)
 
 (* The workload one-liners vs their hand-rolled spawn trees, default
-   mode only: the hand-rolled paths use exactly-once [spawn], so the
-   relaxed modes sit this table out. *)
+   mode only. *)
 type ab_cell = {
   ab_workload : string;
   ab_workers : int;

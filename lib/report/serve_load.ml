@@ -64,9 +64,7 @@ type row = {
   violations : string list;  (** {!Wool.Invariants.check}, post-quiesce *)
 }
 
-(* Every mode, from the canonical table. The service job is idempotent
-   (spin + timestamp; the ticket layer keeps the first completion), so
-   the relaxed modes serve the same load. *)
+(* Every mode, from the canonical table. *)
 let modes = List.map (fun m -> (Wool.Mode.name m, m)) Wool.Mode.all
 
 let spin n =
@@ -131,7 +129,7 @@ let producer pool ~seed ~pi ~arrival ~rate ~t_start ~stop_at ~service_spins
         else None
       in
       let tk =
-        Wool.Submit.submit ~idempotent:true ?deadline ?cancel pool
+        Wool.Submit.submit ?deadline ?cancel pool
           (fun _ctx ->
             spin service_spins;
             Clock.now_ns () - t0)
@@ -154,7 +152,7 @@ let run_cell ~mode_name ~mode ~arrival ~admission ~producers ~workers
   let config =
     Wool.Config.make ~workers ~mode ~server:true ~injection_lanes:1
       ~injection_capacity:lane_capacity ~admission ?admission_target_ns
-      ~seed ~allow_relaxed:(Wool.Mode.is_relaxed mode) ()
+      ~seed ()
   in
   Wool.with_pool ~config (fun pool ->
       let t_start = Clock.now_ns () in

@@ -9,9 +9,9 @@ type row = {
   cycles_per_task : float;
 }
 
-(* The paper's ladder plus the two relaxed (at-least-once) rungs: the
-   rows are named after Table II, so this list stays hand-written — the
-   constructors themselves come from the canonical {!Wool.Mode}. *)
+(* The paper's ladder: the rows are named after Table II, so this list
+   stays hand-written — the constructors themselves come from the
+   canonical {!Wool.Mode}. *)
 let ladder =
   [
     ("base (locked)", Some (Wool.Locked, Wool.All_public));
@@ -19,8 +19,6 @@ let ladder =
     ("task specific join", Some (Wool.Task_specific, Wool.All_public));
     ("private tasks (no private)", Some (Wool.Private, Wool.All_public));
     ("private tasks (all private)", Some (Wool.Private, Wool.All_private));
-    ("fence-free multiplicity", Some (Wool.Ws_mult, Wool.All_public));
-    ("low-sync (1 CAS/steal)", Some (Wool.Lowsync, Wool.All_public));
     ("serial", None);
   ]
 
@@ -33,9 +31,7 @@ let compute ?(n = 30) ?(repeats = 3) () =
   let measure (mode, publicity) =
     let pool =
       Wool.create
-        ~config:
-          (Wool.Config.make ~workers:1 ~mode ~publicity
-             ~allow_relaxed:(Wool.Mode.is_relaxed mode) ())
+        ~config:(Wool.Config.make ~workers:1 ~mode ~publicity ())
         ()
     in
     Fun.protect

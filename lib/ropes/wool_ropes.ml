@@ -14,12 +14,8 @@
    saturated pool, runs the whole range as a plain loop.
 
    Every parallel body below writes disjoint slots of a fresh array (or
-   folds pure values), so each operation is idempotent by construction
-   and spawns with [Wool.spawn_idempotent]: ropes are legal on the
-   relaxed at-least-once pools ([Ws_mult]/[Lowsync]) as-is. User-supplied
-   functions ([f], [pred], [combine]) must be pure — on relaxed pools
-   they may be called more than once per element, and [pred] is called
-   twice per element by [filter] (count pass, emit pass) in every mode. *)
+   folds pure values), so no two tasks write the same location. [pred]
+   is called twice per element by [filter] (count pass, emit pass). *)
 
 type 'a t =
   | Leaf of 'a array
@@ -134,7 +130,7 @@ let rec eager_reduce ctx ~grain ~combine body lo hi =
   else begin
     let mid = lo + ((hi - lo) / 2) in
     let right =
-      Wool.spawn_idempotent ctx (fun ctx ->
+      Wool.spawn ctx (fun ctx ->
           eager_reduce ctx ~grain ~combine body mid hi)
     in
     let l = eager_reduce ctx ~grain ~combine body lo mid in
@@ -159,7 +155,7 @@ let rec lazy_reduce ctx ~chunk ~neutral ~combine body acc0 lo hi =
     if hi - !pos > chunk && Wool.steal_pressure ctx then begin
       let mid = !pos + ((hi - !pos) / 2) in
       let right =
-        Wool.spawn_idempotent ctx (fun ctx ->
+        Wool.spawn ctx (fun ctx ->
             lazy_reduce ctx ~chunk ~neutral ~combine body neutral mid hi)
       in
       let l = lazy_reduce ctx ~chunk ~neutral ~combine body !acc !pos mid in
@@ -211,7 +207,7 @@ let build ctx ?(split = default_split) ?leaf n f =
   check_split split;
   if n = 0 then empty
   else begin
-    let first = Wool.spawn_idempotent ctx (fun _ctx -> f 0) in
+    let first = Wool.spawn ctx (fun _ctx -> f 0) in
     let out = Array.make n (Wool.join ctx first) in
     run_unit ctx ~split
       (fun lo hi ->
@@ -227,7 +223,7 @@ let map ctx ?(split = default_split) f t =
   check_split split;
   if n = 0 then empty
   else begin
-    let first = Wool.spawn_idempotent ctx (fun _ctx -> f (get t 0)) in
+    let first = Wool.spawn ctx (fun _ctx -> f (get t 0)) in
     let out = Array.make n (Wool.join ctx first) in
     run_unit ctx ~split
       (fun lo hi -> iter_sub t 0 lo hi (fun i x -> out.(i) <- f x))
@@ -343,7 +339,7 @@ let filter ctx ?(split = default_split) pred t =
       in
       let out = Array.make total seed in
       (* pass 2: compact each block into its precomputed slice — still
-         disjoint slots, so still idempotent *)
+         disjoint slots *)
       run_unit ctx ~split:bsplit
         (fun blo bhi ->
           for k = blo to bhi - 1 do

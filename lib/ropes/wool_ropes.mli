@@ -13,14 +13,12 @@
     spawns. [Eager] reproduces the conventional fixed-grain recursive
     schedule, kept as the A/B baseline (`woolbench ropes`).
 
-    {b Relaxed-mode idempotence.} Every parallel body writes disjoint
-    slots of fresh arrays or folds pure values, so the operations are
-    idempotent by construction and spawn with {!Wool.spawn_idempotent}:
-    ropes work unchanged on the relaxed at-least-once pools
-    ([Ws_mult]/[Lowsync]). In exchange, the user-supplied functions
-    ([f], [pred], [combine]) must be pure: on relaxed pools they may be
-    called more than once per element (and [filter]'s [pred] is called
-    twice per element in every mode — count pass and emit pass).
+    {b Purity.} Every parallel body writes disjoint slots of fresh
+    arrays or folds pure values, and each spawned body runs exactly
+    once. The user-supplied functions ([f], [pred], [combine]) run on
+    whichever worker takes their leaf, so they must not write shared
+    state without their own synchronisation; [filter]'s [pred] is
+    called twice per element (count pass and emit pass).
 
     {b Cancellation.} Leaf execution checks the ambient cancel token
     ({!Wool.cancel_token}) between chunks, so a cancelled submission's
@@ -76,7 +74,7 @@ val append : 'a t -> 'a t -> 'a t
 
 val build : Wool.ctx -> ?split:split -> ?leaf:int -> int -> (int -> 'a) -> 'a t
 (** [build ctx n f] is the rope of [f 0 ... f (n-1)] with the
-    initialisers run in parallel ([f] must be pure — see the idempotence
+    initialisers run in parallel ([f] must be pure — see the purity
     note above). Raises [Invalid_argument] on negative [n]. *)
 
 val map : Wool.ctx -> ?split:split -> ('a -> 'b) -> 'a t -> 'b t
@@ -84,8 +82,8 @@ val map : Wool.ctx -> ?split:split -> ('a -> 'b) -> 'a t -> 'b t
 
 val for_each : Wool.ctx -> ?split:split -> (int -> 'a -> unit) -> 'a t -> unit
 (** [for_each ctx f t] runs [f i x] for every element [x] at index [i],
-    in parallel. [f] must be idempotent (write-one-slot style): on
-    relaxed pools it may run more than once per element. *)
+    in parallel, once each. Calls run concurrently, so [f] should
+    write only state of its own (write-one-slot style). *)
 
 val reduce :
   Wool.ctx -> ?split:split -> neutral:'b -> combine:('b -> 'b -> 'b) ->

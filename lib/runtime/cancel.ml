@@ -7,9 +7,9 @@
    spawn through the worker's ambient token, see {!Pool.spawn}).
 
    The token carries no settlement state of its own: ticket resolution
-   stays with the PR-7 first-writer-wins machinery in the pool, so
-   cancel-vs-complete races are decided exactly once no matter how many
-   duplicate deliveries a relaxed mode produces. *)
+   stays with the first-writer-wins machinery in the pool, so
+   cancel-vs-complete races are decided exactly once, even when the
+   [Dup] drain fault delivers a job twice. *)
 
 type t = bool Atomic.t
 

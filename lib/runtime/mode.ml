@@ -1,22 +1,11 @@
 (* The single source of truth for pool modes. Everything that used to be
    hand-rolled per consumer — the constructor list, the name table, the
-   parse table, the "all modes" sweeps in tests/bench/fuzz — lives here,
-   together with the one property that changes the API contract: the
-   execution guarantee. *)
+   parse table, the "all modes" sweeps in tests/bench/fuzz — lives here.
+   Every mode executes each spawned task body exactly once. *)
 
-type t =
-  | Locked
-  | Swap_generic
-  | Task_specific
-  | Private
-  | Clev
-  | Ws_mult
-  | Lowsync
+type t = Locked | Swap_generic | Task_specific | Private | Clev
 
-type guarantee = Exactly_once | At_least_once
-
-let all =
-  [ Locked; Swap_generic; Task_specific; Private; Clev; Ws_mult; Lowsync ]
+let all = [ Locked; Swap_generic; Task_specific; Private; Clev ]
 
 let name = function
   | Locked -> "locked"
@@ -24,8 +13,6 @@ let name = function
   | Task_specific -> "task_specific"
   | Private -> "private"
   | Clev -> "clev"
-  | Ws_mult -> "ws_mult"
-  | Lowsync -> "lowsync"
 
 (* Accept the canonical names plus the hyphenated spellings the bench
    reports have historically printed. *)
@@ -36,25 +23,13 @@ let of_name s =
   | "task_specific" | "task-specific" -> Some Task_specific
   | "private" -> Some Private
   | "clev" | "chase-lev" | "chase_lev" -> Some Clev
-  | "ws_mult" | "ws-mult" -> Some Ws_mult
-  | "lowsync" | "low-sync" | "low_sync" -> Some Lowsync
   | _ -> None
-
-let guarantee = function
-  | Locked | Swap_generic | Task_specific | Private | Clev -> Exactly_once
-  | Ws_mult | Lowsync -> At_least_once
-
-let is_relaxed m = guarantee m = At_least_once
 
 (* Modes built on the paper's direct task stack (descriptor vocabulary,
    trip wire, leapfrogging). *)
 let is_direct = function
   | Swap_generic | Task_specific | Private -> true
-  | Locked | Clev | Ws_mult | Lowsync -> false
-
-let guarantee_name = function
-  | Exactly_once -> "exactly-once"
-  | At_least_once -> "at-least-once"
+  | Locked | Clev -> false
 
 let describe = function
   | Locked -> "mutex-protected deque (baseline)"
@@ -62,5 +37,3 @@ let describe = function
   | Task_specific -> "direct task stack, task-specific joins"
   | Private -> "direct task stack with private tasks (the paper's protocol)"
   | Clev -> "Chase-Lev dynamic circular deque"
-  | Ws_mult -> "fence-free read/write pool with multiplicity"
-  | Lowsync -> "low-synchronization pool (one CAS per steal)"

@@ -1,10 +1,9 @@
 (** First-class pool-mode descriptors.
 
-    One source of truth for the mode list, the name/parse tables, and —
-    the property that changes the API contract — each mode's execution
-    guarantee. {!Pool} re-exports {!t} as [Pool.mode], so the
-    constructors below are the same values configuration code has
-    always matched on. *)
+    One source of truth for the mode list and the name/parse tables.
+    {!Pool} re-exports {!t} as [Pool.mode], so the constructors below are
+    the same values configuration code has always matched on. Every mode
+    executes each spawned task body exactly once. *)
 
 type t =
   | Locked  (** mutex-protected deque (baseline) *)
@@ -13,42 +12,21 @@ type t =
   | Private
       (** direct task stack with private tasks — the paper's protocol *)
   | Clev  (** Chase-Lev dynamic circular deque *)
-  | Ws_mult
-      (** fence-free read/write pool with multiplicity (Castañeda &
-          Piña): no CAS anywhere, tasks may execute more than once *)
-  | Lowsync
-      (** low-synchronization pool (Rito & Paulino): plain owner
-          operations, one CAS per steal, boundary-cell duplicates *)
-
-type guarantee =
-  | Exactly_once  (** every spawned task body executes exactly once *)
-  | At_least_once
-      (** a task body may execute more than once (concurrently or
-          after completion); bodies must be idempotent — see
-          {!Pool.spawn_idempotent} and [Config.make ~allow_relaxed] *)
 
 val all : t list
 (** Every mode, in the order reports print them. *)
 
 val name : t -> string
-(** Canonical lowercase name ([ws_mult], [task_specific], ...). *)
+(** Canonical lowercase name ([task_specific], [clev], ...). *)
 
 val of_name : string -> t option
 (** Parse a mode name; accepts the canonical names plus hyphenated
     spellings historically printed by reports ([chase-lev], [swap]).
     Round-trips with {!name}. *)
 
-val guarantee : t -> guarantee
-
-val is_relaxed : t -> bool
-(** [guarantee m = At_least_once]. *)
-
 val is_direct : t -> bool
 (** Built on the paper's direct task stack (descriptor vocabulary, trip
     wire, leapfrogging). *)
-
-val guarantee_name : guarantee -> string
-(** ["exactly-once"] / ["at-least-once"] — the README table spelling. *)
 
 val describe : t -> string
 (** One-line human description. *)

@@ -1,8 +1,6 @@
 module Ds = Wool_deque.Direct_stack
 module Locked_deque = Wool_deque.Locked_deque
 module Chase_lev = Wool_deque.Chase_lev
-module Ws_mult = Wool_deque.Ws_mult
-module Lowsync = Wool_deque.Lowsync
 module Inject_queue = Wool_deque.Inject_queue
 module Ring = Wool_trace.Ring
 module Event = Wool_trace.Event
@@ -24,8 +22,6 @@ type mode = Mode.t =
   | Task_specific
   | Private
   | Clev
-  | Ws_mult
-  | Lowsync
 
 type admission = Wool_policy.Admission.t =
   | Block
@@ -59,7 +55,6 @@ module Config = struct
     admission : admission;
     admission_target_ns : int;
     server : bool;
-    allow_relaxed : bool;
   }
 
   let default =
@@ -83,7 +78,6 @@ module Config = struct
       admission = Block;
       admission_target_ns = 2_000_000;
       server = false;
-      allow_relaxed = false;
     }
 
   (* Reject nonsensical settings here, with the field named, instead of
@@ -128,12 +122,6 @@ module Config = struct
     if c.server && c.injection_capacity = 0 then
       bad "server mode needs injection_capacity > 0 (submission is the only \
            way in)";
-    if Mode.is_relaxed c.mode && not c.allow_relaxed then
-      bad
-        "mode %s has at-least-once semantics (a task body may execute more \
-         than once); opt in with ~allow_relaxed:true and spawn only \
-         idempotent tasks"
-        (Mode.name c.mode);
     c
 
   (* The single option-merge routine behind [make] and [override]: two
@@ -142,8 +130,7 @@ module Config = struct
   let merge base ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
       ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server
-      ?allow_relaxed () =
+      ?injection_capacity ?admission ?admission_target_ns ?server () =
     let ov o d = Option.value o ~default:d in
     let base_selector, base_backoff =
       match policy with
@@ -170,32 +157,28 @@ module Config = struct
       admission = ov admission base.admission;
       admission_target_ns = ov admission_target_ns base.admission_target_ns;
       server = ov server base.server;
-      allow_relaxed = ov allow_relaxed base.allow_relaxed;
     }
 
   let make ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns ?seed
       ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server
-      ?allow_relaxed () =
+      ?injection_capacity ?admission ?admission_target_ns ?server () =
     validate
       (merge default ?workers ?mode ?publicity ?capacity ?lock_mode
          ?idle_nap_ns ?seed ?trace ?trace_capacity ?policy ?steal_policy
          ?backoff ?faults ?watchdog_interval_ns ?watchdog_stalls
          ?injection_lanes ?injection_capacity ?admission ?admission_target_ns
-         ?server ?allow_relaxed ())
+         ?server ())
 
   let override c ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
       ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server
-      ?allow_relaxed () =
+      ?injection_capacity ?admission ?admission_target_ns ?server () =
     validate
       (merge c ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
          ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
          ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-         ?injection_capacity ?admission ?admission_target_ns ?server
-         ?allow_relaxed ())
+         ?injection_capacity ?admission ?admission_target_ns ?server ())
 
   let policy c =
     { Wool_policy.selector = c.steal_policy; backoff = c.backoff }
@@ -246,8 +229,7 @@ module Config = struct
       ((if c.admission = Adaptive then
           Printf.sprintf "(target=%dns)" c.admission_target_ns
         else "")
-      ^ (if c.server then "; server" else "")
-      ^ if c.allow_relaxed then "; relaxed-ok" else "")
+      ^ if c.server then "; server" else "")
 end
 
 type worker = {
@@ -256,16 +238,6 @@ type worker = {
   dstack : packed Ds.t;
   ldeque : (worker -> unit) Locked_deque.t;
   cdeque : (worker -> unit) Chase_lev.t;
-  (* relaxed modes pool {wrapper, completed-flag} pairs so poppers can
-     recognise an already-finished duplicate without running it *)
-  wmdeque : pending_child Ws_mult.t;
-  lsdeque : pending_child Lowsync.t;
-  rx_busy : bool Atomic.t;
-      (* relaxed modes: set while this worker executes an extracted task.
-         An owner may self-join a task whose duplicate is still running
-         here, so root completion alone does not quiesce the pool — the
-         quiescence barrier spins on these flags before stats or
-         invariants are read. *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
   bo : Backoff.state;
@@ -311,13 +283,6 @@ and worker_hot = {
   (* Locked/Clev joins (or unwind waits) of a task a thief took; the
      direct modes count these in the dstack. Keeps [joins_stolen]
      meaningful — equal to [steals] at quiescence — in every mode. *)
-  mutable n_self_joins : int;
-  (* relaxed modes only: joins that could not find their task in the
-     local pool and executed the body themselves (the at-least-once
-     fallback that makes relaxed joins wait-free) *)
-  mutable n_dup_takes : int;
-  (* relaxed modes only: extractions whose task had already completed —
-     the multiplicity the protocol permits, skipped without running *)
   mutable ambient_cancel : Cancel.t option;
   (* the cancel token of the injected job this worker is currently
      running, if any: [spawn] checks it so a cancelled submission's task
@@ -332,7 +297,6 @@ and pending_child = {
 
 and pool = {
   pmode : mode;
-  relaxed : bool; (* [Mode.is_relaxed pmode]: one immutable-bool branch *)
   backend : backend;
   lock_mode : [ `Base | `Peek | `Trylock ];
   idle_nap_ns : int;
@@ -422,7 +386,7 @@ and 'a future = {
   completed : bool Atomic.t;
   index : int; (* descriptor index in the owner's direct stack; -1 otherwise *)
   owner_id : int;
-  mutable wrapper : worker -> unit; (* queued and relaxed modes only *)
+  mutable wrapper : worker -> unit; (* queued modes only *)
 }
 
 (* A direct-stack descriptor's payload: the future itself, its type
@@ -481,10 +445,6 @@ let dummy_injected =
     ij_token = None;
     ij_enq_ns = 0;
   }
-
-(* Distinguished never-run element for the relaxed deques; compared by
-   physical identity inside the protocol bodies. *)
-let dummy_pending = { pc_wrapper = dummy_task; pc_completed = Atomic.make false }
 
 let[@inline] record w tag ~a ~b =
   Ring.record w.ring ~ts:(Wool_util.Clock.now_ns ()) ~tag ~a ~b
@@ -635,43 +595,6 @@ let steal_direct w ~(victim : worker) =
       false
   | Ds.Fail -> false
 
-(* Relaxed modes: an extraction may be a duplicate of a task that already
-   ran (multiplicity), so the thief checks the completion flag before
-   executing and skips finished ones. A not-yet-completed duplicate still
-   runs — that is the at-least-once contract the idempotent-task API
-   opts the caller into. *)
-let run_extracted w pc ~victim_id =
-  (* The busy flag goes up before the completion check: a barrier that
-     has observed it down can only be overtaken by an extraction whose
-     task completed before the barrier started, and that one skips. *)
-  Atomic.set w.rx_busy true;
-  if Atomic.get pc.pc_completed then begin
-    Atomic.set w.rx_busy false;
-    w.hot.n_dup_takes <- w.hot.n_dup_takes + 1;
-    false
-  end
-  else begin
-    w.hot.n_steals <- w.hot.n_steals + 1;
-    if w.tr_on then record w Event.Steal_ok ~a:(-1) ~b:victim_id;
-    pc.pc_wrapper w;
-    Atomic.set w.rx_busy false;
-    true
-  end
-
-let steal_ws_mult w ~(victim : worker) =
-  if w.fl_on && fault_steal_pre w then false
-  else
-    match Ws_mult.steal victim.wmdeque with
-    | Some pc -> run_extracted w pc ~victim_id:victim.id
-    | None -> false
-
-let steal_lowsync w ~(victim : worker) =
-  if w.fl_on && fault_steal_pre w then false
-  else
-    match Lowsync.steal victim.lsdeque with
-    | Some pc -> run_extracted w pc ~victim_id:victim.id
-    | None -> false
-
 (* Attempt to steal one task from [victim] and run it. *)
 let steal_once w ~(victim : worker) =
   if w.tr_on then record w Event.Steal_attempt ~a:(-1) ~b:victim.id;
@@ -803,22 +726,6 @@ let worker_loop w =
   while not (Atomic.get w.pool.stop) do
     ignore (steal_idle w : bool)
   done
-
-(* Relaxed modes: root completion does not imply an idle pool — an owner
-   may have self-joined a task whose duplicate is still executing on a
-   thief, and that execution keeps bumping counters and spawning into its
-   local pool. Spin until every worker has left its extraction window;
-   any extraction that begins afterwards finds its task completed and
-   skips without running. Exact modes need no barrier (a join returns
-   only after the thief's execution finished), so this is free there. *)
-let quiesce_relaxed pool =
-  if pool.relaxed then
-    Array.iter
-      (fun w ->
-        while Atomic.get w.rx_busy do
-          Domain.cpu_relax ()
-        done)
-      pool.workers
 
 let value_exn fut =
   match fut.value with
@@ -1023,102 +930,6 @@ let join_clev w fut =
       if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
       wait_completed w fut
 
-(* ---- the relaxed (at-least-once) modes ----
-
-   The protocol bodies (Ws_mult/Lowsync) may deliver a task twice, and a
-   thief acting on stale reads can even advance past a recycled cell so
-   the protocol delivers a task to nobody. The runtime absorbs both with
-   one discipline: every wrapper re-checks the completion flag before
-   running (duplicates degrade to skips once the first execution
-   finishes), and a join that cannot find its task in the local pool
-   executes the body itself instead of waiting for a thief that may not
-   exist. That self-execution makes relaxed joins wait-free — they never
-   spin on another worker — at the price of a possible concurrent
-   duplicate run, which is exactly what the idempotent-task contract
-   permits. *)
-
-let spawn_relaxed put w (fn : worker -> 'a) : 'a future =
-  let fut =
-    { fn; value = None; completed = Atomic.make false; index = -1;
-      owner_id = w.id; wrapper = dummy_task }
-  in
-  let wrapper wk =
-    (* second-chance duplicate guard: extraction sites check too, but a
-       race between their check and this call can still double-deliver *)
-    if not (Atomic.get fut.completed) then begin
-      run_body wk fut;
-      Atomic.set fut.completed true
-    end
-  in
-  fut.wrapper <- wrapper;
-  let pc = { pc_wrapper = wrapper; pc_completed = fut.completed } in
-  put w pc;
-  w.hot.children <- pc :: w.hot.children;
-  if w.tr_on then record w Event.Spawn ~a:(-1) ~b:(-1);
-  fut
-
-(* Join fallback shared with the unwinder: the task is not at the top of
-   our pool — stolen, mid-duplicate, or protocol-skipped. Run it
-   ourselves unless it already completed; either way the completion flag
-   read/write orders the value write before [value_exn]. *)
-let join_missing w (pc : pending_child) =
-  w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-  if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-  if not (Atomic.get pc.pc_completed) then begin
-    w.hot.n_self_joins <- w.hot.n_self_joins + 1;
-    pc.pc_wrapper w
-  end
-
-(* A popped sibling that is not the one we are joining (out-of-order
-   joins, e.g. FIFO joins over this LIFO pool, or a multiplicity
-   duplicate). Run it now — guarded — instead of putting it back: its
-   own join will find it completed, the pool drains monotonically, and
-   no finished task is stranded for idle thieves to keep re-probing.
-   Counted as a self-join (owner executed a child outside its matching
-   join) so the coverage invariant still accounts for it. *)
-let run_popped_sibling w (pc : pending_child) =
-  if not (Atomic.get pc.pc_completed) then begin
-    w.hot.n_self_joins <- w.hot.n_self_joins + 1;
-    pc.pc_wrapper w
-  end
-  else w.hot.n_dup_takes <- w.hot.n_dup_takes + 1
-
-let join_relaxed ~take w fut =
-  pop_child w fut;
-  let rec drain () =
-    match take w with
-    | Some pc when pc.pc_wrapper == fut.wrapper ->
-        w.hot.n_inlined <- w.hot.n_inlined + 1;
-        if w.tr_on then record w Event.Inline_public ~a:(-1) ~b:(-1);
-        pc.pc_wrapper w;
-        value_exn fut
-    | Some pc ->
-        run_popped_sibling w pc;
-        drain ()
-    | None ->
-        join_missing w
-          { pc_wrapper = fut.wrapper; pc_completed = fut.completed };
-        value_exn fut
-  in
-  drain ()
-
-let unwind_relaxed ~take w ~mark =
-  while List.length w.hot.children > mark do
-    match w.hot.children with
-    | [] -> assert false (* length > mark >= 0 *)
-    | pc :: rest -> (
-        w.hot.children <- rest;
-        match take w with
-        | Some pc' when pc' == pc ->
-            w.hot.n_inlined <- w.hot.n_inlined + 1;
-            (try pc.pc_wrapper w with _ -> ())
-        | other ->
-            (match other with
-            | Some o -> ( try run_popped_sibling w o with _ -> ())
-            | None -> ());
-            (try join_missing w pc with _ -> ()))
-  done
-
 (* ---- backends ---- *)
 
 let queued_mark w = List.length w.hot.children
@@ -1156,39 +967,15 @@ let direct_backend ~generic =
     bk_unwind = unwind_direct;
   }
 
-let ws_mult_backend =
-  let take w = Ws_mult.take w.wmdeque in
-  let put w pc = Ws_mult.put w.wmdeque pc in
-  {
-    bk_steal = steal_ws_mult;
-    bk_spawn = (fun w fn -> spawn_relaxed put w fn);
-    bk_join = (fun w fut -> join_relaxed ~take w fut);
-    bk_mark = queued_mark;
-    bk_unwind = unwind_relaxed ~take;
-  }
-
-let lowsync_backend =
-  let take w = Lowsync.take w.lsdeque in
-  let put w pc = Lowsync.put w.lsdeque pc in
-  {
-    bk_steal = steal_lowsync;
-    bk_spawn = (fun w fn -> spawn_relaxed put w fn);
-    bk_join = (fun w fut -> join_relaxed ~take w fut);
-    bk_mark = queued_mark;
-    bk_unwind = unwind_relaxed ~take;
-  }
-
 let backend_of_mode = function
   | Locked -> locked_backend
   | Clev -> clev_backend
   | Swap_generic -> direct_backend ~generic:true
   | Task_specific | Private -> direct_backend ~generic:false
-  | Ws_mult -> ws_mult_backend
-  | Lowsync -> lowsync_backend
 
 (* ---- the public task operations ---- *)
 
-let spawn_checked (w : ctx) (fn : ctx -> 'a) : 'a future =
+let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   if w.pool.stopped then invalid_arg "Wool.spawn: pool is shut down";
   (* one predictable branch (load + compare against the immediate [None])
      on the spawn fast path: a cancelled submission's task tree stops
@@ -1216,21 +1003,6 @@ let spawn_checked (w : ctx) (fn : ctx -> 'a) : 'a future =
   w.hot.n_spawns <- w.hot.n_spawns + 1;
   fut
 
-(* [spawn] is the exactly-once surface: in a relaxed pool the body may
-   execute more than once, so the caller must say so by name. The branch
-   is on an immutable bool, same cost model as the trace/fault gates. *)
-let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
-  if w.pool.relaxed then
-    invalid_arg
-      (Printf.sprintf
-         "Wool.spawn: mode %s has at-least-once semantics; use \
-          spawn_idempotent for tasks that tolerate duplicate execution"
-         (Mode.name w.pool.pmode));
-  spawn_checked w fn
-
-let spawn_idempotent (w : ctx) (fn : ctx -> 'a) : 'a future =
-  spawn_checked w fn
-
 let join (w : ctx) fut =
   if fut.owner_id <> w.id then
     invalid_arg "Wool.join: future joined on a different worker";
@@ -1245,10 +1017,7 @@ let cancel_token (w : ctx) = w.hot.ambient_cancel
    wire / thief-activity state their stack already maintains (see
    {!Ds.steal_pressure}); the queued baselines have no trip wire, so the
    best cheap proxy is "my deque has been drained" — thieves took
-   everything I published and may be starving. The relaxed pools track
-   neither (fence-free protocols keep no failure counters a poll could
-   trust), so they conservatively report pressure whenever a thief
-   exists: relaxed callers split eagerly rather than strand work. *)
+   everything I published and may be starving. *)
 let steal_pressure (w : ctx) =
   let pool = w.pool in
   match pool.pmode with
@@ -1256,7 +1025,7 @@ let steal_pressure (w : ctx) =
   | Locked ->
       Array.length pool.workers > 1 && Locked_deque.size w.ldeque = 0
   | Clev -> Array.length pool.workers > 1 && Chase_lev.size w.cdeque = 0
-  | Ws_mult | Lowsync -> Array.length pool.workers > 1
+
 let self_id w = w.id
 let num_workers pool = Array.length pool.workers
 let mode pool = pool.pmode
@@ -1351,12 +1120,11 @@ let await_for_ticket tk span_s =
 let injected_of ?(deadline = max_int) ?cancel pool (fn : worker -> 'a)
     (tk : 'a ticket) =
   (* Settlement is claimed exactly once even if the job itself runs more
-     than once (the [Dup] drain fault, or any future at-least-once
-     delivery path): a duplicate completion must neither decrement
-     [inflight] twice nor re-resolve the ticket — [await]/[poll] observe
-     the first result only. Cancellation and expiry ride the same
-     machinery: whichever of {completion, cancel, expire, drop} claims
-     first decides the outcome, in every mode. *)
+     than once (the [Dup] drain fault): a duplicate completion must
+     neither decrement [inflight] twice nor re-resolve the ticket —
+     [await]/[poll] observe the first result only. Cancellation and
+     expiry ride the same machinery: whichever of {completion, cancel,
+     expire, drop} claims first decides the outcome, in every mode. *)
   let claimed = Atomic.make false in
   let settle st =
     if not (Atomic.exchange claimed true) then begin
@@ -1507,33 +1275,17 @@ let submit_one ?deadline ?cancel pool ~lane ~batch fn =
   end;
   tk
 
-(* A job entering a relaxed pool may fan out into at-least-once spawns
-   (and, under the [Dup] drain fault, even the job itself can repeat), so
-   the submitter must declare it idempotent — the ingress counterpart of
-   the [spawn]/[spawn_idempotent] split. *)
-let require_idempotent pool ~idempotent what =
-  if pool.relaxed && not idempotent then
-    invalid_arg
-      (Printf.sprintf
-         "Wool.Submit.%s: mode %s has at-least-once semantics; declare the \
-          job idempotent (~idempotent:true)"
-         what
-         (Mode.name pool.pmode))
-
-let submit ?(idempotent = false) ?deadline ?cancel pool fn =
-  require_idempotent pool ~idempotent "submit";
+let submit ?deadline ?cancel pool fn =
   submit_one ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1) fn
 
 (* One lane pick for the whole batch: consecutive elements land in the
    same lane, so a draining worker takes them without re-probing. *)
-let submit_batch ?(idempotent = false) ?deadline ?cancel pool fns =
-  require_idempotent pool ~idempotent "submit_batch";
+let submit_batch ?deadline ?cancel pool fns =
   let lane = lane_of pool in
   let n = List.length fns in
   List.map (fun fn -> submit_one ?deadline ?cancel pool ~lane ~batch:n fn) fns
 
-let try_submit ?(idempotent = false) ?deadline ?cancel pool fn =
-  require_idempotent pool ~idempotent "try_submit";
+let try_submit ?deadline ?cancel pool fn =
   let lane = lane_of pool in
   Atomic.incr pool.ingress.ig_submitted;
   ig_fault pool Fault.Site.Submit;
@@ -1572,11 +1324,10 @@ let try_submit ?(idempotent = false) ?deadline ?cancel pool fn =
    pool actually admitted is returned as-is, and a stopping pool cuts
    the loop short. Deterministic for a given seed — the jitter stream is
    a private [Rng], not wall-clock noise. *)
-let submit_retry ?(idempotent = false) ?deadline ?cancel ?(attempts = 4)
-    ?(backoff_ns = 200_000) ?(seed = 0) pool fn =
+let submit_retry ?deadline ?cancel ?(attempts = 4) ?(backoff_ns = 200_000)
+    ?(seed = 0) pool fn =
   if attempts < 1 then
     invalid_arg "Wool.Submit.submit_retry: attempts must be at least 1";
-  require_idempotent pool ~idempotent "submit_retry";
   let rng = Wool_util.Rng.make (seed lxor 0x5EED5) in
   let rec go k =
     let tk =
@@ -1653,8 +1404,6 @@ module Stats = struct
     publish_events : int;
     privatize_events : int;
     injected : int;
-    self_joins : int;
-    dup_takes : int;
   }
 
   let zero =
@@ -1671,8 +1420,6 @@ module Stats = struct
       publish_events = 0;
       privatize_events = 0;
       injected = 0;
-      self_joins = 0;
-      dup_takes = 0;
     }
 
   let of_worker w =
@@ -1690,8 +1437,6 @@ module Stats = struct
       publish_events = d.Ds.publish_events;
       privatize_events = d.Ds.privatize_events;
       injected = w.hot.n_injected;
-      self_joins = w.hot.n_self_joins;
-      dup_takes = w.hot.n_dup_takes;
     }
 
   (* [max_pool_depth] is a high-water mark, not a flow; it combines with
@@ -1710,8 +1455,6 @@ module Stats = struct
       publish_events = a.publish_events + b.publish_events;
       privatize_events = a.privatize_events + b.privatize_events;
       injected = a.injected + b.injected;
-      self_joins = a.self_joins + b.self_joins;
-      dup_takes = a.dup_takes + b.dup_takes;
     }
 
   let per_worker pool = Array.map of_worker pool.workers
@@ -1731,9 +1474,7 @@ module Stats = struct
         w.hot.n_failed <- 0;
         w.hot.n_inlined <- 0;
         w.hot.n_injected <- 0;
-        w.hot.n_join_stolen <- 0;
-        w.hot.n_self_joins <- 0;
-        w.hot.n_dup_takes <- 0)
+        w.hot.n_join_stolen <- 0)
       pool.workers;
     (* the ingress balance ([Invariants.check]) is relative to the same
        reset point as the worker counters *)
@@ -1761,8 +1502,6 @@ module Stats = struct
       ("publish_events", s.publish_events);
       ("privatize_events", s.privatize_events);
       ("injected", s.injected);
-      ("self_joins", s.self_joins);
-      ("dup_takes", s.dup_takes);
     ]
 
   let pp fmt s =
@@ -1794,8 +1533,6 @@ type stats = Stats.t = {
   publish_events : int;
   privatize_events : int;
   injected : int;
-  self_joins : int;
-  dup_takes : int;
 }
 
 (* ---- fault-injection stats ---- *)
@@ -1851,7 +1588,6 @@ let trace_clear pool =
 
 module Invariants = struct
   let check pool =
-    quiesce_relaxed pool;
     let errs = ref [] in
     let add fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
     Array.iter
@@ -1864,14 +1600,6 @@ module Invariants = struct
         let cs = Chase_lev.size w.cdeque in
         if cs <> 0 then
           add "worker %d: chase-lev deque holds %d tasks" w.id cs;
-        (* Lowsync's [head] is CAS-monotone, so its size settles exact at
-           quiescence. Ws_mult's plain [head] writes can transiently run
-           it backwards while idle thieves keep probing, so its size is
-           not checkable here — every task's completion is enforced by
-           the join/self-run discipline instead. *)
-        let lss = Lowsync.size w.lsdeque in
-        if lss <> 0 then
-          add "worker %d: lowsync pool holds %d tasks" w.id lss;
         let ch = List.length w.hot.children in
         if ch <> 0 then
           add "worker %d: %d outstanding queued children" w.id ch)
@@ -1915,22 +1643,7 @@ module Invariants = struct
             s.Stats.spawns joined;
         if s.Stats.joins_stolen <> s.Stats.steals then
           add "counter imbalance: joins_stolen=%d but steals=%d"
-            s.Stats.joins_stolen s.Stats.steals
-    | Ws_mult | Lowsync ->
-        (* At-least-once: executions can exceed spawns (duplicates), but
-           joins are still owner-side and exactly once per future... *)
-        let joined = s.Stats.inlined_private + s.Stats.inlined_public in
-        if s.Stats.spawns <> joined + s.Stats.joins_stolen then
-          add "counter imbalance: spawns=%d but inlined=%d + joins_stolen=%d"
-            s.Stats.spawns joined s.Stats.joins_stolen;
-        (* ... and every spawn was executed by someone: popped and run by
-           its owner, run by a thief, or self-run at join. Inequality,
-           not equality — steals of duplicates overcount. *)
-        if joined + s.Stats.steals + s.Stats.self_joins < s.Stats.spawns then
-          add
-            "counter imbalance: spawns=%d but inlined=%d + steals=%d + \
-             self_joins=%d cannot cover them"
-            s.Stats.spawns joined s.Stats.steals s.Stats.self_joins);
+            s.Stats.joins_stolen s.Stats.steals);
     List.rev !errs
 
   let check_exn pool =
@@ -1993,8 +1706,6 @@ let stall_report pool =
       Buffer.add_string buf "]}";
       Printf.bprintf buf {|,"ldeque_size":%d|} (Locked_deque.size w.ldeque);
       Printf.bprintf buf {|,"cdeque_size":%d|} (Chase_lev.size w.cdeque);
-      Printf.bprintf buf {|,"wmdeque_size":%d|} (Ws_mult.size w.wmdeque);
-      Printf.bprintf buf {|,"lsdeque_size":%d|} (Lowsync.size w.lsdeque);
       Printf.bprintf buf {|,"children":%d|} (List.length w.hot.children);
       Printf.bprintf buf {|,"stats":%s|} (Stats.to_json (Stats.of_worker w));
       Buffer.add_string buf {|,"trace":[|};
@@ -2069,9 +1780,6 @@ let make_worker ~id ~pool ~publicity ~capacity ~trace ~trace_capacity ~faults
       dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
       ldeque = Locked_deque.create ~capacity ~dummy:dummy_task ();
       cdeque = Chase_lev.create ~dummy:dummy_task ();
-      wmdeque = Ws_mult.create ~dummy:dummy_pending ();
-      lsdeque = Lowsync.create ~dummy:dummy_pending ();
-      rx_busy = Atomic.make false;
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
       bo = Backoff.make pool.policy.Wool_policy.backoff;
@@ -2092,8 +1800,6 @@ let make_worker ~id ~pool ~publicity ~capacity ~trace ~trace_capacity ~faults
             n_inlined = 0;
             n_injected = 0;
             n_join_stolen = 0;
-            n_self_joins = 0;
-            n_dup_takes = 0;
             ambient_cancel = None;
           };
     }
@@ -2119,7 +1825,7 @@ let create_of_config (c : Config.t) =
     (* The ladder modes below [Private] have no private tasks. *)
     match c.Config.mode with
     | Swap_generic | Task_specific -> All_public
-    | Locked | Clev | Private | Ws_mult | Lowsync -> c.Config.publicity
+    | Locked | Clev | Private -> c.Config.publicity
   in
   let master = Wool_util.Rng.make c.Config.seed in
   let plan =
@@ -2128,7 +1834,6 @@ let create_of_config (c : Config.t) =
   let pool =
     {
       pmode = c.Config.mode;
-      relaxed = Mode.is_relaxed c.Config.mode;
       backend = backend_of_mode c.Config.mode;
       lock_mode = c.Config.lock_mode;
       idle_nap_ns = c.Config.idle_nap_ns;
@@ -2226,11 +1931,8 @@ let shutdown pool =
    the ticket like any other producer. *)
 let run pool f =
   if pool.stopped then invalid_arg "Wool.run: pool is shut down";
-  if pool.server then begin
-    let v = await_ticket (submit_one pool ~lane:(lane_of pool) ~batch:(-1) f) in
-    quiesce_relaxed pool;
-    v
-  end
+  if pool.server then
+    await_ticket (submit_one pool ~lane:(lane_of pool) ~batch:(-1) f)
   else if Array.length pool.lanes = 0 then begin
     (* ingress closed (injection_capacity = 0): direct execution on
        worker 0 — the pre-ingress behaviour *)
@@ -2239,7 +1941,6 @@ let run pool f =
     let mark = pool.backend.bk_mark w0 in
     match f w0 with
     | v ->
-        quiesce_relaxed pool;
         Atomic.set pool.active false;
         v
     | exception e ->
@@ -2248,7 +1949,6 @@ let run pool f =
            and reusable — when the exception reaches the caller. *)
         let bt = Printexc.get_raw_backtrace () in
         pool.backend.bk_unwind w0 ~mark;
-        quiesce_relaxed pool;
         Atomic.set pool.active false;
         Printexc.raise_with_backtrace e bt
   end
@@ -2271,10 +1971,7 @@ let run pool f =
     in
     let rec help n = if n > 0 && drain_injected w0 then help (n - 1) in
     help ahead;
-    (* the root job is never queued, so never duplicated: [run] needs no
-       idempotency declaration even on a relaxed pool *)
     exec_injected w0 ij ~lane ~dup:false;
-    quiesce_relaxed pool;
     Atomic.set pool.active false;
     match tk_read tk with
     | Tk_done (Ok v) -> v

@@ -43,22 +43,12 @@
     - [Clev]: a Chase–Lev pointer deque with random (non-leapfrog) stealing
       on blocked joins — the conventional steal-child baseline (TBB-like),
       exhibiting the buried-join behaviour discussed in §I.
-    - [Ws_mult]: a fence-free read/write pool {e with multiplicity}
-      (Castañeda & Piña): no CAS or RMW anywhere; in exchange, a task
-      body may execute more than once.
-    - [Lowsync]: a low-synchronization pool (Rito & Paulino): plain
-      owner operations and a single CAS per steal; duplicates only at
-      the owner/thief boundary cell.
 
-    The last two are {e relaxed} modes ({!Mode.At_least_once}): they
-    require [Config.allow_relaxed] and accept work only through
-    {!spawn_idempotent} / [Submit.submit ~idempotent:true]. The runtime
-    dedupes duplicate {e completions} (futures and tickets resolve
-    exactly once), but the task {e body} may run more than once. *)
+    Every mode executes each spawned task body exactly once. *)
 
 module Mode = Mode
-(** First-class mode descriptors: the canonical mode list, name/parse
-    tables, and each mode's execution guarantee. *)
+(** First-class mode descriptors: the canonical mode list and the
+    name/parse tables. *)
 
 type t
 (** A pool: the outside handle. Usable from any domain. *)
@@ -75,8 +65,6 @@ type mode = Mode.t =
   | Task_specific
   | Private
   | Clev
-  | Ws_mult
-  | Lowsync
 
 type publicity = Wool_deque.Direct_stack.publicity =
   | All_private
@@ -185,11 +173,6 @@ module Config : sig
             producer — {!run} becomes submit-and-block-on-ticket instead
             of submit-and-help. Use for pools whose owner must stay
             responsive (accept loops, load generators). *)
-    allow_relaxed : bool;
-        (** opt-in acknowledgement of at-least-once execution (default
-            [false]): a relaxed mode ([Ws_mult] / [Lowsync]) is rejected
-            by {!validate} unless this is set. Setting it on an
-            exactly-once mode is harmless. *)
   }
 
   val default : t
@@ -206,10 +189,8 @@ module Config : sig
       [injection_capacity = 0] with [Block] (would wedge every
       producer), [Shed_oldest] (nothing to shed) or [Adaptive] (no lane
       to watch) admission, non-positive [admission_target_ns] with
-      [Adaptive], [server] with a closed ingress (submission is the
-      only way in), and a relaxed [mode] without [allow_relaxed] (the
-      error spells out the at-least-once contract). Returns the config
-      unchanged when valid.
+      [Adaptive], and [server] with a closed ingress (submission is the
+      only way in). Returns the config unchanged when valid.
       {!make}, {!override} and pool creation all validate; call this
       directly only on records built by hand. *)
 
@@ -234,7 +215,6 @@ module Config : sig
     ?admission:admission ->
     ?admission_target_ns:int ->
     ?server:bool ->
-    ?allow_relaxed:bool ->
     unit ->
     t
   (** Builder over {!default}; omitted arguments keep the default.
@@ -265,7 +245,6 @@ module Config : sig
     ?admission:admission ->
     ?admission_target_ns:int ->
     ?server:bool ->
-    ?allow_relaxed:bool ->
     unit ->
     t
   (** [override c] is {!make} with [c] as the base instead of
@@ -352,7 +331,6 @@ module Submit : sig
   (** Alias of {!Cancel.Cancelled}. *)
 
   val submit :
-    ?idempotent:bool ->
     ?deadline:int ->
     ?cancel:Cancel.t ->
     t ->
@@ -377,18 +355,11 @@ module Submit : sig
       {!cancel_token}), and a body that observes it — or raises
       {!Cancel.Cancelled} itself — settles the ticket cancelled.
       Settlement is first-writer-wins in every mode: a cancel racing
-      the job's completion resolves the ticket exactly once.
-
-      On a relaxed-mode pool the job body may run more than once;
-      [~idempotent:true] (default [false]) is the submitter's
-      acknowledgement, and omitting it there raises [Invalid_argument]
-      before any state changes. The ticket itself still resolves
-      exactly once — the first completion wins, duplicates are dropped —
-      so [await]/[poll] never observe two results. Never raises on
-      exactly-once pools. *)
+      the job's completion resolves the ticket exactly once, and so
+      does a job delivered twice by the [Dup] drain fault — [await] and
+      [poll] never observe two results. Never raises. *)
 
   val try_submit :
-    ?idempotent:bool ->
     ?deadline:int ->
     ?cancel:Cancel.t ->
     t ->
@@ -397,11 +368,10 @@ module Submit : sig
   (** One-shot admission: [None] instead of waiting/shedding when the
       lane is full (whatever the admission policy), the [Adaptive]
       controller is shedding, the ingress is closed, or the pool is
-      stopping. [Some tk] means admitted. [?idempotent], [?deadline],
-      [?cancel] as for {!submit}. *)
+      stopping. [Some tk] means admitted. [?deadline] and [?cancel] as
+      for {!submit}. *)
 
   val submit_batch :
-    ?idempotent:bool ->
     ?deadline:int ->
     ?cancel:Cancel.t ->
     t ->
@@ -412,11 +382,9 @@ module Submit : sig
       re-probing. Each element gets its own ticket and is admitted
       independently (under [Reject], a full lane can reject a suffix of
       the batch); [?deadline]/[?cancel] apply to every element (one
-      token may cancel the whole batch). [?idempotent] as for
-      {!submit}. *)
+      token may cancel the whole batch). *)
 
   val submit_retry :
-    ?idempotent:bool ->
     ?deadline:int ->
     ?cancel:Cancel.t ->
     ?attempts:int ->
@@ -509,18 +477,7 @@ val spawn : ctx -> (ctx -> 'a) -> 'a future
     subtree stolen by another worker checks only its own cooperative
     polls.)
 
-    On a relaxed-mode pool ([Ws_mult] / [Lowsync]) this raises
-    [Invalid_argument]: those modes may execute a task body more than
-    once, so the caller must assert idempotence with
-    {!spawn_idempotent}. *)
-
-val spawn_idempotent : ctx -> (ctx -> 'a) -> 'a future
-(** Like {!spawn}, but the caller asserts the task body is idempotent —
-    safe to execute more than once, including concurrently with itself.
-    This is the only spawn accepted on relaxed-mode pools. The future
-    still resolves exactly once ({!join} returns one result); only the
-    {e body} may run multiple times. On exactly-once pools this is
-    identical to {!spawn}. *)
+    The task body executes exactly once, in every mode. *)
 
 val join : ctx -> 'a future -> 'a
 (** Join with the most recent unjoined [spawn] of this worker. Raises
@@ -550,11 +507,10 @@ val steal_pressure : ctx -> bool
     steal-attempt counters that moved since this worker's previous
     poll — failed probes included, which is what lets an all-private
     leaf notice hungry thieves at all). [Locked]/[Clev] have no trip
-    wire and report an emptied deque instead; the relaxed modes track
-    neither and conservatively report [true] whenever another worker
-    exists. Always [false] on a single-worker pool. Cheap (at most two
-    atomic loads); call it between chunks of leaf work, not per
-    element. Must be called from the worker's own task code. *)
+    wire and report an emptied deque instead. Always [false] on a
+    single-worker pool. Cheap (at most two atomic loads); call it
+    between chunks of leaf work, not per element. Must be called from
+    the worker's own task code. *)
 
 (* Introspection *)
 
@@ -586,15 +542,6 @@ type stats = {
   privatize_events : int;
   injected : int;
       (** injected jobs this worker drained from the lanes and ran *)
-  self_joins : int;
-      (** relaxed modes only: joins that found the child neither in the
-          local pool nor completed, and ran the body in place (the
-          wait-free rescue path — covers tasks the fence-free protocol
-          lost or that a thief is still running) *)
-  dup_takes : int;
-      (** relaxed modes only: extractions (steal or take) that found the
-          task already completed and dropped it — each one is a
-          duplicate delivery the completion flag suppressed *)
 }
 
 (** Scheduler counters. Workers count locally without synchronisation;
@@ -682,10 +629,8 @@ module Invariants : sig
       globally: spawn/join/steal
       counter balance for the pool's mode (direct modes: [spawns =
       inlined + joins_stolen] and [joins_stolen = steals]; queue modes:
-      [spawns = inlined + steals]; relaxed modes: [spawns = inlined +
-      joins_stolen] exactly, and [inlined + steals + self_joins >=
-      spawns] — an inequality because duplicate executions are legal
-      there). The balance is relative to the last {!Stats.reset}. *)
+      [spawns = inlined + steals]). The balance is relative to the
+      last {!Stats.reset}. *)
 
   val check_exn : t -> unit
   (** Raises [Failure] listing the violations, if any. *)

@@ -24,8 +24,6 @@ type mode = Pool.mode =
   | Task_specific
   | Private
   | Clev
-  | Ws_mult
-  | Lowsync
 
 type publicity = Pool.publicity = All_private | All_public | Adaptive of int
 
@@ -46,7 +44,6 @@ let run = Pool.run
 let shutdown = Pool.shutdown
 let with_pool = Pool.with_pool
 let spawn = Pool.spawn
-let spawn_idempotent = Pool.spawn_idempotent
 let join = Pool.join
 let call = Pool.call
 let cancel_token = Pool.cancel_token
@@ -82,12 +79,8 @@ let[@inline] check_grain fn grain =
 (** [parallel_for ctx ~grain lo hi body] runs [body i] for [lo <= i < hi]
     as a balanced binary task tree with at most [grain] iterations per leaf
     (default 1). This is how Wool programs express parallel loops: the same
-    spawn/call/join pattern as Figure 2 applied to index ranges.
-
-    The combinators spawn via [spawn_idempotent] so they work on
-    relaxed-mode pools too; there, a subtree (and so [body i]) may run
-    more than once, which is harmless for the write-one-slot bodies the
-    combinators are built for. Raises [Invalid_argument] on [grain <= 0]. *)
+    spawn/call/join pattern as Figure 2 applied to index ranges. Raises
+    [Invalid_argument] on [grain <= 0]. *)
 let parallel_for ctx ?(grain = 1) lo hi body =
   check_grain "parallel_for" grain;
   let rec go ctx lo hi =
@@ -97,7 +90,7 @@ let parallel_for ctx ?(grain = 1) lo hi body =
       done
     else begin
       let mid = lo + ((hi - lo) / 2) in
-      let right = spawn_idempotent ctx (fun ctx -> go ctx mid hi) in
+      let right = spawn ctx (fun ctx -> go ctx mid hi) in
       go ctx lo mid;
       join ctx right
     end
@@ -120,7 +113,7 @@ let parallel_reduce ctx ?(grain = 1) lo hi ~neutral f combine =
     end
     else begin
       let mid = lo + ((hi - lo) / 2) in
-      let right = spawn_idempotent ctx (fun ctx -> go ctx mid hi) in
+      let right = spawn ctx (fun ctx -> go ctx mid hi) in
       let left = go ctx lo mid in
       combine left (join ctx right)
     end
@@ -130,7 +123,7 @@ let parallel_reduce ctx ?(grain = 1) lo hi ~neutral f combine =
 (** [both ctx f g] evaluates [f] and [g] as parallel tasks and returns both
     results — the binary fork-join primitive. *)
 let both ctx f g =
-  let fg = spawn_idempotent ctx g in
+  let fg = spawn ctx g in
   let a = f ctx in
   let b = join ctx fg in
   (a, b)
@@ -153,7 +146,7 @@ let parallel_map ctx ?grain f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let first = spawn_idempotent ctx (fun _ctx -> f xs.(0)) in
+    let first = spawn ctx (fun _ctx -> f xs.(0)) in
     let out = Array.make n (join ctx first) in
     parallel_for ctx ?grain 1 n (fun i -> out.(i) <- f xs.(i));
     out
@@ -165,7 +158,7 @@ let parallel_init ctx ?grain n f =
   if n < 0 then invalid_arg "Wool.parallel_init: negative length";
   if n = 0 then [||]
   else begin
-    let first = spawn_idempotent ctx (fun _ctx -> f 0) in
+    let first = spawn ctx (fun _ctx -> f 0) in
     let out = Array.make n (join ctx first) in
     parallel_for ctx ?grain 1 n (fun i -> out.(i) <- f i);
     out

@@ -9,8 +9,8 @@
 module Pool = Pool
 
 module Mode = Pool.Mode
-(** First-class mode descriptors: canonical names, parsing, and each
-    mode's execution guarantee; see {!Pool.Mode}. *)
+(** First-class mode descriptors: the canonical mode list, names and
+    parsing; see {!Pool.Mode}. *)
 
 module Config = Pool.Config
 (** Pool configuration records; see {!Pool.Config}. *)
@@ -51,13 +51,6 @@ type mode = Pool.mode =
   | Task_specific  (** + direct typed call on inlined joins *)
   | Private  (** + private descriptors with trip wires (default) *)
   | Clev  (** Chase–Lev pointer deque baseline (TBB-like) *)
-  | Ws_mult
-      (** fence-free read/write pool with multiplicity — relaxed:
-          requires [Config.make ~allow_relaxed:true] and
-          {!spawn_idempotent} *)
-  | Lowsync
-      (** low-synchronization pool, one CAS per steal — relaxed, same
-          opt-in as [Ws_mult] *)
 
 type publicity = Pool.publicity =
   | All_private
@@ -107,14 +100,8 @@ val with_pool : ?config:Config.t -> (pool -> 'a) -> 'a
 (** See {!Pool.with_pool}. *)
 
 val spawn : ctx -> (ctx -> 'a) -> 'a future
-(** Raises [Invalid_argument] on relaxed-mode pools; see
+(** The task body executes exactly once, in every mode; see
     {!Pool.spawn}. *)
-
-val spawn_idempotent : ctx -> (ctx -> 'a) -> 'a future
-(** {!spawn} for bodies that tolerate duplicate execution — the only
-    spawn accepted on relaxed-mode pools ([Ws_mult]/[Lowsync]); see
-    {!Pool.spawn_idempotent}. The combinators below use it internally,
-    so they work in every mode. *)
 
 val join : ctx -> 'a future -> 'a
 val call : ctx -> (ctx -> 'a) -> 'a
@@ -128,7 +115,7 @@ val steal_pressure : ctx -> bool
     when thieves appear to be after this worker's work, so a task
     holding a divisible range should carve off a stealable half now.
     Backed by the direct task stack's trip-wire and thief-activity
-    state; queued and relaxed modes answer with conservative proxies.
+    state; the queued modes answer with a conservative proxy.
     See {!Pool.steal_pressure}. *)
 
 val self_id : ctx -> int
@@ -167,47 +154,36 @@ val trace_clear : pool -> unit
 
 (** {2 Divide-and-conquer combinators}
 
-    {b Purity contract.} Every combinator below spawns via
-    {!spawn_idempotent}, so it is accepted on {e every} pool mode —
-    including the relaxed ([Ws_mult]/[Lowsync], at-least-once) modes,
-    where a spawned subtree, and therefore the user-supplied body
-    ([body i] / [f i] / [f xs.(i)]), {b may execute more than once},
-    possibly concurrently with its duplicate. The bodies these
-    combinators are built for — pure functions, or writers of exactly
-    one slot each computes deterministically — are unaffected: the
-    duplicate recomputes the same value or rewrites the same slot.
-    Bodies with other side effects (shared accumulators, I/O, in-place
-    mutation of shared state) will observe the duplicates; on
-    exactly-once modes bodies run exactly once and no contract applies.
-    The future/result plumbing itself dedupes, so each combinator still
-    {e returns} exactly once with one result. *)
+    Every combinator below spawns with {!spawn}, so each user-supplied
+    body ([body i] / [f i] / [f xs.(i)]) runs exactly once, on whichever
+    worker takes its leaf. Bodies that write shared state must make
+    their writes safe under concurrency (one slot per index, or an
+    atomic); the combinators add no synchronisation of their own. *)
 
 val parallel_for : ctx -> ?grain:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_for ctx ~grain lo hi body] runs [body i] for [lo <= i < hi]
     as a balanced binary task tree with at most [grain] iterations per
     leaf (default 1) — the spawn/call/join pattern of Figure 2 applied to
-    index ranges. Raises [Invalid_argument] if [grain <= 0]. Body purity:
-    see the contract above. *)
+    index ranges. Raises [Invalid_argument] if [grain <= 0]. *)
 
 val parallel_reduce :
   ctx -> ?grain:int -> int -> int -> neutral:'a -> (int -> 'a) ->
   ('a -> 'a -> 'a) -> 'a
 (** Tree-shaped fold of [f lo ... f (hi-1)] under an associative [combine]
-    with identity [neutral]. Raises [Invalid_argument] if [grain <= 0].
-    Body purity: see the contract above. *)
+    with identity [neutral]. Raises [Invalid_argument] if [grain <= 0]. *)
 
 val both : ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b
-(** Evaluate two computations as parallel tasks. Body purity: see the
-    contract above ([g] is spawned and may run twice on relaxed pools). *)
+(** Evaluate two computations as parallel tasks ([g] is the spawned
+    one). *)
 
 val parallel_map : ctx -> ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Map over an array as a balanced task tree; results in order. Every
     element — including element 0, which seeds the output array — runs
     as a task inside the tree, so all of them see cancel checks, fault
     injection, trace accounting, and the scheduler unwind path
-    uniformly. Body purity: see the contract above. *)
+    uniformly. *)
 
 val parallel_init : ctx -> ?grain:int -> int -> (int -> 'a) -> 'a array
-(** [Array.init] with task-tree initialisers; the element-0 and purity
-    notes of {!parallel_map} apply. Raises [Invalid_argument] on
+(** [Array.init] with task-tree initialisers; the element-0 note of
+    {!parallel_map} applies. Raises [Invalid_argument] on
     negative length. *)

@@ -2,12 +2,10 @@ module Tt = Wool_ir.Task_tree
 
 let rec serial n = if n < 2 then n else serial (n - 1) + serial (n - 2)
 
-(* Spawned with [spawn_idempotent]: the body is pure, so the kernel runs
-   unchanged on the relaxed (at-least-once) pool modes. *)
 let rec wool ctx n =
   if n < 2 then n
   else begin
-    let b = Wool.spawn_idempotent ctx (fun ctx -> wool ctx (n - 2)) in
+    let b = Wool.spawn ctx (fun ctx -> wool ctx (n - 2)) in
     let a = wool ctx (n - 1) in
     let b = Wool.join ctx b in
     a + b

@@ -6,9 +6,8 @@ module Tt = Wool_ir.Task_tree
    elements.
 
    Each block folds into a {e fresh} bucket array and [combine] builds a
-   fresh elementwise sum, so nothing shared is ever mutated: the
-   reduction is idempotent by construction and legal in every pool mode
-   (a shared-counter phrasing would not be). *)
+   fresh elementwise sum, so nothing shared is ever mutated (a
+   shared-counter phrasing would need atomic buckets). *)
 
 let buckets = 256
 

@@ -2,8 +2,7 @@
     accumulator is a whole bucket array (ROADMAP item 1).
 
     Each block folds into a fresh bucket array and the combine builds a
-    fresh elementwise sum, so the reduction is idempotent by
-    construction and runs in every pool mode. *)
+    fresh elementwise sum, so nothing shared is ever mutated. *)
 
 val buckets : int
 (** Number of histogram buckets (256). *)

@@ -35,7 +35,7 @@ let wool_handrolled ctx a b =
 (* The data-parallel path: one rope [for_each] over the row indices.
    Rows are coarse (~n² multiply-adds each), so the lazy splitter polls
    for steal pressure after every row (chunk 1). Each row task writes
-   only its own row of [c] — idempotent, legal in every mode. *)
+   only its own row of [c]. *)
 let wool ctx a b =
   let n = Array.length a in
   let c = Array.make_matrix n n 0.0 in

@@ -54,8 +54,7 @@ let wool ctx ?(cutoff = 3) n =
       for col = n - 1 downto 0 do
         if ok col placed then
           children :=
-            (* pure counting body: idempotent, so relaxed modes work *)
-            Wool.spawn_idempotent ctx (fun ctx ->
+            Wool.spawn ctx (fun ctx ->
                 go ctx (row + 1) (col :: placed))
             :: !children
       done;

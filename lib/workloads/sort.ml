@@ -84,9 +84,8 @@ let merge_runs x y =
 
 (* The data-parallel path: sort fixed blocks in parallel (each block into
    a fresh array) via a rope [build], then merge the sorted runs pairwise
-   in parallel rounds. Every task allocates its own output, so — unlike
-   the in-place hand-rolled version — this phrasing is idempotent and
-   legal on the relaxed at-least-once pools. *)
+   in parallel rounds. Every task allocates its own output, unlike the
+   in-place hand-rolled version. *)
 let wool ctx ?(block = 2048) input =
   let n = Array.length input in
   if n = 0 then [||]

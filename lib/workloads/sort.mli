@@ -13,8 +13,7 @@ val serial : int array -> int array
 val wool : Wool.ctx -> ?block:int -> int array -> int array
 (** Data-parallel version: [block]-element runs (default 2048) sorted in
     parallel via a rope build, then merged pairwise in parallel rounds.
-    Every task writes a fresh array, so this phrasing is idempotent and
-    runs on the relaxed at-least-once pools. *)
+    Every task writes a fresh array. *)
 
 val wool_handrolled : Wool.ctx -> ?cutoff:int -> int array -> int array
 (** The in-place spawn tree (recursions above [cutoff] elements, default

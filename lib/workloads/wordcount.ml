@@ -7,8 +7,8 @@ module Tt = Wool_ir.Task_tree
    first character continues a word from the previous chunk. Counting
    word {e starts} dissolves the boundary: position [i] starts a word
    iff it holds a word character and [i = 0] or position [i - 1] does
-   not. Every position is then independent, the per-position folds are
-   pure, and the reduction is idempotent — legal in every pool mode. *)
+   not. Every position is then independent and the per-position folds
+   are pure. *)
 
 let is_word_char c = c <> ' ' && c <> '\n' && c <> '\t'
 

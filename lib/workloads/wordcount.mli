@@ -2,9 +2,7 @@
     reduction expressed with {!Wool_ropes} (ROADMAP item 1).
 
     Words are counted as word {e starts} (a word character whose
-    predecessor is not one), which makes every position independent and
-    the whole reduction idempotent: it runs in every pool mode,
-    including the relaxed at-least-once ones. *)
+    predecessor is not one), which makes every position independent. *)
 
 val subject : ?seed:int -> int -> string
 (** Deterministic pseudo-text of length [n] (~1 space in 8). *)

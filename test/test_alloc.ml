@@ -5,7 +5,9 @@
    so the count is the runtime's own: the future record (7 words) and,
    on the generic join, the result cell it stores and reads back (4
    words). A body closure capturing one variable, as in fib or the
-   benchmark's pair probe, adds 4 words: 11 per pair. *)
+   benchmark's pair probe, adds 4 words: 11 per pair. The queued modes
+   (Locked, Clev) also allocate a completion flag, a wrapper closure,
+   the outstanding-child record and its list cell: 25 words. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -39,7 +41,13 @@ let test_spawn_join_words () =
             Alcotest.failf "%s: %.2f minor words per spawn+join pair (bound %d)"
               name w bound)
         [ Wool.All_private; Wool.All_public; Wool.Adaptive 4 ])
-    [ (Wool.Private, 7); (Wool.Task_specific, 7); (Wool.Swap_generic, 11) ]
+    [
+      (Wool.Private, 7);
+      (Wool.Task_specific, 7);
+      (Wool.Swap_generic, 11);
+      (Wool.Locked, 25);
+      (Wool.Clev, 25);
+    ]
 
 let suite =
   [

@@ -181,9 +181,8 @@ let test_measure_tiny_live () =
   let rep = B.measure ~size:Spec.Tiny ~workers:[ 1 ] ~repeats:2
       ~date:"2026-08-06" [ "fib" ]
   in
-  (* 7 modes x 1 worker count + the 2 publicity cells (fib is
-     idempotent, so the relaxed modes are measured too) *)
-  Alcotest.(check int) "cells" 9 (List.length rep.B.runs);
+  (* 5 modes x 1 worker count + the 2 publicity cells *)
+  Alcotest.(check int) "cells" 7 (List.length rep.B.runs);
   List.iter
     (fun r ->
       Alcotest.(check bool) (r.B.mode ^ " digest ok") true r.B.ok;
@@ -202,6 +201,49 @@ let test_measure_tiny_live () =
           Alcotest.(check int) "self compare clean" 0
             (List.length (B.compare_reports ~baseline:rep' rep)))
 
+(* The committed snapshots predate the retirement of the relaxed modes
+   and still hold ws_mult/lowsync rows. They must keep parsing, and a
+   report over the five remaining modes must compare cleanly against
+   them in either direction: the retired cells match nothing and are
+   skipped, never raised. *)
+let retired = [ "ws_mult"; "lowsync" ]
+
+let test_committed_snapshots_readable () =
+  let base =
+    match B.read_file "../BENCH_2026-08-08.json" with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "BENCH_2026-08-08.json: %s" e
+  in
+  let live, old =
+    List.partition (fun (r : B.run) -> Wool.Mode.of_name r.mode <> None)
+      base.B.runs
+  in
+  Alcotest.(check bool) "retired cells present" true (old <> []);
+  List.iter
+    (fun (r : B.run) ->
+      Alcotest.(check bool) (r.mode ^ " is a retired mode") true
+        (List.mem r.mode retired))
+    old;
+  let restricted = { base with B.runs = live } in
+  Alcotest.(check int) "restricted vs full: no regressions" 0
+    (List.length (B.compare_reports ~baseline:base restricted));
+  Alcotest.(check int) "full vs restricted: no regressions" 0
+    (List.length (B.compare_reports ~baseline:restricted base));
+  let serve =
+    In_channel.with_open_bin "../SERVE_2026-08-08.json" In_channel.input_all
+  in
+  match Wool_report.Serve_load.of_json serve with
+  | Error e -> Alcotest.failf "SERVE_2026-08-08.json: %s" e
+  | Ok rep ->
+      let modes =
+        List.sort_uniq compare
+          (List.map (fun r -> r.Wool_report.Serve_load.mode) rep.rows)
+      in
+      Alcotest.(check (list string))
+        "serve rows cover the five modes and the two retired ones"
+        (List.sort compare (retired @ List.map Wool.Mode.name Wool.Mode.all))
+        modes
+
 let suite =
   [
     ( "bench",
@@ -218,5 +260,7 @@ let suite =
         Alcotest.test_case "compare drift correction" `Quick
           test_compare_drift_correction;
         Alcotest.test_case "measure tiny" `Slow test_measure_tiny_live;
+        Alcotest.test_case "committed snapshots readable" `Quick
+          test_committed_snapshots_readable;
       ] );
   ]

@@ -74,7 +74,7 @@ let test_fib_under_faults_all_modes () =
     (fun (name, mode) ->
       (* no exception rules: every run must produce the right answer *)
       let plan = F.Plan.random ~exceptions:false ~seed:11 () in
-      let config = Wool.Config.make ~workers:4 ~mode ~allow_relaxed:(Wool.Mode.is_relaxed mode) ~faults:plan () in
+      let config = Wool.Config.make ~workers:4 ~mode ~faults:plan () in
       let pool = Wool.create ~config () in
       for _ = 1 to 3 do
         Alcotest.(check int) (name ^ " fib under faults") (fib_serial 16)
@@ -132,7 +132,7 @@ let test_injected_exception_pool_survives () =
           ]
       in
       let workers = 2 in
-      let config = Wool.Config.make ~workers ~mode ~allow_relaxed:(Wool.Mode.is_relaxed mode) ~faults:plan () in
+      let config = Wool.Config.make ~workers ~mode ~faults:plan () in
       let pool = Wool.create ~config () in
       (* the very first spawn raises; each worker can fire at most once,
          so a bounded number of retries must reach a clean run *)
@@ -172,16 +172,9 @@ let () =
    before the exception crosses the steal boundary. *)
 let await_flag = Test_util.await_flag
 
-(* Relaxed pools refuse plain [spawn]; a sweeping test picks the spawn
-   form the mode's contract allows. The bodies here are test probes —
-   counters and raises the at-least-once reruns are allowed to repeat. *)
-let spawn_for mode =
-  if Wool.Mode.is_relaxed mode then Wool.spawn_idempotent else Wool.spawn
-
 let stolen_exception_scenario mode =
-  let spawn = spawn_for mode in
   let config =
-    Wool.Config.make ~workers:2 ~mode ~allow_relaxed:(Wool.Mode.is_relaxed mode) ~publicity:Wool.All_public ()
+    Wool.Config.make ~workers:2 ~mode ~publicity:Wool.All_public ()
   in
   let pool = Wool.create ~config () in
   let started = Atomic.make (-1) in
@@ -192,14 +185,14 @@ let stolen_exception_scenario mode =
       ignore
         (Wool.run pool (fun ctx ->
              let f =
-               spawn ctx (fun ctx ->
+               Wool.spawn ctx (fun ctx ->
                    let c1 =
-                     spawn ctx (fun _ ->
+                     Wool.spawn ctx (fun _ ->
                          Atomic.incr child_runs;
                          1)
                    in
                    let c2 =
-                     spawn ctx (fun _ ->
+                     Wool.spawn ctx (fun _ ->
                          Atomic.incr child_runs;
                          2)
                    in
@@ -234,24 +227,23 @@ let test_stolen_exception_drains_children () =
   List.iter
     (fun (name, mode) ->
       let config =
-        Wool.Config.make ~workers:2 ~mode ~allow_relaxed:(Wool.Mode.is_relaxed mode) ~publicity:Wool.All_public ()
+        Wool.Config.make ~workers:2 ~mode ~publicity:Wool.All_public ()
       in
       let pool = Wool.create ~config () in
-      let spawn = spawn_for mode in
       let started = Atomic.make (-1) in
       let child_runs = Atomic.make 0 in
       (try
          ignore
            (Wool.run pool (fun ctx ->
                 let f =
-                  spawn ctx (fun ctx ->
+                  Wool.spawn ctx (fun ctx ->
                       let c1 =
-                        spawn ctx (fun _ ->
+                        Wool.spawn ctx (fun _ ->
                             Atomic.incr child_runs;
                             1)
                       in
                       let c2 =
-                        spawn ctx (fun _ ->
+                        Wool.spawn ctx (fun _ ->
                             Atomic.incr child_runs;
                             2)
                       in
@@ -264,16 +256,8 @@ let test_stolen_exception_drains_children () =
                 Wool.join ctx f)
              : int)
        with Boom 7 -> ());
-      (* at-least-once modes may legally rerun a drained child; the
-         exactly-once modes must not *)
-      if Wool.Mode.is_relaxed mode then
-        Alcotest.(check bool)
-          (name ^ " children each ran at least once")
-          true
-          (Atomic.get child_runs >= 2)
-      else
-        Alcotest.(check int) (name ^ " children each ran once") 2
-          (Atomic.get child_runs);
+      Alcotest.(check int) (name ^ " children each ran once") 2
+        (Atomic.get child_runs);
       Alcotest.(check (list string)) (name ^ " invariants") []
         (Wool.Invariants.check pool);
       (* the pool stays usable after the unwind *)
@@ -287,7 +271,6 @@ let test_exception_unwind_nested_depth () =
      the way down must be joined or drained *)
   List.iter
     (fun (_name, mode) ->
-      let spawn = spawn_for mode in
       let pool = Test_util.create ~workers:2 ~mode () in
       (* the raise always arrives through the LIFO-most join, with the
          sibling [f] still unjoined at every one of the 12 levels — the
@@ -295,8 +278,8 @@ let test_exception_unwind_nested_depth () =
       let rec deep ctx n =
         if n = 0 then raise (Boom n)
         else begin
-          let f = spawn ctx (fun _ -> n) in
-          let g = spawn ctx (fun ctx -> deep ctx (n - 1)) in
+          let f = Wool.spawn ctx (fun _ -> n) in
+          let g = Wool.spawn ctx (fun ctx -> deep ctx (n - 1)) in
           (* explicit sequencing: [+] would evaluate right-to-left *)
           let gv = Wool.join ctx g in
           gv + Wool.join ctx f

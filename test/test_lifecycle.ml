@@ -82,7 +82,7 @@ let test_cancel_before_start_all_modes () =
       let c = Wool.Cancel.create () in
       Wool.Cancel.cancel c;
       let tk =
-        Wool.Submit.submit ~idempotent:true ~cancel:c pool (fun _ctx ->
+        Wool.Submit.submit ~cancel:c pool (fun _ctx ->
             Atomic.incr ran)
       in
       ignore (Wool.run pool (fun _ctx -> 0));
@@ -199,7 +199,7 @@ let test_awaiters_race_shutdown_all_modes () =
       let pool = Test_util.create ~workers:1 ~mode () in
       let tickets =
         List.init 8 (fun i ->
-            Wool.Submit.submit ~idempotent:true pool (fun _ctx -> i))
+            Wool.Submit.submit pool (fun _ctx -> i))
       in
       let rejected = Atomic.make 0 in
       let awaiters =

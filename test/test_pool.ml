@@ -236,28 +236,19 @@ let test_create_validation () =
         | None -> true
         | Some _ -> false))
 
-let contains = Test_util.contains
-
 (* The Mode module is the single name/parse table; every canonical name
    must survive a round trip, the legacy hyphenated spellings in old
-   committed BENCH baselines must still parse, and the guarantee
-   predicates must agree with each other. *)
+   committed BENCH baselines must still parse, and the retired relaxed
+   modes must not. *)
 let test_mode_round_trip () =
+  Alcotest.(check int) "five modes" 5 (List.length Wool.Mode.all);
   List.iter
     (fun m ->
       let nm = Wool.Mode.name m in
-      (match Wool.Mode.of_name nm with
+      match Wool.Mode.of_name nm with
       | Some m' ->
           Alcotest.(check bool) (nm ^ " round-trips") true (m = m')
-      | None -> Alcotest.failf "canonical name %S does not parse back" nm);
-      Alcotest.(check bool)
-        (nm ^ " guarantee coherent") true
-        (Wool.Mode.is_relaxed m
-        = (Wool.Mode.guarantee m = Wool.Mode.At_least_once));
-      (* direct-stack modes are all exactly-once *)
-      if Wool.Mode.is_direct m then
-        Alcotest.(check bool)
-          (nm ^ " direct implies exact") false (Wool.Mode.is_relaxed m))
+      | None -> Alcotest.failf "canonical name %S does not parse back" nm)
     Wool.Mode.all;
   List.iter
     (fun (alias, expect) ->
@@ -270,64 +261,22 @@ let test_mode_round_trip () =
       ("task-specific", Wool.Task_specific);
       ("chase-lev", Wool.Clev);
       ("chase_lev", Wool.Clev);
-      ("ws-mult", Wool.Ws_mult);
-      ("low-sync", Wool.Lowsync);
-      ("low_sync", Wool.Lowsync);
       ("PRIVATE", Wool.Private);
     ];
+  List.iter
+    (fun retired ->
+      Alcotest.(check bool)
+        (retired ^ " no longer parses") true
+        (Wool.Mode.of_name retired = None))
+    [ "ws_mult"; "ws-mult"; "lowsync"; "low-sync" ];
   Alcotest.(check bool)
     "unknown name rejected" true
     (Wool.Mode.of_name "bogus" = None)
 
-(* The relaxed modes change the API contract (a task body may run more
-   than once), so Config.validate refuses them unless the caller opts in
-   with [~allow_relaxed:true], and the error names the opt-in. *)
-let test_relaxed_config_validation () =
-  List.iter
-    (fun (nm, mode) ->
-      (match Wool.Config.make ~mode () with
-      | (_ : Wool.Config.t) ->
-          Alcotest.failf "%s accepted without ~allow_relaxed" nm
-      | exception Invalid_argument m ->
-          Alcotest.(check bool)
-            (nm ^ " error names the opt-in") true
-            (contains m "Wool.Config:"
-            && contains m "at-least-once"
-            && contains m "allow_relaxed"));
-      (* the opt-in makes the same config legal *)
-      ignore (Wool.Config.make ~mode ~allow_relaxed:true () : Wool.Config.t))
-    Test_util.relaxed_modes;
-  (* the flag is a harmless no-op on an exactly-once mode *)
-  ignore
-    (Wool.Config.make ~mode:Wool.Private ~allow_relaxed:true ()
-      : Wool.Config.t)
-
-(* On a relaxed pool, plain [spawn] must refuse (its exactly-once
-   contract cannot hold there) and point at [spawn_idempotent], which
-   must work in its place. *)
-let test_spawn_rejected_on_relaxed () =
-  List.iter
-    (fun (nm, mode) ->
-      Test_util.with_pool ~workers:1 ~mode (fun pool ->
-          let v =
-            Wool.run pool (fun ctx ->
-                (match Wool.spawn ctx (fun _ -> 1) with
-                | _ -> Alcotest.failf "%s: plain spawn accepted" nm
-                | exception Invalid_argument m ->
-                    Alcotest.(check bool)
-                      (nm ^ " spawn error points at spawn_idempotent") true
-                      (contains m "spawn_idempotent" && contains m nm));
-                let f = Wool.spawn_idempotent ctx (fun _ -> 41) in
-                1 + Wool.join ctx f)
-          in
-          Alcotest.(check int) (nm ^ " idempotent spawn runs") 42 v))
-    Test_util.relaxed_modes
-
-(* Relaxed-mode accounting: after a quiescent run the invariant checker
-   must be green, every spawn's join must balance exactly, and the
-   coverage inequality (duplicates are legal, lost tasks are not) must
-   hold. Exercises the at-least-once counters end to end. *)
-let test_relaxed_stats_and_invariants () =
+(* Per-mode accounting on a contended pool: after a quiescent run the
+   invariant checker must be green and every spawn's join must balance
+   exactly, with each stolen join matched by one steal. *)
+let test_stats_and_invariants_all_modes () =
   List.iter
     (fun (nm, mode) ->
       Test_util.with_pool ~workers:4 ~mode (fun pool ->
@@ -346,11 +295,10 @@ let test_relaxed_stats_and_invariants () =
             (nm ^ " every spawn joined exactly once")
             s.Wool.Pool.spawns
             (inlined + s.Wool.Pool.joins_stolen);
-          Alcotest.(check bool)
-            (nm ^ " extraction coverage") true
-            (inlined + s.Wool.Pool.steals + s.Wool.Pool.self_joins
-            >= s.Wool.Pool.spawns)))
-    Test_util.relaxed_modes
+          Alcotest.(check int)
+            (nm ^ " stolen joins = steals")
+            s.Wool.Pool.joins_stolen s.Wool.Pool.steals))
+    all_modes
 
 (* [Pool_overflow] unwinding: filling a small pool must raise the
    dedicated exception before any state is mutated, the exception path
@@ -362,10 +310,6 @@ let test_pool_overflow_unwind_all_modes () =
     let futs = List.init n (fun i -> Wool.spawn ctx (fun _ -> i)) in
     List.fold_left (fun acc f -> acc + Wool.join ctx f) 0 (List.rev futs)
   in
-  let spawn_n_idem ctx n =
-    let futs = List.init n (fun i -> Wool.spawn_idempotent ctx (fun _ -> i)) in
-    List.fold_left (fun acc f -> acc + Wool.join ctx f) 0 (List.rev futs)
-  in
   List.iter
     (fun (name, mode) ->
       Test_util.with_pool ~workers:2 ~mode ~capacity:64 (fun pool ->
@@ -375,11 +319,6 @@ let test_pool_overflow_unwind_all_modes () =
                  overflow to raise, the run must simply complete *)
               Alcotest.(check int) (name ^ " completes") (100 * 99 / 2)
                 (Wool.run pool (fun ctx -> spawn_n ctx 100))
-          | Wool.Ws_mult | Wool.Lowsync ->
-              (* the relaxed deques also grow on demand — and accept only
-                 idempotent spawns *)
-              Alcotest.(check int) (name ^ " completes") (100 * 99 / 2)
-                (Wool.run pool (fun ctx -> spawn_n_idem ctx 100))
           | Wool.Locked | Wool.Swap_generic | Wool.Task_specific
           | Wool.Private ->
               Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
@@ -399,15 +338,13 @@ let test_stress_kernel_matches_serial () =
   S.reset_leaf_result ();
   S.serial ~height:6 ~leaf_iters:100;
   let expected = S.leaf_result () in
-  (* stress accumulates into a shared cell, so a duplicate leaf run
-     changes the checksum: exactly-once modes only *)
   List.iter
     (fun (name, mode) ->
       S.reset_leaf_result ();
       Test_util.with_pool ~workers:3 ~mode (fun pool ->
           Wool.run pool (fun ctx -> S.wool ctx ~height:6 ~leaf_iters:100));
       Alcotest.(check int) (name ^ " checksum") expected (S.leaf_result ()))
-    Test_util.exact_modes
+    all_modes
 
 let test_steal_policies_complete () =
   (* every selector x backoff combination of the shared policy layer must
@@ -513,12 +450,8 @@ let suite =
         Alcotest.test_case "workers and ids" `Quick test_num_workers_and_ids;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "mode round trip" `Quick test_mode_round_trip;
-        Alcotest.test_case "relaxed config validation" `Quick
-          test_relaxed_config_validation;
-        Alcotest.test_case "spawn rejected on relaxed" `Quick
-          test_spawn_rejected_on_relaxed;
-        Alcotest.test_case "relaxed stats and invariants" `Slow
-          test_relaxed_stats_and_invariants;
+        Alcotest.test_case "stats and invariants all modes" `Slow
+          test_stats_and_invariants_all_modes;
         Alcotest.test_case "overflow unwind all modes" `Quick
           test_pool_overflow_unwind_all_modes;
         Alcotest.test_case "stress kernel checksum" `Slow

@@ -1,8 +1,9 @@
 (* Wool_ropes: structural operations, every parallel op against an
    Array/List oracle across all modes x publicity and both split
    schedules, the steal-pressure hook itself, and the parallel_* helper
-   regressions (grain validation, element-0 accounting, relaxed
-   duplicated-body behavior) that ride along with the rope layer. *)
+   regressions (grain validation, element-0 accounting, duplicated-body
+   behavior under the Dup drain fault) that ride along with the rope
+   layer. *)
 
 module R = Wool_ropes
 
@@ -348,16 +349,14 @@ let test_element0_unwind () =
       | exception Failure msg ->
           Alcotest.(check string) "exception payload" "boom" msg)
 
-(* The purity-contract pin (mirrors the submit-layer Dup-drain test):
-   force the submitted body to execute twice, with a rope reduction —
-   spawn_idempotent underneath — inside it. The body observably runs
-   twice, the computed value is identical both times, the ticket settles
-   once, and the pool invariants stay green. Swept over an exactly-once
-   mode and both at-least-once modes. *)
-let test_duplicated_body_on_relaxed () =
+(* The purity pin (mirrors the submit-layer Dup-drain test): force the
+   submitted body to execute twice, with a rope reduction inside it. The
+   body observably runs twice, the computed value is identical both
+   times, the ticket settles once, and the pool invariants stay green.
+   Swept over every mode. *)
+let test_duplicated_body () =
   List.iter
     (fun (nm, mode) ->
-      let relaxed = Wool.Mode.is_relaxed mode in
       let plan =
         Wool.Fault.Plan.make ~name:"dup-drain" ~seed:7
           [
@@ -369,14 +368,12 @@ let test_duplicated_body_on_relaxed () =
             };
           ]
       in
-      let pool =
-        Test_util.create ~workers:1 ~mode ~faults:plan ~allow_relaxed:relaxed ()
-      in
+      let pool = Test_util.create ~workers:1 ~mode ~faults:plan () in
       let runs = Atomic.make 0 in
       let n = 500 in
       let expected = n * (n - 1) / 2 in
       let tk =
-        Wool.Submit.submit ~idempotent:true pool (fun ctx ->
+        Wool.Submit.submit pool (fun ctx ->
             Atomic.incr runs;
             R.reduce ctx ~split:(R.Lazy_split 16) ~neutral:0 ~combine:( + )
               Fun.id
@@ -390,12 +387,11 @@ let test_duplicated_body_on_relaxed () =
       Alcotest.(check (list string)) (nm ^ " invariants") []
         (Wool.Invariants.check pool);
       Wool.shutdown pool)
-    (("private", Wool.Private) :: Test_util.relaxed_modes)
+    Test_util.all_modes
 
-(* Relaxed pools may duplicate rope leaf bodies; the results must not
-   show it. Multi-worker at-least-once sweep: occurrence counters >= 1,
-   value exact. *)
-let test_relaxed_at_least_once_coverage () =
+(* Every rope leaf body runs exactly once on a contended pool, in every
+   mode: occurrence counters at 1, value exact. *)
+let test_exactly_once_coverage () =
   List.iter
     (fun (nm, mode) ->
       Test_util.with_pool ~workers:4 ~mode (fun pool ->
@@ -415,10 +411,11 @@ let test_relaxed_at_least_once_coverage () =
             got;
           Array.iteri
             (fun i c ->
-              if Atomic.get c < 1 then
-                Alcotest.failf "%s: element %d never initialised" nm i)
+              if Atomic.get c <> 1 then
+                Alcotest.failf "%s: element %d initialised %d times" nm i
+                  (Atomic.get c))
             hits))
-    Test_util.relaxed_modes
+    Test_util.all_modes
 
 (* ---- qcheck properties (private mode; the mode sweep above covers the
    rest) ---- *)
@@ -527,8 +524,8 @@ let suite =
           test_element0_accounting;
         Alcotest.test_case "element-0 unwind" `Quick test_element0_unwind;
         Alcotest.test_case "duplicated body (Dup drain)" `Quick
-          test_duplicated_body_on_relaxed;
-        Alcotest.test_case "relaxed at-least-once coverage" `Slow
-          test_relaxed_at_least_once_coverage;
+          test_duplicated_body;
+        Alcotest.test_case "exactly-once coverage" `Slow
+          test_exactly_once_coverage;
       ] );
   ]

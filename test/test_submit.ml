@@ -219,46 +219,6 @@ let test_injected_jobs_can_spawn () =
       Alcotest.(check int) "fib 12 via ingress" (Test_util.fib_serial 12)
         (Wool.Submit.await tk))
 
-(* -- relaxed pools: the submitter must declare idempotence -- *)
-
-let contains = Test_util.contains
-
-(* The ingress counterpart of the spawn/spawn_idempotent split: on an
-   at-least-once pool every submission entry point refuses a job the
-   caller has not declared idempotent, and the error names the opt-in. *)
-let test_submit_requires_idempotent_on_relaxed () =
-  List.iter
-    (fun (nm, mode) ->
-      Test_util.with_pool ~workers:1 ~mode (fun pool ->
-          let rejects what f =
-            match f () with
-            | () -> Alcotest.failf "%s: %s accepted a non-idempotent job" nm what
-            | exception Invalid_argument m ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s %s error names the opt-in" nm what)
-                  true
-                  (contains m ("Wool.Submit." ^ what)
-                  && contains m "at-least-once"
-                  && contains m "~idempotent:true")
-          in
-          rejects "submit" (fun () ->
-              ignore (Wool.Submit.submit pool (fun _ctx -> 1) : int Wool.Submit.ticket));
-          rejects "try_submit" (fun () ->
-              ignore
-                (Wool.Submit.try_submit pool (fun _ctx -> 1)
-                  : int Wool.Submit.ticket option));
-          rejects "submit_batch" (fun () ->
-              ignore
-                (Wool.Submit.submit_batch pool [ (fun _ctx -> 1) ]
-                  : int Wool.Submit.ticket list));
-          (* the declaration makes the same submission legal *)
-          let tk = Wool.Submit.submit ~idempotent:true pool (fun _ctx -> 42) in
-          Alcotest.(check int) (nm ^ " run alongside") 0
-            (Wool.run pool (fun _ctx -> 0));
-          Alcotest.(check int) (nm ^ " idempotent submit runs") 42
-            (Wool.Submit.await tk)))
-    Test_util.relaxed_modes
-
 (* -- duplicate completions: the ticket layer settles exactly once -- *)
 
 (* Force the [Dup] drain fault so the submitted body really executes
@@ -266,13 +226,11 @@ let test_submit_requires_idempotent_on_relaxed () =
    [await]/[poll] observe the first result only, the in-flight count
    settles, and the invariant checker stays green. A 1-worker non-server
    pool drains the lane synchronously inside [run], so there is no racing
-   second execution left when we read the counter. Swept over an
-   exactly-once mode (the fault is the only duplication source) and both
-   at-least-once modes (the dedup must hold on top of relaxed spawns). *)
+   second execution left when we read the counter. Swept over every
+   mode. *)
 let test_ticket_dedup_under_dup_fault () =
   List.iter
     (fun (nm, mode) ->
-      let relaxed = Wool.Mode.is_relaxed mode in
       let plan =
         Wool.Fault.Plan.make ~name:"dup-drain" ~seed:7
           [
@@ -284,14 +242,11 @@ let test_ticket_dedup_under_dup_fault () =
             };
           ]
       in
-      let config =
-        Wool.Config.make ~workers:1 ~mode ~allow_relaxed:relaxed ~faults:plan
-          ()
-      in
+      let config = Wool.Config.make ~workers:1 ~mode ~faults:plan () in
       let pool = Wool.create ~config () in
       let runs = Atomic.make 0 in
       let tk =
-        Wool.Submit.submit ~idempotent:relaxed pool (fun _ctx ->
+        Wool.Submit.submit pool (fun _ctx ->
             Atomic.fetch_and_add runs 1)
       in
       Alcotest.(check int) (nm ^ " run alongside") 0
@@ -312,11 +267,7 @@ let test_ticket_dedup_under_dup_fault () =
         (nm ^ " invariants") []
         (Wool.Invariants.check pool);
       Wool.shutdown pool)
-    [
-      ("private", Wool.Private);
-      ("ws_mult", Wool.Ws_mult);
-      ("lowsync", Wool.Lowsync);
-    ]
+    Test_util.all_modes
 
 let suite =
   [
@@ -346,8 +297,6 @@ let suite =
           test_multi_producer;
         Alcotest.test_case "injected jobs can spawn" `Quick
           test_injected_jobs_can_spawn;
-        Alcotest.test_case "relaxed submit requires idempotent" `Quick
-          test_submit_requires_idempotent_on_relaxed;
         Alcotest.test_case "ticket dedup under dup fault" `Quick
           test_ticket_dedup_under_dup_fault;
       ] );

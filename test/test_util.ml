@@ -7,66 +7,45 @@
 let config ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns ?seed
     ?trace ?trace_capacity ?policy ?faults ?watchdog_interval_ns
     ?watchdog_stalls ?injection_lanes ?injection_capacity ?admission ?admission_target_ns
-    ?server ?allow_relaxed () =
-  (* Sweeping [all_modes] through these helpers should just work, so a
-     relaxed mode opts itself in unless the test says otherwise. The
-     production default (reject relaxed without the explicit flag) is
-     covered by the Config.validate tests, which build configs directly. *)
-  let allow_relaxed =
-    match (allow_relaxed, mode) with
-    | (Some _ as a), _ -> a
-    | None, Some m -> Some (Wool.Mode.is_relaxed m)
-    | None, None -> None
-  in
+    ?server () =
   Wool.Config.make ?workers ?mode ?publicity ?capacity ?lock_mode
     ?idle_nap_ns ?seed ?trace ?trace_capacity ?policy ?faults
     ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-    ?injection_capacity ?admission ?admission_target_ns ?server
-    ?allow_relaxed ()
+    ?injection_capacity ?admission ?admission_target_ns ?server ()
 
 let create ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns ?seed
     ?trace ?trace_capacity ?policy ?faults ?watchdog_interval_ns
     ?watchdog_stalls ?injection_lanes ?injection_capacity ?admission ?admission_target_ns
-    ?server ?allow_relaxed () =
+    ?server () =
   Wool.create
     ~config:
       (config ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
          ?seed ?trace ?trace_capacity ?policy ?faults ?watchdog_interval_ns
          ?watchdog_stalls ?injection_lanes ?injection_capacity ?admission
-         ?admission_target_ns ?server ?allow_relaxed ())
+         ?admission_target_ns ?server ())
     ()
 
 let with_pool ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
     ?seed ?trace ?trace_capacity ?policy ?faults ?watchdog_interval_ns
     ?watchdog_stalls ?injection_lanes ?injection_capacity ?admission
-    ?admission_target_ns ?server ?allow_relaxed f =
+    ?admission_target_ns ?server f =
   Wool.with_pool
     ~config:
       (config ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
          ?seed ?trace ?trace_capacity ?policy ?faults ?watchdog_interval_ns
          ?watchdog_stalls ?injection_lanes ?injection_capacity ?admission
-         ?admission_target_ns ?server ?allow_relaxed ())
+         ?admission_target_ns ?server ())
     f
 
 (* Every pool mode, with a label for per-case messages — derived from the
-   canonical {!Wool.Mode.all} so new modes are swept the day they exist.
-   [exact_modes] is the exactly-once subset, for suites whose workload is
-   not idempotent (shared accumulators, in-place mutation). *)
+   canonical {!Wool.Mode.all} so new modes are swept the day they exist. *)
 let all_modes = List.map (fun m -> (Wool.Mode.name m, m)) Wool.Mode.all
 
-let exact_modes =
-  List.filter (fun (_, m) -> not (Wool.Mode.is_relaxed m)) all_modes
-
-let relaxed_modes =
-  List.filter (fun (_, m) -> Wool.Mode.is_relaxed m) all_modes
-
-(* The canonical fork-join workload and its sequential oracle. Spawned
-   with [spawn_idempotent] — fib is pure, so it runs unchanged on the
-   relaxed (at-least-once) modes. *)
+(* The canonical fork-join workload and its sequential oracle. *)
 let rec fib ctx n =
   if n < 2 then n
   else begin
-    let b = Wool.spawn_idempotent ctx (fun ctx -> fib ctx (n - 2)) in
+    let b = Wool.spawn ctx (fun ctx -> fib ctx (n - 2)) in
     let a = fib ctx (n - 1) in
     a + Wool.join ctx b
   end
