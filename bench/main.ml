@@ -36,7 +36,6 @@ let table2_group =
     [
       mk "locked" Wool.Locked Wool.All_public;
       mk "swap-generic" Wool.Swap_generic Wool.All_public;
-      mk "task-specific" Wool.Task_specific Wool.All_public;
       mk "private(none)" Wool.Private Wool.All_public;
       mk "private(all)" Wool.Private Wool.All_private;
       Test.make ~name:"serial" (Staged.stage (fun () -> F.serial 15));

@@ -258,7 +258,7 @@ let faults_cmd =
     end
   in
   let doc =
-    "stress the scheduler under seeded fault plans (all five modes) and \
+    "stress the scheduler under seeded fault plans (all four modes) and \
      check protocol invariants after every run"
   in
   Cmd.v

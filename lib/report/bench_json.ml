@@ -1,6 +1,6 @@
 (* Reproducible benchmark harness ("woolbench bench <workload|all>"): run
    the tier-1 workloads across worker counts and the scheduler modes
-   (all five by default, filterable with --modes), compute Table II-style
+   (all four by default, filterable with --modes), compute Table II-style
    single-worker spawn/join overheads (including the All_private vs
    All_public publicity split), speedups, steal counts and measured
    granularities, and emit a schema-stable BENCH_<date>.json.

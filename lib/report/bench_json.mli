@@ -1,6 +1,6 @@
 (** Reproducible benchmark harness ("woolbench bench <workload|all>").
 
-    Runs {!Exp_common.Spec} workloads across worker counts and all five
+    Runs {!Exp_common.Spec} workloads across worker counts and all four
     scheduler modes ({!Wool.Mode.all}) on the real runtime, computes
     Table II-style single-worker spawn/join
     overheads (including the [All_private] vs [All_public] publicity
@@ -77,7 +77,7 @@ val measure :
   string list ->
   report
 (** [measure ~date names] benches each named workload: the selected
-    modes (default all five) at every worker count (default [[1; 2; 4]],
+    modes (default all four) at every worker count (default [[1; 2; 4]],
     [repeats] = 3 timed pool runs per cell, a fresh pool each), plus the
     two publicity cells when [Private] is selected. Raises
     [Failure] on an unknown name, [Invalid_argument] on an empty mode
@@ -137,7 +137,7 @@ val run :
   int
 (** CLI driver: measure ([[]] or [["all"]] = every tier-1 workload;
     [mode_names] are parsed with {!Wool.Mode.of_name}, default all
-    five), print the tables, write [out] (default {!default_out}),
+    four), print the tables, write [out] (default {!default_out}),
     optionally compare against [compare_with] (printing the drift
     caveat and any drift-corrected regressions), and return the
     regression count (0 when not comparing). Raises [Failure] on

@@ -106,7 +106,7 @@ let counts_of_stats (s : Wool.Stats.t) =
 
 let run_one ~seed =
   (* Everything about the history flows from the seed: the mode rotates
-     so any consecutive window of 5 seeds covers all five, the rest is
+     so any consecutive window of 4 seeds covers all four, the rest is
      drawn from a seed-keyed generator. *)
   let rng = Rng.make (0x5eed0 + seed) in
   let mode = all_modes.(seed mod Array.length all_modes) in

@@ -38,7 +38,7 @@ type row = {
 val run_one : seed:int -> row
 (** One seeded history: derive workload and configuration from [seed]
     (the mode rotates over consecutive seeds so any window of 5 covers
-    all five modes), run it, validate, shut the pool down. *)
+    all four modes), run it, validate, shut the pool down. *)
 
 val fuzz : ?histories:int -> ?seed0:int -> unit -> row list
 (** [histories] (default 100) consecutive seeds starting at [seed0]. *)

@@ -32,7 +32,7 @@ val run_one :
 
 val sweep :
   ?workers:int -> ?seeds:int -> ?exceptions:bool -> unit -> row list
-(** [seeds] (default 20) random plans per mode across all five modes,
+(** [seeds] (default 20) random plans per mode across all four modes,
     cycling the {!Wool_policy.sweep} grid over the seeds. Defaults:
     4 workers, exception rules included. *)
 

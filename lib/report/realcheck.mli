@@ -2,7 +2,7 @@
 
     Runs every real kernel (fib, stress, mm, ssf, cholesky, nqueens,
     knapsack) against every scheduler the repository implements for real —
-    the five Wool pool modes plus the steal-parent effects runtime — with
+    the four Wool pool modes plus the steal-parent effects runtime — with
     multiple workers, verifies each result against the serial computation,
     and reports wall time and steal counts. This is the "does the whole
     stack actually work" experiment; speedups on a single-core container

@@ -2,9 +2,11 @@
 
     Single-worker executions of fib with the synchronisation ladder of
     §IV-B: per-worker locks ("base"), atomic exchange on the descriptor
-    state ("synchronize on task"), the task-specific join, and private
-    tasks in the best (all private) and worst (no private) cases, against
-    the pure serial function. The per-task overhead is
+    state ("synchronize on task"), the task-specific join — one row with
+    private tasks in the worst (no private) case, which Table II gives the
+    same cost and which is the same pool configuration here — and private
+    tasks in the best (all private) case, against the pure serial
+    function. The per-task overhead is
     [(T_1 - T_S) / N_T], reported in nanoseconds and in nominal cycles
     (see {!Wool_util.Clock} for the scale). Absolute values are
     machine-specific; the reproduced claim is the ordering and the

@@ -3,14 +3,13 @@
    parse table, the "all modes" sweeps in tests/bench/fuzz — lives here.
    Every mode executes each spawned task body exactly once. *)
 
-type t = Locked | Swap_generic | Task_specific | Private | Clev
+type t = Locked | Swap_generic | Private | Clev
 
-let all = [ Locked; Swap_generic; Task_specific; Private; Clev ]
+let all = [ Locked; Swap_generic; Private; Clev ]
 
 let name = function
   | Locked -> "locked"
   | Swap_generic -> "swap_generic"
-  | Task_specific -> "task_specific"
   | Private -> "private"
   | Clev -> "clev"
 
@@ -20,7 +19,6 @@ let of_name s =
   match String.lowercase_ascii s with
   | "locked" -> Some Locked
   | "swap_generic" | "swap-generic" | "swap" -> Some Swap_generic
-  | "task_specific" | "task-specific" -> Some Task_specific
   | "private" -> Some Private
   | "clev" | "chase-lev" | "chase_lev" -> Some Clev
   | _ -> None
@@ -28,12 +26,11 @@ let of_name s =
 (* Modes built on the paper's direct task stack (descriptor vocabulary,
    trip wire, leapfrogging). *)
 let is_direct = function
-  | Swap_generic | Task_specific | Private -> true
+  | Swap_generic | Private -> true
   | Locked | Clev -> false
 
 let describe = function
   | Locked -> "mutex-protected deque (baseline)"
   | Swap_generic -> "direct task stack, generic swap joins"
-  | Task_specific -> "direct task stack, task-specific joins"
   | Private -> "direct task stack with private tasks (the paper's protocol)"
   | Clev -> "Chase-Lev dynamic circular deque"

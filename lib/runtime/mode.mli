@@ -8,7 +8,6 @@
 type t =
   | Locked  (** mutex-protected deque (baseline) *)
   | Swap_generic  (** direct task stack, generic swap joins *)
-  | Task_specific  (** direct task stack, task-specific joins *)
   | Private
       (** direct task stack with private tasks — the paper's protocol *)
   | Clev  (** Chase-Lev dynamic circular deque *)
@@ -17,7 +16,7 @@ val all : t list
 (** Every mode, in the order reports print them. *)
 
 val name : t -> string
-(** Canonical lowercase name ([task_specific], [clev], ...). *)
+(** Canonical lowercase name ([swap_generic], [clev], ...). *)
 
 val of_name : string -> t option
 (** Parse a mode name; accepts the canonical names plus hyphenated

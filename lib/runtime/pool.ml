@@ -19,7 +19,6 @@ module Cancel = Cancel
 type mode = Mode.t =
   | Locked
   | Swap_generic
-  | Task_specific
   | Private
   | Clev
 
@@ -40,7 +39,6 @@ module Config = struct
     mode : mode;
     publicity : publicity;
     capacity : int;
-    lock_mode : [ `Base | `Peek | `Trylock ];
     idle_nap_ns : int;
     seed : int;
     trace : bool;
@@ -63,7 +61,6 @@ module Config = struct
       mode = Private;
       publicity = Adaptive 4;
       capacity = 65536;
-      lock_mode = `Base;
       idle_nap_ns = 50_000;
       seed = 0xC0FFEE;
       trace = false;
@@ -127,8 +124,8 @@ module Config = struct
   (* The single option-merge routine behind [make] and [override]: two
      hand-rolled copies drifted on every new field ([trace_capacity] was
      silently not overridable for a while). *)
-  let merge base ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
-      ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
+  let merge base ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
+      ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
       ?injection_capacity ?admission ?admission_target_ns ?server () =
     let ov o d = Option.value o ~default:d in
@@ -142,7 +139,6 @@ module Config = struct
       mode = ov mode base.mode;
       publicity = ov publicity base.publicity;
       capacity = ov capacity base.capacity;
-      lock_mode = ov lock_mode base.lock_mode;
       idle_nap_ns = ov idle_nap_ns base.idle_nap_ns;
       seed = ov seed base.seed;
       trace = ov trace base.trace;
@@ -159,24 +155,23 @@ module Config = struct
       server = ov server base.server;
     }
 
-  let make ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns ?seed
+  let make ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
+      ?trace_capacity ?policy ?steal_policy ?backoff ?faults
+      ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
+      ?injection_capacity ?admission ?admission_target_ns ?server () =
+    validate
+      (merge default ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
+         ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
+         ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
+         ?injection_capacity ?admission ?admission_target_ns ?server ())
+
+  let override c ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
       ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
       ?injection_capacity ?admission ?admission_target_ns ?server () =
     validate
-      (merge default ?workers ?mode ?publicity ?capacity ?lock_mode
-         ?idle_nap_ns ?seed ?trace ?trace_capacity ?policy ?steal_policy
-         ?backoff ?faults ?watchdog_interval_ns ?watchdog_stalls
-         ?injection_lanes ?injection_capacity ?admission ?admission_target_ns
-         ?server ())
-
-  let override c ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
-      ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-      ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server () =
-    validate
-      (merge c ?workers ?mode ?publicity ?capacity ?lock_mode ?idle_nap_ns
-         ?seed ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
+      (merge c ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
+         ?trace_capacity ?policy ?steal_policy ?backoff ?faults
          ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
          ?injection_capacity ?admission ?admission_target_ns ?server ())
 
@@ -197,16 +192,11 @@ module Config = struct
     | All_public -> "all_public"
     | Adaptive w -> Printf.sprintf "adaptive(%d)" w
 
-  let lock_mode_name = function
-    | `Base -> "base"
-    | `Peek -> "peek"
-    | `Trylock -> "trylock"
-
   let admission_name = Wool_policy.Admission.name
 
   let pp fmt c =
     Format.fprintf fmt
-      "{workers=%s; mode=%s; publicity=%s; capacity=%d; lock_mode=%s;@ \
+      "{workers=%s; mode=%s; publicity=%s; capacity=%d;@ \
        idle_nap_ns=%d; seed=%#x; trace=%b; trace_capacity=%d;@ \
        steal_policy=%s; backoff=%s; faults=%s; watchdog=%s;@ \
        ingress=%dx%d/%s%s}"
@@ -214,7 +204,6 @@ module Config = struct
       (mode_name c.mode)
       (publicity_name c.publicity)
       c.capacity
-      (lock_mode_name c.lock_mode)
       c.idle_nap_ns c.seed c.trace c.trace_capacity
       (Wool_policy.Selector.name c.steal_policy)
       (Wool_policy.Backoff.name c.backoff)
@@ -236,8 +225,7 @@ type worker = {
   id : int;
   pool : pool;
   dstack : packed Ds.t;
-  ldeque : (worker -> unit) Locked_deque.t;
-  cdeque : (worker -> unit) Chase_lev.t;
+  queue : queue; (* Locked/Clev only; [No_queue] in the direct modes *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
   bo : Backoff.state;
@@ -290,15 +278,24 @@ and worker_hot = {
      owner-read — never shared. *)
 }
 
-and pending_child = {
-  pc_wrapper : worker -> unit;
-  pc_completed : bool Atomic.t;
-}
+(* A queued spawn: the entry Locked/Clev push on the deque and cons onto
+   [children]. Whoever takes it runs [pc_task]; a thief then sets
+   [pc_completed], which the owner's join waits on. *)
+and pending_child = { pc_task : packed; pc_completed : bool Atomic.t }
+
+(* The per-worker task deque of the two queued modes, built only in
+   them: the direct-stack modes keep their tasks in [dstack]. *)
+and queue =
+  | No_queue
+  | Locked_q of pending_child Locked_deque.t
+  | Clev_q of pending_child Chase_lev.t
 
 and pool = {
   pmode : mode;
-  backend : backend;
-  lock_mode : [ `Base | `Peek | `Trylock ];
+  (* the task-pool shape, fixed at creation: the hot paths branch on
+     these immutable bools, as they do on [tr_on]/[fl_on] *)
+  direct : bool; (* tasks live in [dstack] (Swap_generic, Private) *)
+  generic : bool; (* Swap_generic: inlined joins go through [run_body] *)
   idle_nap_ns : int;
   policy : Wool_policy.t;
   trace_on : bool;
@@ -363,35 +360,16 @@ and ingress = {
   ig_inj : Fault.Injector.t;
 }
 
-(* The mode-specific task-pool operations, bound once per pool. Replaces
-   the [match pmode] dispatch that was repeated in the steal, spawn, and
-   join hot paths: each call site is a single indirect call through an
-   immutable record, so the branch predictor sees one stable target per
-   pool instead of a five-way match. *)
-and backend = {
-  bk_steal : worker -> victim:worker -> bool;
-      (* one attempt against [victim]'s pool; runs the task if taken *)
-  bk_spawn : 'a. worker -> (worker -> 'a) -> 'a future;
-  bk_join : 'a. worker -> 'a future -> 'a;
-  bk_mark : worker -> int;
-      (* opaque checkpoint of this worker's outstanding-spawn count *)
-  bk_unwind : worker -> mark:int -> unit;
-      (* join-or-drain every spawn made since [mark]; called on the
-         exception path before propagating out of a task body *)
-}
-
 and 'a future = {
   fn : worker -> 'a;
   mutable value : ('a, exn * Printexc.raw_backtrace) result option;
-  completed : bool Atomic.t;
   index : int; (* descriptor index in the owner's direct stack; -1 otherwise *)
   owner_id : int;
-  mutable wrapper : worker -> unit; (* queued modes only *)
 }
 
-(* A direct-stack descriptor's payload: the future itself, its type
-   hidden. Unboxed, so a spawn stores the future and allocates nothing
-   beside it; the runner unpacks it and calls [run_body]. *)
+(* A task as the pools hold it: the future itself, its type hidden.
+   Unboxed, so a spawn stores the future and allocates nothing beside
+   it; whoever takes the task unpacks it and calls [run_body]. *)
 and packed = P : 'a future -> packed [@@unboxed]
 
 type t = pool
@@ -419,21 +397,8 @@ exception Submission_expired
 
 let dummy_task (_ : worker) = ()
 
-(* Direct-stack modes signal completion through the descriptor state, so
-   their futures share one never-read completion flag instead of
-   allocating one per spawn. *)
-let unused_completed = Atomic.make false
-
-let dummy_packed =
-  P
-    {
-      fn = dummy_task;
-      value = None;
-      completed = unused_completed;
-      index = -1;
-      owner_id = -1;
-      wrapper = dummy_task;
-    }
+let dummy_packed = P { fn = dummy_task; value = None; index = -1; owner_id = -1 }
+let dummy_child = { pc_task = dummy_packed; pc_completed = Atomic.make true }
 
 let dummy_injected =
   {
@@ -462,9 +427,6 @@ let fault_delay w site =
   | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) -> Fault.Injector.spin n
   | Some _ | None -> ()
 
-(* Thief-side pre-CAS site for the queue modes (Locked/Clev), which have
-   no protocol window of their own: a forced failure abandons the
-   attempt before touching the victim's queue. *)
 (* The direct stack exposes its protocol windows ([Pre_cas]/[Post_cas]/
    [Trip]) through [Ds.steal]'s interference hook, so a delay injected
    at [Pre_steal_cas] genuinely recreates the §III-A delayed-thief ABA
@@ -484,6 +446,9 @@ let direct_interfere inj phase =
       false
   | Some (Fault.Kind.Raise_exn | Fault.Kind.Dup) | None -> false
 
+(* Thief-side pre-CAS site for the queued modes (Locked/Clev), which
+   have no protocol window of their own: a forced failure abandons the
+   attempt before touching the victim's queue. *)
 let fault_steal_pre w =
   match Fault.Injector.fire w.inj Fault.Site.Pre_steal_cas with
   | Some Fault.Kind.Fail_steal -> true
@@ -536,75 +501,37 @@ let idle_backoff w =
       nap w.pool ~factor;
       if w.tr_on then record w Event.Nap_exit ~a:(-1) ~b:(-1)
 
-(* Run a task body, storing the result — or, on an exception, unwinding
-   the body's own spawns and storing the exception with the backtrace
-   captured at the raise point. Never raises. *)
-let run_body wk (fut : _ future) =
-  let mark = wk.pool.backend.bk_mark wk in
-  match fut.fn wk with
-  | v -> fut.value <- Some (Ok v)
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      wk.pool.backend.bk_unwind wk ~mark;
-      fut.value <- Some (Error (e, bt))
+(* ---- the queued modes' deque (Locked/Clev) ----
 
-(* ---- mode-specific steal attempts (the [bk_steal] implementations) ----
+   Push, pop and steal run only in a queued pool, whose every worker has
+   a deque. *)
 
-   Each implementation counts its own [n_steals] *before* running the
-   task: the increment must be ordered before the completion signal the
-   owner waits on (descriptor DONE / [completed] flag), or a quiescent
-   invariant check could observe the join without the steal. *)
+let q_push w pc =
+  match w.queue with
+  | Locked_q q -> Locked_deque.push q pc
+  | Clev_q q -> Chase_lev.push q pc
+  | No_queue -> assert false
 
-let steal_locked w ~(victim : worker) =
-  if w.fl_on && fault_steal_pre w then false
-  else
-    match Locked_deque.steal ~mode:w.pool.lock_mode victim.ldeque with
-    | Some task ->
-        w.hot.n_steals <- w.hot.n_steals + 1;
-        if w.tr_on then record w Event.Steal_ok ~a:(-1) ~b:victim.id;
-        task w;
-        true
-    | None -> false
+let q_pop w =
+  match w.queue with
+  | Locked_q q -> Locked_deque.pop q
+  | Clev_q q -> Chase_lev.pop q
+  | No_queue -> assert false
 
-let steal_clev w ~(victim : worker) =
-  if w.fl_on && fault_steal_pre w then false
-  else
-    match Chase_lev.steal victim.cdeque with
-    | `Stolen task ->
-        w.hot.n_steals <- w.hot.n_steals + 1;
-        if w.tr_on then record w Event.Steal_ok ~a:(-1) ~b:victim.id;
-        task w;
-        true
-    | `Empty | `Retry -> false
+let q_steal victim =
+  match victim.queue with
+  | Locked_q q -> Locked_deque.steal ~mode:`Base q
+  | Clev_q q -> (
+      match Chase_lev.steal q with
+      | `Stolen pc -> Some pc
+      | `Empty | `Retry -> None)
+  | No_queue -> assert false
 
-let steal_direct w ~(victim : worker) =
-  let result =
-    if w.fl_on then
-      Ds.steal victim.dstack ~thief:w.id ~interfere:w.inj_interfere
-    else Ds.steal victim.dstack ~thief:w.id
-  in
-  match result with
-  | Ds.Stolen_task (P fut, index) ->
-      w.hot.n_steals <- w.hot.n_steals + 1;
-      if w.tr_on then record w Event.Steal_ok ~a:index ~b:victim.id;
-      run_body w fut;
-      Ds.complete_steal victim.dstack ~index;
-      true
-  | Ds.Backoff ->
-      if w.tr_on then record w Event.Steal_backoff ~a:(-1) ~b:victim.id;
-      false
-  | Ds.Fail -> false
-
-(* Attempt to steal one task from [victim] and run it. *)
-let steal_once w ~(victim : worker) =
-  if w.tr_on then record w Event.Steal_attempt ~a:(-1) ~b:victim.id;
-  let ran = w.pool.backend.bk_steal w ~victim in
-  if ran then begin
-    Backoff.on_success w.bo;
-    Select.on_success w.sel ~victim:victim.id
-  end
-  else w.hot.n_failed <- w.hot.n_failed + 1;
-  ran
+let q_size w =
+  match w.queue with
+  | Locked_q q -> Locked_deque.size q
+  | Clev_q q -> Chase_lev.size q
+  | No_queue -> 0
 
 let select_victim w =
   match Select.next w.sel ~rng:w.rng ~n:(Array.length w.pool.workers) with
@@ -698,12 +625,163 @@ let drain_injected w =
     scan 0
   end
 
+let value_exn fut =
+  match fut.value with
+  | Some (Ok v) -> v
+  | Some (Error (e, bt)) ->
+      (* re-raise at the joiner with the backtrace captured where the
+         task body originally raised — possibly on another worker *)
+      Printexc.raise_with_backtrace e bt
+  | None ->
+      (* Unreachable: completion is observed before the value is read. *)
+      assert false
+
+(* Checkpoint of this worker's outstanding spawns, taken on entry to a
+   task body so [unwind] knows how far to go back. *)
+let mark w =
+  if w.pool.direct then Ds.depth w.dstack else List.length w.hot.children
+
+(* Run a task body, storing the result — or, on an exception, unwinding
+   the body's own spawns and storing the exception with the backtrace
+   captured at the raise point. Never raises. *)
+let rec run_body : 'a. worker -> 'a future -> unit =
+ fun wk fut ->
+  let mark = mark wk in
+  match fut.fn wk with
+  | v -> fut.value <- Some (Ok v)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unwind wk ~mark;
+      fut.value <- Some (Error (e, bt))
+
+(* ---- exception unwinding ----
+
+   When a task body raises between spawn and join, its outstanding
+   children must not be abandoned: a queued child could be picked up by
+   a thief after its parent's frame is gone, and a direct-stack child
+   would corrupt the strict LIFO discipline for every frame below. So
+   the exception path joins-or-drains everything spawned since the
+   failing body's entry [mark] before the exception propagates. Drained
+   results (and any exceptions of the children themselves) are
+   discarded — the parent's exception wins. *)
+and unwind w ~mark =
+  if w.pool.direct then
+    while Ds.depth w.dstack > mark do
+      let (P fut) = Ds.top_payload w.dstack in
+      let code = Ds.pop w.dstack in
+      if code < Ds.stolen_finished then run_body w fut
+      else begin
+        let index = Ds.depth w.dstack in
+        if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
+        if code >= 0 then leapfrog w ~victim_id:code ~index;
+        Ds.reclaim w.dstack ~index
+      end
+    done
+  else
+    while List.length w.hot.children > mark do
+      match w.hot.children with
+      | [] -> assert false (* length > mark >= 0 *)
+      | pc :: rest ->
+          w.hot.children <- rest;
+          take_child w pc
+    done
+
+(* Queued join of [pc], just unlinked from the head of [children]: pop it
+   back and run it here, or wait out the thief that took it. *)
+and take_child w pc =
+  match q_pop w with
+  | Some top ->
+      (* every newer spawn is already joined and thieves take the oldest
+         first, so a task still in the deque is [pc] *)
+      assert (top == pc);
+      w.hot.n_inlined <- w.hot.n_inlined + 1;
+      if w.tr_on then record w Event.Inline_public ~a:(-1) ~b:(-1);
+      let (P fut) = pc.pc_task in
+      run_body w fut
+  | None ->
+      (* No thief identity in the queued modes: steal per the policy
+         while waiting. This is the strategy whose buried-join behaviour
+         §I discusses. *)
+      w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
+      if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
+      while not (Atomic.get pc.pc_completed) do
+        ignore (steal_idle w : bool)
+      done
+
+(* ---- steal attempts ----
+
+   Each counts its own [n_steals] *before* running the task: the
+   increment must be ordered before the completion signal the owner
+   waits on (descriptor DONE / [pc_completed]), or a quiescent invariant
+   check could observe the join without the steal. *)
+
+(* Attempt to steal one task from [victim] and run it. *)
+and steal_once w ~(victim : worker) =
+  if w.tr_on then record w Event.Steal_attempt ~a:(-1) ~b:victim.id;
+  let ran =
+    if w.pool.direct then steal_direct w ~victim else steal_queued w ~victim
+  in
+  if ran then begin
+    Backoff.on_success w.bo;
+    Select.on_success w.sel ~victim:victim.id
+  end
+  else w.hot.n_failed <- w.hot.n_failed + 1;
+  ran
+
+and steal_direct w ~victim =
+  let result =
+    if w.fl_on then
+      Ds.steal victim.dstack ~thief:w.id ~interfere:w.inj_interfere
+    else Ds.steal victim.dstack ~thief:w.id
+  in
+  match result with
+  | Ds.Stolen_task (P fut, index) ->
+      w.hot.n_steals <- w.hot.n_steals + 1;
+      if w.tr_on then record w Event.Steal_ok ~a:index ~b:victim.id;
+      run_body w fut;
+      Ds.complete_steal victim.dstack ~index;
+      true
+  | Ds.Backoff ->
+      if w.tr_on then record w Event.Steal_backoff ~a:(-1) ~b:victim.id;
+      false
+  | Ds.Fail -> false
+
+and steal_queued w ~victim =
+  if w.fl_on && fault_steal_pre w then false
+  else
+    match q_steal victim with
+    | Some pc ->
+        w.hot.n_steals <- w.hot.n_steals + 1;
+        if w.tr_on then record w Event.Steal_ok ~a:(-1) ~b:victim.id;
+        let (P fut) = pc.pc_task in
+        run_body w fut;
+        Atomic.set pc.pc_completed true;
+        true
+    | None -> false
+
+(* Leapfrogging (§I, Wagner & Calder): while blocked on a task stolen by
+   [victim_id], steal only from that worker. Any task acquired this way is
+   work we would have executed ourselves had there been no steal. *)
+and leapfrog w ~victim_id ~index =
+  let victim = w.pool.workers.(victim_id) in
+  while not (Ds.stolen_done w.dstack ~index) do
+    w.hot.progress <- w.hot.progress + 1;
+    if w.fl_on then fault_delay w Fault.Site.Leapfrog;
+    if steal_once w ~victim then begin
+      (* one per successful attempt: steals made by nested leapfrogs
+         inside the stolen task count themselves *)
+      w.hot.n_leap_steals <- w.hot.n_leap_steals + 1;
+      if w.tr_on then record w Event.Leap_steal ~a:(-1) ~b:victim_id
+    end
+    else idle_backoff w
+  done
+
 (* One unpinned steal attempt against a policy-chosen victim, backing off
    on failure. This is the idle loop body and the Locked/Clev blocked-join
    strategy. Injection lanes are checked first: an idle worker is exactly
    the consumer the ingress wants, and a successful drain resets the
    backoff like a successful steal. *)
-let steal_idle w =
+and steal_idle w =
   w.hot.progress <- w.hot.progress + 1;
   if drain_injected w then begin
     Backoff.on_success w.bo;
@@ -727,144 +805,32 @@ let worker_loop w =
     ignore (steal_idle w : bool)
   done
 
-let value_exn fut =
-  match fut.value with
-  | Some (Ok v) -> v
-  | Some (Error (e, bt)) ->
-      (* re-raise at the joiner with the backtrace captured where the
-         task body originally raised — possibly on another worker *)
-      Printexc.raise_with_backtrace e bt
-  | None ->
-      (* Unreachable: completion is observed before the value is read. *)
-      assert false
-
-(* Leapfrogging (§I, Wagner & Calder): while blocked on a task stolen by
-   [victim_id], steal only from that worker. Any task acquired this way is
-   work we would have executed ourselves had there been no steal. *)
-let leapfrog w ~victim_id ~index =
-  let victim = w.pool.workers.(victim_id) in
-  while not (Ds.stolen_done w.dstack ~index) do
-    w.hot.progress <- w.hot.progress + 1;
-    if w.fl_on then fault_delay w Fault.Site.Leapfrog;
-    if steal_once w ~victim then begin
-      (* one per successful attempt: steals made by nested leapfrogs
-         inside the stolen task count themselves *)
-      w.hot.n_leap_steals <- w.hot.n_leap_steals + 1;
-      if w.tr_on then record w Event.Leap_steal ~a:(-1) ~b:victim_id
-    end
-    else idle_backoff w
-  done
-
-let wait_completed w fut =
-  (* No thief identity (Locked/Clev modes): steal per the policy while
-     waiting. This is the strategy whose buried-join behaviour §I
-     discusses. *)
-  while not (Atomic.get fut.completed) do
-    ignore (steal_idle w : bool)
-  done;
-  value_exn fut
-
-let wait_child w pc =
-  while not (Atomic.get pc.pc_completed) do
-    ignore (steal_idle w : bool)
-  done
-
-(* ---- exception unwinding ----
-
-   When a task body raises between spawn and join, its outstanding
-   children must not be abandoned: a queued child could be picked up by
-   a thief after its parent's frame is gone, and a direct-stack child
-   would corrupt the strict LIFO discipline for every frame below. So
-   the exception path joins-or-drains everything spawned since the
-   failing body's entry mark before the exception propagates. Drained
-   results (and any exceptions of the children themselves) are
-   discarded — the parent's exception wins. *)
-
-let unwind_direct w ~mark =
-  while Ds.depth w.dstack > mark do
-    let (P fut) = Ds.top_payload w.dstack in
-    let code = Ds.pop w.dstack in
-    if code < Ds.stolen_finished then run_body w fut
-    else begin
-      let index = Ds.depth w.dstack in
-      if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
-      if code >= 0 then leapfrog w ~victim_id:code ~index;
-      Ds.reclaim w.dstack ~index
-    end
-  done
-
-let unwind_queued ~pop ~push w ~mark =
-  while List.length w.hot.children > mark do
-    match w.hot.children with
-    | [] -> assert false (* length > mark >= 0 *)
-    | pc :: rest -> (
-        w.hot.children <- rest;
-        match pop w with
-        | Some wrapper when wrapper == pc.pc_wrapper ->
-            w.hot.n_inlined <- w.hot.n_inlined + 1;
-            (try wrapper w with _ -> ())
-        | Some other ->
-            (* [pc] was stolen; [other] is an older pending spawn of
-               ours that the next iteration will handle. *)
-            push w other;
-            w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-            if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-            wait_child w pc
-        | None ->
-            w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-            if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-            wait_child w pc)
-  done
-
-(* ---- spawn (the [bk_spawn] implementations) ---- *)
-
-let spawn_queued push w (fn : worker -> 'a) : 'a future =
-  let fut =
-    { fn; value = None; completed = Atomic.make false; index = -1;
-      owner_id = w.id; wrapper = dummy_task }
-  in
-  let wrapper wk =
-    run_body wk fut;
-    Atomic.set fut.completed true
-  in
-  fut.wrapper <- wrapper;
-  (* Push first: if the queue overflows, no phantom child is left on the
-     list for the unwinder to wait on forever. A thief completing the
-     task before the cons is harmless — the record just starts life with
-     [pc_completed] already true. *)
-  push w wrapper;
-  w.hot.children <-
-    { pc_wrapper = wrapper; pc_completed = fut.completed } :: w.hot.children;
-  if w.tr_on then record w Event.Spawn ~a:(-1) ~b:(-1);
-  fut
-
-let spawn_locked w fn = spawn_queued (fun w t -> Locked_deque.push w.ldeque t) w fn
-let spawn_clev w fn = spawn_queued (fun w t -> Chase_lev.push w.cdeque t) w fn
+(* ---- spawn ---- *)
 
 let spawn_direct w (fn : worker -> 'a) : 'a future =
   let index = Ds.depth w.dstack in
-  let fut =
-    { fn; value = None; completed = unused_completed; index;
-      owner_id = w.id; wrapper = dummy_task }
-  in
+  let fut = { fn; value = None; index; owner_id = w.id } in
   (* the push may raise [Pool_overflow]; the event is recorded only for
      spawns that happened *)
   Ds.push w.dstack (P fut);
   if w.tr_on then record w Event.Spawn ~a:index ~b:(-1);
   fut
 
-(* ---- join (the [bk_join] implementations) ---- *)
+let spawn_queued w (fn : worker -> 'a) : 'a future =
+  let fut = { fn; value = None; index = -1; owner_id = w.id } in
+  let pc = { pc_task = P fut; pc_completed = Atomic.make false } in
+  (* Push first: if the queue overflows, no phantom child is left on the
+     list for the unwinder to wait on forever. A thief completing the
+     task before the cons is harmless — the record just starts life with
+     [pc_completed] already true. *)
+  q_push w pc;
+  w.hot.children <- pc :: w.hot.children;
+  if w.tr_on then record w Event.Spawn ~a:(-1) ~b:(-1);
+  fut
 
-(* Drop [fut]'s outstanding-child record (Locked/Clev); joins are LIFO in
-   practice, so the head check is the fast path. *)
-let pop_child w fut =
-  match w.hot.children with
-  | pc :: rest when pc.pc_wrapper == fut.wrapper -> w.hot.children <- rest
-  | _ ->
-      w.hot.children <-
-        List.filter (fun pc -> pc.pc_wrapper != fut.wrapper) w.hot.children
+(* ---- join ---- *)
 
-let join_direct ~generic w fut =
+let join_direct w fut =
   let index = fut.index in
   if index <> Ds.depth w.dstack - 1 then
     invalid_arg "Wool.join: joins must be made in LIFO spawn order";
@@ -875,7 +841,7 @@ let join_direct ~generic w fut =
         (if code = Ds.inline_public then Event.Inline_public
          else Event.Inline_private)
         ~a:index ~b:(-1);
-    if generic then begin
+    if w.pool.generic then begin
       (* Generic join: run the descriptor's payload into its result cell
          and read it back, as a runtime without task-specific join
          functions must. *)
@@ -896,84 +862,31 @@ let join_direct ~generic w fut =
     value_exn fut
   end
 
-let join_locked w fut =
-  pop_child w fut;
-  match Locked_deque.pop w.ldeque with
-  | Some wrapper ->
-      assert (wrapper == fut.wrapper);
-      w.hot.n_inlined <- w.hot.n_inlined + 1;
-      if w.tr_on then record w Event.Inline_public ~a:(-1) ~b:(-1);
-      wrapper w;
+(* The LIFO check comes before the deque is touched: [fut] must be the
+   newest outstanding spawn, the head of [children]. ([P fut] is [fut]
+   itself, the constructor being unboxed.) *)
+let join_queued w fut =
+  match w.hot.children with
+  | pc :: rest when pc.pc_task == P fut ->
+      w.hot.children <- rest;
+      take_child w pc;
       value_exn fut
-  | None ->
-      w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-      if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-      wait_completed w fut
-
-let join_clev w fut =
-  pop_child w fut;
-  match Chase_lev.pop w.cdeque with
-  | Some wrapper when wrapper == fut.wrapper ->
-      w.hot.n_inlined <- w.hot.n_inlined + 1;
-      if w.tr_on then record w Event.Inline_public ~a:(-1) ~b:(-1);
-      wrapper w;
-      value_exn fut
-  | Some other ->
-      (* Our task was stolen; [other] is an older pending task of ours.
-         Restore it and wait for the thief. *)
-      Chase_lev.push w.cdeque other;
-      w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-      if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-      wait_completed w fut
-  | None ->
-      w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-      if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
-      wait_completed w fut
-
-(* ---- backends ---- *)
-
-let queued_mark w = List.length w.hot.children
-
-let locked_backend =
-  {
-    bk_steal = steal_locked;
-    bk_spawn = spawn_locked;
-    bk_join = join_locked;
-    bk_mark = queued_mark;
-    bk_unwind =
-      unwind_queued
-        ~pop:(fun w -> Locked_deque.pop w.ldeque)
-        ~push:(fun w t -> Locked_deque.push w.ldeque t);
-  }
-
-let clev_backend =
-  {
-    bk_steal = steal_clev;
-    bk_spawn = spawn_clev;
-    bk_join = join_clev;
-    bk_mark = queued_mark;
-    bk_unwind =
-      unwind_queued
-        ~pop:(fun w -> Chase_lev.pop w.cdeque)
-        ~push:(fun w t -> Chase_lev.push w.cdeque t);
-  }
-
-let direct_backend ~generic =
-  {
-    bk_steal = steal_direct;
-    bk_spawn = spawn_direct;
-    bk_join = (fun w fut -> join_direct ~generic w fut);
-    bk_mark = (fun w -> Ds.depth w.dstack);
-    bk_unwind = unwind_direct;
-  }
-
-let backend_of_mode = function
-  | Locked -> locked_backend
-  | Clev -> clev_backend
-  | Swap_generic -> direct_backend ~generic:true
-  | Task_specific | Private -> direct_backend ~generic:false
+  | _ -> invalid_arg "Wool.join: joins must be made in LIFO spawn order"
 
 (* ---- the public task operations ---- *)
+
+(* The [Spawn] fault site: a [Raise_exn] replaces the body, so the fault
+   surfaces exactly like a task exception, exercising the full
+   unwind/propagation path. *)
+let spawn_fault w fn =
+  match Fault.Injector.fire w.inj Fault.Site.Spawn with
+  | Some Fault.Kind.Raise_exn ->
+      let e = Fault.Injector.injected_exn w.inj Fault.Site.Spawn in
+      fun _ -> raise e
+  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
+      Fault.Injector.spin n;
+      fn
+  | Some (Fault.Kind.Fail_steal | Fault.Kind.Dup) | None -> fn
 
 let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   if w.pool.stopped then invalid_arg "Wool.spawn: pool is shut down";
@@ -983,21 +896,8 @@ let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   (match w.hot.ambient_cancel with
   | Some c -> Cancel.check c
   | None -> ());
-  let fut =
-    if w.fl_on then
-      match Fault.Injector.fire w.inj Fault.Site.Spawn with
-      | Some Fault.Kind.Raise_exn ->
-          (* replace the body: the fault surfaces exactly like a task
-             exception, exercising the full unwind/propagation path *)
-          let e = Fault.Injector.injected_exn w.inj Fault.Site.Spawn in
-          w.pool.backend.bk_spawn w (fun _ -> raise e)
-      | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-          Fault.Injector.spin n;
-          w.pool.backend.bk_spawn w fn
-      | Some (Fault.Kind.Fail_steal | Fault.Kind.Dup) | None ->
-          w.pool.backend.bk_spawn w fn
-    else w.pool.backend.bk_spawn w fn
-  in
+  let fn = if w.fl_on then spawn_fault w fn else fn in
+  let fut = if w.pool.direct then spawn_direct w fn else spawn_queued w fn in
   (* counted only after the push succeeds: a [Pool_overflow] raise must
      leave the spawn/join counter balance intact for [Invariants.check] *)
   w.hot.n_spawns <- w.hot.n_spawns + 1;
@@ -1007,7 +907,7 @@ let join (w : ctx) fut =
   if fut.owner_id <> w.id then
     invalid_arg "Wool.join: future joined on a different worker";
   if w.fl_on then fault_delay w Fault.Site.Join;
-  w.pool.backend.bk_join w fut
+  if w.pool.direct then join_direct w fut else join_queued w fut
 
 let call (w : ctx) fn = fn w
 let cancel_token (w : ctx) = w.hot.ambient_cancel
@@ -1020,11 +920,8 @@ let cancel_token (w : ctx) = w.hot.ambient_cancel
    everything I published and may be starving. *)
 let steal_pressure (w : ctx) =
   let pool = w.pool in
-  match pool.pmode with
-  | Swap_generic | Task_specific | Private -> Ds.steal_pressure w.dstack
-  | Locked ->
-      Array.length pool.workers > 1 && Locked_deque.size w.ldeque = 0
-  | Clev -> Array.length pool.workers > 1 && Chase_lev.size w.cdeque = 0
+  if pool.direct then Ds.steal_pressure w.dstack
+  else Array.length pool.workers > 1 && q_size w = 0
 
 let self_id w = w.id
 let num_workers pool = Array.length pool.workers
@@ -1142,18 +1039,18 @@ let injected_of ?(deadline = max_int) ?cancel pool (fn : worker -> 'a)
     end
   in
   let run wk =
-    let mark = wk.pool.backend.bk_mark wk in
+    let mark = mark wk in
     match fn wk with
     | v -> settle (Tk_done (Ok v))
     | exception Cancel.Cancelled ->
         (* the cooperative path: a body (or one of its spawns, via the
            ambient token) observed its cancellation — that is a settled
            cancel, not a task failure *)
-        wk.pool.backend.bk_unwind wk ~mark;
+        unwind wk ~mark;
         settle Tk_cancelled
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        wk.pool.backend.bk_unwind wk ~mark;
+        unwind wk ~mark;
         settle (Tk_done (Error (e, bt)))
   in
   let drop () = settle Tk_rejected in
@@ -1595,11 +1492,10 @@ module Invariants = struct
         List.iter
           (fun v -> add "worker %d: dstack %s" w.id v)
           (Ds.check_quiescent w.dstack);
-        let ls = Locked_deque.size w.ldeque in
-        if ls <> 0 then add "worker %d: locked deque holds %d tasks" w.id ls;
-        let cs = Chase_lev.size w.cdeque in
-        if cs <> 0 then
-          add "worker %d: chase-lev deque holds %d tasks" w.id cs;
+        let qs = q_size w in
+        if qs <> 0 then
+          add "worker %d: %s deque holds %d tasks" w.id
+            (Mode.name pool.pmode) qs;
         let ch = List.length w.hot.children in
         if ch <> 0 then
           add "worker %d: %d outstanding queued children" w.id ch)
@@ -1621,29 +1517,22 @@ module Invariants = struct
          expired=%d + cancelled=%d"
         ig.admitted ig.executed ig.shed ig.expired ig.cancelled;
     let s = Stats.aggregate pool in
-    (match pool.pmode with
-    | Locked | Clev ->
-        (* every queued spawn is either inlined by its owner or stolen *)
-        let joined = s.Stats.inlined_private + s.Stats.inlined_public in
-        if s.Stats.spawns <> joined + s.Stats.steals then
-          add "counter imbalance: spawns=%d but inlined=%d + steals=%d"
-            s.Stats.spawns joined s.Stats.steals;
-        (* ... and every stolen spawn is waited out by its owner *)
-        if s.Stats.joins_stolen <> s.Stats.steals then
-          add "counter imbalance: joins_stolen=%d but steals=%d"
-            s.Stats.joins_stolen s.Stats.steals
-    | Swap_generic | Task_specific | Private ->
-        let joined =
-          s.Stats.inlined_private + s.Stats.inlined_public
-          + s.Stats.joins_stolen
-        in
-        if s.Stats.spawns <> joined then
-          add
-            "counter imbalance: spawns=%d but inlined+joins_stolen=%d"
-            s.Stats.spawns joined;
-        if s.Stats.joins_stolen <> s.Stats.steals then
-          add "counter imbalance: joins_stolen=%d but steals=%d"
-            s.Stats.joins_stolen s.Stats.steals);
+    let inlined = s.Stats.inlined_private + s.Stats.inlined_public in
+    if pool.direct then begin
+      if s.Stats.spawns <> inlined + s.Stats.joins_stolen then
+        add "counter imbalance: spawns=%d but inlined+joins_stolen=%d"
+          s.Stats.spawns (inlined + s.Stats.joins_stolen)
+    end
+    else if
+      (* every queued spawn is either inlined by its owner or stolen *)
+      s.Stats.spawns <> inlined + s.Stats.steals
+    then
+      add "counter imbalance: spawns=%d but inlined=%d + steals=%d"
+        s.Stats.spawns inlined s.Stats.steals;
+    (* ... and every stolen spawn is waited out by its owner *)
+    if s.Stats.joins_stolen <> s.Stats.steals then
+      add "counter imbalance: joins_stolen=%d but steals=%d"
+        s.Stats.joins_stolen s.Stats.steals;
     List.rev !errs
 
   let check_exn pool =
@@ -1704,8 +1593,7 @@ let stall_report pool =
           Printf.bprintf buf {|{"index":%d,"state":"%s"}|} idx (esc st))
         (Ds.dump_live w.dstack);
       Buffer.add_string buf "]}";
-      Printf.bprintf buf {|,"ldeque_size":%d|} (Locked_deque.size w.ldeque);
-      Printf.bprintf buf {|,"cdeque_size":%d|} (Chase_lev.size w.cdeque);
+      Printf.bprintf buf {|,"queue_size":%d|} (q_size w);
       Printf.bprintf buf {|,"children":%d|} (List.length w.hot.children);
       Printf.bprintf buf {|,"stats":%s|} (Stats.to_json (Stats.of_worker w));
       Buffer.add_string buf {|,"trace":[|};
@@ -1767,8 +1655,8 @@ let watchdog_loop pool =
 
 (* ---- pool lifecycle ---- *)
 
-let make_worker ~id ~pool ~publicity ~capacity ~trace ~trace_capacity ~faults
-    rng =
+let make_worker ~id ~pool ~mode ~publicity ~capacity ~trace ~trace_capacity
+    ~faults rng =
   let fl_on, plan =
     match faults with Some p -> (true, p) | None -> (false, Fault.Plan.none)
   in
@@ -1778,8 +1666,11 @@ let make_worker ~id ~pool ~publicity ~capacity ~trace ~trace_capacity ~faults
       id;
       pool;
       dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
-      ldeque = Locked_deque.create ~capacity ~dummy:dummy_task ();
-      cdeque = Chase_lev.create ~dummy:dummy_task ();
+      queue =
+        (match mode with
+        | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:dummy_child ())
+        | Clev -> Clev_q (Chase_lev.create ~dummy:dummy_child ())
+        | Swap_generic | Private -> No_queue);
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
       bo = Backoff.make pool.policy.Wool_policy.backoff;
@@ -1824,7 +1715,7 @@ let create_of_config (c : Config.t) =
   let publicity =
     (* The ladder modes below [Private] have no private tasks. *)
     match c.Config.mode with
-    | Swap_generic | Task_specific -> All_public
+    | Swap_generic -> All_public
     | Locked | Clev | Private -> c.Config.publicity
   in
   let master = Wool_util.Rng.make c.Config.seed in
@@ -1834,8 +1725,8 @@ let create_of_config (c : Config.t) =
   let pool =
     {
       pmode = c.Config.mode;
-      backend = backend_of_mode c.Config.mode;
-      lock_mode = c.Config.lock_mode;
+      direct = Mode.is_direct c.Config.mode;
+      generic = c.Config.mode = Swap_generic;
       idle_nap_ns = c.Config.idle_nap_ns;
       policy = Config.policy c;
       trace_on = c.Config.trace;
@@ -1887,7 +1778,8 @@ let create_of_config (c : Config.t) =
   in
   let workers =
     Array.init nworkers (fun id ->
-        make_worker ~id ~pool ~publicity ~capacity:c.Config.capacity
+        make_worker ~id ~pool ~mode:c.Config.mode ~publicity
+          ~capacity:c.Config.capacity
           ~trace:c.Config.trace ~trace_capacity:c.Config.trace_capacity
           ~faults:c.Config.faults
           (Wool_util.Rng.split master))
@@ -1938,7 +1830,7 @@ let run pool f =
        worker 0 — the pre-ingress behaviour *)
     let w0 = pool.workers.(0) in
     Atomic.set pool.active true;
-    let mark = pool.backend.bk_mark w0 in
+    let mark = mark w0 in
     match f w0 with
     | v ->
         Atomic.set pool.active false;
@@ -1948,7 +1840,7 @@ let run pool f =
            root computation left outstanding, so the pool is quiescent —
            and reusable — when the exception reaches the caller. *)
         let bt = Printexc.get_raw_backtrace () in
-        pool.backend.bk_unwind w0 ~mark;
+        unwind w0 ~mark;
         Atomic.set pool.active false;
         Printexc.raise_with_backtrace e bt
   end

@@ -29,17 +29,22 @@
     core and never touches the injection lanes.
 
     The [mode] selects the synchronisation strategy and reproduces the
-    optimisation ladder of Table II plus two conventional baselines:
+    optimisation ladder of Table II plus a conventional baseline. The
+    modes come in two task-pool shapes: the direct task stack
+    ([Swap_generic], [Private]), whose descriptors hold the future
+    itself, and a per-worker queue of pending-child records ([Locked],
+    [Clev]).
 
     - [Locked]: per-worker lock taken at join and steal, no per-descriptor
       state (the paper's "base" row).
     - [Swap_generic]: atomic exchange on the descriptor state, but joins go
-      through the generic wrapper and the result cell ("synchronize on
+      through the generic path and the result cell ("synchronize on
       task").
-    - [Task_specific]: as above, but an inlined join calls the typed task
-      function directly ("task specific join").
-    - [Private]: adds private task descriptors with the trip-wire scheme
-      ("private tasks"); the default.
+    - [Private]: an inlined join calls the typed task function directly,
+      and descriptors can be private with the trip-wire scheme ("private
+      tasks"); the default. With [~publicity:All_public] it is the
+      paper's "task specific join" row, which Table II gives the same
+      cost as "private tasks (no private)".
     - [Clev]: a Chase–Lev pointer deque with random (non-leapfrog) stealing
       on blocked joins — the conventional steal-child baseline (TBB-like),
       exhibiting the buried-join behaviour discussed in §I.
@@ -62,7 +67,6 @@ type 'a future
 type mode = Mode.t =
   | Locked
   | Swap_generic
-  | Task_specific
   | Private
   | Clev
 
@@ -117,10 +121,12 @@ module Config : sig
     workers : int option;
         (** [None] = [Domain.recommended_domain_count ()] *)
     mode : mode;
-    publicity : publicity;  (** direct modes only *)
-    capacity : int;  (** max simultaneous descriptors per worker *)
-    lock_mode : [ `Base | `Peek | `Trylock ];
-        (** §IV-C stealing discipline, [Locked] mode only *)
+    publicity : publicity;
+        (** [Private] only: [Swap_generic] is always [All_public], and the
+            queued modes have no descriptors *)
+    capacity : int;
+        (** max simultaneous descriptors per worker ([Locked]: deque
+            slots; [Clev] grows on demand) *)
     idle_nap_ns : int;
         (** one nap unit for the idle-backoff policy: how long an idle
             thief sleeps per {!Wool_policy.Backoff.Nap} factor
@@ -199,7 +205,6 @@ module Config : sig
     ?mode:mode ->
     ?publicity:publicity ->
     ?capacity:int ->
-    ?lock_mode:[ `Base | `Peek | `Trylock ] ->
     ?idle_nap_ns:int ->
     ?seed:int ->
     ?trace:bool ->
@@ -229,7 +234,6 @@ module Config : sig
     ?mode:mode ->
     ?publicity:publicity ->
     ?capacity:int ->
-    ?lock_mode:[ `Base | `Peek | `Trylock ] ->
     ?idle_nap_ns:int ->
     ?seed:int ->
     ?trace:bool ->
@@ -622,15 +626,14 @@ module Invariants : sig
   val check : t -> string list
   (** Human-readable violations, [[]] when clean. Checks, per worker:
       every direct-stack descriptor EMPTY with [top = bot = 0] and
-      payloads reset; both queue deques empty; no outstanding queued
-      children. Then the ingress: every injection lane empty, no
+      payloads reset; the queued modes' deque empty; no outstanding
+      queued children. Then the ingress: every injection lane empty, no
       in-flight submissions, [submitted = admitted + rejected] and
       [admitted = executed + shed + expired + cancelled]. Then
-      globally: spawn/join/steal
-      counter balance for the pool's mode (direct modes: [spawns =
-      inlined + joins_stolen] and [joins_stolen = steals]; queue modes:
-      [spawns = inlined + steals]). The balance is relative to the
-      last {!Stats.reset}. *)
+      globally: spawn/join/steal counter balance for the pool's shape
+      (direct modes: [spawns = inlined + joins_stolen]; queued modes:
+      [spawns = inlined + steals]; both: [joins_stolen = steals]). The
+      balance is relative to the last {!Stats.reset}. *)
 
   val check_exn : t -> unit
   (** Raises [Failure] listing the violations, if any. *)
@@ -649,8 +652,9 @@ val stall_report : t -> string
 (** A diagnostic JSON object: pool mode and policy, the ingress state
     (lane occupancy and {!ingress_stats} counters), and per worker the
     progress counter, direct-stack occupancy with live descriptor
-    states, queue sizes, outstanding children, scheduler counters, and
-    the tail of the trace ring (when tracing is on). Valid JSON by
+    states, the queued modes' deque size, outstanding children,
+    scheduler counters, and the tail of the trace ring (when tracing is
+    on). Valid JSON by
     construction ({!Wool_trace.Json.validate} accepts it); safe to call
     at any time — concurrent readings are racy snapshots. *)
 

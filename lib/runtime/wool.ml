@@ -21,7 +21,6 @@ type 'a future = 'a Pool.future
 type mode = Pool.mode =
   | Locked
   | Swap_generic
-  | Task_specific
   | Private
   | Clev
 

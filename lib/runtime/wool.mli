@@ -48,8 +48,9 @@ type 'a future = 'a Pool.future
 type mode = Pool.mode =
   | Locked  (** per-worker lock at joins and steals (Table II "base") *)
   | Swap_generic  (** descriptor-state exchange, generic join *)
-  | Task_specific  (** + direct typed call on inlined joins *)
-  | Private  (** + private descriptors with trip wires (default) *)
+  | Private
+      (** + direct typed call on inlined joins, and private descriptors
+          with trip wires (default) *)
   | Clev  (** Chase–Lev pointer deque baseline (TBB-like) *)
 
 type publicity = Pool.publicity =

@@ -2,12 +2,13 @@
    [Wool.spawn] + [Wool.join] pair allocates on a 1-worker pool, where
    the join always inlines and every allocation lands on the measuring
    domain, so the count repeats exactly. The body is a closed function,
-   so the count is the runtime's own: the future record (7 words) and,
+   so the count is the runtime's own: the future record (5 words) and,
    on the generic join, the result cell it stores and reads back (4
    words). A body closure capturing one variable, as in fib or the
-   benchmark's pair probe, adds 4 words: 11 per pair. The queued modes
-   (Locked, Clev) also allocate a completion flag, a wrapper closure,
-   the outstanding-child record and its list cell: 25 words. *)
+   benchmark's pair probe, adds 4 words: 9 per pair. The queued modes
+   (Locked, Clev) also allocate the pending-child record (3 words), its
+   completion flag (2), its list cell (3) and the [Some] the deque's pop
+   returns (2), and run the result cell too: 19 words. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -42,11 +43,10 @@ let test_spawn_join_words () =
               name w bound)
         [ Wool.All_private; Wool.All_public; Wool.Adaptive 4 ])
     [
-      (Wool.Private, 7);
-      (Wool.Task_specific, 7);
-      (Wool.Swap_generic, 11);
-      (Wool.Locked, 25);
-      (Wool.Clev, 25);
+      (Wool.Private, 5);
+      (Wool.Swap_generic, 9);
+      (Wool.Locked, 19);
+      (Wool.Clev, 19);
     ]
 
 let suite =

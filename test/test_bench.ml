@@ -181,8 +181,8 @@ let test_measure_tiny_live () =
   let rep = B.measure ~size:Spec.Tiny ~workers:[ 1 ] ~repeats:2
       ~date:"2026-08-06" [ "fib" ]
   in
-  (* 5 modes x 1 worker count + the 2 publicity cells *)
-  Alcotest.(check int) "cells" 7 (List.length rep.B.runs);
+  (* 4 modes x 1 worker count + the 2 publicity cells *)
+  Alcotest.(check int) "cells" 6 (List.length rep.B.runs);
   List.iter
     (fun r ->
       Alcotest.(check bool) (r.B.mode ^ " digest ok") true r.B.ok;
@@ -202,11 +202,11 @@ let test_measure_tiny_live () =
             (List.length (B.compare_reports ~baseline:rep' rep)))
 
 (* The committed snapshots predate the retirement of the relaxed modes
-   and still hold ws_mult/lowsync rows. They must keep parsing, and a
-   report over the five remaining modes must compare cleanly against
-   them in either direction: the retired cells match nothing and are
-   skipped, never raised. *)
-let retired = [ "ws_mult"; "lowsync" ]
+   and of task_specific, and still hold their rows. They must keep
+   parsing, and a report over the four remaining modes must compare
+   cleanly against them in either direction: the retired cells match
+   nothing and are skipped, never raised. *)
+let retired = [ "ws_mult"; "lowsync"; "task_specific" ]
 
 let test_committed_snapshots_readable () =
   let base =
@@ -240,7 +240,7 @@ let test_committed_snapshots_readable () =
           (List.map (fun r -> r.Wool_report.Serve_load.mode) rep.rows)
       in
       Alcotest.(check (list string))
-        "serve rows cover the five modes and the two retired ones"
+        "serve rows cover the four modes and the three retired ones"
         (List.sort compare (retired @ List.map Wool.Mode.name Wool.Mode.all))
         modes
 

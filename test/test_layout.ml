@@ -35,7 +35,6 @@ let test_pool_layout_all_modes () =
             (Wool.layout_check pool)))
     [
       ("private", Wool.Private);
-      ("task_specific", Wool.Task_specific);
       ("swap_generic", Wool.Swap_generic);
       ("locked", Wool.Locked);
       ("clev", Wool.Clev);

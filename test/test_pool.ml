@@ -46,18 +46,25 @@ let test_spawn_returns_value_via_join () =
       in
       Alcotest.(check string) "value" "hello" r)
 
+(* An out-of-order join is refused before it touches the task pool, in
+   every mode: the pool stays usable and the right-order joins that
+   follow still find both tasks. *)
 let test_lifo_violation_raises () =
-  Test_util.with_pool ~workers:1 (fun pool ->
-      Wool.run pool (fun ctx ->
-          let a = Wool.spawn ctx (fun _ -> 1) in
-          let b = Wool.spawn ctx (fun _ -> 2) in
-          (try
-             ignore (Wool.join ctx a : int);
-             Alcotest.fail "expected LIFO violation"
-           with Invalid_argument _ -> ());
-          (* clean up in the right order *)
-          Alcotest.(check int) "b" 2 (Wool.join ctx b);
-          Alcotest.(check int) "a" 1 (Wool.join ctx a)))
+  List.iter
+    (fun (name, mode) ->
+      Test_util.with_pool ~workers:1 ~mode (fun pool ->
+          Wool.run pool (fun ctx ->
+              let a = Wool.spawn ctx (fun _ -> 1) in
+              let b = Wool.spawn ctx (fun _ -> 2) in
+              (match Wool.join ctx a with
+              | _ -> Alcotest.failf "%s: expected LIFO violation" name
+              | exception Invalid_argument _ -> ());
+              (* clean up in the right order *)
+              Alcotest.(check int) (name ^ " b") 2 (Wool.join ctx b);
+              Alcotest.(check int) (name ^ " a") 1 (Wool.join ctx a));
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    all_modes
 
 let test_exception_propagates_inline () =
   Test_util.with_pool ~workers:1 (fun pool ->
@@ -238,10 +245,10 @@ let test_create_validation () =
 
 (* The Mode module is the single name/parse table; every canonical name
    must survive a round trip, the legacy hyphenated spellings in old
-   committed BENCH baselines must still parse, and the retired relaxed
-   modes must not. *)
+   committed BENCH baselines must still parse, and the retired modes
+   (the relaxed pair and task_specific) must not. *)
 let test_mode_round_trip () =
-  Alcotest.(check int) "five modes" 5 (List.length Wool.Mode.all);
+  Alcotest.(check int) "four modes" 4 (List.length Wool.Mode.all);
   List.iter
     (fun m ->
       let nm = Wool.Mode.name m in
@@ -258,7 +265,6 @@ let test_mode_round_trip () =
     [
       ("swap-generic", Wool.Swap_generic);
       ("swap", Wool.Swap_generic);
-      ("task-specific", Wool.Task_specific);
       ("chase-lev", Wool.Clev);
       ("chase_lev", Wool.Clev);
       ("PRIVATE", Wool.Private);
@@ -268,7 +274,10 @@ let test_mode_round_trip () =
       Alcotest.(check bool)
         (retired ^ " no longer parses") true
         (Wool.Mode.of_name retired = None))
-    [ "ws_mult"; "ws-mult"; "lowsync"; "low-sync" ];
+    [
+      "ws_mult"; "ws-mult"; "lowsync"; "low-sync"; "task_specific";
+      "task-specific";
+    ];
   Alcotest.(check bool)
     "unknown name rejected" true
     (Wool.Mode.of_name "bogus" = None)
@@ -319,8 +328,7 @@ let test_pool_overflow_unwind_all_modes () =
                  overflow to raise, the run must simply complete *)
               Alcotest.(check int) (name ^ " completes") (100 * 99 / 2)
                 (Wool.run pool (fun ctx -> spawn_n ctx 100))
-          | Wool.Locked | Wool.Swap_generic | Wool.Task_specific
-          | Wool.Private ->
+          | Wool.Locked | Wool.Swap_generic | Wool.Private ->
               Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
                 (fun () ->
                   ignore (Wool.run pool (fun ctx -> spawn_n ctx 100) : int)));

@@ -95,7 +95,8 @@ let test_nested_leap_steals_counted_once () =
   let pool =
     Wool.create
       ~config:
-        (Wool.Config.make ~workers:2 ~mode:Wool.Task_specific ~trace:true ())
+        (Wool.Config.make ~workers:2 ~mode:Wool.Private
+           ~publicity:Wool.All_public ~trace:true ())
       ()
   in
   let started = Array.init 5 (fun _ -> Atomic.make false) in
