@@ -403,22 +403,73 @@ let chase_lev_last_task =
     run;
   }
 
-(* ---- ingress scenarios: the external-submission protocol reduced to
-   its shared state. A ticket is a Shadow_atomic int (0 pending, 1 done,
-   2 rejected) resolved by CAS from 0 — first writer wins, exactly like
-   the mutex-guarded first-resolve-wins of the runtime ticket. *)
+(* ---- ingress scenarios: threads call the shipped ingress body
+   (lib/deque/ingress_body.ml) as the pool does. Job [i]'s body returns
+   [i], and its id rides in the token slot; a worker runs a job and
+   settles its ticket as the pool's [exec_job] does. Every schedule ends
+   on [settled_once]. *)
 
-let tk_pending = 0
-let tk_done = 1
-let tk_rejected = 2
-let resolve tk st = ignore (Shadow_atomic.compare_and_set tk tk_pending st : bool)
+module Ig = Ingress_checked
 
-(* -- Scenario 8: submit racing shutdown. The submitter follows the
-   runtime's admission protocol (check stop -> push -> re-check stop,
-   draining its own lane if stop won the race); shutdown sets stop and
-   drains. The invariant under every interleaving: the ticket resolves
-   (never a stranded submitter) and the lane ends empty (no element
-   survives shutdown un-rejected). *)
+let ingress ?(note = fun _ _ -> ()) () : (unit, int) Ig.t =
+  Ig.create ~lanes:1 ~capacity:2 ~note
+
+let jobs ?(deadline = max_int) n =
+  let tks = Array.init n (fun _ -> Ig.ticket ()) in
+  let job i =
+    Ig.J
+      { fn = (fun () -> i); tk = tks.(i); deadline; token = Some i; enq_ns = 0 }
+  in
+  (tks, Array.init n job)
+
+let admit t job = Ig.admit t ~lane:0 ~admission:Reject ~shedding:false job
+let pop (t : (unit, int) Ig.t) = Inject_queue_checked.try_pop t.lanes.(0)
+
+(* The unscheduled prefix of a lifecycle scenario: job 0 admitted, and
+   popped when [popped]. *)
+let one_job ?deadline ~popped () =
+  let t = ingress () and tks, jobs = jobs ?deadline 1 in
+  check (admit t jobs.(0)) "setup: admission failed";
+  (t, tks, if popped then pop t else None)
+
+let run_job t runs (Ig.J j) =
+  let i = Option.get j.token in
+  runs.(i) <- runs.(i) + 1;
+  ignore (Ig.settle t j.tk (Done (Ok (j.fn ()))) : bool)
+
+let rec drain_run t runs =
+  Option.iter (fun j -> run_job t runs j; drain_run t runs) (pop t)
+
+(* Exactly one claim won per ticket: every ticket settled, and the claims
+   won — each bumps exactly one of the four settle counters — number the
+   admissions, so no admitted ticket was claimed twice. The rest of the
+   ledger balances, and the lane is empty. *)
+let settled_once (t : (unit, int) Ig.t) tks =
+  let n = Shadow_atomic.get in
+  Array.iteri
+    (fun i tk ->
+      check (Ig.peek tk <> Pending) (Printf.sprintf "ticket %d stranded" i))
+    tks;
+  let won = n t.completed + n t.shed + n t.expired + n t.cancelled in
+  check (won = n t.admitted)
+    (Printf.sprintf "%d claims won for %d admitted tickets" won (n t.admitted));
+  check (n t.inflight = 0) "inflight not settled to zero";
+  check (n t.submitted = n t.admitted + n t.rejected) "ledger imbalance";
+  check (Inject_queue_checked.size t.lanes.(0) = 0) "lane not empty"
+
+let ran_once_if_admitted runs admitted =
+  Array.iteri
+    (fun i r ->
+      check
+        (r = if admitted.(i) then 1 else 0)
+        (Printf.sprintf "job %d ran %d times (admitted: %b)" i r admitted.(i)))
+    runs
+
+(* -- Scenario 8: submit racing shutdown. The submitter runs the
+   admission sequence (stop check -> push -> stop re-check, draining its
+   own lane if stop won the race); shutdown sets stop and drains. Under
+   every interleaving the ticket resolves (never a stranded submitter)
+   and the lane ends empty (no element survives shutdown un-rejected). *)
 let submit_vs_shutdown =
   let run ~max_schedules =
     let saw_early_reject = ref false
@@ -426,41 +477,20 @@ let submit_vs_shutdown =
     and saw_shutdown_drain = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let q = Iq.create ~capacity:2 ~dummy:(-1) () in
-          let stop = Shadow_atomic.make false in
-          let tk = Shadow_atomic.make tk_pending in
-          (* pop-and-reject everything queued; whoever pops an element
-             owns its resolution, exactly like [ij_drop] *)
-          let rec drain_reject mark =
-            match Iq.try_pop q with
-            | Some 0 ->
-                mark ();
-                resolve tk tk_rejected;
-                drain_reject mark
-            | Some _ -> failwith "drained a job nobody submitted"
-            | None -> ()
+          (* thread 0 submits, thread 1 shuts down *)
+          let note _ = function
+            | Ig.Drop when Sched.self () = 0 -> saw_self_drain := true
+            | Ig.Drop -> saw_shutdown_drain := true
+            | Ig.Admit | Ig.Refuse -> ()
           in
+          let t = ingress ~note () in
+          let tks, jobs = jobs 1 in
           Sched.spawn (fun () ->
-              (* submitter *)
-              if Shadow_atomic.get stop then begin
-                saw_early_reject := true;
-                resolve tk tk_rejected
-              end
-              else if not (Iq.try_push q 0) then resolve tk tk_rejected
-              else if
-                (* admitted_post's re-check: if stop won between our
-                   push and here, no worker will drain — do it ourselves *)
-                Shadow_atomic.get stop
-              then drain_reject (fun () -> saw_self_drain := true));
+              if not (admit t jobs.(0)) then saw_early_reject := true);
           Sched.spawn (fun () ->
-              (* shutdown *)
-              Shadow_atomic.set stop true;
-              drain_reject (fun () -> saw_shutdown_drain := true));
-          Sched.final (fun () ->
-              check
-                (Shadow_atomic.get tk <> tk_pending)
-                "submit-vs-shutdown stranded the ticket";
-              check (Iq.size q = 0) "lane not empty after shutdown"))
+              Shadow_atomic.set t.stop true;
+              Ig.drain t ~lane:0);
+          Sched.final (fun () -> settled_once t tks))
     in
     check !saw_early_reject "coverage: pre-push stop never explored";
     check !saw_self_drain "coverage: submitter self-drain never explored";
@@ -478,55 +508,28 @@ let submit_vs_shutdown =
    the worker's pops meet on the same cells, so every interleaving of
    the publish (seq bump) against the probe (seq read) is explored:
    admitted iff a pop freed a slot before the probe, and an admitted job
-   is drained exactly once. This scenario is what catches the capacity-1
+   runs exactly once. This scenario is what catches the capacity-1
    lap bug (a producer one lap ahead reading a published seq as free). *)
 let submit_vs_drain =
   let run ~max_schedules =
     let saw_reject = ref false and saw_admit = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let q = Iq.create ~capacity:2 ~dummy:(-1) () in
-          let tks = Array.init 3 (fun _ -> Shadow_atomic.make tk_pending) in
-          let execd = Array.make 3 0 in
-          let admitted = [| true; true; false |] in
+          let t = ingress () in
+          let tks, jobs = jobs 3 in
+          let runs = Array.make 3 0 and admitted = [| true; true; false |] in
           (* unscheduled prefix: the lane is full *)
-          check (Iq.try_push q 0 && Iq.try_push q 1) "setup: prefill failed";
-          let pop_run () =
-            match Iq.try_pop q with
-            | Some v ->
-                execd.(v) <- execd.(v) + 1;
-                resolve tks.(v) tk_done
-            | None -> ()
-          in
+          check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
+          Sched.spawn (fun () -> admitted.(2) <- admit t jobs.(2));
           Sched.spawn (fun () ->
-              (* producer: [Reject] admission on job 2 *)
-              if Iq.try_push q 2 then admitted.(2) <- true
-              else resolve tks.(2) tk_rejected);
-          Sched.spawn (fun () ->
-              (* worker: one drain pass per prefilled slot *)
-              pop_run ();
-              pop_run ());
+              (* one drain pass per prefilled slot *)
+              Option.iter (run_job t runs) (pop t);
+              Option.iter (run_job t runs) (pop t));
           Sched.final (fun () ->
               (* quiescent drain of whatever the worker raced past *)
-              let rec drain () =
-                match Iq.try_pop q with
-                | Some v ->
-                    execd.(v) <- execd.(v) + 1;
-                    resolve tks.(v) tk_done;
-                    drain ()
-                | None -> ()
-              in
-              drain ();
-              check (Iq.size q = 0) "lane not drained";
-              for i = 0 to 2 do
-                let st = Shadow_atomic.get tks.(i) in
-                check (st <> tk_pending)
-                  (Printf.sprintf "ticket %d stranded" i);
-                check
-                  (execd.(i) = if admitted.(i) then 1 else 0)
-                  (Printf.sprintf "job %d ran %d times (admitted: %b)" i
-                     execd.(i) admitted.(i))
-              done;
+              drain_run t runs;
+              settled_once t tks;
+              ran_once_if_admitted runs admitted;
               if admitted.(2) then saw_admit := true else saw_reject := true))
     in
     check !saw_reject "coverage: full-lane rejection never explored";
@@ -548,17 +551,14 @@ let submit_vs_submit =
     let wins = [| false; false |] in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let q = Iq.create ~capacity:2 ~dummy:(-1) () in
-          let tks = Array.init 3 (fun _ -> Shadow_atomic.make tk_pending) in
-          let admitted = [| true; false; false |] in
+          let t = ingress () in
+          let tks, jobs = jobs 3 in
+          let runs = Array.make 3 0 and admitted = [| true; false; false |] in
           (* unscheduled prefix: one slot taken, one free *)
-          check (Iq.try_push q 0) "setup: prefill failed";
+          check (admit t jobs.(0)) "setup: prefill failed";
           let producer i =
-            if Iq.try_push q i then begin
-              admitted.(i) <- true;
-              wins.(i - 1) <- true
-            end
-            else resolve tks.(i) tk_rejected
+            admitted.(i) <- admit t jobs.(i);
+            if admitted.(i) then wins.(i - 1) <- true
           in
           Sched.spawn (fun () -> producer 1);
           Sched.spawn (fun () -> producer 2);
@@ -569,22 +569,9 @@ let submit_vs_submit =
               check
                 (admitted.(1) || admitted.(2))
                 "the free slot admitted nobody";
-              let rec drain () =
-                match Iq.try_pop q with
-                | Some v ->
-                    check admitted.(v)
-                      (Printf.sprintf "drained job %d was never admitted" v);
-                    resolve tks.(v) tk_done;
-                    drain ()
-                | None -> ()
-              in
-              drain ();
-              check (Iq.size q = 0) "lane not drained";
-              for i = 0 to 2 do
-                check
-                  (Shadow_atomic.get tks.(i) <> tk_pending)
-                  (Printf.sprintf "ticket %d stranded" i)
-              done))
+              drain_run t runs;
+              settled_once t tks;
+              ran_once_if_admitted runs admitted))
     in
     check wins.(0) "coverage: producer 1 never won the slot";
     check wins.(1) "coverage: producer 2 never won the slot";
@@ -906,22 +893,26 @@ let lowsync_two_thieves_serialize =
     run;
   }
 
-(* ---- lifecycle scenarios: cancellation and deadlines reduced to
-   their shared state. Settlement mirrors [injected_of]: a [claimed]
-   flag is CAS-won exactly once and only the winner resolves the
-   ticket — completions, cancels, expiries and shutdown drops all ride
-   the same claim. *)
+(* ---- lifecycle scenarios: cancellation and deadlines on the shipped
+   ingress body. A worker delivers a popped job as the pool's drain
+   does: a set token settles the ticket cancelled, a passed deadline
+   settles it expired, and otherwise the job runs. Completions, cancels,
+   expiries and shutdown drops all ride the ticket's one claim. *)
 
-let tk_cancelled = 3
-let tk_expired = 4
+let deliver t runs ~cancelled ~expired (Ig.J j as job) =
+  if cancelled () then ignore (Ig.settle t j.tk Cancelled : bool)
+  else if expired j.deadline then ignore (Ig.settle t j.tk Expired : bool)
+  else run_job t runs job
+
+let never _ = false
 
 (* -- Scenario C1: cancel racing delivery, with multiplicity. A
    canceller sets the token while two deliveries of the same job (the
-   duplicate a relaxed mode or the [Dup] drain fault produces) each run
-   the worker's check-token / run / settle sequence. Under every
-   interleaving the ticket resolves exactly once — done or cancelled —
-   and the body runs at most once per delivery, never by a delivery
-   that observed the token. *)
+   duplicate the [Dup] drain fault produces) each run the worker's
+   check-token / run / settle sequence. Under every interleaving the
+   ticket resolves exactly once — done or cancelled — and the body runs
+   at most once per delivery, never by a delivery that observed the
+   token. *)
 let cancel_vs_complete =
   let run ~max_schedules =
     let saw_done = ref false
@@ -930,37 +921,27 @@ let cancel_vs_complete =
     and saw_cancel_after_run = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let token = Shadow_atomic.make false in
-          let claimed = Shadow_atomic.make false in
-          let tk = Shadow_atomic.make tk_pending in
-          let runs = ref 0 in
-          let settle st =
-            if Shadow_atomic.compare_and_set claimed false true then
-              resolve tk st
-          in
+          let t, tks, job = one_job ~popped:true () in
+          let job = Option.get job in
+          let token = Shadow_atomic.make false and runs = [| 0 |] in
           let delivery () =
-            if Shadow_atomic.get token then settle tk_cancelled
-            else begin
-              incr runs;
-              settle tk_done
-            end
+            deliver t runs ~expired:never
+              ~cancelled:(fun () -> Shadow_atomic.get token)
+              job
           in
           Sched.spawn delivery;
           Sched.spawn delivery;
           Sched.spawn (fun () -> Shadow_atomic.set token true);
           Sched.final (fun () ->
-              let st = Shadow_atomic.get tk in
-              check (st <> tk_pending) "cancel-vs-complete stranded the ticket";
-              check
-                (st = tk_done || st = tk_cancelled)
-                "ticket resolved to an impossible state";
-              check (!runs <= 2) "body ran more than its two deliveries";
-              if st = tk_done then saw_done := true
-              else begin
-                saw_cancelled := true;
-                if !runs > 0 then saw_cancel_after_run := true
-              end;
-              if !runs = 2 then saw_dup_run := true))
+              settled_once t tks;
+              check (runs.(0) <= 2) "body ran more than its two deliveries";
+              if runs.(0) = 2 then saw_dup_run := true;
+              match Ig.peek tks.(0) with
+              | Done _ -> saw_done := true
+              | Cancelled ->
+                  saw_cancelled := true;
+                  if runs.(0) > 0 then saw_cancel_after_run := true
+              | _ -> failwith "ticket resolved to an impossible state"))
     in
     check !saw_done "coverage: completion winning never explored";
     check !saw_cancelled "coverage: cancel winning never explored";
@@ -985,38 +966,27 @@ let expire_vs_dequeue =
     let saw_run = ref false and saw_expired = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let clock = Shadow_atomic.make 0 in
-          let deadline = 1 in
-          let claimed = Shadow_atomic.make false in
-          let tk = Shadow_atomic.make tk_pending in
-          let runs = ref 0 in
-          let settle st =
-            if Shadow_atomic.compare_and_set claimed false true then
-              resolve tk st
-          in
+          let t, tks, job = one_job ~deadline:1 ~popped:true () in
+          let job = Option.get job in
+          let clock = Shadow_atomic.make 0 and runs = [| 0 |] in
           Sched.spawn (fun () ->
               (* the clock ticking past the deadline *)
               Shadow_atomic.set clock 1;
               Shadow_atomic.set clock 2);
           Sched.spawn (fun () ->
-              (* worker at dequeue: expiry check, then run-and-settle *)
-              if Shadow_atomic.get clock > deadline then settle tk_expired
-              else begin
-                incr runs;
-                settle tk_done
-              end);
+              deliver t runs ~cancelled:(fun () -> false)
+                ~expired:(fun d -> Shadow_atomic.get clock > d)
+                job);
           Sched.final (fun () ->
-              let st = Shadow_atomic.get tk in
-              check (st <> tk_pending) "expire-vs-dequeue stranded the ticket";
-              if st = tk_done then begin
-                saw_run := true;
-                check (!runs = 1) "completed job did not run exactly once"
-              end
-              else begin
-                check (st = tk_expired) "impossible ticket state";
-                saw_expired := true;
-                check (!runs = 0) "expired job ran anyway"
-              end))
+              settled_once t tks;
+              match Ig.peek tks.(0) with
+              | Done _ ->
+                  saw_run := true;
+                  check (runs.(0) = 1) "completed job did not run exactly once"
+              | Expired ->
+                  saw_expired := true;
+                  check (runs.(0) = 0) "expired job ran anyway"
+              | _ -> failwith "impossible ticket state"))
     in
     check !saw_run "coverage: in-deadline run never explored";
     check !saw_expired "coverage: expiry drop never explored";
@@ -1029,45 +999,31 @@ let expire_vs_dequeue =
   }
 
 (* -- Scenario C3: a cancelled job racing shutdown. One job sits in a
-   lane with its token already set; the worker's drain (which would
-   drop it cancelled) races the shutdown drain (which rejects it).
-   Either drop is legal — the invariants are that exactly one wins,
-   the body never runs, and the lane ends empty. *)
+   lane with its token already set; the worker's drain (which drops it
+   cancelled) races the shutdown drain (which rejects it). Either drop
+   is legal — the invariants are that exactly one wins, the body never
+   runs, and the lane ends empty. *)
 let cancel_vs_shutdown =
   let run ~max_schedules =
     let saw_cancelled = ref false and saw_rejected = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let q = Iq.create ~capacity:2 ~dummy:(-1) () in
-          let claimed = Shadow_atomic.make false in
-          let tk = Shadow_atomic.make tk_pending in
-          let settle st =
-            if Shadow_atomic.compare_and_set claimed false true then
-              resolve tk st
-          in
-          (* unscheduled prefix: one job queued, its token already set *)
-          check (Iq.try_push q 0) "setup: push failed";
+          let t, tks, _ = one_job ~popped:false () in
+          let runs = [| 0 |] in
           Sched.spawn (fun () ->
-              (* worker drain: pop, observe the set token, drop *)
-              match Iq.try_pop q with
-              | Some 0 -> settle tk_cancelled
-              | Some _ -> failwith "popped a job nobody queued"
-              | None -> ());
+              Option.iter
+                (deliver t runs ~cancelled:(fun () -> true) ~expired:never)
+                (pop t));
           Sched.spawn (fun () ->
-              (* shutdown drain: pop, resolve rejected *)
-              match Iq.try_pop q with
-              | Some 0 -> settle tk_rejected
-              | Some _ -> failwith "popped a job nobody queued"
-              | None -> ());
+              Shadow_atomic.set t.stop true;
+              Ig.drain t ~lane:0);
           Sched.final (fun () ->
-              let st = Shadow_atomic.get tk in
-              check (st <> tk_pending) "cancel-vs-shutdown stranded the ticket";
-              check
-                (st = tk_cancelled || st = tk_rejected)
-                "impossible ticket state";
-              check (Iq.size q = 0) "lane not empty after the race";
-              if st = tk_cancelled then saw_cancelled := true
-              else saw_rejected := true))
+              settled_once t tks;
+              check (runs.(0) = 0) "cancelled job ran";
+              match Ig.peek tks.(0) with
+              | Cancelled -> saw_cancelled := true
+              | Rejected -> saw_rejected := true
+              | _ -> failwith "impossible ticket state"))
     in
     check !saw_cancelled "coverage: worker cancel-drop never won";
     check !saw_rejected "coverage: shutdown reject-drain never won";

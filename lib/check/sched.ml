@@ -66,6 +66,8 @@ let exec ~label ~write op =
   | None -> op () (* setup / final code: execute directly *)
   | Some _ -> Effect.perform (Op { label; write; op })
 
+let self () = match !current with Some t -> t.tid | None -> -1
+
 let relax () =
   match !current with None -> () | Some _ -> Effect.perform Relax
 

@@ -28,6 +28,9 @@ val exec : label:string -> write:bool -> (unit -> 'a) -> 'a
 (** Execute one shared-memory operation as a scheduling point. Called by
     {!Shadow_atomic}; outside exploration the operation runs directly. *)
 
+val self : unit -> int
+(** The calling thread's spawn index; [-1] outside a thread. *)
+
 val relax : unit -> unit
 (** Spin-wait hint: park the calling thread until another thread
     performs a write. A no-op outside exploration. *)

@@ -31,6 +31,7 @@ let fetch_and_add r n =
       r.v <- old + n;
       old)
 
+let unscheduled_add r n = r.v <- r.v + n
 let cpu_relax () = Sched.relax ()
 let is_padded _ = true
 let size_words _ = Wool_util.Layout.cache_line_words

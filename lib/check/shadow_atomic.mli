@@ -5,3 +5,7 @@
     production protocol bodies against this. *)
 
 include Wool_deque.Atomic_ops.S
+
+val unscheduled_add : int t -> int -> unit
+(** Add with no scheduling point: for counters whose updates commute
+    and which no checked thread reads. *)

@@ -111,10 +111,15 @@ val stolen_done : 'a t -> index:int -> bool
     Not meaningful after {!stolen_finished} (the owner's exchange may have
     consumed the DONE state); those joins are complete by construction. *)
 
+val hold : 'a t -> index:int -> unit
+(** After a thief-id join code, before the owner runs other tasks while
+    it waits: keep its pushes off the stolen slot until {!reclaim}, or
+    one could overwrite the thief's DONE. Owner only. *)
+
 val reclaim : 'a t -> index:int -> unit
 (** After a stolen join ({!stolen_finished}, or a thief id and
-    {!stolen_done}): pop the dead descriptor, moving [bot] down. Owner
-    only. *)
+    {!stolen_done}): pop the dead descriptor, moving [bot] down (and
+    [top] back to it after {!hold}). Owner only. *)
 
 type 'a steal_result =
   | Stolen_task of 'a * int

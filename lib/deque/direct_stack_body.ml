@@ -361,7 +361,12 @@ let[@inline] pop t =
 
 let stolen_done t ~index = A.get t.slots.(index).state = Ts.done_
 
+(* [pop] moved [top] down onto the stolen slot, where the thief's DONE
+   store lands; a waiting owner's pushes must go above it. *)
+let hold t ~index = t.own.top <- index + 1
+
 let reclaim t ~index =
+  t.own.top <- index;
   let slot = t.slots.(index) in
   A.set slot.state Ts.empty;
   slot.payload <- t.dummy;

@@ -1,0 +1,177 @@
+(* Protocol body for the ingress: ticket settlement and admission. Like
+   inject_queue_body.ml, this file is compiled with a build-generated
+   prelude binding [A] (the atomic backend), [Iq] (the injection lanes
+   compiled against that backend), [L] (ledger counter updates) and [W]
+   (waking blocked awaiters, pausing a waiting producer); keep it free of
+   direct [Atomic] use.
+
+   There is no interface file: the types below are the pool's API.
+
+   A ticket is one atomic state word, as a task descriptor is in the
+   paper (§III-A). Every way an admitted job ends — it ran, it was
+   cancelled or expired at dequeue, it was shed or drained at shutdown —
+   goes through [settle], whose one CAS from [Pending] to [Claimed]
+   decides the outcome exactly once, however many deliveries race it.
+   The winner bumps the ledger and decrements [inflight], and only then
+   publishes the final state: an awaiter woken by the publication sees
+   the ledger settled. *)
+
+type 'a state =
+  | Pending
+  | Claimed (* a settler won the claim and is publishing *)
+  | Done of ('a, exn * Printexc.raw_backtrace) result
+  | Rejected
+  | Cancelled
+  | Expired
+
+type 'a ticket = 'a state A.t
+
+(* A queued job: its body runs on a ['w], and it may carry a token. *)
+type ('w, 'c) job =
+  | J : {
+      fn : 'w -> 'a;
+      tk : 'a ticket;
+      deadline : int; (* absolute ns; [max_int] = none *)
+      token : 'c option;
+      enq_ns : int; (* submission time *)
+    }
+      -> ('w, 'c) job
+
+(* What the [note] hook hears, with the lane: an admitted push, a
+   refusal at admission, a queued job dropped unrun. *)
+type note = Admit | Refuse | Drop
+
+type ('w, 'c) t = {
+  lanes : ('w, 'c) job Iq.t array; (* [||] = ingress closed *)
+  stop : bool A.t; (* the pool's stop flag *)
+  note : int -> note -> unit; (* lane, event: the pool's trace/fault hook *)
+  submitted : int A.t;
+  admitted : int A.t;
+  rejected : int A.t; (* refused at admission *)
+  shed : int A.t; (* settled rejected after admission: shed or drained *)
+  completed : int A.t;
+  expired : int A.t;
+  cancelled : int A.t;
+  inflight : int A.t; (* admitted, not yet settled *)
+}
+
+let ticket () = A.make Pending
+
+let create ~lanes ~capacity ~note =
+  let dummy =
+    J
+      {
+        fn = (fun _ -> ());
+        tk = ticket ();
+        deadline = max_int;
+        token = None;
+        enq_ns = 0;
+      }
+  in
+  {
+    lanes = Array.init lanes (fun _ -> Iq.create ~capacity ~dummy ());
+    stop = A.make false;
+    note;
+    submitted = A.make 0;
+    admitted = A.make 0;
+    rejected = A.make 0;
+    shed = A.make 0;
+    completed = A.make 0;
+    expired = A.make 0;
+    cancelled = A.make 0;
+    inflight = A.make 0;
+  }
+
+(* The ticket as outsiders see it: a claim not yet published is still
+   pending. *)
+let peek tk = match A.get tk with Claimed -> Pending | s -> s
+
+(* Settle an admitted job's ticket with a final state if this call wins
+   its one claim; whether it did. The winner counts the state ([Rejected]
+   as shed), decrements [inflight], publishes, and wakes blocked
+   awaiters. *)
+let settle t tk s =
+  A.compare_and_set tk Pending Claimed
+  && begin
+       L.bump
+         (match s with
+         | Done _ -> t.completed
+         | Rejected -> t.shed
+         | Cancelled -> t.cancelled
+         | Expired -> t.expired
+         | Pending | Claimed -> invalid_arg "Ingress.settle: not a final state")
+         1;
+       L.bump t.inflight (-1);
+       A.set tk s;
+       W.wake ();
+       true
+     end
+
+(* Drop a popped job unrun: its ticket resolves rejected. Whoever pops a
+   job owns its settlement, so the claim cannot lose here. *)
+let drop t ~lane (J j) =
+  t.note lane Drop;
+  ignore (settle t j.tk Rejected : bool)
+
+let rec drain t ~lane =
+  match Iq.try_pop t.lanes.(lane) with
+  | Some job ->
+      drop t ~lane job;
+      drain t ~lane
+  | None -> ()
+
+(* A refusal at the door. The ticket was never shared, so it resolves by
+   a plain store, with no claim. *)
+let refuse t ~lane (J j) =
+  L.bump t.rejected 1;
+  A.set j.tk Rejected;
+  t.note lane Refuse;
+  false
+
+(* The admission sequence: stop check → push (applying [admission]
+   while the lane is full) → stop re-check → self-drain. [shedding] is
+   the Adaptive controller's verdict: refuse at the door while the lane
+   holds a backlog. *)
+let admit t ~lane ~(admission : Wool_policy.Admission.t) ~shedding job =
+  L.bump t.submitted 1;
+  if
+    A.get t.stop
+    || Array.length t.lanes = 0
+    || (shedding && Iq.size t.lanes.(lane) > 0)
+  then refuse t ~lane job
+  else begin
+    let q = t.lanes.(lane) in
+    (* count in flight before the push: a worker could pop and settle
+       the job before a post-push increment *)
+    L.bump t.inflight 1;
+    let rec push tries =
+      Iq.try_push q job
+      ||
+      match admission with
+      | Reject | Adaptive -> false
+      | Block ->
+          (not (A.get t.stop))
+          && begin
+               W.pause tries;
+               push (tries + 1)
+             end
+      | Shed_oldest ->
+          (not (A.get t.stop))
+          && begin
+               Option.iter (drop t ~lane) (Iq.try_pop q);
+               push (tries + 1)
+             end
+    in
+    if push 0 then begin
+      L.bump t.admitted 1;
+      t.note lane Admit;
+      (* if [stop] was set after our push, shutdown's drain may already
+         be done and no worker will pop again: drain the lane here *)
+      if A.get t.stop then drain t ~lane;
+      true
+    end
+    else begin
+      L.bump t.inflight (-1);
+      refuse t ~lane job
+    end
+  end

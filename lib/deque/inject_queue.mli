@@ -32,6 +32,3 @@ val try_pop : 'a t -> 'a option
 
 val size : 'a t -> int
 (** Instantaneous occupancy estimate (racy; for reporting only). *)
-
-val capacity : 'a t -> int
-(** The actual (power-of-two) capacity. *)

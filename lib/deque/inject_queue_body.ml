@@ -42,8 +42,6 @@ let create ?(capacity = 64) ~dummy () =
     deq = A.make_padded 0;
   }
 
-let capacity t = t.mask + 1
-
 let rec try_push t v =
   let pos = A.get t.enq in
   let cell = t.cells.(pos land t.mask) in

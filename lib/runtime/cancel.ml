@@ -6,10 +6,10 @@
    observes the flag itself via [is_set]/[check] (or implicitly at every
    spawn through the worker's ambient token, see {!Pool.spawn}).
 
-   The token carries no settlement state of its own: ticket resolution
-   stays with the first-writer-wins machinery in the pool, so
-   cancel-vs-complete races are decided exactly once, even when the
-   [Dup] drain fault delivers a job twice. *)
+   The token carries no settlement state of its own: the ticket's one
+   CAS claim ([Wool_deque.Ingress.settle]) decides cancel-vs-complete
+   races exactly once, even when the [Dup] drain fault delivers a job
+   twice. *)
 
 type t = bool Atomic.t
 

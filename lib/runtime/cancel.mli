@@ -10,9 +10,9 @@
     - a body already running polls the token ({!is_set} / {!check}), and
       every {!Pool.spawn} in the submission's task tree checks the
       worker's ambient token for free;
-    - settlement is first-writer-wins (the ticket dedupe), so a cancel
-      racing a completion resolves the ticket exactly once in every
-      mode.
+    - settlement is one CAS claim on the ticket's state word, so a
+      cancel racing a completion resolves the ticket exactly once in
+      every mode.
 
     Cancellation is cooperative: a body that never polls simply runs to
     completion (and then the completion wins the settlement). One token

@@ -2,6 +2,7 @@ module Ds = Wool_deque.Direct_stack
 module Locked_deque = Wool_deque.Locked_deque
 module Chase_lev = Wool_deque.Chase_lev
 module Inject_queue = Wool_deque.Inject_queue
+module Ingress = Wool_deque.Ingress
 module Ring = Wool_trace.Ring
 module Event = Wool_trace.Event
 module Select = Wool_policy.Select
@@ -301,7 +302,6 @@ and pool = {
   trace_on : bool;
   faults : Fault.Plan.t option;
   mutable workers : worker array;
-  stop : bool Atomic.t;
   mutable domains : unit Domain.t list;
   (* lifecycle + watchdog *)
   mutable stopped : bool;
@@ -320,41 +320,20 @@ and pool = {
       (* EWMA of observed lane-sojourn times (ns), updated by draining
          workers with racy read-modify-writes — a lost update only slows
          the controller by one sample, so no CAS loop on the drain path *)
-  lanes : injected Inject_queue.t array; (* [||] = ingress closed *)
   next_lane : int Atomic.t; (* producer round-robin cursor *)
-  inflight : int Atomic.t; (* admitted and not yet resolved *)
-  ingress : ingress;
+  ingress : (worker, Cancel.t) Ingress.t;
+      (* the lanes, the ledger, and the pool's stop flag, which admission
+         re-checks *)
+  probe : probe;
 }
 
-(* A queued external job. [ij_run] executes it on a worker and resolves
-   its ticket; [ij_drop] resolves the ticket rejected without running —
-   the shed / shutdown-drain path; [ij_cancel]/[ij_expire] resolve it
-   cancelled/expired without running — the lifecycle drops a draining
-   worker takes when the job's token is set or its deadline has passed.
-   Exactly one of the four is called, by whoever pops the element. *)
-and injected = {
-  ij_run : worker -> unit;
-  ij_drop : unit -> unit;
-  ij_cancel : unit -> unit;
-  ij_expire : unit -> unit;
-  ij_deadline : int; (* absolute ns; [max_int] = none *)
-  ij_token : Cancel.t option;
-  ij_enq_ns : int; (* submission time, for the Adaptive sojourn EWMA *)
-}
-
-(* Producer-side shared state. The counters are atomics (the submit path
-   must stay lock-free across producer domains); the mutex guards only
-   the trace ring and the fault injector — both cold, gated by the same
-   immutable on/off discipline as the per-worker instrumentation. *)
-and ingress = {
-  ig_submitted : int Atomic.t;
-  ig_admitted : int Atomic.t;
-  ig_rejected : int Atomic.t; (* refused at admission (incl. shutdown) *)
-  ig_shed : int Atomic.t; (* dropped after admission: shed or drained *)
-  ig_done : int Atomic.t; (* settled completed (ran to a result) *)
-  ig_expired : int Atomic.t; (* settled expired: deadline passed unrun *)
-  ig_cancelled : int Atomic.t; (* settled cancelled (before or mid-run) *)
+(* Producer-side instrumentation: one trace ring and one fault injector
+   shared by every producer domain. The mutex guards only these two —
+   both cold, gated by the same immutable on/off discipline as the
+   per-worker instrumentation. *)
+and probe = {
   ig_lock : Mutex.t;
+  ig_trace : bool;
   ig_ring : Ring.t; (* Submit/Admit/Reject, stamped worker = nworkers *)
   ig_fl_on : bool;
   ig_inj : Fault.Injector.t;
@@ -375,22 +354,7 @@ and packed = P : 'a future -> packed [@@unboxed]
 type t = pool
 type ctx = worker
 
-(* External-submission ticket: producer-side handle on one injected job.
-   Resolution is exactly-once (first writer wins under the mutex); the
-   condition lets [await] block producers that have no worker to help
-   on. *)
-type 'a ticket = {
-  tk_mutex : Mutex.t;
-  tk_cond : Condition.t;
-  mutable tk_state : 'a tk_state; (* guarded by [tk_mutex] *)
-}
-
-and 'a tk_state =
-  | Tk_pending
-  | Tk_done of ('a, exn * Printexc.raw_backtrace) result
-  | Tk_rejected
-  | Tk_cancelled
-  | Tk_expired
+type 'a ticket = 'a Ingress.ticket
 
 exception Submission_rejected
 exception Submission_expired
@@ -400,16 +364,6 @@ let dummy_task (_ : worker) = ()
 let dummy_packed = P { fn = dummy_task; value = None; index = -1; owner_id = -1 }
 let dummy_child = { pc_task = dummy_packed; pc_completed = Atomic.make true }
 
-let dummy_injected =
-  {
-    ij_run = dummy_task;
-    ij_drop = Fun.id;
-    ij_cancel = Fun.id;
-    ij_expire = Fun.id;
-    ij_deadline = max_int;
-    ij_token = None;
-    ij_enq_ns = 0;
-  }
 
 let[@inline] record w tag ~a ~b =
   Ring.record w.ring ~ts:(Wool_util.Clock.now_ns ()) ~tag ~a ~b
@@ -464,16 +418,14 @@ let fault_steal_pre w =
    (gated on the immutable [trace_on] / [ig_fl_on] bools), so the lock
    never appears in an untraced, unfaulted submit. *)
 
-let ig_record pool tag ~a ~b =
-  if pool.trace_on then begin
-    let ig = pool.ingress in
+let ig_record ig tag ~a ~b =
+  if ig.ig_trace then begin
     Mutex.lock ig.ig_lock;
     Ring.record ig.ig_ring ~ts:(Wool_util.Clock.now_ns ()) ~tag ~a ~b;
     Mutex.unlock ig.ig_lock
   end
 
-let ig_fault pool site =
-  let ig = pool.ingress in
+let ig_fault ig site =
   if ig.ig_fl_on then begin
     Mutex.lock ig.ig_lock;
     let k = Fault.Injector.fire ig.ig_inj site in
@@ -483,6 +435,15 @@ let ig_fault pool site =
     | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) -> Fault.Injector.spin n
     | Some _ | None -> ()
   end
+
+(* The ingress body's trace/fault hook. The [Admit] fault site sits
+   between a push and the stop re-check, stretching the window a racing
+   shutdown must not slip through. *)
+let ig_note ig lane = function
+  | Ingress.Admit ->
+      ig_fault ig Fault.Site.Admit;
+      ig_record ig Event.Admit ~a:lane ~b:(-1)
+  | Ingress.Refuse | Ingress.Drop -> ig_record ig Event.Reject ~a:lane ~b:(-1)
 
 let nap pool ~factor =
   if pool.idle_nap_ns > 0 then
@@ -537,93 +498,6 @@ let select_victim w =
   match Select.next w.sel ~rng:w.rng ~n:(Array.length w.pool.workers) with
   | None -> None
   | Some v -> Some w.pool.workers.(v)
-
-(* Run an admitted job on [w]: [ij_run], counted and traced as an
-   executed injected job, twice when [dup] (the [Dup] drain fault, which
-   turns a drain into an at-least-once delivery the ticket layer's
-   first-writer-wins resolution must absorb). *)
-let exec_injected w ij ~lane ~dup =
-  w.hot.n_injected <- w.hot.n_injected + 1;
-  if w.tr_on then record w Event.Dequeue_injected ~a:lane ~b:(-1);
-  match ij.ij_token with
-  | Some _ as tok ->
-      (* expose the job's token to its whole task tree: every [spawn]
-         under it checks the ambient token. [ij_run] never raises (the
-         body's outcome is settled into the ticket), so a plain
-         save/restore suffices. *)
-      let saved = w.hot.ambient_cancel in
-      w.hot.ambient_cancel <- tok;
-      ij.ij_run w;
-      if dup then ij.ij_run w;
-      w.hot.ambient_cancel <- saved
-  | None ->
-      ij.ij_run w;
-      if dup then ij.ij_run w
-
-(* Try to pop one injected job off the pool's ingress lanes and run it.
-   Called only from the idle loop — after the worker has run out of local
-   work, before it turns to remote steals — so the private-task fast path
-   never sees the lanes. Workers start their scan at a different lane
-   each ([id]-staggered) to spread drain pressure. *)
-let drain_injected w =
-  let pool = w.pool in
-  let nl = Array.length pool.lanes in
-  if nl = 0 then false
-  else begin
-    let dup =
-      w.fl_on
-      &&
-      match Fault.Injector.fire w.inj Fault.Site.Drain with
-      | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-          Fault.Injector.spin n;
-          false
-      | Some Fault.Kind.Dup -> true
-      | Some _ | None -> false
-    in
-    let rec scan i =
-      if i >= nl then false
-      else begin
-        let lane = if nl = 1 then 0 else (w.id + i) mod nl in
-        match Inject_queue.try_pop pool.lanes.(lane) with
-        | Some ij ->
-            (* Lifecycle drops come first: a cancelled or expired job is
-               settled here without running — and without a
-               [Dequeue_injected] event or an [n_injected] bump, both of
-               which the trace oracle equates with executions. The
-               [Cancel]/[Expire] fault sites sit between the pop and the
-               respective check, stretching the race window between a
-               late canceller (or a ticking clock) and this worker. *)
-            if pool.adaptive then begin
-              (* racy EWMA (alpha = 1/4): a lost update costs one sample,
-                 which the controller tolerates by design. Every pop
-                 feeds it — a job dropped below for sitting past its
-                 deadline is the loudest overload signal there is. *)
-              let wait = Wool_util.Clock.now_ns () - ij.ij_enq_ns in
-              let e = Atomic.get pool.adm_wait_ewma in
-              Atomic.set pool.adm_wait_ewma (e + ((wait - e) asr 2))
-            end;
-            let cancelled =
-              match ij.ij_token with
-              | Some c ->
-                  if w.fl_on then fault_delay w Fault.Site.Cancel;
-                  Cancel.is_set c
-              | None -> false
-            in
-            if cancelled then ij.ij_cancel ()
-            else if
-              ij.ij_deadline <> max_int
-              && begin
-                   if w.fl_on then fault_delay w Fault.Site.Expire;
-                   Wool_util.Clock.now_ns () > ij.ij_deadline
-                 end
-            then ij.ij_expire ()
-            else exec_injected w ij ~lane ~dup;
-            true
-        | None -> scan (i + 1)
-      end
-    in
-    scan 0
-  end
 
 let value_exn fut =
   match fut.value with
@@ -764,6 +638,7 @@ and steal_queued w ~victim =
    work we would have executed ourselves had there been no steal. *)
 and leapfrog w ~victim_id ~index =
   let victim = w.pool.workers.(victim_id) in
+  Ds.hold w.dstack ~index;
   while not (Ds.stolen_done w.dstack ~index) do
     w.hot.progress <- w.hot.progress + 1;
     if w.fl_on then fault_delay w Fault.Site.Leapfrog;
@@ -800,8 +675,103 @@ and steal_idle w =
         end;
         ran
 
+(* Try to pop one injected job off the pool's ingress lanes and run it.
+   Called only from the idle loop — after the worker has run out of local
+   work, before it turns to remote steals — so the private-task fast path
+   never sees the lanes. Workers start their scan at a different lane
+   each ([id]-staggered) to spread drain pressure. *)
+and drain_injected w =
+  let pool = w.pool in
+  let lanes = pool.ingress.lanes in
+  let nl = Array.length lanes in
+  if nl = 0 then false
+  else begin
+    let dup =
+      w.fl_on
+      &&
+      match Fault.Injector.fire w.inj Fault.Site.Drain with
+      | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
+          Fault.Injector.spin n;
+          false
+      | Some Fault.Kind.Dup -> true
+      | Some _ | None -> false
+    in
+    let rec scan i =
+      if i >= nl then false
+      else begin
+        let lane = if nl = 1 then 0 else (w.id + i) mod nl in
+        match Inject_queue.try_pop lanes.(lane) with
+        | Some (J j as job) ->
+            (* Lifecycle drops come first: a cancelled or expired job is
+               settled here without running — and without a
+               [Dequeue_injected] event or an [n_injected] bump, both of
+               which the trace oracle equates with executions. The
+               [Cancel]/[Expire] fault sites sit between the pop and the
+               respective check, stretching the race window between a
+               late canceller (or a ticking clock) and this worker. *)
+            if pool.adaptive then begin
+              (* racy EWMA (alpha = 1/4): a lost update costs one sample,
+                 which the controller tolerates by design. Every pop
+                 feeds it — a job dropped below for sitting past its
+                 deadline is the loudest overload signal there is. *)
+              let wait = Wool_util.Clock.now_ns () - j.enq_ns in
+              let e = Atomic.get pool.adm_wait_ewma in
+              Atomic.set pool.adm_wait_ewma (e + ((wait - e) asr 2))
+            end;
+            let cancelled =
+              match j.token with
+              | Some c ->
+                  if w.fl_on then fault_delay w Fault.Site.Cancel;
+                  Cancel.is_set c
+              | None -> false
+            in
+            if cancelled then
+              ignore (Ingress.settle pool.ingress j.tk Cancelled : bool)
+            else if
+              j.deadline <> max_int
+              && begin
+                   if w.fl_on then fault_delay w Fault.Site.Expire;
+                   Wool_util.Clock.now_ns () > j.deadline
+                 end
+            then ignore (Ingress.settle pool.ingress j.tk Expired : bool)
+            else exec_job w job ~lane ~dup;
+            true
+        | None -> scan (i + 1)
+      end
+    in
+    scan 0
+  end
+
+(* Run a job on [w] and settle its ticket; never raises. It runs twice
+   when [dup] (the [Dup] drain fault: an at-least-once delivery that the
+   ticket's one claim must absorb). Its token is the ambient token of
+   its task tree, which every [spawn] checks. As in [run_body], a job
+   that raises first unwinds its own spawns; a [Cancel.Cancelled]
+   escaping the body settles the ticket cancelled, not failed. *)
+and exec_job w (J j) ~lane ~dup =
+  w.hot.n_injected <- w.hot.n_injected + 1;
+  if w.tr_on then record w Event.Dequeue_injected ~a:lane ~b:(-1);
+  let saved = w.hot.ambient_cancel in
+  w.hot.ambient_cancel <- j.token;
+  for _ = 0 to Bool.to_int dup do
+    let mark = mark w in
+    let outcome =
+      match j.fn w with
+      | v -> Ingress.Done (Ok v)
+      | exception Cancel.Cancelled ->
+          unwind w ~mark;
+          Ingress.Cancelled
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          unwind w ~mark;
+          Ingress.Done (Error (e, bt))
+    in
+    ignore (Ingress.settle w.pool.ingress j.tk outcome : bool)
+  done;
+  w.hot.ambient_cancel <- saved
+
 let worker_loop w =
-  while not (Atomic.get w.pool.stop) do
+  while not (Atomic.get w.pool.ingress.stop) do
     ignore (steal_idle w : bool)
   done
 
@@ -930,315 +900,13 @@ let policy pool = pool.policy
 let policy_name pool = Wool_policy.name pool.policy
 let pool_of_ctx w = w.pool
 
-(* ---- the ingress path (external submission) ---- *)
-
-let make_ticket () =
-  {
-    tk_mutex = Mutex.create ();
-    tk_cond = Condition.create ();
-    tk_state = Tk_pending;
-  }
-
-(* First resolution wins; later calls are no-ops. Returns whether this
-   call was the winner (so counters are bumped exactly once). *)
-let tk_resolve tk st =
-  Mutex.lock tk.tk_mutex;
-  let won = match tk.tk_state with Tk_pending -> true | _ -> false in
-  if won then begin
-    tk.tk_state <- st;
-    Condition.broadcast tk.tk_cond
-  end;
-  Mutex.unlock tk.tk_mutex;
-  won
-
-let tk_read tk =
-  Mutex.lock tk.tk_mutex;
-  let st = tk.tk_state in
-  Mutex.unlock tk.tk_mutex;
-  st
-
-let await_ticket tk =
-  Mutex.lock tk.tk_mutex;
-  while match tk.tk_state with Tk_pending -> true | _ -> false do
-    Condition.wait tk.tk_cond tk.tk_mutex
-  done;
-  let st = tk.tk_state in
-  Mutex.unlock tk.tk_mutex;
-  match st with
-  | Tk_done (Ok v) -> v
-  | Tk_done (Error (e, bt)) ->
-      (* re-raise at the awaiter with the backtrace captured where the
-         injected body originally raised — on whichever worker ran it *)
-      Printexc.raise_with_backtrace e bt
-  | Tk_rejected -> raise Submission_rejected
-  | Tk_cancelled -> raise Cancel.Cancelled
-  | Tk_expired -> raise Submission_expired
-  | Tk_pending -> assert false
-
-let poll_ticket tk =
-  match tk_read tk with
-  | Tk_pending -> `Pending
-  | Tk_done (Ok v) -> `Done (Ok v)
-  | Tk_done (Error (e, _)) -> `Done (Error e)
-  | Tk_rejected -> `Rejected
-  | Tk_cancelled -> `Cancelled
-  | Tk_expired -> `Expired
-
-(* Timed await: OCaml's [Condition] has no timed wait, so this is a poll
-   loop with exponentially growing naps (1µs → 1ms cap) — cheap enough
-   for producer-side timeouts, which are milliseconds by nature. *)
-let await_until_ticket tk ~deadline =
-  let rec go nap =
-    match tk_read tk with
-    | Tk_pending ->
-        if Wool_util.Clock.now_ns () >= deadline then None
-        else begin
-          Unix.sleepf (float_of_int nap *. 1e-9);
-          go (min (nap * 2) 1_000_000)
-        end
-    | st -> Some st
-  in
-  match go 1_000 with
-  | None -> None
-  | Some (Tk_done (Ok v)) -> Some v
-  | Some (Tk_done (Error (e, bt))) -> Printexc.raise_with_backtrace e bt
-  | Some Tk_rejected -> raise Submission_rejected
-  | Some Tk_cancelled -> raise Cancel.Cancelled
-  | Some Tk_expired -> raise Submission_expired
-  | Some Tk_pending -> assert false
-
-let await_for_ticket tk span_s =
-  await_until_ticket tk
-    ~deadline:(Wool_util.Clock.now_ns () + int_of_float (span_s *. 1e9))
-
-(* The queued form of one submission. [ij_run] uses the same
-   mark/unwind discipline as [run_body]: an injected job that raises
-   must not leave its own spawns orphaned on the worker that ran it. *)
-let injected_of ?(deadline = max_int) ?cancel pool (fn : worker -> 'a)
-    (tk : 'a ticket) =
-  (* Settlement is claimed exactly once even if the job itself runs more
-     than once (the [Dup] drain fault): a duplicate completion must
-     neither decrement [inflight] twice nor re-resolve the ticket —
-     [await]/[poll] observe the first result only. Cancellation and
-     expiry ride the same machinery: whichever of {completion, cancel,
-     expire, drop} claims first decides the outcome, in every mode. *)
-  let claimed = Atomic.make false in
-  let settle st =
-    if not (Atomic.exchange claimed true) then begin
-      (match st with
-      | Tk_done _ -> Atomic.incr pool.ingress.ig_done
-      | Tk_cancelled -> Atomic.incr pool.ingress.ig_cancelled
-      | Tk_expired -> Atomic.incr pool.ingress.ig_expired
-      | Tk_pending | Tk_rejected -> ());
-      (* decrement BEFORE resolving: an awaiter unblocked by the ticket
-         must already see the pool's in-flight count settled, or a
-         quiescence check right after [await] reads a phantom in-flight
-         submission *)
-      Atomic.decr pool.inflight;
-      ignore (tk_resolve tk st : bool)
-    end
-  in
-  let run wk =
-    let mark = mark wk in
-    match fn wk with
-    | v -> settle (Tk_done (Ok v))
-    | exception Cancel.Cancelled ->
-        (* the cooperative path: a body (or one of its spawns, via the
-           ambient token) observed its cancellation — that is a settled
-           cancel, not a task failure *)
-        unwind wk ~mark;
-        settle Tk_cancelled
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        unwind wk ~mark;
-        settle (Tk_done (Error (e, bt)))
-  in
-  let drop () = settle Tk_rejected in
-  {
-    ij_run = run;
-    ij_drop = drop;
-    ij_cancel = (fun () -> settle Tk_cancelled);
-    ij_expire = (fun () -> settle Tk_expired);
-    ij_deadline = deadline;
-    ij_token = cancel;
-    ij_enq_ns = Wool_util.Clock.now_ns ();
-  }
+(* ---- the ingress path (external submission): [Submit] maps the
+   public surface onto [Ingress], the model-checked protocol body ---- *)
 
 let lane_of pool =
-  let nl = Array.length pool.lanes in
+  let nl = Array.length pool.ingress.lanes in
   if nl <= 1 then 0
   else Atomic.fetch_and_add pool.next_lane 1 land max_int mod nl
-
-(* Pop-and-drop everything in [lane]. Runs after [stop] is set: every
-   element left is an admitted job no worker will take, so its ticket
-   must resolve rejected. Racing poppers (a worker not yet stopped,
-   another draining submitter) are fine — whoever pops an element owns
-   its resolution. *)
-let drain_lane_reject pool lane =
-  let q = pool.lanes.(lane) in
-  let rec go () =
-    match Inject_queue.try_pop q with
-    | Some ij ->
-        Atomic.incr pool.ingress.ig_shed;
-        ig_record pool Event.Reject ~a:lane ~b:(-1);
-        ij.ij_drop ();
-        go ()
-    | None -> ()
-  in
-  go ()
-
-let stopping pool = pool.stopped || Atomic.get pool.stop
-
-let reject_at_admission pool tk ~lane =
-  if tk_resolve tk Tk_rejected then begin
-    Atomic.incr pool.ingress.ig_rejected;
-    ig_record pool Event.Reject ~a:lane ~b:(-1)
-  end
-
-(* Post-admission bookkeeping shared by every admitting path, including
-   the shutdown re-check: if [stop] was set after our push, the worker
-   domains may already be gone, so the submitter drains (and rejects)
-   the lane itself — this is what makes submit-vs-shutdown hang-free. *)
-let admitted_post pool ~lane =
-  Atomic.incr pool.ingress.ig_admitted;
-  ig_record pool Event.Admit ~a:lane ~b:(-1);
-  if stopping pool then drain_lane_reject pool lane
-
-(* Producer-side wait step for [Block] admission on a full lane: yield
-   the timeslice every few spins so the draining workers actually run
-   (essential on over-subscribed hosts). *)
-let block_wait tries =
-  if tries land 63 = 63 then Unix.sleepf 0. else Domain.cpu_relax ()
-
-let submit_one ?deadline ?cancel pool ~lane ~batch fn =
-  let tk = make_ticket () in
-  Atomic.incr pool.ingress.ig_submitted;
-  ig_fault pool Fault.Site.Submit;
-  ig_record pool Event.Submit ~a:lane ~b:batch;
-  if stopping pool || Array.length pool.lanes = 0 then
-    reject_at_admission pool tk ~lane
-  else if
-    (* Adaptive early shed: while the observed sojourn latency is above
-       target and a backlog exists, refuse new work at the door — the
-       backlog drains back under target before fresh jobs may join it.
-       The occupancy guard keeps an idle pool admitting even right after
-       a latency spike (the EWMA decays only on dequeues). *)
-    pool.adaptive
-    && Atomic.get pool.adm_wait_ewma > pool.adm_target_ns
-    && Inject_queue.size pool.lanes.(lane) > 0
-  then reject_at_admission pool tk ~lane
-  else begin
-    let ij = injected_of ?deadline ?cancel pool fn tk in
-    let q = pool.lanes.(lane) in
-    (* count in-flight before the push: a worker could pop and finish
-       (decrementing) before a post-push increment happened *)
-    Atomic.incr pool.inflight;
-    let admitted =
-      if Inject_queue.try_push q ij then true
-      else
-        match pool.admission with
-        | Reject | Adaptive -> false
-        | Block ->
-            let rec wait tries =
-              if stopping pool then false
-              else if Inject_queue.try_push q ij then true
-              else begin
-                block_wait tries;
-                wait (tries + 1)
-              end
-            in
-            wait 0
-        | Shed_oldest ->
-            let rec shed () =
-              if stopping pool then false
-              else begin
-                (match Inject_queue.try_pop q with
-                | Some victim ->
-                    Atomic.incr pool.ingress.ig_shed;
-                    ig_record pool Event.Reject ~a:lane ~b:(-1);
-                    victim.ij_drop ()
-                | None -> ());
-                if Inject_queue.try_push q ij then true else shed ()
-              end
-            in
-            shed ()
-    in
-    ig_fault pool Fault.Site.Admit;
-    if admitted then admitted_post pool ~lane
-    else begin
-      Atomic.decr pool.inflight;
-      reject_at_admission pool tk ~lane
-    end
-  end;
-  tk
-
-let submit ?deadline ?cancel pool fn =
-  submit_one ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1) fn
-
-(* One lane pick for the whole batch: consecutive elements land in the
-   same lane, so a draining worker takes them without re-probing. *)
-let submit_batch ?deadline ?cancel pool fns =
-  let lane = lane_of pool in
-  let n = List.length fns in
-  List.map (fun fn -> submit_one ?deadline ?cancel pool ~lane ~batch:n fn) fns
-
-let try_submit ?deadline ?cancel pool fn =
-  let lane = lane_of pool in
-  Atomic.incr pool.ingress.ig_submitted;
-  ig_fault pool Fault.Site.Submit;
-  ig_record pool Event.Submit ~a:lane ~b:(-1);
-  if
-    stopping pool
-    || Array.length pool.lanes = 0
-    || (pool.adaptive
-       && Atomic.get pool.adm_wait_ewma > pool.adm_target_ns
-       && Inject_queue.size pool.lanes.(lane) > 0)
-  then begin
-    Atomic.incr pool.ingress.ig_rejected;
-    ig_record pool Event.Reject ~a:lane ~b:(-1);
-    None
-  end
-  else begin
-    let tk = make_ticket () in
-    let ij = injected_of ?deadline ?cancel pool fn tk in
-    Atomic.incr pool.inflight;
-    if Inject_queue.try_push pool.lanes.(lane) ij then begin
-      ig_fault pool Fault.Site.Admit;
-      admitted_post pool ~lane;
-      Some tk
-    end
-    else begin
-      Atomic.decr pool.inflight;
-      Atomic.incr pool.ingress.ig_rejected;
-      ig_record pool Event.Reject ~a:lane ~b:(-1);
-      None
-    end
-  end
-
-(* Retry a rejected admission with exponential backoff and seed-derived
-   jitter. Only a synchronously-rejected ticket retries (admission under
-   [Reject]/[Adaptive] resolves before [submit] returns); anything the
-   pool actually admitted is returned as-is, and a stopping pool cuts
-   the loop short. Deterministic for a given seed — the jitter stream is
-   a private [Rng], not wall-clock noise. *)
-let submit_retry ?deadline ?cancel ?(attempts = 4) ?(backoff_ns = 200_000)
-    ?(seed = 0) pool fn =
-  if attempts < 1 then
-    invalid_arg "Wool.Submit.submit_retry: attempts must be at least 1";
-  let rng = Wool_util.Rng.make (seed lxor 0x5EED5) in
-  let rec go k =
-    let tk =
-      submit_one ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1) fn
-    in
-    match tk_read tk with
-    | Tk_rejected when k + 1 < attempts && not (stopping pool) ->
-        let base = backoff_ns * (1 lsl min k 20) in
-        let jitter = Wool_util.Rng.int rng ((base / 2) + 1) in
-        Unix.sleepf (float_of_int (base + jitter) *. 1e-9);
-        go (k + 1)
-    | _ -> tk
-  in
-  go 0
 
 module Submit = struct
   type nonrec 'a ticket = 'a ticket
@@ -1247,17 +915,130 @@ module Submit = struct
   exception Expired = Submission_expired
   exception Cancelled = Cancel.Cancelled
 
-  let submit = submit
-  let try_submit = try_submit
-  let submit_batch = submit_batch
-  let submit_retry = submit_retry
-  let await = await_ticket
-  let await_for = await_for_ticket
-  let await_until = await_until_ticket
-  let poll = poll_ticket
+  (* A settled ticket as [await], [await_until] and [run] report it; a
+     job's exception is re-raised with the backtrace of its raise. *)
+  let outcome : 'a Ingress.state -> 'a = function
+    | Done (Ok v) -> v
+    | Done (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Rejected -> raise Submission_rejected
+    | Cancelled -> raise Cancel.Cancelled
+    | Expired -> raise Submission_expired
+    | Pending | Claimed -> invalid_arg "Wool: ticket not settled"
 
+  let await tk =
+    match Ingress.peek tk with
+    | Pending | Claimed ->
+        Ingress.W.block (fun () -> Ingress.peek tk == Pending);
+        outcome (Ingress.peek tk)
+    | st -> outcome st
+
+  let poll tk =
+    match Ingress.peek tk with
+    | Done (Ok v) -> `Done (Ok v)
+    | Done (Error (e, _)) -> `Done (Error e)
+    | Rejected -> `Rejected
+    | Cancelled -> `Cancelled
+    | Expired -> `Expired
+    | Pending | Claimed -> `Pending
+
+  (* Timed await: OCaml's [Condition] has no timed wait, so this is a
+     poll loop with exponentially growing naps (1µs → 1ms cap) — cheap
+     enough for producer-side timeouts, which are milliseconds by
+     nature. *)
+  let await_until tk ~deadline =
+    let rec go nap =
+      match Ingress.peek tk with
+      | Pending | Claimed ->
+          if Wool_util.Clock.now_ns () >= deadline then None
+          else begin
+            Unix.sleepf (float_of_int nap *. 1e-9);
+            go (min (nap * 2) 1_000_000)
+          end
+      | st -> Some (outcome st)
+    in
+    go 1_000
+
+  (* [int_of_float] is undefined past [max_int], so the span saturates
+     first: past 2^61 ns (73 years), and at [infinity], the deadline is
+     [max_int] — none. *)
   let deadline_in span_s =
-    Wool_util.Clock.now_ns () + int_of_float (span_s *. 1e9)
+    if Float.is_nan span_s then invalid_arg "Wool.Submit: the span is NaN";
+    let ns = span_s *. 1e9 in
+    if ns >= 0x1p61 then max_int
+    else Wool_util.Clock.now_ns () + int_of_float (Float.max ns (-0x1p61))
+
+  let await_for tk span_s = await_until tk ~deadline:(deadline_in span_s)
+
+  (* One submission through [Ingress.admit]; whether it was admitted.
+     The Adaptive early shed refuses at the door while the observed
+     sojourn latency is above target and the lane holds a backlog: the
+     backlog drains back under target before fresh jobs may join it, and
+     the backlog guard keeps an idle pool admitting even right after a
+     latency spike (the EWMA decays only on dequeues). *)
+  let admit ?(deadline = max_int) ?cancel pool ~lane ~batch ~admission tk fn =
+    ig_fault pool.probe Fault.Site.Submit;
+    ig_record pool.probe Event.Submit ~a:lane ~b:batch;
+    Ingress.admit pool.ingress ~lane ~admission
+      ~shedding:
+        (pool.adaptive && Atomic.get pool.adm_wait_ewma > pool.adm_target_ns)
+      (J
+         {
+           fn;
+           tk;
+           deadline;
+           token = cancel;
+           enq_ns = Wool_util.Clock.now_ns ();
+         })
+
+  let submit_on ?deadline ?cancel pool ~lane ~batch fn =
+    let tk = Ingress.ticket () in
+    let admission = pool.admission in
+    ignore (admit ?deadline ?cancel pool ~lane ~batch ~admission tk fn);
+    tk
+
+  let submit ?deadline ?cancel pool fn =
+    submit_on ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1) fn
+
+  (* One lane pick for the whole batch: consecutive elements land in the
+     same lane, so a draining worker takes them without re-probing. *)
+  let submit_batch ?deadline ?cancel pool fns =
+    let lane = lane_of pool and batch = List.length fns in
+    List.map (submit_on ?deadline ?cancel pool ~lane ~batch) fns
+
+  (* One-shot admission is admission under [Reject]. *)
+  let try_submit ?deadline ?cancel pool fn =
+    let tk = Ingress.ticket () in
+    if
+      admit ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1)
+        ~admission:Reject tk fn
+    then Some tk
+    else None
+
+  (* Retry a rejected admission with exponential backoff and
+     seed-derived jitter. Only a synchronously-rejected ticket retries
+     (admission under [Reject]/[Adaptive] resolves before [submit]
+     returns); anything the pool actually admitted is returned as-is,
+     and a stopping pool cuts the loop short. Deterministic for a given
+     seed — the jitter stream is a private [Rng], not wall-clock
+     noise. *)
+  let submit_retry ?deadline ?cancel ?(attempts = 4) ?(backoff_ns = 200_000)
+      ?(seed = 0) pool fn =
+    if attempts < 1 then
+      invalid_arg "Wool.Submit.submit_retry: attempts must be at least 1";
+    let rng = Wool_util.Rng.make (seed lxor 0x5EED5) in
+    let rec go k =
+      let tk = submit ?deadline ?cancel pool fn in
+      match Ingress.peek tk with
+      | Rejected
+        when k + 1 < attempts
+             && not (pool.stopped || Atomic.get pool.ingress.stop) ->
+          let base = backoff_ns * (1 lsl min k 20) in
+          let jitter = Wool_util.Rng.int rng ((base / 2) + 1) in
+          Unix.sleepf (float_of_int (base + jitter) *. 1e-9);
+          go (k + 1)
+      | _ -> tk
+    in
+    go 0
 end
 
 type ingress_stats = {
@@ -1274,17 +1055,17 @@ type ingress_stats = {
 let ingress_stats pool =
   let ig = pool.ingress in
   {
-    submitted = Atomic.get ig.ig_submitted;
-    admitted = Atomic.get ig.ig_admitted;
-    rejected = Atomic.get ig.ig_rejected;
-    shed = Atomic.get ig.ig_shed;
+    submitted = Atomic.get ig.submitted;
+    admitted = Atomic.get ig.admitted;
+    rejected = Atomic.get ig.rejected;
+    shed = Atomic.get ig.shed;
     (* settlement-based, not drain-based: a job cancelled mid-run was
        drained but did not execute to completion — it counts under
        [cancelled], and only under [cancelled] *)
-    executed = Atomic.get ig.ig_done;
-    expired = Atomic.get ig.ig_expired;
-    cancelled = Atomic.get ig.ig_cancelled;
-    inflight = Atomic.get pool.inflight;
+    executed = Atomic.get ig.completed;
+    expired = Atomic.get ig.expired;
+    cancelled = Atomic.get ig.cancelled;
+    inflight = Atomic.get ig.inflight;
   }
 
 module Stats = struct
@@ -1376,13 +1157,13 @@ module Stats = struct
     (* the ingress balance ([Invariants.check]) is relative to the same
        reset point as the worker counters *)
     let ig = pool.ingress in
-    Atomic.set ig.ig_submitted 0;
-    Atomic.set ig.ig_admitted 0;
-    Atomic.set ig.ig_rejected 0;
-    Atomic.set ig.ig_shed 0;
-    Atomic.set ig.ig_done 0;
-    Atomic.set ig.ig_expired 0;
-    Atomic.set ig.ig_cancelled 0;
+    Atomic.set ig.submitted 0;
+    Atomic.set ig.admitted 0;
+    Atomic.set ig.rejected 0;
+    Atomic.set ig.shed 0;
+    Atomic.set ig.completed 0;
+    Atomic.set ig.expired 0;
+    Atomic.set ig.cancelled 0;
     Atomic.set pool.adm_wait_ewma 0
 
   let fields s =
@@ -1439,7 +1220,7 @@ let fault_plan pool = pool.faults
 
 let fault_stats pool =
   Fault.Stats.combine
-    (Fault.Injector.stats pool.ingress.ig_inj)
+    (Fault.Injector.stats pool.probe.ig_inj)
     (Array.fold_left
        (fun acc w -> Fault.Stats.combine acc (Fault.Injector.stats w.inj))
        (Fault.Stats.zero ()) pool.workers)
@@ -1455,14 +1236,14 @@ let trace_per_worker pool =
    pseudo-worker id [num_workers] so they never collide with a real
    worker's stream. *)
 let trace_ingress pool =
-  let ig = pool.ingress in
+  let ig = pool.probe in
   Mutex.lock ig.ig_lock;
   let evs = Ring.snapshot ig.ig_ring ~worker:(Array.length pool.workers) in
   Mutex.unlock ig.ig_lock;
   evs
 
 let trace_dropped pool =
-  Ring.dropped pool.ingress.ig_ring
+  Ring.dropped pool.probe.ig_ring
   + Array.fold_left (fun acc w -> acc + Ring.dropped w.ring) 0 pool.workers
 
 let trace_events pool =
@@ -1476,7 +1257,7 @@ let trace_events pool =
 
 let trace_clear pool =
   Array.iter (fun w -> Ring.clear w.ring) pool.workers;
-  let ig = pool.ingress in
+  let ig = pool.probe in
   Mutex.lock ig.ig_lock;
   Ring.clear ig.ig_ring;
   Mutex.unlock ig.ig_lock
@@ -1504,7 +1285,7 @@ module Invariants = struct
       (fun i q ->
         let n = Inject_queue.size q in
         if n <> 0 then add "lane %d holds %d injected jobs" i n)
-      pool.lanes;
+      pool.ingress.lanes;
     let ig = ingress_stats pool in
     if ig.inflight <> 0 then
       add "ingress: %d submissions still in flight" ig.inflight;
@@ -1623,11 +1404,11 @@ let watchdog_loop pool =
   let last = Array.make n (-1) in
   let stale = Array.make n 0 in
   let interval = float_of_int pool.watchdog_interval_ns *. 1e-9 in
-  while not (Atomic.get pool.stop) do
+  while not (Atomic.get pool.ingress.stop) do
     Unix.sleepf interval;
     (* injected work keeps the pool "active" even with no [run] in
        progress — a server pool is driven entirely through the lanes *)
-    if Atomic.get pool.active || Atomic.get pool.inflight > 0 then begin
+    if Atomic.get pool.active || Atomic.get pool.ingress.inflight > 0 then begin
       let fired = ref false in
       Array.iteri
         (fun i w ->
@@ -1722,6 +1503,18 @@ let create_of_config (c : Config.t) =
   let plan =
     match c.Config.faults with Some p -> p | None -> Fault.Plan.none
   in
+  let probe =
+    {
+      ig_lock = Mutex.create ();
+      ig_trace = c.Config.trace;
+      ig_ring =
+        Ring.create
+          ~capacity:(if c.Config.trace then c.Config.trace_capacity else 2);
+      ig_fl_on = Option.is_some c.Config.faults;
+      (* the ingress is a pseudo-worker one past the last real id *)
+      ig_inj = Fault.Injector.make plan ~worker:nworkers;
+    }
+  in
   let pool =
     {
       pmode = c.Config.mode;
@@ -1732,7 +1525,6 @@ let create_of_config (c : Config.t) =
       trace_on = c.Config.trace;
       faults = c.Config.faults;
       workers = [||];
-      stop = Atomic.make false;
       domains = [];
       stopped = false;
       active = Atomic.make false;
@@ -1748,32 +1540,15 @@ let create_of_config (c : Config.t) =
       adaptive = c.Config.admission = Adaptive;
       adm_target_ns = c.Config.admission_target_ns;
       adm_wait_ewma = Atomic.make 0;
-      lanes =
-        (if c.Config.injection_capacity = 0 then [||]
-         else
-           Array.init c.Config.injection_lanes (fun _ ->
-               Inject_queue.create ~capacity:c.Config.injection_capacity
-                 ~dummy:dummy_injected ()));
       next_lane = Atomic.make 0;
-      inflight = Atomic.make 0;
       ingress =
-        {
-          ig_submitted = Atomic.make 0;
-          ig_admitted = Atomic.make 0;
-          ig_rejected = Atomic.make 0;
-          ig_shed = Atomic.make 0;
-          ig_done = Atomic.make 0;
-          ig_expired = Atomic.make 0;
-          ig_cancelled = Atomic.make 0;
-          ig_lock = Mutex.create ();
-          ig_ring =
-            Ring.create
-              ~capacity:
-                (if c.Config.trace then c.Config.trace_capacity else 2);
-          ig_fl_on = Option.is_some c.Config.faults;
-          (* the ingress is a pseudo-worker one past the last real id *)
-          ig_inj = Fault.Injector.make plan ~worker:nworkers;
-        };
+        Ingress.create
+          ~lanes:
+            (if c.Config.injection_capacity = 0 then 0
+             else c.Config.injection_lanes)
+          ~capacity:c.Config.injection_capacity
+          ~note:(ig_note probe);
+      probe;
     }
   in
   let workers =
@@ -1802,7 +1577,7 @@ let create ?(config = Config.default) () = create_of_config config
 let shutdown pool =
   if not pool.stopped then begin
     pool.stopped <- true;
-    Atomic.set pool.stop true;
+    Atomic.set pool.ingress.stop true;
     List.iter Domain.join pool.domains;
     pool.domains <- [];
     Option.iter Domain.join pool.wd;
@@ -1810,66 +1585,49 @@ let shutdown pool =
     (* With the workers gone, a job still queued in a lane will never
        run: resolve its ticket rejected so no awaiter hangs. A submitter
        racing this drain re-checks [stop] after its push and drains its
-       own lane too ([admitted_post]), so no interleaving strands a
+       own lane too ([Ingress.admit]), so no interleaving strands a
        ticket. *)
-    Array.iteri (fun lane _ -> drain_lane_reject pool lane) pool.lanes
+    Array.iteri
+      (fun lane _ -> Ingress.drain pool.ingress ~lane)
+      pool.ingress.lanes
   end
 
 (* [run] on a non-server pool: the job is counted through the ingress
    like any submission, but the calling domain — worker 0 — executes it
    itself rather than queueing it, where an idle worker could take it
-   first. It first helps drain the jobs already queued ahead of it. On a
-   server pool the caller is not a worker, so it submits and blocks on
-   the ticket like any other producer. *)
+   first, and even when the ingress is closed. It first helps drain the
+   jobs already queued ahead of it. On a server pool the caller is not a
+   worker, so it submits and blocks on the ticket like any other
+   producer. *)
 let run pool f =
   if pool.stopped then invalid_arg "Wool.run: pool is shut down";
-  if pool.server then
-    await_ticket (submit_one pool ~lane:(lane_of pool) ~batch:(-1) f)
-  else if Array.length pool.lanes = 0 then begin
-    (* ingress closed (injection_capacity = 0): direct execution on
-       worker 0 — the pre-ingress behaviour *)
-    let w0 = pool.workers.(0) in
-    Atomic.set pool.active true;
-    let mark = mark w0 in
-    match f w0 with
-    | v ->
-        Atomic.set pool.active false;
-        v
-    | exception e ->
-        (* Same discipline as a task body: join-or-drain everything the
-           root computation left outstanding, so the pool is quiescent —
-           and reusable — when the exception reaches the caller. *)
-        let bt = Printexc.get_raw_backtrace () in
-        unwind w0 ~mark;
-        Atomic.set pool.active false;
-        Printexc.raise_with_backtrace e bt
-  end
+  if pool.server then Submit.await (Submit.submit pool f)
   else begin
     let w0 = pool.workers.(0) in
-    let tk = make_ticket () in
-    let ij = injected_of pool f tk in
+    let ig = pool.ingress in
+    let tk = Ingress.ticket () in
     let lane = lane_of pool in
     Atomic.set pool.active true;
-    Atomic.incr pool.ingress.ig_submitted;
-    ig_record pool Event.Submit ~a:lane ~b:(-1);
-    Atomic.incr pool.inflight;
-    Atomic.incr pool.ingress.ig_admitted;
-    ig_record pool Event.Admit ~a:lane ~b:(-1);
+    (* admitted without a lane: nothing else ever holds the job, so the
+       ledger is bumped directly *)
+    Atomic.incr ig.submitted;
+    ig_record pool.probe Event.Submit ~a:lane ~b:(-1);
+    Atomic.incr ig.inflight;
+    Atomic.incr ig.admitted;
+    ig_record pool.probe Event.Admit ~a:lane ~b:(-1);
     (* Jobs queued before this call go first, as if the root job had
        queued behind them; the bound keeps producers that keep
        submitting from starving it. *)
     let ahead =
-      Array.fold_left (fun n q -> n + Inject_queue.size q) 0 pool.lanes
+      Array.fold_left (fun n q -> n + Inject_queue.size q) 0 ig.lanes
     in
     let rec help n = if n > 0 && drain_injected w0 then help (n - 1) in
     help ahead;
-    exec_injected w0 ij ~lane ~dup:false;
+    exec_job w0
+      (J { fn = f; tk; deadline = max_int; token = None; enq_ns = 0 })
+      ~lane ~dup:false;
     Atomic.set pool.active false;
-    match tk_read tk with
-    | Tk_done (Ok v) -> v
-    | Tk_done (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    (* [ij_run] settled the job; nothing else can resolve its ticket *)
-    | Tk_rejected | Tk_cancelled | Tk_expired | Tk_pending -> assert false
+    Submit.outcome (Ingress.peek tk)
   end
 
 let with_pool ?config f =

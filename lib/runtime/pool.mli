@@ -164,8 +164,7 @@ module Config : sig
     injection_capacity : int;
         (** slots per lane, rounded up to a power of two (default 1024);
             [0] closes the ingress entirely — {!Submit.submit} rejects
-            everything and {!run} executes directly on worker 0, the
-            pre-ingress behaviour *)
+            everything, and {!run} still executes on worker 0 *)
     admission : admission;
         (** what a full lane does to a new submission (default [Block]) *)
     admission_target_ns : int;
@@ -321,9 +320,10 @@ val with_pool : ?config:Config.t -> (t -> 'a) -> 'a
     the private-task fast path. *)
 module Submit : sig
   type 'a ticket
-  (** Producer-side handle on one injected job. Resolution is
-      exactly-once: done (with the job's result or exception) or
-      rejected. *)
+  (** Producer-side handle on one injected job: one atomic state word.
+      It resolves exactly once — done (with the job's result or
+      exception), rejected, cancelled or expired — by whichever of the
+      job's endings wins a single CAS claim on that word. *)
 
   exception Rejected
   (** Alias of {!Submission_rejected}. *)
@@ -358,10 +358,11 @@ module Submit : sig
       token of its task tree (checked at every {!spawn}, readable via
       {!cancel_token}), and a body that observes it — or raises
       {!Cancel.Cancelled} itself — settles the ticket cancelled.
-      Settlement is first-writer-wins in every mode: a cancel racing
-      the job's completion resolves the ticket exactly once, and so
-      does a job delivered twice by the [Dup] drain fault — [await] and
-      [poll] never observe two results. Never raises. *)
+      Settlement is one CAS claim on the ticket's state word, in every
+      mode: a cancel racing the job's completion resolves the ticket
+      exactly once, and so does a job delivered twice by the [Dup] drain
+      fault — [await] and [poll] never observe two results. Never
+      raises. *)
 
   val try_submit :
     ?deadline:int ->
@@ -423,7 +424,8 @@ module Submit : sig
       [None] if the ticket is still pending when the timeout elapses
       (the job itself is unaffected — await again, or cancel its
       token). Like {!await}, raises for rejected/expired/cancelled
-      outcomes that resolve within the window. *)
+      outcomes that resolve within the window. The span saturates as
+      in {!deadline_in}: [infinity] waits for the outcome. *)
 
   val await_until : 'a ticket -> deadline:int -> 'a option
   (** {!await_for} against an absolute deadline (in
@@ -438,7 +440,9 @@ module Submit : sig
 
   val deadline_in : float -> int
   (** [deadline_in seconds]: an absolute [~deadline] value that many
-      seconds from now. *)
+      seconds from now. A span of [infinity], or of more than 2{^61} ns
+      (73 years), gives [max_int]: no deadline. A negative span gives a
+      deadline already past. Raises [Invalid_argument] on NaN. *)
 end
 
 type ingress_stats = {

@@ -106,15 +106,40 @@ let test_replay_deterministic () =
 
 (* ---- scenarios ---- *)
 
+(* The exact number of schedules each scenario explores. Exploration is
+   deterministic, so a changed count means a changed protocol body or
+   scenario: update the table with the change, and say why. *)
+let schedules =
+  [
+    ("single-task-lifecycle", 248);
+    ("stack-vs-one-thief", 2_739);
+    ("two-thieves-one-task", 482);
+    ("recycled-descriptor-backoff", 3_232);
+    ("trip-wire-steal-vs-privatize", 28_954);
+    ("publish-window", 4_707);
+    ("chase-lev-last-task", 125);
+    ("submit-vs-shutdown", 19_977);
+    ("submit-vs-drain", 13_316);
+    ("submit-vs-submit", 1_110);
+    ("ws-mult-take-vs-steal", 90_423);
+    ("ws-mult-two-thieves-dup", 9_540);
+    ("ws-mult-recycled-cell", 74_305);
+    ("lowsync-boundary-dup", 773);
+    ("lowsync-stale-claim", 15_013);
+    ("lowsync-two-thieves-serialize", 332);
+    ("cancel-vs-complete", 84);
+    ("expire-vs-dequeue", 10);
+    ("cancel-vs-shutdown", 1_375);
+  ]
+
 let scenario_case (s : Scenarios.t) =
-  Alcotest.test_case s.Scenarios.name `Slow (fun () ->
-      match Scenarios.run_one s with
-      | Scenarios.Pass st ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s explored >1 schedule" s.Scenarios.name)
-            true
-            (st.Sched.schedules > 1)
-      | Scenarios.Fail msg -> Alcotest.failf "%s: %s" s.Scenarios.name msg)
+  let name = s.Scenarios.name in
+  Alcotest.test_case name `Slow (fun () ->
+      match (Scenarios.run_one s, List.assoc_opt name schedules) with
+      | Scenarios.Pass st, Some n ->
+          Alcotest.(check int) (name ^ " schedules") n st.Sched.schedules
+      | Scenarios.Pass _, None -> Alcotest.failf "%s: no pinned count" name
+      | Scenarios.Fail msg, _ -> Alcotest.failf "%s: %s" name msg)
 
 (* ---- oracle ---- *)
 

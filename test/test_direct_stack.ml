@@ -100,9 +100,16 @@ let test_join_with_running_thief () =
   let thief, index = expect_stolen "join" t in
   Alcotest.(check int) "thief id" 2 thief;
   Alcotest.(check bool) "not done yet" false (Ds.stolen_done t ~index);
+  (* the owner runs another task while it waits (a leapfrog): that
+     task's spawn must not land on the slot the thief's DONE targets *)
+  Ds.hold t ~index;
   Ds.complete_steal t ~index:idx;
+  Ds.push t 10;
+  Alcotest.(check int) "spawn above the held slot" 10
+    (fst (expect_task "nested join" t));
   Alcotest.(check bool) "done now" true (Ds.stolen_done t ~index);
-  Ds.reclaim t ~index
+  Ds.reclaim t ~index;
+  Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
 let test_reuse_after_reclaim () =
   let t = mk () in

@@ -38,15 +38,24 @@ let test_expired_drop () =
 
 let test_future_deadline_runs () =
   Test_util.with_pool ~workers:1 ~server:true (fun pool ->
-      let tk =
-        Wool.Submit.submit
-          ~deadline:(Wool.Submit.deadline_in 60.)
-          pool
-          (fun _ctx -> 42)
-      in
-      Alcotest.(check int) "result" 42 (Wool.Submit.await tk);
+      (* a span too large for an int, and infinity, mean no deadline *)
+      List.iter
+        (fun span ->
+          let tk =
+            Wool.Submit.submit
+              ~deadline:(Wool.Submit.deadline_in span)
+              pool
+              (fun _ctx -> 42)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "result, deadline in %g s" span)
+            42 (Wool.Submit.await tk))
+        [ 60.; 1e12; infinity ];
       Alcotest.(check int) "expired" 0
-        (Wool.ingress_stats pool).Wool.Pool.expired)
+        (Wool.ingress_stats pool).Wool.Pool.expired;
+      Alcotest.check_raises "NaN span"
+        (Invalid_argument "Wool.Submit: the span is NaN") (fun () ->
+          ignore (Wool.Submit.deadline_in nan : int)))
 
 (* -- timed awaits -- *)
 
@@ -67,10 +76,24 @@ let test_await_for_timeout () =
 
 let test_await_for_resolves () =
   Test_util.with_pool ~workers:1 ~server:true (fun pool ->
-      let tk = Wool.Submit.submit pool (fun _ctx -> 11) in
-      Alcotest.(check (option int))
-        "resolves" (Some 11)
-        (Wool.Submit.await_for tk 5.0))
+      (* the job outlasts a zero-length wait, so a timeout that fires at
+         once shows as [None] *)
+      List.iter
+        (fun span ->
+          let tk =
+            Wool.Submit.submit pool (fun _ctx ->
+                Unix.sleepf 0.02;
+                11)
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "resolves within %g s" span)
+            (Some 11)
+            (Wool.Submit.await_for tk span))
+        [ 5.0; 1e12; infinity ];
+      Alcotest.check_raises "NaN timeout"
+        (Invalid_argument "Wool.Submit: the span is NaN") (fun () ->
+          let tk = Wool.Submit.submit pool (fun _ctx -> 0) in
+          ignore (Wool.Submit.await_for tk nan : int option)))
 
 (* -- cancellation -- *)
 

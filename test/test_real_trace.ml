@@ -89,8 +89,8 @@ let test_traced_fib_invariants () =
    task 2 while joining task 1, worker 1 leap-steals task 3 while
    joining task 2, and worker 0 leap-steals task 4 inside task 2's join
    of task 3 — nested in its first leapfrog. A task running inside a
-   leapfrog first spawns a pad: its first spawn reuses the slot of the
-   stolen join it is nested in, below [bot], where no thief looks. *)
+   leapfrog spawns above the slot of the stolen join it is nested in, at
+   [bot], where the other worker looks. *)
 let test_nested_leap_steals_counted_once () =
   let pool =
     Wool.create
@@ -104,13 +104,11 @@ let test_nested_leap_steals_counted_once () =
     Atomic.set started.(k) true;
     if k = 4 then 1
     else begin
-      let pad = if k >= 2 then Some (Wool.spawn ctx (fun _ -> 0)) else None in
       let child = Wool.spawn ctx (task (k + 1)) in
       while not (Atomic.get started.(k + 1)) do
         Domain.cpu_relax ()
       done;
-      let r = 1 + Wool.join ctx child in
-      match pad with Some p -> r + Wool.join ctx p | None -> r
+      1 + Wool.join ctx child
     end
   in
   let result = Wool.run pool (task 0) in

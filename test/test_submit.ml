@@ -140,17 +140,32 @@ let test_shed_oldest () =
   Wool.shutdown pool
 
 let test_try_submit_full_lane () =
-  let pool =
-    Test_util.create ~workers:1 ~injection_capacity:2 ~admission:Wool.Block
-      ()
-  in
-  let _t1 = Wool.Submit.submit pool (fun _ctx -> 1) in
-  let _t2 = Wool.Submit.submit pool (fun _ctx -> 2) in
-  (* Block admission would wait; try_submit must bail out instead *)
-  Alcotest.(check bool)
-    "one-shot admission" true
-    (Wool.Submit.try_submit pool (fun _ctx -> 3) = None);
-  Wool.shutdown pool
+  List.iter
+    (fun admission ->
+      let name = Wool.Config.admission_name admission in
+      let pool =
+        Test_util.create ~workers:1 ~injection_capacity:2 ~admission ()
+      in
+      let t1 = Wool.Submit.submit pool (fun _ctx -> 1) in
+      let t2 = Wool.Submit.submit pool (fun _ctx -> 2) in
+      (* one-shot admission whatever the policy: Block must not wait (no
+         worker domain drains this pool), Shed_oldest must not evict *)
+      let t0 = Wool_util.Clock.now_ns () in
+      Alcotest.(check bool)
+        (name ^ ": refused") true
+        (Wool.Submit.try_submit pool (fun _ctx -> 3) = None);
+      Alcotest.(check bool)
+        (name ^ ": no wait") true
+        (Wool_util.Clock.now_ns () - t0 < 1_000_000_000);
+      Alcotest.(check int)
+        (name ^ ": nothing shed") 0 (Wool.ingress_stats pool).Wool.Pool.shed;
+      ignore (Wool.run pool (fun _ctx -> 0) : int);
+      Alcotest.(check int) (name ^ ": first job") 1 (Wool.Submit.await t1);
+      Alcotest.(check int) (name ^ ": second job") 2 (Wool.Submit.await t2);
+      Alcotest.(check (list string))
+        (name ^ ": invariants") [] (Wool.Invariants.check pool);
+      Wool.shutdown pool)
+    [ Wool.Block; Wool.Reject; Wool.Shed_oldest; Wool.Adaptive ]
 
 (* -- batches -- *)
 
