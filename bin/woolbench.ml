@@ -4,8 +4,8 @@
    runs one; `woolbench all` runs everything (as the final harness does).
    `woolbench trace <workload>` runs a workload with scheduler tracing on
    and writes a Chrome trace_event JSON next to a summary report.
-   `woolbench policy <workload>` sweeps the steal policies (victim
-   selection x idle backoff) over a workload on the real runtime.
+   `woolbench policy` runs the steal-policy grid: the simulated
+   locality grid, then every victim selector on a real pool.
    `woolbench faults` stress-tests the scheduler under seeded fault
    plans and checks protocol invariants after every run.
    `woolbench bench <workload|all>` runs the tier-1 benchmark matrix and
@@ -91,52 +91,27 @@ let trace_cmd =
     Term.(ret (const run $ workers_arg $ out_arg $ check_arg $ workload_arg))
 
 let policy_cmd =
-  let workload_arg =
-    let doc =
-      Printf.sprintf
-        "Workload to sweep: %s. Not needed with --grid (which runs its own \
-         simulated stress workload)."
-        (String.concat " | " Wool_report.Trace_summary.workloads)
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
-  in
   let workers_arg =
-    let doc = "Number of worker domains." in
+    let doc = "Worker domains for the real-pool half." in
     Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc)
   in
-  let quick_arg =
-    let doc =
-      "Sweep only the victim selectors under the default backoff (one \
-       quick run each) instead of the full selector x backoff grid."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let grid_arg =
-    let doc =
-      "Run the locality policy grid instead of a workload sweep: simulate \
-       flat vs hierarchical stealing at 16/32/64 virtual cores on a \
-       4-socket topology, print the crossover, and run one real-pool \
-       hierarchical check."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
-  in
   let out_arg =
-    let doc = "With --grid: also write the grid as a JSON snapshot." in
+    let doc = "Also write the simulated grid as a JSON snapshot." in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let compare_arg =
     let doc =
-      "With --grid: diff the freshly computed grid against a committed \
-       snapshot (e.g. POLICY_GRID.json); any cell drift is an error."
+      "Diff the freshly computed grid against a committed snapshot (e.g. \
+       POLICY_GRID.json); any cell drift is an error."
     in
     Arg.(
       value
       & opt (some string) None
       & info [ "compare" ] ~docv:"BASELINE.json" ~doc)
   in
-  let run workers quick grid out compare workload =
+  let run workers out compare =
     if workers < 1 then `Error (false, "--workers must be at least 1")
-    else if grid then begin
+    else
       let module G = Wool_report.Policy_grid in
       match
         let g = G.compute () in
@@ -146,7 +121,7 @@ let policy_cmd =
             G.write_file path g;
             Printf.printf "wrote %s\n" path
         | None -> ());
-        (match compare with
+        match compare with
         | None -> Ok ()
         | Some path -> (
             match G.read_file path with
@@ -161,7 +136,7 @@ let policy_cmd =
                     List.iter (Printf.printf "MISMATCH %s\n") issues;
                     Error
                       (Printf.sprintf "%d grid mismatch(es) against %s"
-                         (List.length issues) path))))
+                         (List.length issues) path)))
       with
       | Ok () -> (
           match G.real_check ~workers () with
@@ -170,26 +145,14 @@ let policy_cmd =
       | Error msg -> `Error (false, msg)
       | exception Failure msg -> `Error (false, msg)
       | exception Sys_error msg -> `Error (false, msg)
-    end
-    else
-      match workload with
-      | None ->
-          `Error (false, "a WORKLOAD argument is required without --grid")
-      | Some workload -> (
-          match Wool_report.Policy_sweep.run ~workers ~quick workload with
-          | (_ : Wool_report.Policy_sweep.row list) -> `Ok ()
-          | exception Failure msg -> `Error (false, msg))
   in
   let doc =
-    "benchmark the steal policies (victim selection x idle backoff) on a \
-     workload, or run the simulated locality grid (--grid)"
+    "simulate flat vs hierarchical stealing at 16/32/64 virtual cores on a \
+     4-socket topology, then run every victim selector on a real pool"
   in
   Cmd.v
     (Cmd.info "policy" ~doc)
-    Term.(
-      ret
-        (const run $ workers_arg $ quick_arg $ grid_arg $ out_arg $ compare_arg
-       $ workload_arg))
+    Term.(ret (const run $ workers_arg $ out_arg $ compare_arg))
 
 let faults_cmd =
   let workers_arg =
@@ -551,28 +514,29 @@ let check_cmd =
                exit 124)
             : unit Domain.t)
       end;
+      let module C = Wool_report.Check_fuzz in
       let failed =
-        if no_scenarios then 0
-        else Wool_report.Check_fuzz.run_scenarios ~max_schedules ()
+        if no_scenarios then 0 else C.run_scenarios ~max_schedules ()
       in
+      let cells = C.print_matrix (C.kernel_matrix ()) in
       let bad =
         if histories = 0 then 0
-        else
-          Wool_report.Check_fuzz.print_rows
-            (Wool_report.Check_fuzz.fuzz ~histories ~seed0 ())
+        else C.print_rows (C.fuzz ~histories ~seed0 ())
       in
-      if failed = 0 && bad = 0 then `Ok ()
+      if failed = 0 && cells = 0 && bad = 0 then `Ok ()
       else
         `Error
           ( false,
             Printf.sprintf
-              "%d scenario(s) failed, %d history(s) violated the oracle"
-              failed bad )
+              "%d scenario(s) failed, %d kernel cell(s) failed, %d \
+               history(s) violated the oracle"
+              failed cells bad )
     end
   in
   let doc =
-    "model-check the steal protocol exhaustively on bounded scenarios, \
-     then fuzz seeded multi-domain histories against a sequential oracle"
+    "model-check the shipped protocols exhaustively on bounded scenarios, \
+     run every kernel on every real scheduler against serial, then fuzz \
+     seeded multi-domain histories against a sequential oracle"
   in
   Cmd.v
     (Cmd.info "check" ~doc)
@@ -590,8 +554,8 @@ let check_cmd =
 let () =
   let doc =
     "regenerate the tables and figures of the Wool paper; `woolbench \
-     trace <workload>` records a scheduler trace; `woolbench policy \
-     <workload>` sweeps the steal policies; `woolbench faults` and \
+     trace <workload>` records a scheduler trace; `woolbench policy` \
+     runs the steal-policy grid; `woolbench faults` and \
      `woolbench check` stress and model-check the scheduler; `woolbench \
      serve` load-tests the external-submission ingress; `woolbench ropes` \
      compares lazy vs eager rope splitting"

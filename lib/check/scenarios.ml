@@ -349,6 +349,72 @@ let publish_window =
     run;
   }
 
+(* -- Scenario 6b: leapfrogging under a stolen join. The owner pushes
+   tasks 0 and 1, and a thief steals 0. The owner joins 1 inline, then
+   pops 0; finding the thief still running, it holds the stolen slot and
+   pushes and joins a nested task 2, as a leapfrogging join does, then
+   waits for DONE and reclaims. Without [hold] the nested
+   push lands on the stolen slot, where the thief's DONE store and the
+   nested descriptor overwrite each other. *)
+let leapfrog_hold =
+  let run ~max_schedules =
+    let saw_nested_before_done = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          let t = Ds.create ~capacity:3 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let execd = Array.make 3 0 in
+          let record v = execd.(v) <- execd.(v) + 1 in
+          let thief_done = ref false and nested = ref false in
+          Ds.push t 0;
+          Ds.push t 1;
+          Sched.spawn (fun () ->
+              join t ~record;
+              let v = Ds.top_payload t in
+              let code = Ds.pop t in
+              if code < Ds.stolen_finished then record v
+              else begin
+                let index = Ds.depth t in
+                if code >= 0 then begin
+                  (* the pool's [leapfrog], with a push for the steal *)
+                  Ds.hold t ~index;
+                  Ds.push t 2;
+                  nested := true;
+                  if not !thief_done then saw_nested_before_done := true;
+                  join t ~record;
+                  while not (Ds.stolen_done t ~index) do
+                    Shadow_atomic.cpu_relax ()
+                  done
+                end;
+                Ds.reclaim t ~index
+              end);
+          Sched.spawn (fun () ->
+              match Ds.steal t ~thief:1 with
+              | Ds.Stolen_task (v, index) ->
+                  record v;
+                  Ds.complete_steal t ~index;
+                  thief_done := true
+              | Ds.Fail | Ds.Backoff -> ());
+          Sched.final (fun () ->
+              let spawned = if !nested then 3 else 2 in
+              Array.iteri
+                (fun v n ->
+                  check
+                    (n = if v < spawned then 1 else 0)
+                    (Printf.sprintf "task %d executed %d times" v n))
+                execd;
+              quiescent t;
+              balanced t))
+    in
+    check !saw_nested_before_done
+      "coverage: nested push before the thief's DONE never explored";
+    stats
+  in
+  {
+    name = "leapfrog-hold";
+    descr = "owner holds a stolen slot, runs a nested task, then reclaims";
+    run;
+  }
+
 (* -- Scenario 7: the Chase-Lev baseline's classic race — owner pop and
    thief steal meet on the last element and settle it with the CAS on
    [top]. Exercises the second instantiation of the functorised body. *)
@@ -583,316 +649,6 @@ let submit_vs_submit =
     run;
   }
 
-(* ---- relaxed-protocol scenarios: the at-least-once discipline a
-   runtime needs on top of these pools, reduced to the checker (no pool
-   mode ships them; EXPERIMENTS.md records why). A task is an index
-   into a completion-flag array. Every execution goes through the spawn
-   wrapper's second-chance guard — check the flag, run, set the flag —
-   whose check/set window is itself interleaved by the scheduler, so the
-   bounded multiplicity these protocols permit is explored, not modelled
-   away. A join that cannot find its task in the pool executes it
-   itself, so a protocol-level lost task can never hang a join; the
-   final blocks assert at-least-once delivery with a small multiplicity
-   bound instead of exactly-once. *)
-
-module Wm = Ws_mult_checked
-module Ls = Lowsync_checked
-
-type relaxed_harness = {
-  completed : bool Shadow_atomic.t array;
-  execd : int array; (* committed body runs per task *)
-  skips : int array; (* extractions the completion guard skipped *)
-}
-
-let harness n =
-  {
-    completed = Array.init n (fun _ -> Shadow_atomic.make false);
-    execd = Array.make n 0;
-    skips = Array.make n 0;
-  }
-
-(* the wrapper guard; true if this call ran the body *)
-let guarded h v =
-  if not (Shadow_atomic.get h.completed.(v)) then begin
-    h.execd.(v) <- h.execd.(v) + 1;
-    Shadow_atomic.set h.completed.(v) true;
-    true
-  end
-  else begin
-    h.skips.(v) <- h.skips.(v) + 1;
-    false
-  end
-
-(* join_relaxed reduced: drain-run out-of-order siblings, self-execute
-   on a miss (the pool lost or a thief holds the task). *)
-let rec join_relaxed ?on_miss ~take h v =
-  match take () with
-  | Some u when u = v -> ignore (guarded h u : bool)
-  | Some u ->
-      ignore (guarded h u : bool);
-      join_relaxed ?on_miss ~take h v
-  | None ->
-      (match on_miss with Some f -> f () | None -> ());
-      ignore (guarded h v : bool)
-
-(* -- Scenario R1: ws_mult owner take vs one thief, no fences anywhere.
-   The boundary cell may be delivered to both (multiplicity); the guard
-   windows may interleave so both actually run the body. Never fewer
-   than one execution, never a hang. *)
-let ws_mult_take_vs_steal =
-  let run ~max_schedules =
-    let saw_thief_run = ref false
-    and saw_thief_skip = ref false
-    and saw_dup = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let t = Wm.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 2 in
-          let take () = Wm.take t in
-          Wm.put t 0;
-          Wm.put t 1;
-          Sched.spawn (fun () ->
-              join_relaxed ~take h 1;
-              join_relaxed ~take h 0);
-          Sched.spawn (fun () ->
-              match Wm.steal t with
-              | Some v ->
-                  if guarded h v then saw_thief_run := true
-                  else saw_thief_skip := true
-              | None -> ());
-          Sched.final (fun () ->
-              check (h.execd.(1) = 1) "task 1 not executed exactly once";
-              check (h.execd.(0) >= 1) "task 0 lost (at-least-once violated)";
-              check (h.execd.(0) <= 2) "task 0 ran more than twice";
-              if h.execd.(0) > 1 then saw_dup := true))
-    in
-    check !saw_thief_run "coverage: thief execution never explored";
-    check !saw_thief_skip "coverage: guard skip of a duplicate never explored";
-    check !saw_dup "coverage: double execution (multiplicity) never explored";
-    stats
-  in
-  {
-    name = "ws-mult-take-vs-steal";
-    descr = "fence-free owner take vs thief on the boundary cell";
-    run;
-  }
-
-(* -- Scenario R2: the ws_mult duplicate-execution window. Two thieves
-   read/validate/plain-write [head] with no CAS, so both can extract the
-   same task; with the owner's self-executing join in the mix the task
-   can run up to three times, but at least once, on every schedule. *)
-let ws_mult_two_thieves_dup =
-  let run ~max_schedules =
-    let wins = [| false; false |] and saw_both = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let t = Wm.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 1 in
-          let take () = Wm.take t in
-          Wm.put t 0;
-          let got = [| false; false |] in
-          let thief i =
-            match Wm.steal t with
-            | Some v ->
-                got.(i) <- true;
-                wins.(i) <- true;
-                ignore (guarded h v : bool)
-            | None -> ()
-          in
-          Sched.spawn (fun () -> thief 0);
-          Sched.spawn (fun () -> thief 1);
-          Sched.final (fun () ->
-              (* the owner joins after the race settles *)
-              join_relaxed ~take h 0;
-              if got.(0) && got.(1) then saw_both := true;
-              check (h.execd.(0) >= 1) "task 0 lost (at-least-once violated)";
-              check (h.execd.(0) <= 3) "task 0 ran more than three times"))
-    in
-    check wins.(0) "coverage: thief 1 never extracted";
-    check wins.(1) "coverage: thief 2 never extracted";
-    check !saw_both "coverage: thief-thief duplicate extraction never explored";
-    stats
-  in
-  {
-    name = "ws-mult-two-thieves-dup";
-    descr = "no-CAS thief/thief race: both may extract the same task";
-    run;
-  }
-
-(* -- Scenario R3: the ws_mult recycled-cell ABA. The thief reads task 0
-   from cell 0, stalls; the owner takes and completes 0 and puts task 1
-   into the same (recycled) cell; the thief's stale validation still
-   passes and its plain [head] write advances past the cell — delivering
-   a completed task to the thief and hiding task 1 from everyone. The
-   guard turns the stale delivery into a skip and the owner's join
-   self-executes the hidden task. *)
-let ws_mult_recycled_cell =
-  let run ~max_schedules =
-    let saw_stale_skip = ref false
-    and saw_lost_selfrun = ref false
-    and saw_steal = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let t = Wm.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 2 in
-          let take () = Wm.take t in
-          Wm.put t 0;
-          let missed = ref false in
-          Sched.spawn (fun () ->
-              join_relaxed ~take h 0;
-              Wm.put t 1 (* recycles cell 0 *);
-              join_relaxed ~take h 1 ~on_miss:(fun () -> missed := true));
-          Sched.spawn (fun () ->
-              match Wm.steal t with
-              | Some v ->
-                  saw_steal := true;
-                  if not (guarded h v) && v = 0 then saw_stale_skip := true
-              | None -> ());
-          Sched.final (fun () ->
-              if !missed && h.skips.(0) > 0 then saw_lost_selfrun := true;
-              check (h.execd.(0) >= 1) "task 0 lost (at-least-once violated)";
-              check (h.execd.(0) <= 2) "task 0 ran more than twice";
-              check (h.execd.(1) >= 1) "task 1 lost (at-least-once violated)";
-              check (h.execd.(1) <= 2) "task 1 ran more than twice"))
-    in
-    check !saw_steal "coverage: successful steal never explored";
-    check !saw_stale_skip
-      "coverage: stale delivery of a completed task never explored";
-    check !saw_lost_selfrun
-      "coverage: lost-task self-execution at join never explored";
-    stats
-  in
-  {
-    name = "ws-mult-recycled-cell";
-    descr = "stale thief ABA on a recycled cell: skip + self-run recovery";
-    run;
-  }
-
-(* -- Scenario R4: the lowsync boundary duplicate. The owner's take is
-   plain (no last-element CAS as in Chase-Lev) while the thief claims
-   with one CAS, so on the last cell both may extract the same task —
-   the one relaxed behaviour this mode deliberately accepts. [head] is
-   monotone, so the pool must also read empty at quiescence. *)
-let lowsync_boundary_dup =
-  let run ~max_schedules =
-    let saw_dup = ref false
-    and saw_owner = ref false
-    and saw_thief = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let q = Ls.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 1 in
-          let take () = Ls.take q in
-          Ls.put q 0;
-          Sched.spawn (fun () ->
-              join_relaxed ~take h 0;
-              saw_owner := true);
-          Sched.spawn (fun () ->
-              match Ls.steal q with
-              | Some v ->
-                  saw_thief := true;
-                  ignore (guarded h v : bool)
-              | None -> ());
-          Sched.final (fun () ->
-              check (h.execd.(0) >= 1) "task 0 lost (at-least-once violated)";
-              check (h.execd.(0) <= 2) "task 0 ran more than twice";
-              if h.execd.(0) = 2 then saw_dup := true;
-              check (Ls.size q = 0) "lowsync pool not empty at quiescence"))
-    in
-    check !saw_owner "coverage: owner join never completed";
-    check !saw_thief "coverage: thief claim never explored";
-    check !saw_dup "coverage: boundary double execution never explored";
-    stats
-  in
-  {
-    name = "lowsync-boundary-dup";
-    descr = "plain owner take vs one-CAS thief on the last cell";
-    run;
-  }
-
-(* -- Scenario R5: the lowsync stale claim. The thief reads task 0 from
-   cell 0, stalls; the owner drains and completes 0 and recycles the
-   cell with task 1; the thief's CAS on [head] still succeeds (same
-   index), claiming the recycled cell under a value it read before the
-   recycle. Guard skip + join self-run recover, and the CAS keeps
-   [head] monotone so the pool reads empty at quiescence. *)
-let lowsync_stale_claim =
-  let run ~max_schedules =
-    let saw_stale_skip = ref false and saw_selfrun = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let q = Ls.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 2 in
-          let take () = Ls.take q in
-          Ls.put q 0;
-          let missed = ref false in
-          Sched.spawn (fun () ->
-              join_relaxed ~take h 0;
-              Ls.put q 1 (* recycles cell 0 *);
-              join_relaxed ~take h 1 ~on_miss:(fun () -> missed := true));
-          Sched.spawn (fun () ->
-              match Ls.steal q with
-              | Some v -> if not (guarded h v) && v = 0 then saw_stale_skip := true
-              | None -> ());
-          Sched.final (fun () ->
-              if !missed then saw_selfrun := true;
-              check (h.execd.(0) >= 1) "task 0 lost (at-least-once violated)";
-              check (h.execd.(0) <= 2) "task 0 ran more than twice";
-              check (h.execd.(1) >= 1) "task 1 lost (at-least-once violated)";
-              check (h.execd.(1) <= 2) "task 1 ran more than twice"))
-    in
-    check !saw_stale_skip
-      "coverage: stale claim of a completed task never explored";
-    check !saw_selfrun "coverage: join self-execution never explored";
-    stats
-  in
-  {
-    name = "lowsync-stale-claim";
-    descr = "delayed CAS claims a recycled cell; skip + self-run recovery";
-    run;
-  }
-
-(* -- Scenario R6: lowsync thief/thief serialization. Unlike ws_mult,
-   the per-steal CAS means two thieves can never extract the same task:
-   exactly one claim commits. *)
-let lowsync_two_thieves_serialize =
-  let run ~max_schedules =
-    let wins = [| false; false |] in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          let q = Ls.create ~capacity:2 ~dummy:(-1) () in
-          let h = harness 1 in
-          let take () = Ls.take q in
-          Ls.put q 0;
-          let got = [| false; false |] in
-          let thief i =
-            match Ls.steal q with
-            | Some v ->
-                got.(i) <- true;
-                wins.(i) <- true;
-                ignore (guarded h v : bool)
-            | None -> ()
-          in
-          Sched.spawn (fun () -> thief 0);
-          Sched.spawn (fun () -> thief 1);
-          Sched.final (fun () ->
-              check
-                (not (got.(0) && got.(1)))
-                "both thieves extracted the same task past the CAS";
-              join_relaxed ~take h 0;
-              check (h.execd.(0) = 1) "task 0 not executed exactly once";
-              check (Ls.size q = 0) "lowsync pool not empty at quiescence"))
-    in
-    check wins.(0) "coverage: thief 1 never won the claim";
-    check wins.(1) "coverage: thief 2 never won the claim";
-    stats
-  in
-  {
-    name = "lowsync-two-thieves-serialize";
-    descr = "per-steal CAS: thief/thief duplicates are impossible";
-    run;
-  }
-
 (* ---- lifecycle scenarios: cancellation and deadlines on the shipped
    ingress body. A worker delivers a popped job as the pool's drain
    does: a set token settles the ticket cancelled, a passed deadline
@@ -1043,16 +799,11 @@ let all =
     recycled_descriptor_backoff;
     trip_wire_steal_vs_privatize;
     publish_window;
+    leapfrog_hold;
     chase_lev_last_task;
     submit_vs_shutdown;
     submit_vs_drain;
     submit_vs_submit;
-    ws_mult_take_vs_steal;
-    ws_mult_two_thieves_dup;
-    ws_mult_recycled_cell;
-    lowsync_boundary_dup;
-    lowsync_stale_claim;
-    lowsync_two_thieves_serialize;
     cancel_vs_complete;
     expire_vs_dequeue;
     cancel_vs_shutdown;

@@ -40,12 +40,12 @@ let fmt_k v =
 
 (* ---- the shared real-runtime workload table ----
 
-   One spec per tier-1 kernel, consumed by realcheck, trace_summary,
-   policy_sweep, and the benchmark harness. These used to be duplicated
+   One spec per tier-1 kernel, consumed by the check kernel matrix,
+   trace_summary, the policy grid's real half, and the benchmark harness. These used to be duplicated
    per report module and had drifted in input sizes and digest
    conventions; every consumer now reads this table (and the parameter
    accessors below, for harnesses that need the raw sizes, e.g. the
-   steal-parent ports in realcheck). *)
+   steal-parent ports in check_fuzz). *)
 
 module Spec = struct
   type size = Std | Tiny

@@ -39,7 +39,8 @@ val fmt_k : float -> string
 
     One spec per tier-1 kernel (fib, stress, nqueens, mm, sort,
     wordcount, histogram), consumed
-    by realcheck, trace_summary, policy_sweep, and the benchmark harness;
+    by the check kernel matrix, trace_summary, the policy grid's real
+    half, and the benchmark harness (and through it Table II);
     the per-module copies these replaced had drifted in input sizes and
     digest conventions. *)
 module Spec : sig
@@ -48,7 +49,7 @@ module Spec : sig
     | Tiny  (** smoke-test sizes: every run well under a second *)
 
   (* Raw parameters, for harnesses that re-derive a kernel at the shared
-     size (e.g. the steal-parent ports in realcheck). *)
+     size (e.g. the steal-parent ports in {!Check_fuzz}). *)
   val fib_n : size -> int
   val stress_height : size -> int
   val stress_leaf_iters : size -> int

@@ -1,10 +1,11 @@
-(* Locality policy grid ("woolbench policy --grid"): simulate a
+(* Steal-policy grid ("woolbench policy"): simulate a
    steal-heavy workload at production-scale virtual core counts on a
    multi-socket topology, once per locality-relevant selector, and report
    where hierarchical stealing crosses over flat random. The simulator is
    deterministic, so the grid doubles as a regression gate: --compare
    diffs a committed JSON snapshot cell by cell (including trace hashes)
-   and any drift fails loudly. *)
+   and any drift fails loudly. The real-pool half runs every victim
+   selector on an actual pool against the serial digest. *)
 
 module Table = Wool_util.Table
 module Json = Wool_trace.Json
@@ -257,26 +258,41 @@ let compare_grids ~baseline ~fresh =
     fresh.cells;
   List.rev !issues
 
-(* ---- the real-runtime half of the smoke check ---- *)
+(* ---- the real-runtime half: every victim selector on an actual
+   pool ---- *)
 
 let real_check ?(workers = 4) () =
   let spec = Spec.find "fib" in
-  let selector = Selector.Hierarchical (Hier.auto ~sockets:2 ()) in
-  let policy = Wool_policy.make ~selector () in
   let expected = spec.Spec.serial () in
-  let config = Wool.Config.make ~workers ~policy () in
-  let got, stats =
-    Wool.with_pool ~config (fun pool ->
-        let got = Wool.run pool spec.Spec.wool in
-        (got, Wool.Stats.aggregate pool))
+  let tbl =
+    Table.create
+      ~title:(Printf.sprintf "real pool: %s, %d workers" spec.Spec.descr workers)
+      ~header:[ "policy"; "ms"; "steals"; "leaps"; "failed"; "spawns" ]
+      ()
   in
-  if got <> expected then
-    failwith
-      (Printf.sprintf
-         "policy grid real-pool check: %s under %s returned %d, serial says %d"
-         spec.Spec.descr (Wool_policy.name policy) got expected);
-  Printf.printf
-    "real-pool hierarchical check: %s ok under %s (%d workers, %d steals, %d \
-     failed)\n"
-    spec.Spec.descr (Wool_policy.name policy) workers stats.Wool.Pool.steals
-    stats.Wool.Pool.failed_steals
+  List.iter
+    (fun selector ->
+      let policy = Wool_policy.make ~selector () in
+      let config = Wool.Config.make ~workers ~policy () in
+      let (got, ns), (s : Wool.Stats.t) =
+        Wool.with_pool ~config (fun pool ->
+            let r = Wool_util.Clock.time (fun () -> Wool.run pool spec.Spec.wool) in
+            (r, Wool.Stats.aggregate pool))
+      in
+      if got <> expected then
+        failwith
+          (Printf.sprintf
+             "policy grid real-pool check: %s under %s returned %d, serial \
+              says %d"
+             spec.Spec.descr (Wool_policy.name policy) got expected);
+      Table.add_row tbl
+        [
+          Wool_policy.name policy;
+          Table.cell_f ~dec:2 (ns /. 1e6);
+          Table.cell_i s.steals;
+          Table.cell_i s.leap_steals;
+          Table.cell_i s.failed_steals;
+          Table.cell_i s.spawns;
+        ])
+    Selector.all;
+  Table.print tbl

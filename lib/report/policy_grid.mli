@@ -1,4 +1,4 @@
-(** Locality policy grid ("woolbench policy --grid").
+(** Steal-policy grid ("woolbench policy").
 
     Simulates a steal-heavy stress workload at production-scale virtual
     core counts (16/32/64 by default) on a multi-socket
@@ -8,7 +8,9 @@
     [core_factor_pct]). Prints the grid plus a hierarchical-vs-random
     crossover summary, and serialises to a schema-stable JSON snapshot
     ([POLICY_GRID.json]) that [--compare] diffs {e exactly} — the
-    simulator is deterministic, so any drift is a behaviour change. *)
+    simulator is deterministic, so any drift is a behaviour change.
+    {!real_check} is the real-pool half: every victim selector runs a
+    digest-checked kernel on an actual pool. *)
 
 val schema_version : string
 (** ["wool-policy-grid/1"]. *)
@@ -57,7 +59,9 @@ val compare_grids : baseline:grid -> fresh:grid -> string list
     bit-for-bit reproduction of the committed snapshot. *)
 
 val real_check : ?workers:int -> unit -> unit
-(** The real-runtime half of the @topology-smoke alias: run a tiny
-    tier-1 kernel on an actual pool under a hierarchical policy and
-    verify the digest against the serial run. Raises [Failure] on a
-    wrong result. *)
+(** The real-runtime half: run the tier-1 fib kernel on an actual pool
+    (default 4 workers) once per {!Wool_policy.Selector.all} entry under
+    the default backoff, verify each digest against the serial run, and
+    print wall time plus the pool's steal, leapfrog-steal, failed-steal
+    and spawn counters per selector. Raises [Failure] on a wrong
+    result. *)

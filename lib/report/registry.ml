@@ -24,9 +24,6 @@ let all =
       run = Ablation.run };
     { key = "gantt"; title = "Gantt traces of representative schedules";
       run = Gantt.run };
-    { key = "realcheck";
-      title = "Real-runtime verification matrix (all kernels x schedulers)";
-      run = Realcheck.run };
   ]
 
 let find key = List.find_opt (fun e -> e.key = key) all

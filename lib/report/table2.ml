@@ -1,6 +1,7 @@
 module Clock = Wool_util.Clock
 module Stats = Wool_util.Stats
-module F = Wool_workloads.Fib
+module Spec = Exp_common.Spec
+module Ca = Wool_cactus.Cactus
 
 type row = {
   version : string;
@@ -9,61 +10,77 @@ type row = {
   cycles_per_task : float;
 }
 
-(* The paper's ladder: the rows are named after Table II, so this list
-   stays hand-written — the constructors themselves come from the
-   canonical {!Wool.Mode}. Table II gives "task specific join" and
-   "private tasks (no private)" the same 19 cycles, and here they are one
-   pool configuration, so one row measures both. *)
+(* The paper's ladder over the benchmark's single-worker fib cells,
+   keyed by (mode, publicity) as {!Bench_json} labels them. The rows
+   are named after Table II; it gives "task specific join" and "private
+   tasks (no private)" the same 19 cycles, and here they are one pool
+   configuration, so one cell measures both. *)
 let ladder =
   [
-    ("base (locked)", Some (Wool.Locked, Wool.All_public));
-    ("synchronize on task", Some (Wool.Swap_generic, Wool.All_public));
-    ( "task specific join = private tasks (no private)",
-      Some (Wool.Private, Wool.All_public) );
-    ("private tasks (all private)", Some (Wool.Private, Wool.All_private));
-    ("serial", None);
+    ("base (locked)", "locked", "default");
+    ("synchronize on task", "swap_generic", "default");
+    ("task specific join = private tasks (no private)", "private", "all-public");
+    ("private tasks (all private)", "private", "all-private");
   ]
 
-let compute ?(n = 30) ?(repeats = 3) () =
-  let expected = F.serial n in
-  let serial_ns =
-    Stats.median (Clock.time_ns ~warmup:1 ~repeats (fun () ->
-        assert (F.serial n = expected)))
+let row version ~serial_ns ~ns ~spawns =
+  let per_task = (ns -. serial_ns) /. float_of_int (max 1 spawns) in
+  {
+    version;
+    seconds = ns *. 1e-9;
+    ns_per_task = per_task;
+    cycles_per_task = Clock.to_cycles per_task;
+  }
+
+(* Steal-parent fib, measured as a benchmark cell is: a fresh 1-worker
+   pool per repeat, the run timed, the spawns of the last repeat. *)
+let steal_parent ~n ~expected ~repeats =
+  let samples =
+    Array.init repeats (fun _ ->
+        Ca.with_pool ~workers:1 (fun pool ->
+            let got, ns =
+              Clock.time (fun () -> Ca.run pool (fun ctx -> Check_fuzz.cactus_fib ctx n))
+            in
+            if got <> expected then
+              failwith
+                (Printf.sprintf "table2: steal-parent fib(%d) = %d, serial says %d"
+                   n got expected);
+            (ns, (Ca.stats pool).Ca.spawns)))
   in
-  let measure (mode, publicity) =
-    let pool =
-      Wool.create
-        ~config:(Wool.Config.make ~workers:1 ~mode ~publicity ())
-        ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Wool.shutdown pool)
-      (fun () ->
-        let ns =
-          Stats.median
-            (Clock.time_ns ~warmup:1 ~repeats (fun () ->
-                 assert (Wool.run pool (fun ctx -> F.wool ctx n) = expected)))
-        in
-        let spawns = (Wool.Stats.aggregate pool).Wool.Pool.spawns in
-        let runs = repeats + 1 in
-        (ns, spawns / runs))
+  (Stats.median (Array.map fst samples), snd samples.(repeats - 1))
+
+let compute ?(size = Spec.Std) ?(repeats = 3) () =
+  let report =
+    Bench_json.measure ~size ~workers:[ 1 ] ~repeats
+      ~mode_filter:[ Wool.Locked; Wool.Swap_generic; Wool.Private ]
+      ~date:"" [ "fib" ]
   in
-  List.map
-    (fun (version, config) ->
-      match config with
-      | None ->
-          { version; seconds = serial_ns *. 1e-9; ns_per_task = 0.0;
-            cycles_per_task = 0.0 }
-      | Some config ->
-          let ns, n_tasks = measure config in
-          let per_task = (ns -. serial_ns) /. float_of_int (max 1 n_tasks) in
-          {
-            version;
-            seconds = ns *. 1e-9;
-            ns_per_task = per_task;
-            cycles_per_task = Clock.to_cycles per_task;
-          })
-    ladder
+  let cell mode publicity =
+    List.find
+      (fun (r : Bench_json.run) -> r.mode = mode && r.publicity = publicity)
+      report.runs
+  in
+  let serial_ns = (cell "locked" "default").serial_ns.median in
+  let wool_rows =
+    List.map
+      (fun (version, mode, publicity) ->
+        let r = cell mode publicity in
+        if not r.ok then
+          failwith
+            (Printf.sprintf "table2: %s disagreed with serial %s" version r.descr);
+        row version ~serial_ns ~ns:r.parallel_ns.median ~spawns:r.spawns)
+      ladder
+  in
+  let n = Spec.fib_n size in
+  let ns, spawns =
+    steal_parent ~n ~expected:((Spec.find ~size "fib").serial ()) ~repeats
+  in
+  wool_rows
+  @ [
+      row "steal-parent (effects)" ~serial_ns ~ns ~spawns;
+      { version = "serial"; seconds = serial_ns *. 1e-9; ns_per_task = 0.0;
+        cycles_per_task = 0.0 };
+    ]
 
 let run () =
   print_endline "== Table II: optimizing inlined tasks (real runtime, 1 worker) ==";
@@ -71,7 +88,7 @@ let run () =
     (Clock.ghz ());
   let t =
     Wool_util.Table.create
-      ~header:[ "version"; "time (s)"; "overhead (ns/task)"; "overhead (cyc)" ]
+      ~header:[ "version"; "time (ms)"; "overhead (ns/task)"; "overhead (cyc)" ]
       ()
   in
   List.iter
@@ -79,7 +96,7 @@ let run () =
       Wool_util.Table.add_row t
         [
           r.version;
-          Wool_util.Table.cell_f ~dec:4 r.seconds;
+          Wool_util.Table.cell_f ~dec:3 (r.seconds *. 1e3);
           Wool_util.Table.cell_f ~dec:1 r.ns_per_task;
           Wool_util.Table.cell_f ~dec:1 r.cycles_per_task;
         ])

@@ -10,7 +10,8 @@
 
 val workloads : string list
 (** Names accepted by {!run} — the {!Exp_common.Spec.names} table, which
-    this report (and {!Policy_sweep}, {!Bench_json}) consumes. *)
+    this report (and {!Bench_json}, {!Check_fuzz}, {!Policy_grid})
+    consumes. *)
 
 val run :
   ?workers:int -> ?out:string -> ?check:bool -> ?policy:Wool_policy.t ->

@@ -117,20 +117,22 @@ let schedules =
     ("recycled-descriptor-backoff", 3_232);
     ("trip-wire-steal-vs-privatize", 28_954);
     ("publish-window", 4_707);
+    ("leapfrog-hold", 1_420);
     ("chase-lev-last-task", 125);
     ("submit-vs-shutdown", 19_977);
     ("submit-vs-drain", 13_316);
     ("submit-vs-submit", 1_110);
-    ("ws-mult-take-vs-steal", 90_423);
-    ("ws-mult-two-thieves-dup", 9_540);
-    ("ws-mult-recycled-cell", 74_305);
-    ("lowsync-boundary-dup", 773);
-    ("lowsync-stale-claim", 15_013);
-    ("lowsync-two-thieves-serialize", 332);
     ("cancel-vs-complete", 84);
     ("expire-vs-dequeue", 10);
     ("cancel-vs-shutdown", 1_375);
   ]
+
+(* Both directions: a scenario without a pin, and a pin whose scenario
+   is gone, are both stale tables. *)
+let test_pins_match_scenarios () =
+  Alcotest.(check (list string))
+    "pinned names = Scenarios.all" (List.map fst schedules)
+    (List.map (fun (s : Scenarios.t) -> s.Scenarios.name) Scenarios.all)
 
 let scenario_case (s : Scenarios.t) =
   let name = s.Scenarios.name in
@@ -254,7 +256,10 @@ let suite =
         Alcotest.test_case "replay deterministic" `Quick
           test_replay_deterministic;
       ] );
-    ("check-scenarios", List.map scenario_case Scenarios.all);
+    ( "check-scenarios",
+      Alcotest.test_case "pins match scenarios" `Quick
+        test_pins_match_scenarios
+      :: List.map scenario_case Scenarios.all );
     ( "check-oracle",
       [
         Alcotest.test_case "clean history" `Quick test_oracle_clean_history;

@@ -6,7 +6,7 @@ let test_registry_keys_unique () =
   let keys = R.Registry.keys () in
   let sorted = List.sort_uniq compare keys in
   Alcotest.(check int) "unique" (List.length keys) (List.length sorted);
-  Alcotest.(check int) "all experiments present" 12 (List.length keys)
+  Alcotest.(check int) "all experiments present" 11 (List.length keys)
 
 let test_registry_find () =
   (match R.Registry.find "fig1" with
@@ -56,10 +56,13 @@ let test_table1_rows () =
     rows
 
 let test_table2_runs () =
-  let rows = R.Table2.compute ~n:16 ~repeats:1 () in
-  (* the paper's ladder, its two 19-cycle rows measured as one *)
-  Alcotest.(check int) "five versions" 5 (List.length rows);
-  let serial = List.nth rows 4 in
+  let rows = R.Table2.compute ~size:R.Exp_common.Spec.Tiny ~repeats:1 () in
+  (* the paper's ladder, its two 19-cycle rows measured as one, plus
+     the steal-parent row *)
+  Alcotest.(check int) "six versions" 6 (List.length rows);
+  Alcotest.(check string) "steal-parent row" "steal-parent (effects)"
+    (List.nth rows 4).R.Table2.version;
+  let serial = List.nth rows 5 in
   Alcotest.(check string) "serial last" "serial" serial.R.Table2.version;
   Alcotest.(check (float 0.0)) "serial zero overhead" 0.0
     serial.R.Table2.ns_per_task;
@@ -204,15 +207,15 @@ let test_gantt () =
   Alcotest.(check bool) "worker 0 busy" true
     (Wool_sim.Trace.utilization trace ~worker:0 > 0.3)
 
-let test_realcheck_all_ok () =
-  let cells = R.Realcheck.compute ~workers:2 () in
+let test_check_kernel_matrix () =
+  let cells = R.Check_fuzz.kernel_matrix ~workers:2 () in
   (* 7 kernels x 5 schedulers (the 4 pool modes + cactus) *)
   Alcotest.(check int) "matrix size" 35 (List.length cells);
   List.iter
     (fun c ->
-      Alcotest.(check bool)
-        (c.R.Realcheck.kernel ^ "/" ^ c.R.Realcheck.scheduler)
-        true c.R.Realcheck.ok)
+      Alcotest.(check (list string))
+        (c.R.Check_fuzz.kernel ^ "/" ^ c.R.Check_fuzz.scheduler)
+        [] c.R.Check_fuzz.violations)
     cells
 
 (* -- wool-serve/2 schema: round-trip, v1 compatibility, rejection -- *)
@@ -346,7 +349,7 @@ let suite =
         Alcotest.test_case "space claim" `Quick test_space_claim;
         Alcotest.test_case "ablation studies" `Quick test_ablation_studies;
         Alcotest.test_case "gantt" `Quick test_gantt;
-        Alcotest.test_case "realcheck matrix" `Slow test_realcheck_all_ok;
+        Alcotest.test_case "check kernel matrix" `Slow test_check_kernel_matrix;
         Alcotest.test_case "serve json roundtrip" `Quick
           test_serve_json_roundtrip;
         Alcotest.test_case "serve json v1 readable" `Quick
