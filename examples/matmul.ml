@@ -23,5 +23,5 @@ let () =
       Printf.printf "mm %dx%d on %d worker(s): results match\n" n n workers;
       Printf.printf "  serial %.2f ms, parallel %.2f ms (%.2fx)\n"
         (serial_ns /. 1e6) (par_ns /. 1e6) (serial_ns /. par_ns);
-      Printf.printf "  %d row tasks spawned, %d stolen\n" s.Wool.Pool.spawns
-        s.Wool.Pool.steals)
+      Printf.printf "  %d row tasks spawned, %d stolen\n"
+        (Wool.Stats.count s Spawn) (Wool.Stats.count s Steal_ok))

@@ -23,4 +23,6 @@ let () =
         (serial_ns /. 1e6) (par_ns /. 1e6) workers;
       let s = Wool.Stats.aggregate pool in
       Printf.printf "spawns=%d inlined(private)=%d steals=%d\n"
-        s.Wool.Pool.spawns s.Wool.Pool.inlined_private s.Wool.Pool.steals)
+        (Wool.Stats.count s Spawn)
+        (Wool.Stats.count s Inline_private)
+        (Wool.Stats.count s Steal_ok))

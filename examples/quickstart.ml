@@ -32,15 +32,12 @@ let () =
   let (expected, serial_ns) = Wool_util.Clock.time (fun () -> fib_serial n) in
   assert (result = expected);
   let s = Wool.Stats.aggregate pool in
+  let spawns = Wool.Stats.count s Spawn in
   Printf.printf "fib %d = %d on %d worker(s)\n" n result workers;
   Printf.printf "  parallel: %.3f ms   serial: %.3f ms\n"
     (parallel_ns /. 1e6) (serial_ns /. 1e6);
-  Printf.printf
-    "  spawns=%d inlined(private)=%d inlined(public)=%d steals=%d \
-     leapfrog=%d backoffs=%d\n"
-    s.Wool.Pool.spawns s.Wool.Pool.inlined_private s.Wool.Pool.inlined_public
-    s.Wool.Pool.steals s.Wool.Pool.leap_steals s.Wool.Pool.backoffs;
-  if s.Wool.Pool.spawns > 0 then
+  Format.printf "  %a@." Wool.Stats.pp s;
+  if spawns > 0 then
     Printf.printf "  overhead per task vs a plain call: %.1f ns\n"
-      ((parallel_ns -. serial_ns) /. float_of_int s.Wool.Pool.spawns);
+      ((parallel_ns -. serial_ns) /. float_of_int spawns);
   Wool.shutdown pool

@@ -33,5 +33,6 @@ let () =
         ignore l_serial
       end;
       let s = Wool.Stats.aggregate pool in
-      Printf.printf "spawns=%d steals=%d leapfrog=%d\n" s.Wool.Pool.spawns
-        s.Wool.Pool.steals s.Wool.Pool.leap_steals)
+      Printf.printf "spawns=%d steals=%d leapfrog=%d\n"
+        (Wool.Stats.count s Spawn) (Wool.Stats.count s Steal_ok)
+        (Wool.Stats.count s Leap_steal))

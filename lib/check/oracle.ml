@@ -23,18 +23,6 @@
 
 module E = Wool_trace.Event
 
-type counts = {
-  spawns : int;
-  steals : int;
-  leap_steals : int;
-  joins_stolen : int;
-  inlined_private : int;
-  inlined_public : int;
-  publish_events : int;
-  privatize_events : int;
-  injected : int;
-}
-
 let count_tag per_worker tag =
   Array.fold_left
     (fun acc evs ->
@@ -48,21 +36,12 @@ let check_events ~direct ~counts ~dropped per_worker =
   else begin
     let errs = ref [] in
     let add fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-    let expect name tag expected =
-      let n = count_tag per_worker tag in
-      if n <> expected then
-        add "%s: %d %s event(s) but counter says %d" name n
-          (E.tag_name tag) expected
-    in
-    expect "spawns" E.Spawn counts.spawns;
-    expect "steals" E.Steal_ok counts.steals;
-    expect "leap steals" E.Leap_steal counts.leap_steals;
-    expect "stolen joins" E.Join_stolen counts.joins_stolen;
-    expect "private inlines" E.Inline_private counts.inlined_private;
-    expect "public inlines" E.Inline_public counts.inlined_public;
-    expect "publishes" E.Publish counts.publish_events;
-    expect "privatizes" E.Privatize counts.privatize_events;
-    expect "injected dequeues" E.Dequeue_injected counts.injected;
+    List.iter
+      (fun (tag, expected) ->
+        let n = count_tag per_worker tag in
+        if n <> expected then
+          add "%d %s event(s) but counter says %d" n (E.tag_name tag) expected)
+      counts;
     (* every committed steal was preceded by a probe on the same thief *)
     Array.iteri
       (fun w evs ->

@@ -4,24 +4,14 @@
     descriptor indices — see oracle.ml for why timestamps cannot be
     used). *)
 
-type counts = {
-  spawns : int;
-  steals : int;
-  leap_steals : int;
-  joins_stolen : int;
-  inlined_private : int;
-  inlined_public : int;
-  publish_events : int;
-  privatize_events : int;
-  injected : int;  (** jobs drained from the injection lanes and run *)
-}
-
 val check_events :
   direct:bool ->
-  counts:counts ->
+  counts:(Wool_trace.Event.tag * int) list ->
   dropped:int ->
   Wool_trace.Event.t array array ->
   string list
-(** Human-readable violations, [[]] when clean. [direct] enables the
-    per-descriptor causality checks (queued modes record [a = -1]).
-    When [dropped > 0] the stream is incomplete and nothing is checked. *)
+(** Human-readable violations, [[]] when clean. [counts] pairs each
+    counted tag with its counter: the rings must hold exactly that many
+    events of the tag. [direct] enables the per-descriptor causality
+    checks (queued modes record [a = -1]). When [dropped > 0] the stream
+    is incomplete and nothing is checked. *)

@@ -19,19 +19,38 @@ let quiescent t =
   | [] -> ()
   | v :: _ -> failwith ("not quiescent: " ^ v)
 
-let balanced t =
-  let s = Ds.stats t in
-  check
-    (s.Ds.spawns
-    = s.Ds.inlined_private + s.Ds.inlined_public + s.Ds.joins_stolen)
-    "spawn/join imbalance";
-  check (s.Ds.steals = s.Ds.joins_stolen) "steal/join-stolen imbalance"
+(* The owner's accounting, kept by the harness as the pool keeps it: the
+   stack counts nothing itself. Plain fields, so no scheduling point. *)
+type tally = {
+  mutable pushes : int;
+  mutable inlined : int;
+  mutable joins_stolen : int;
+}
+
+let tally () = { pushes = 0; inlined = 0; joins_stolen = 0 }
+
+let push c t v =
+  Ds.push t v;
+  c.pushes <- c.pushes + 1
+
+(* [Ds.pop], counting the join its code reports. *)
+let pop c t =
+  let code = Ds.pop t in
+  if code < Ds.stolen_finished then c.inlined <- c.inlined + 1
+  else c.joins_stolen <- c.joins_stolen + 1;
+  code
+
+(* Every push joined once, and every committed steal (the stack's own
+   steal count) met by exactly one stolen join. *)
+let balanced c t =
+  check (c.pushes = c.inlined + c.joins_stolen) "spawn/join imbalance";
+  check (Ds.steal_count t = c.joins_stolen) "steal/join-stolen imbalance"
 
 (* Owner-side join of the youngest descriptor: inline, or wait out the
    thief and reclaim — the pool's join protocol reduced to the stack. *)
-let join ?record t =
+let join ?record c t =
   let v = Ds.top_payload t in
-  let code = Ds.pop t in
+  let code = pop c t in
   if code < Ds.stolen_finished then
     match record with Some r -> r v | None -> ()
   else begin
@@ -79,11 +98,12 @@ let single_task_lifecycle =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = Ds.create ~capacity:1 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
           let execd = Array.make 1 0 in
           let record v = execd.(v) <- execd.(v) + 1 in
           Sched.spawn (fun () ->
-              Ds.push t 0;
-              join t ~record:(fun v ->
+              push c t 0;
+              join c t ~record:(fun v ->
                   saw_inline := true;
                   record v));
           Sched.spawn (fun () ->
@@ -93,7 +113,7 @@ let single_task_lifecycle =
           Sched.final (fun () ->
               check (execd.(0) = 1) "task 0 not executed exactly once";
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_inline "coverage: owner inline never explored";
     check !saw_steal "coverage: successful steal never explored";
@@ -114,13 +134,14 @@ let stack_vs_one_thief =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = Ds.create ~capacity:2 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
           let execd = Array.make 2 0 in
           let record v = execd.(v) <- execd.(v) + 1 in
           Sched.spawn (fun () ->
-              Ds.push t 0;
-              Ds.push t 1;
-              join t ~record;
-              join t ~record);
+              push c t 0;
+              push c t 1;
+              join c t ~record;
+              join c t ~record);
           Sched.spawn (fun () ->
               attempt t ~thief:1 ~record:(fun v ->
                   saw_steal := true;
@@ -129,7 +150,7 @@ let stack_vs_one_thief =
               check (execd.(0) = 1) "task 0 not executed exactly once";
               check (execd.(1) = 1) "task 1 not executed exactly once";
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_steal "coverage: successful steal never explored";
     stats
@@ -149,8 +170,9 @@ let two_thieves_one_task =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = Ds.create ~capacity:1 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
           let execd = Array.make 1 0 in
-          Ds.push t 0;
+          push c t 0;
           let thief i =
             attempt t ~thief:(i + 1)
               ~record:(fun v ->
@@ -162,13 +184,11 @@ let two_thieves_one_task =
           Sched.spawn (fun () -> thief 1);
           Sched.final (fun () ->
               (* the owner joins after the race settles *)
-              join t;
+              join c t;
               check (execd.(0) = 1) "task 0 not executed exactly once";
-              let s = Ds.stats t in
-              check (s.Ds.steals = 1) "exactly one steal must commit";
-              check (s.Ds.backoffs = 0) "no back-off without recycling";
+              check (Ds.steal_count t = 1) "exactly one steal must commit";
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check wins.(0) "coverage: thief 1 never won";
     check wins.(1) "coverage: thief 2 never won";
@@ -191,43 +211,37 @@ let recycled_descriptor_backoff =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = Ds.create ~capacity:2 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
           let execd = Array.make 4 0 in
           let record v = execd.(v) <- execd.(v) + 1 in
           (* unscheduled prefix: slot 0 already stolen and finished *)
-          Ds.push t 0;
-          Ds.push t 1;
+          push c t 0;
+          push c t 1;
           (match Ds.steal t ~thief:7 with
           | Ds.Stolen_task (0, 0) ->
               record 0;
               Ds.complete_steal t ~index:0
           | _ -> failwith "setup: expected to steal task 0 at slot 0");
-          let backoffs_this_run = ref 0 in
           Sched.spawn (fun () ->
-              join t ~record (* task 1, or join its steal *);
-              join t ~record (* finished steal of task 0: reclaim to bot 0 *);
-              Ds.push t 2;
-              Ds.push t 3 (* recycles slot 1's descriptor *);
-              join t ~record;
-              join t ~record);
+              join c t ~record (* task 1, or join its steal *);
+              join c t ~record (* finished steal of task 0: reclaim to bot 0 *);
+              push c t 2;
+              push c t 3 (* recycles slot 1's descriptor *);
+              join c t ~record;
+              join c t ~record);
           Sched.spawn (fun () ->
               attempt t ~thief:2
                 ~record:(fun v ->
                   saw_steal := true;
                   record v)
-                ~on_backoff:(fun () ->
-                  saw_backoff := true;
-                  incr backoffs_this_run));
+                ~on_backoff:(fun () -> saw_backoff := true));
           Sched.final (fun () ->
               for v = 0 to 3 do
                 check (execd.(v) = 1)
                   (Printf.sprintf "task %d not executed exactly once" v)
               done;
-              let s = Ds.stats t in
-              check
-                (s.Ds.backoffs = !backoffs_this_run)
-                "backoff counter out of sync";
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_backoff "coverage: recycled-descriptor back-off never explored";
     check !saw_steal "coverage: successful steal never explored";
@@ -252,25 +266,26 @@ let trip_wire_steal_vs_privatize =
           let t =
             Ds.create ~capacity:8 ~publicity:(Ds.Adaptive 1) ~dummy:(-1) ()
           in
-          let privatized_this_run = ref false in
+          let c = tally () in
+          let privatizes = ref 0 in
           Ds.set_event_hooks t
             ~on_publish:(fun () -> ())
             ~on_privatize:(fun () ->
               saw_privatize := true;
-              privatized_this_run := true);
+              incr privatizes);
           let execd = Array.make 2 0 in
           let record v = execd.(v) <- execd.(v) + 1 in
           (* unscheduled prefix: 15 consecutive public inlines *)
           for _ = 1 to 15 do
-            Ds.push t (-2);
-            if Ds.top_payload t <> -2 || Ds.pop t <> Ds.inline_public then
+            push c t (-2);
+            if Ds.top_payload t <> -2 || pop c t <> Ds.inline_public then
               failwith "setup: expected a public inline"
           done;
-          Ds.push t 0 (* public at slot 0, wire at 0 *);
+          push c t 0 (* public at slot 0, wire at 0 *);
           Sched.spawn (fun () ->
-              join t ~record (* 16th public inline => privatize, or stolen *);
-              Ds.push t 1 (* re-arms the wire if the privatize fired *);
-              join t ~record);
+              join c t ~record (* 16th public inline => privatize, or stolen *);
+              push c t 1 (* re-arms the wire if the privatize fired *);
+              join c t ~record);
           Sched.spawn (fun () ->
               attempt t ~thief:1 ~record:(fun v ->
                   saw_steal := true;
@@ -278,12 +293,9 @@ let trip_wire_steal_vs_privatize =
           Sched.final (fun () ->
               check (execd.(0) = 1) "task 0 not executed exactly once";
               check (execd.(1) = 1) "task 1 not executed exactly once";
-              let s = Ds.stats t in
-              check
-                (s.Ds.privatize_events = if !privatized_this_run then 1 else 0)
-                "privatize counter out of sync";
+              check (!privatizes <= 1) "one inline privatised twice";
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_privatize "coverage: privatize never explored";
     check !saw_steal "coverage: successful steal never explored";
@@ -306,6 +318,7 @@ let publish_window =
           let t =
             Ds.create ~capacity:4 ~publicity:(Ds.Adaptive 2) ~dummy:(-1) ()
           in
+          let c = tally () in
           Ds.set_event_hooks t
             ~on_publish:(fun () -> saw_publish := true)
             ~on_privatize:(fun () -> ());
@@ -313,18 +326,18 @@ let publish_window =
           let record v = execd.(v) <- execd.(v) + 1 in
           (* slots 0,1 public (wire at 1), slot 2 private; slot 0 already
              stolen below the wire *)
-          Ds.push t 0;
-          Ds.push t 1;
-          Ds.push t 2;
+          push c t 0;
+          push c t 1;
+          push c t 2;
           (match Ds.steal t ~thief:7 with
           | Ds.Stolen_task (0, 0) ->
               record 0;
               Ds.complete_steal t ~index:0
           | _ -> failwith "setup: expected to steal task 0");
           Sched.spawn (fun () ->
-              join t ~record;
-              join t ~record;
-              join t ~record);
+              join c t ~record;
+              join c t ~record;
+              join c t ~record);
           Sched.spawn (fun () ->
               (* stealing slot 1 fires the wire; the owner's joins must
                  service the publish request *)
@@ -337,7 +350,7 @@ let publish_window =
                   (Printf.sprintf "task %d not executed exactly once" v)
               done;
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_publish "coverage: publish service never explored";
     check !saw_steal "coverage: successful steal never explored";
@@ -362,25 +375,26 @@ let leapfrog_hold =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = Ds.create ~capacity:3 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
           let execd = Array.make 3 0 in
           let record v = execd.(v) <- execd.(v) + 1 in
           let thief_done = ref false and nested = ref false in
-          Ds.push t 0;
-          Ds.push t 1;
+          push c t 0;
+          push c t 1;
           Sched.spawn (fun () ->
-              join t ~record;
+              join c t ~record;
               let v = Ds.top_payload t in
-              let code = Ds.pop t in
+              let code = pop c t in
               if code < Ds.stolen_finished then record v
               else begin
                 let index = Ds.depth t in
                 if code >= 0 then begin
                   (* the pool's [leapfrog], with a push for the steal *)
                   Ds.hold t ~index;
-                  Ds.push t 2;
+                  push c t 2;
                   nested := true;
                   if not !thief_done then saw_nested_before_done := true;
-                  join t ~record;
+                  join c t ~record;
                   while not (Ds.stolen_done t ~index) do
                     Shadow_atomic.cpu_relax ()
                   done
@@ -403,7 +417,7 @@ let leapfrog_hold =
                     (Printf.sprintf "task %d executed %d times" v n))
                 execd;
               quiescent t;
-              balanced t))
+              balanced c t))
     in
     check !saw_nested_before_done
       "coverage: nested push before the thief's DONE never explored";

@@ -24,7 +24,7 @@
     {b Layout.} The record is split cache-consciously: all owner-private
     mutable fields live in one line-padded block; each thief-shared
     atomic ([bot]+steal count, trip index, publish request, the
-    failed/backoff counters) owns its cache line; and every descriptor's
+    unsuccessful-probe count) owns its cache line; and every descriptor's
     state word is individually padded so adjacent descriptors never
     false-share. [bot] and the steal count are packed into one word so a
     successful steal commits both with a single plain store. *)
@@ -148,30 +148,20 @@ val complete_steal : 'a t -> index:int -> unit
 (** Thief-side: mark the stolen descriptor DONE, unblocking the owner's
     join. *)
 
-(** Counters, all owner-side except [steals]/[backoffs] which are summed
-    over thieves. *)
-type stats = {
-  spawns : int;
-  max_depth : int;  (** deepest simultaneous descriptor count (sec. I) *)
-  inlined_private : int;
-  inlined_public : int;
-  joins_stolen : int;
-  steals : int;
-  backoffs : int;
-  failed_steals : int;
-  publish_events : int;
-  privatize_events : int;
-}
-
-val stats : 'a t -> stats
-val reset_stats : 'a t -> unit
+val steal_count : 'a t -> int
+(** Steals committed on this stack since its creation: the high half of
+    the packed [bot] word a successful steal stores, which
+    {!steal_pressure} reads. Racy snapshot. The stack keeps no other
+    counters: its owner learns inlines and stolen joins from {!pop}'s
+    code, back-offs from {!steal}'s result, and window changes from
+    {!set_event_hooks}. *)
 
 val set_event_hooks :
   'a t -> on_publish:(unit -> unit) -> on_privatize:(unit -> unit) -> unit
-(** Observability hooks for the runtime's event tracer. Both run on the
-    owner, inside the publish / privatize transitions only — never on the
-    private fast path — so they may not touch the stack re-entrantly.
-    Defaults are no-ops. *)
+(** Hooks the runtime counts and traces window changes through. Both run
+    on the owner, inside the publish / privatize transitions only — never
+    on the private fast path — so they may not touch the stack
+    re-entrantly. Defaults are no-ops. *)
 
 val check_quiescent : 'a t -> string list
 (** Protocol-invariant check at quiescence (owner-side, nothing in

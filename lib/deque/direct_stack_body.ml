@@ -18,19 +18,6 @@ type 'a slot = {
 
 type publicity = All_private | All_public | Adaptive of int
 
-type stats = {
-  spawns : int;
-  max_depth : int;
-  inlined_private : int;
-  inlined_public : int;
-  joins_stolen : int;
-  steals : int;
-  backoffs : int;
-  failed_steals : int;
-  publish_events : int;
-  privatize_events : int;
-}
-
 (* Owner-private working set: every field only worker [owner] reads or
    writes, batched into one cache-line-padded block so owner stores never
    invalidate a line a thief has cached. *)
@@ -43,17 +30,9 @@ type 'a owner = {
          [maybe_privatize]) *)
   mutable consec_public_inlines : int;
   mutable last_activity : int;
-      (* thief-activity snapshot ([failed+backoff word] + steal count) at
+      (* thief-activity snapshot ([fb] + steal count) at
          the owner's previous {!steal_pressure} poll; the poll reports
          pressure when the sum has moved since *)
-  (* owner-side counters *)
-  mutable n_spawns : int;
-  mutable max_depth : int;
-  mutable n_inlined_private : int;
-  mutable n_inlined_public : int;
-  mutable n_joins_stolen : int;
-  mutable n_publish : int;
-  mutable n_privatize : int;
   (* observability hooks; invoked only on the (rare) publish / privatize
      transitions, never on the private fast path *)
   mutable on_publish : unit -> unit;
@@ -78,13 +57,12 @@ type 'a t = {
                            publication; [disarmed] = never *)
   publish_request : bool A.t;
   fb : int A.t;
-      (* packed [backoffs lsl 31 | failed_steals]: both thief-contended,
-         one fetch-and-add per failed attempt on a line shared with
-         nothing else *)
+      (* steal attempts that took nothing (failed or backed off): one
+         thief fetch-and-add each, on a line shared with nothing else;
+         read only by [steal_pressure] *)
 }
 
 let bot_mask = 0xFFFFFFFF
-let backoff_unit = 1 lsl 31
 let disarmed = max_int
 let no_hook () = ()
 
@@ -131,13 +109,6 @@ let create ?(capacity = 65536) ?(publicity = Adaptive 4) ~dummy () =
           rearm = false;
           consec_public_inlines = 0;
           last_activity = 0;
-          n_spawns = 0;
-          max_depth = 0;
-          n_inlined_private = 0;
-          n_inlined_public = 0;
-          n_joins_stolen = 0;
-          n_publish = 0;
-          n_privatize = 0;
           on_publish = no_hook;
           on_privatize = no_hook;
         };
@@ -163,7 +134,7 @@ let[@inline] steal_count t = A.get t.botw lsr 32
    alone cannot bootstrap a lazy splitter: a leaf holding all remaining
    work {e privately} gives thieves nothing to steal, so no steal ever
    springs the wire. Those thieves still leave tracks — every probe against
-   this stack bumps the failed/backoff word, and every success bumps the
+   this stack that takes nothing bumps [fb], and every success bumps the
    steal count — so the poll also reports pressure whenever that activity
    sum moved since the owner last asked. Cost: two atomic loads, and an
    owner-private store only when the answer is [true].
@@ -176,7 +147,7 @@ let[@inline] steal_count t = A.get t.botw lsr 32
 let[@inline] steal_pressure t =
   A.get t.publish_request
   ||
-  let activity = A.get t.fb + (A.get t.botw lsr 32) in
+  let activity = A.get t.fb + steal_count t in
   let own = t.own in
   activity <> own.last_activity
   && begin
@@ -213,7 +184,6 @@ let[@inline] service_publish t =
         done;
         own.public_limit <- new_limit;
         A.set t.trip_index (new_limit - 1);
-        own.n_publish <- own.n_publish + 1;
         own.on_publish ()
       end
 
@@ -249,9 +219,7 @@ let[@inline] push t v =
        EMPTY, which no thief will ever CAS, so no synchronised write is
        needed at all. *)
     slot.pushed_public <- false;
-  own.top <- i + 1;
-  if own.top > own.max_depth then own.max_depth <- own.top;
-  own.n_spawns <- own.n_spawns + 1
+  own.top <- i + 1
 
 (* Shrink the public window after a run of inlined public joins; only
    future pushes are affected (descriptors already published keep their
@@ -283,7 +251,6 @@ let maybe_privatize t i =
             A.set t.trip_index disarmed;
             own.rearm <- true
           end;
-          own.n_privatize <- own.n_privatize + 1;
           own.on_privatize ()
         end;
         own.consec_public_inlines <- 0
@@ -302,7 +269,6 @@ let top_payload t =
 (* A public join whose exchange found the task gone: stolen by [code], or
    already finished ([stolen_finished]). *)
 let[@inline] joined_stolen own code =
-  own.n_joins_stolen <- own.n_joins_stolen + 1;
   own.consec_public_inlines <- 0;
   code
 
@@ -322,7 +288,6 @@ let rec join_public t slot i =
   let own = t.own in
   let s = A.exchange slot.state Ts.empty in
   if s = Ts.task_public then begin
-    own.n_inlined_public <- own.n_inlined_public + 1;
     maybe_privatize t i;
     slot.payload <- t.dummy;
     inline_public
@@ -353,7 +318,6 @@ let[@inline] pop t =
   if not slot.pushed_public then begin
     (* Private fast path: no atomic read-modify-write, no fence — the
        descriptor was never visible to thieves. *)
-    own.n_inlined_private <- own.n_inlined_private + 1;
     slot.payload <- t.dummy;
     inline_private
   end
@@ -421,7 +385,7 @@ let steal ?(interfere = no_interference) t ~thief =
            Restore the state — the transient EMPTY only made competing
            thieves fail and a joining owner spin — and back off. *)
         A.set slot.state s1;
-        ignore (A.fetch_and_add t.fb backoff_unit : int);
+        ignore (A.fetch_and_add t.fb 1 : int);
         Backoff
       end
       else begin
@@ -513,31 +477,3 @@ let dump_live t =
     if i < top || s <> Ts.empty then live := (i, state_name s) :: !live
   done;
   !live
-
-let stats t =
-  let fb = A.get t.fb in
-  {
-    spawns = t.own.n_spawns;
-    max_depth = t.own.max_depth;
-    inlined_private = t.own.n_inlined_private;
-    inlined_public = t.own.n_inlined_public;
-    joins_stolen = t.own.n_joins_stolen;
-    steals = steal_count t;
-    backoffs = fb lsr 31;
-    failed_steals = fb land (backoff_unit - 1);
-    publish_events = t.own.n_publish;
-    privatize_events = t.own.n_privatize;
-  }
-
-let reset_stats t =
-  let own = t.own in
-  own.n_spawns <- 0;
-  own.max_depth <- 0;
-  own.n_inlined_private <- 0;
-  own.n_inlined_public <- 0;
-  own.n_joins_stolen <- 0;
-  own.n_publish <- 0;
-  own.n_privatize <- 0;
-  (* clear the steal bits, preserve [bot] *)
-  A.set t.botw (A.get t.botw land bot_mask);
-  A.set t.fb 0

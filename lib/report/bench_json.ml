@@ -105,8 +105,8 @@ let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
         if result <> expected then ok := false;
         samples.(i) <- ns;
         let s = Wool.Stats.aggregate pool in
-        spawns := s.Wool.Pool.spawns;
-        steals := s.Wool.Pool.steals)
+        spawns := Wool.Stats.count s Spawn;
+        steals := Wool.Stats.count s Steal_ok)
   done;
   let parallel_ns = stat_of_samples samples in
   let g =

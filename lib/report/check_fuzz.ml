@@ -91,18 +91,15 @@ let publicities = [| Wool.All_public; Wool.Adaptive 1; Wool.Adaptive 4;
 
 let direct = Wool.Mode.is_direct
 
-let counts_of_stats (s : Wool.Stats.t) =
-  {
-    Oracle.spawns = s.spawns;
-    steals = s.steals;
-    leap_steals = s.leap_steals;
-    joins_stolen = s.joins_stolen;
-    inlined_private = s.inlined_private;
-    inlined_public = s.inlined_public;
-    publish_events = s.publish_events;
-    privatize_events = s.privatize_events;
-    injected = s.injected;
-  }
+(* The oracle's accounting: every tag the stats JSON counts. None of
+   them moves once [run] returns, unlike the idle loop's probes and
+   naps. *)
+let counts_of_stats s =
+  List.filter_map
+    (function
+      | _, Wool.Stats.Count tag -> Some (tag, Wool.Stats.count s tag)
+      | _, (Wool.Stats.Failed_steals | Max_pool_depth) -> None)
+    Wool.Stats.keys
 
 let run_one ~seed =
   (* Everything about the history flows from the seed: the mode rotates
@@ -270,29 +267,31 @@ let run_one ~seed =
     counts;
   add (Wool.Invariants.check pool);
   let stats = Wool.Stats.aggregate pool in
+  let spawns = Wool.Stats.count stats Spawn in
   (* A rope run adds however many splits steal pressure forced (a
      schedule-dependent, nonnegative count), so with a rope the edge
      count is a lower bound instead of an exact match. *)
   (if rope then begin
-     if stats.spawns < nodes - 1 then
+     if spawns < nodes - 1 then
        add
          [
            Printf.sprintf "stats.spawns = %d, expected >= %d (tree edges)"
-             stats.spawns (nodes - 1);
+             spawns (nodes - 1);
          ]
    end
-   else if stats.spawns <> nodes - 1 then
+   else if spawns <> nodes - 1 then
      add
        [
-         Printf.sprintf "stats.spawns = %d, expected %d (tree edges)"
-           stats.spawns (nodes - 1);
+         Printf.sprintf "stats.spawns = %d, expected %d (tree edges)" spawns
+           (nodes - 1);
        ]);
   (* every [Wool.run] goes through the ingress too *)
   let runs = if rope then 2 else 1 in
-  if stats.injected <> n_inject + runs then
+  let injected = Wool.Stats.count stats Dequeue_injected in
+  if injected <> n_inject + runs then
     add
       [
-        Printf.sprintf "stats.injected = %d, expected %d" stats.injected
+        Printf.sprintf "stats.injected = %d, expected %d" injected
           (n_inject + runs);
       ];
   let ig = Wool.ingress_stats pool in
@@ -365,8 +364,8 @@ let print_rows rows =
           Wool_policy.name r.policy;
           (if r.faulty then "plan" else "-");
           Table.cell_i r.nodes;
-          Table.cell_i r.stats.injected;
-          Table.cell_i r.stats.steals;
+          Table.cell_i (Wool.Stats.count r.stats Dequeue_injected);
+          Table.cell_i (Wool.Stats.count r.stats Steal_ok);
           Table.cell_f ~dec:1 (r.elapsed_ns /. 1e6);
           (match r.violations with
           | [] -> "ok"
@@ -382,7 +381,9 @@ let print_rows rows =
         r.workers;
       List.iter (fun v -> Printf.printf "!!   %s\n" v) r.violations)
     bad;
-  let steals = List.fold_left (fun acc r -> acc + r.stats.steals) 0 rows in
+  let steals =
+    List.fold_left (fun acc r -> acc + Wool.Stats.count r.stats Steal_ok) 0 rows
+  in
   let tasks = List.fold_left (fun acc r -> acc + r.nodes) 0 rows in
   Printf.printf "%d histories, %d tasks, %d steals, %d with violations\n"
     (List.length rows) tasks steals (List.length bad);
@@ -615,8 +616,8 @@ let kernel_matrix ?(workers = 3) () =
               violations =
                 wrong_result ~got ~expected @ Wool.Invariants.check pool;
               millis = ns /. 1e6;
-              spawns = s.Wool.Pool.spawns;
-              steals = s.Wool.Pool.steals;
+              spawns = Wool.Stats.count s Spawn;
+              steals = Wool.Stats.count s Steal_ok;
             })
       in
       let cactus_cell =

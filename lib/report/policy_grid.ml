@@ -289,10 +289,10 @@ let real_check ?(workers = 4) () =
         [
           Wool_policy.name policy;
           Table.cell_f ~dec:2 (ns /. 1e6);
-          Table.cell_i s.steals;
-          Table.cell_i s.leap_steals;
-          Table.cell_i s.failed_steals;
-          Table.cell_i s.spawns;
+          Table.cell_i (Wool.Stats.count s Steal_ok);
+          Table.cell_i (Wool.Stats.count s Leap_steal);
+          Table.cell_i (Wool.Stats.get s Failed_steals);
+          Table.cell_i (Wool.Stats.count s Spawn);
         ])
     Selector.all;
   Table.print tbl

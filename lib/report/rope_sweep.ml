@@ -42,7 +42,7 @@ let measure ~mode ~workers ~repeats ~expected f =
         let result, ns = Clock.time (fun () -> Wool.run pool f) in
         if result <> expected then ok := false;
         samples.(i) <- ns;
-        spawns := (Wool.Stats.aggregate pool).Wool.Pool.spawns)
+        spawns := Wool.Stats.count (Wool.Stats.aggregate pool) Spawn)
   done;
   Array.sort compare samples;
   {

@@ -14,59 +14,50 @@ module Spec = Exp_common.Spec
 
 let workloads = Spec.names
 
-(* The measured stream and the runtime's own counters are produced by the
-   same instrumentation points, so they must agree exactly unless the ring
-   overflowed. *)
-let cross_check summary (agg : Wool.Stats.t) ~dropped =
+(* The measured stream and the runtime's own counters come from the same
+   calls, so they must agree key for key unless a ring overflowed; with
+   nothing dropped, a disagreement is a bug. *)
+let cross_check events (agg : Wool.Stats.t) ~dropped =
   let tbl =
     Table.create ~title:"events vs counters"
-      ~header:[ "quantity"; "events"; "counters" ]
+      ~header:[ "counter"; "events"; "counters" ]
       ()
   in
-  let mism = ref false in
-  let row label ev ctr =
-    if ev <> ctr then mism := true;
-    Table.add_row tbl [ label; Table.cell_i ev; Table.cell_i ctr ]
-  in
-  row "spawns" (Summary.count summary Event.Spawn) agg.Wool.Pool.spawns;
-  row "steals" (Summary.count summary Event.Steal_ok) agg.Wool.Pool.steals;
-  row "leap steals"
-    (Summary.count summary Event.Leap_steal)
-    agg.Wool.Pool.leap_steals;
-  row "inlined (private)"
-    (Summary.count summary Event.Inline_private)
-    agg.Wool.Pool.inlined_private;
-  row "inlined (public)"
-    (Summary.count summary Event.Inline_public)
-    agg.Wool.Pool.inlined_public;
-  row "joins of stolen tasks"
-    (Summary.count summary Event.Join_stolen)
-    agg.Wool.Pool.joins_stolen;
+  let from_events = Wool.Stats.of_events events in
+  let mism = ref [] in
+  List.iter
+    (fun (name, key) ->
+      let ev = Wool.Stats.get from_events key
+      and ctr = Wool.Stats.get agg key in
+      if ev <> ctr then mism := name :: !mism;
+      Table.add_row tbl [ name; Table.cell_i ev; Table.cell_i ctr ])
+    Wool.Stats.keys;
   Table.print tbl;
-  if !mism then
+  if !mism <> [] then
     if dropped > 0 then
       Printf.printf
         "note: %d events were dropped to ring overflow, so event counts \
          undershoot the counters; raise ~trace_capacity for an exact \
          stream.\n"
         dropped
-    else print_string "WARNING: event counts disagree with stats counters\n"
+    else
+      failwith
+        ("event counts disagree with stats counters: "
+        ^ String.concat ", " (List.rev !mism))
 
 let per_worker_stats_table pool =
   let tbl =
     Table.create ~title:"per-worker stats"
-      ~header:
-        [ "worker"; "spawns"; "inl priv"; "inl pub"; "stolen from";
-          "steals"; "leaps"; "failed" ]
+      ~header:("worker" :: List.map fst Wool.Stats.keys)
       ()
   in
   Array.iteri
-    (fun i (s : Wool.Stats.t) ->
+    (fun i s ->
       Table.add_row tbl
-        [ string_of_int i; Table.cell_i s.Wool.Pool.spawns;
-          Table.cell_i s.Wool.Pool.inlined_private; Table.cell_i s.Wool.Pool.inlined_public;
-          Table.cell_i s.Wool.Pool.joins_stolen; Table.cell_i s.Wool.Pool.steals;
-          Table.cell_i s.Wool.Pool.leap_steals; Table.cell_i s.Wool.Pool.failed_steals ])
+        (string_of_int i
+        :: List.map
+             (fun (_, key) -> Table.cell_i (Wool.Stats.get s key))
+             Wool.Stats.keys))
     (Wool.Stats.per_worker pool);
   Table.print tbl
 
@@ -125,7 +116,7 @@ let run ?(workers = 4) ?(out = "trace.json") ?(check = false) ?policy name =
   let summary = Summary.make ~dropped events in
   print_string (Summary.render ~time_unit:"ns" summary);
   per_worker_stats_table pool;
-  cross_check summary (Wool.Stats.aggregate pool) ~dropped;
+  cross_check events (Wool.Stats.aggregate pool) ~dropped;
   print_granularity ~label:"measured (work = serial ns)" ~unit:"ns"
     (Granularity.of_events ~work:serial_ns events);
   (* Simulator counterpart: deterministic two-pass run-then-trace, then the

@@ -22,5 +22,6 @@ val run :
     pool and the simulated counterpart (default: the pool's default,
     random victims with nap-after-64 backoff). With [check] the written
     file is re-read and validated with {!Wool_trace.Json.validate}.
-    Raises [Failure] on an unknown workload name or (under [check])
-    invalid JSON. *)
+    Raises [Failure] on an unknown workload name, (under [check])
+    invalid JSON, or, when no event was dropped, an event count that
+    disagrees with its {!Wool.Stats} counter. *)

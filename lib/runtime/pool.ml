@@ -122,59 +122,38 @@ module Config = struct
            way in)";
     c
 
-  (* The single option-merge routine behind [make] and [override]: two
-     hand-rolled copies drifted on every new field ([trace_capacity] was
-     silently not overridable for a while). *)
-  let merge base ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
-      ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
+  let make ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
+      ?trace_capacity ?policy ?steal_policy ?backoff ?faults
       ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
       ?injection_capacity ?admission ?admission_target_ns ?server () =
     let ov o d = Option.value o ~default:d in
     let base_selector, base_backoff =
       match policy with
       | Some p -> (p.Wool_policy.selector, p.Wool_policy.backoff)
-      | None -> (base.steal_policy, base.backoff)
+      | None -> (default.steal_policy, default.backoff)
     in
-    {
-      workers = (match workers with Some _ -> workers | None -> base.workers);
-      mode = ov mode base.mode;
-      publicity = ov publicity base.publicity;
-      capacity = ov capacity base.capacity;
-      idle_nap_ns = ov idle_nap_ns base.idle_nap_ns;
-      seed = ov seed base.seed;
-      trace = ov trace base.trace;
-      trace_capacity = ov trace_capacity base.trace_capacity;
-      steal_policy = ov steal_policy base_selector;
-      backoff = ov backoff base_backoff;
-      faults = (match faults with Some _ -> faults | None -> base.faults);
-      watchdog_interval_ns = ov watchdog_interval_ns base.watchdog_interval_ns;
-      watchdog_stalls = ov watchdog_stalls base.watchdog_stalls;
-      injection_lanes = ov injection_lanes base.injection_lanes;
-      injection_capacity = ov injection_capacity base.injection_capacity;
-      admission = ov admission base.admission;
-      admission_target_ns = ov admission_target_ns base.admission_target_ns;
-      server = ov server base.server;
-    }
-
-  let make ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
-      ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-      ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server () =
     validate
-      (merge default ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
-         ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-         ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-         ?injection_capacity ?admission ?admission_target_ns ?server ())
-
-  let override c ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed
-      ?trace ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-      ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server () =
-    validate
-      (merge c ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
-         ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-         ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-         ?injection_capacity ?admission ?admission_target_ns ?server ())
+      {
+        workers;
+        mode = ov mode default.mode;
+        publicity = ov publicity default.publicity;
+        capacity = ov capacity default.capacity;
+        idle_nap_ns = ov idle_nap_ns default.idle_nap_ns;
+        seed = ov seed default.seed;
+        trace = ov trace default.trace;
+        trace_capacity = ov trace_capacity default.trace_capacity;
+        steal_policy = ov steal_policy base_selector;
+        backoff = ov backoff base_backoff;
+        faults;
+        watchdog_interval_ns =
+          ov watchdog_interval_ns default.watchdog_interval_ns;
+        watchdog_stalls = ov watchdog_stalls default.watchdog_stalls;
+        injection_lanes = ov injection_lanes default.injection_lanes;
+        injection_capacity = ov injection_capacity default.injection_capacity;
+        admission = ov admission default.admission;
+        admission_target_ns = ov admission_target_ns default.admission_target_ns;
+        server = ov server default.server;
+      }
 
   let policy c =
     { Wool_policy.selector = c.steal_policy; backoff = c.backoff }
@@ -240,6 +219,11 @@ type worker = {
   inj_interfere : Ds.steal_phase -> bool;
       (* [Ds.steal] interference hook over [inj], built once — the steal
          attempt path must not allocate a closure per call *)
+  counts : int array;
+      (* the count table: the direct stack's high-water depth at
+         [depth_slot], then one count per [Event.tag] ([slot]). Only
+         [note] (and [spawn_direct], for the depth) writes it, on the
+         owner; readers take racy int loads. Padded like [hot]. *)
   hot : worker_hot;
       (* this worker's frequently written fields, in their own
          cache-line-padded block: the rest of this record is immutable
@@ -248,30 +232,19 @@ type worker = {
          attempt) instead of bouncing on every counter bump *)
 }
 
-(* Worker-written working set. Only the owner writes (the watchdog and
-   the stats reader take racy int loads); padding keeps those writes from
-   invalidating the read-shared [worker] record or a neighbouring
-   worker's counters. *)
+(* Worker-written working set. Only the owner writes (the watchdog
+   takes racy int loads); padding keeps those writes from invalidating
+   the read-shared [worker] record or a neighbouring worker's block. *)
 and worker_hot = {
   (* scheduler-transition counter bumped on the wait paths (idle steal
-     loop, leapfrog) where [n_spawns] does not advance; the watchdog
-     samples [progress + n_spawns] so the spawn/join fast path carries no
+     loop, leapfrog) where the spawn count does not advance; the watchdog
+     samples [progress + spawns] so the spawn/join fast path carries no
      extra store. *)
   mutable progress : int;
   (* Locked/Clev only: outstanding spawns of the task currently executing
      on this worker (and its callers), newest first. The direct-stack
      modes get this for free from descriptor [depth]. *)
   mutable children : pending_child list;
-  mutable n_spawns : int;
-  mutable n_steals : int;
-  mutable n_leap_steals : int;
-  mutable n_failed : int;
-  mutable n_inlined : int; (* Locked/Clev joins that found the task in place *)
-  mutable n_injected : int; (* injected jobs drained and run by this worker *)
-  mutable n_join_stolen : int;
-  (* Locked/Clev joins (or unwind waits) of a task a thief took; the
-     direct modes count these in the dstack. Keeps [joins_stolen]
-     meaningful — equal to [steals] at quiescence — in every mode. *)
   mutable ambient_cancel : Cancel.t option;
   (* the cancel token of the injected job this worker is currently
      running, if any: [spawn] checks it so a cancelled submission's task
@@ -364,9 +337,25 @@ let dummy_task (_ : worker) = ()
 let dummy_packed = P { fn = dummy_task; value = None; index = -1; owner_id = -1 }
 let dummy_child = { pc_task = dummy_packed; pc_completed = Atomic.make true }
 
+(* The count table's slots: the high-water depth first, then one per
+   tag. [tag_to_int] is the identity, so a constant tag's slot is a
+   constant; the depth's slot is one too, which [Event.n_tags] (opaque
+   across modules) could not be. *)
+let depth_slot = 0
+let[@inline] slot tag = 1 + Event.tag_to_int tag
+let table_slots = 1 + Event.n_tags
 
-let[@inline] record w tag ~a ~b =
-  Ring.record w.ring ~ts:(Wool_util.Clock.now_ns ()) ~tag ~a ~b
+(* Every worker event goes through here: one call counts it and, when
+   tracing, records it, so a counter and its trace event cannot drift. *)
+let[@inline] note w tag ~a ~b =
+  let i = slot tag in
+  Array.unsafe_set w.counts i (Array.unsafe_get w.counts i + 1);
+  if w.tr_on then
+    Ring.record w.ring ~ts:(Wool_util.Clock.now_ns ()) ~tag ~a ~b
+
+(* The event of an inlining [Ds.pop] code. *)
+let[@inline] inline_tag code =
+  if code = Ds.inline_public then Event.Inline_public else Event.Inline_private
 
 (* ---- fault-injection hooks ----
 
@@ -458,9 +447,9 @@ let idle_backoff w =
       Unix.sleepf 0.
   | Backoff.Nap factor ->
       if w.fl_on then fault_delay w Fault.Site.Nap_entry;
-      if w.tr_on then record w Event.Nap_enter ~a:factor ~b:(-1);
+      note w Event.Nap_enter ~a:factor ~b:(-1);
       nap w.pool ~factor;
-      if w.tr_on then record w Event.Nap_exit ~a:(-1) ~b:(-1)
+      note w Event.Nap_exit ~a:(-1) ~b:(-1)
 
 (* ---- the queued modes' deque (Locked/Clev) ----
 
@@ -543,10 +532,13 @@ and unwind w ~mark =
     while Ds.depth w.dstack > mark do
       let (P fut) = Ds.top_payload w.dstack in
       let code = Ds.pop w.dstack in
-      if code < Ds.stolen_finished then run_body w fut
+      let index = Ds.depth w.dstack in
+      if code < Ds.stolen_finished then begin
+        note w (inline_tag code) ~a:index ~b:(-1);
+        run_body w fut
+      end
       else begin
-        let index = Ds.depth w.dstack in
-        if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
+        note w Event.Join_stolen ~a:index ~b:code;
         if code >= 0 then leapfrog w ~victim_id:code ~index;
         Ds.reclaim w.dstack ~index
       end
@@ -568,38 +560,35 @@ and take_child w pc =
       (* every newer spawn is already joined and thieves take the oldest
          first, so a task still in the deque is [pc] *)
       assert (top == pc);
-      w.hot.n_inlined <- w.hot.n_inlined + 1;
-      if w.tr_on then record w Event.Inline_public ~a:(-1) ~b:(-1);
+      note w Event.Inline_public ~a:(-1) ~b:(-1);
       let (P fut) = pc.pc_task in
       run_body w fut
   | None ->
       (* No thief identity in the queued modes: steal per the policy
          while waiting. This is the strategy whose buried-join behaviour
          §I discusses. *)
-      w.hot.n_join_stolen <- w.hot.n_join_stolen + 1;
-      if w.tr_on then record w Event.Join_stolen ~a:(-1) ~b:(-1);
+      note w Event.Join_stolen ~a:(-1) ~b:(-1);
       while not (Atomic.get pc.pc_completed) do
         ignore (steal_idle w : bool)
       done
 
 (* ---- steal attempts ----
 
-   Each counts its own [n_steals] *before* running the task: the
-   increment must be ordered before the completion signal the owner
-   waits on (descriptor DONE / [pc_completed]), or a quiescent invariant
-   check could observe the join without the steal. *)
+   Each notes its own [Steal_ok] *before* running the task: the count
+   must be ordered before the completion signal the owner waits on
+   (descriptor DONE / [pc_completed]), or a quiescent invariant check
+   could observe the join without the steal. *)
 
 (* Attempt to steal one task from [victim] and run it. *)
 and steal_once w ~(victim : worker) =
-  if w.tr_on then record w Event.Steal_attempt ~a:(-1) ~b:victim.id;
+  note w Event.Steal_attempt ~a:(-1) ~b:victim.id;
   let ran =
     if w.pool.direct then steal_direct w ~victim else steal_queued w ~victim
   in
   if ran then begin
     Backoff.on_success w.bo;
     Select.on_success w.sel ~victim:victim.id
-  end
-  else w.hot.n_failed <- w.hot.n_failed + 1;
+  end;
   ran
 
 and steal_direct w ~victim =
@@ -610,13 +599,12 @@ and steal_direct w ~victim =
   in
   match result with
   | Ds.Stolen_task (P fut, index) ->
-      w.hot.n_steals <- w.hot.n_steals + 1;
-      if w.tr_on then record w Event.Steal_ok ~a:index ~b:victim.id;
+      note w Event.Steal_ok ~a:index ~b:victim.id;
       run_body w fut;
       Ds.complete_steal victim.dstack ~index;
       true
   | Ds.Backoff ->
-      if w.tr_on then record w Event.Steal_backoff ~a:(-1) ~b:victim.id;
+      note w Event.Steal_backoff ~a:(-1) ~b:victim.id;
       false
   | Ds.Fail -> false
 
@@ -625,8 +613,7 @@ and steal_queued w ~victim =
   else
     match q_steal victim with
     | Some pc ->
-        w.hot.n_steals <- w.hot.n_steals + 1;
-        if w.tr_on then record w Event.Steal_ok ~a:(-1) ~b:victim.id;
+        note w Event.Steal_ok ~a:(-1) ~b:victim.id;
         let (P fut) = pc.pc_task in
         run_body w fut;
         Atomic.set pc.pc_completed true;
@@ -645,8 +632,7 @@ and leapfrog w ~victim_id ~index =
     if steal_once w ~victim then begin
       (* one per successful attempt: steals made by nested leapfrogs
          inside the stolen task count themselves *)
-      w.hot.n_leap_steals <- w.hot.n_leap_steals + 1;
-      if w.tr_on then record w Event.Leap_steal ~a:(-1) ~b:victim_id
+      note w Event.Leap_steal ~a:(-1) ~b:victim_id
     end
     else idle_backoff w
   done
@@ -704,8 +690,8 @@ and drain_injected w =
         | Some (J j as job) ->
             (* Lifecycle drops come first: a cancelled or expired job is
                settled here without running — and without a
-               [Dequeue_injected] event or an [n_injected] bump, both of
-               which the trace oracle equates with executions. The
+               [Dequeue_injected] note, which the trace oracle and the
+               [injected] counter equate with executions. The
                [Cancel]/[Expire] fault sites sit between the pop and the
                respective check, stretching the race window between a
                late canceller (or a ticking clock) and this worker. *)
@@ -749,8 +735,7 @@ and drain_injected w =
    that raises first unwinds its own spawns; a [Cancel.Cancelled]
    escaping the body settles the ticket cancelled, not failed. *)
 and exec_job w (J j) ~lane ~dup =
-  w.hot.n_injected <- w.hot.n_injected + 1;
-  if w.tr_on then record w Event.Dequeue_injected ~a:lane ~b:(-1);
+  note w Event.Dequeue_injected ~a:lane ~b:(-1);
   let saved = w.hot.ambient_cancel in
   w.hot.ambient_cancel <- j.token;
   for _ = 0 to Bool.to_int dup do
@@ -780,10 +765,13 @@ let worker_loop w =
 let spawn_direct w (fn : worker -> 'a) : 'a future =
   let index = Ds.depth w.dstack in
   let fut = { fn; value = None; index; owner_id = w.id } in
-  (* the push may raise [Pool_overflow]; the event is recorded only for
-     spawns that happened *)
+  (* the push may raise [Pool_overflow]; only spawns that happened are
+     noted, so an overflow leaves the spawn/join balance intact for
+     [Invariants.check] *)
   Ds.push w.dstack (P fut);
-  if w.tr_on then record w Event.Spawn ~a:index ~b:(-1);
+  note w Event.Spawn ~a:index ~b:(-1);
+  if index >= Array.unsafe_get w.counts depth_slot then
+    Array.unsafe_set w.counts depth_slot (index + 1);
   fut
 
 let spawn_queued w (fn : worker -> 'a) : 'a future =
@@ -795,7 +783,7 @@ let spawn_queued w (fn : worker -> 'a) : 'a future =
      [pc_completed] already true. *)
   q_push w pc;
   w.hot.children <- pc :: w.hot.children;
-  if w.tr_on then record w Event.Spawn ~a:(-1) ~b:(-1);
+  note w Event.Spawn ~a:(-1) ~b:(-1);
   fut
 
 (* ---- join ---- *)
@@ -806,11 +794,7 @@ let join_direct w fut =
     invalid_arg "Wool.join: joins must be made in LIFO spawn order";
   let code = Ds.pop w.dstack in
   if code < Ds.stolen_finished then begin
-    if w.tr_on then
-      record w
-        (if code = Ds.inline_public then Event.Inline_public
-         else Event.Inline_private)
-        ~a:index ~b:(-1);
+    note w (inline_tag code) ~a:index ~b:(-1);
     if w.pool.generic then begin
       (* Generic join: run the descriptor's payload into its result cell
          and read it back, as a runtime without task-specific join
@@ -825,7 +809,7 @@ let join_direct w fut =
   end
   else begin
     (* [code] is the thief's id, or [Ds.stolen_finished] *)
-    if w.tr_on then record w Event.Join_stolen ~a:index ~b:code;
+    note w Event.Join_stolen ~a:index ~b:code;
     Select.stolen_by w.sel ~thief:code;
     if code >= 0 then leapfrog w ~victim_id:code ~index;
     Ds.reclaim w.dstack ~index;
@@ -867,11 +851,7 @@ let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   | Some c -> Cancel.check c
   | None -> ());
   let fn = if w.fl_on then spawn_fault w fn else fn in
-  let fut = if w.pool.direct then spawn_direct w fn else spawn_queued w fn in
-  (* counted only after the push succeeds: a [Pool_overflow] raise must
-     leave the spawn/join counter balance intact for [Invariants.check] *)
-  w.hot.n_spawns <- w.hot.n_spawns + 1;
-  fut
+  if w.pool.direct then spawn_direct w fn else spawn_queued w fn
 
 let join (w : ctx) fut =
   if fut.owner_id <> w.id then
@@ -1069,91 +1049,62 @@ let ingress_stats pool =
   }
 
 module Stats = struct
-  type t = {
-    spawns : int;
-    max_pool_depth : int;
-    inlined_private : int;
-    inlined_public : int;
-    joins_stolen : int;
-    steals : int;
-    leap_steals : int;
-    backoffs : int;
-    failed_steals : int;
-    publish_events : int;
-    privatize_events : int;
-    injected : int;
-  }
+  type t = int array (* [table_slots] long, laid out like [counts] *)
 
-  let zero =
-    {
-      spawns = 0;
-      max_pool_depth = 0;
-      inlined_private = 0;
-      inlined_public = 0;
-      joins_stolen = 0;
-      steals = 0;
-      leap_steals = 0;
-      backoffs = 0;
-      failed_steals = 0;
-      publish_events = 0;
-      privatize_events = 0;
-      injected = 0;
-    }
+  let count s tag = s.(slot tag)
+  let max_pool_depth s = s.(depth_slot)
 
-  let of_worker w =
-    let d = Ds.stats w.dstack in
-    {
-      spawns = w.hot.n_spawns;
-      max_pool_depth = d.Ds.max_depth;
-      inlined_private = d.Ds.inlined_private;
-      inlined_public = d.Ds.inlined_public + w.hot.n_inlined;
-      joins_stolen = d.Ds.joins_stolen + w.hot.n_join_stolen;
-      steals = w.hot.n_steals;
-      leap_steals = w.hot.n_leap_steals;
-      backoffs = d.Ds.backoffs;
-      failed_steals = w.hot.n_failed;
-      publish_events = d.Ds.publish_events;
-      privatize_events = d.Ds.privatize_events;
-      injected = w.hot.n_injected;
-    }
+  type key = Count of Event.tag | Failed_steals | Max_pool_depth
+
+  (* The stats JSON: its keys in order, and where each reads the table.
+     The names and their order are a contract ([benchmark/] reads them). *)
+  let keys =
+    [
+      ("spawns", Count Event.Spawn);
+      ("max_pool_depth", Max_pool_depth);
+      ("inlined_private", Count Event.Inline_private);
+      ("inlined_public", Count Event.Inline_public);
+      ("joins_stolen", Count Event.Join_stolen);
+      ("steals", Count Event.Steal_ok);
+      ("leap_steals", Count Event.Leap_steal);
+      ("backoffs", Count Event.Steal_backoff);
+      ("failed_steals", Failed_steals);
+      ("publish_events", Count Event.Publish);
+      ("privatize_events", Count Event.Privatize);
+      ("injected", Count Event.Dequeue_injected);
+    ]
+
+  let get s = function
+    | Count tag -> count s tag
+    | Failed_steals -> count s Event.Steal_attempt - count s Event.Steal_ok
+    | Max_pool_depth -> max_pool_depth s
 
   (* [max_pool_depth] is a high-water mark, not a flow; it combines with
-     [max], everything else with [+]. *)
+     [max], every count with [+]. *)
   let combine a b =
-    {
-      spawns = a.spawns + b.spawns;
-      max_pool_depth = max a.max_pool_depth b.max_pool_depth;
-      inlined_private = a.inlined_private + b.inlined_private;
-      inlined_public = a.inlined_public + b.inlined_public;
-      joins_stolen = a.joins_stolen + b.joins_stolen;
-      steals = a.steals + b.steals;
-      leap_steals = a.leap_steals + b.leap_steals;
-      backoffs = a.backoffs + b.backoffs;
-      failed_steals = a.failed_steals + b.failed_steals;
-      publish_events = a.publish_events + b.publish_events;
-      privatize_events = a.privatize_events + b.privatize_events;
-      injected = a.injected + b.injected;
-    }
+    Array.init table_slots (fun i ->
+        if i = depth_slot then max a.(i) b.(i) else a.(i) + b.(i))
 
+  let of_events evs =
+    let s = Array.make table_slots 0 in
+    Array.iter
+      (fun (e : Event.t) ->
+        s.(slot e.tag) <- s.(slot e.tag) + 1;
+        if e.tag = Event.Spawn then
+          s.(depth_slot) <- max s.(depth_slot) (e.a + 1))
+      evs;
+    s
+
+  let of_worker w = Array.sub w.counts 0 table_slots
   let per_worker pool = Array.map of_worker pool.workers
 
   let aggregate pool =
-    Array.fold_left (fun acc w -> combine acc (of_worker w)) zero pool.workers
-
-  let policy_name = policy_name
+    Array.fold_left
+      (fun acc w -> combine acc (of_worker w))
+      (Array.make table_slots 0) pool.workers
 
   let reset pool =
-    Array.iter
-      (fun w ->
-        Ds.reset_stats w.dstack;
-        w.hot.n_spawns <- 0;
-        w.hot.n_steals <- 0;
-        w.hot.n_leap_steals <- 0;
-        w.hot.n_failed <- 0;
-        w.hot.n_inlined <- 0;
-        w.hot.n_injected <- 0;
-        w.hot.n_join_stolen <- 0)
-      pool.workers;
+    Array.iter (fun w -> Array.fill w.counts 0 table_slots 0) pool.workers;
     (* the ingress balance ([Invariants.check]) is relative to the same
        reset point as the worker counters *)
     let ig = pool.ingress in
@@ -1166,52 +1117,23 @@ module Stats = struct
     Atomic.set ig.cancelled 0;
     Atomic.set pool.adm_wait_ewma 0
 
-  let fields s =
-    [
-      ("spawns", s.spawns);
-      ("max_pool_depth", s.max_pool_depth);
-      ("inlined_private", s.inlined_private);
-      ("inlined_public", s.inlined_public);
-      ("joins_stolen", s.joins_stolen);
-      ("steals", s.steals);
-      ("leap_steals", s.leap_steals);
-      ("backoffs", s.backoffs);
-      ("failed_steals", s.failed_steals);
-      ("publish_events", s.publish_events);
-      ("privatize_events", s.privatize_events);
-      ("injected", s.injected);
-    ]
-
   let pp fmt s =
     Format.fprintf fmt "@[<hov 1>{";
     List.iteri
-      (fun i (k, v) ->
+      (fun i (k, key) ->
         if i > 0 then Format.fprintf fmt ";@ ";
-        Format.fprintf fmt "%s=%d" k v)
-      (fields s);
+        Format.fprintf fmt "%s=%d" k (get s key))
+      keys;
     Format.fprintf fmt "}@]"
 
   let to_json s =
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v) (fields s))
+        (List.map
+           (fun (k, key) -> Printf.sprintf {|"%s":%d|} k (get s key))
+           keys)
     ^ "}"
 end
-
-type stats = Stats.t = {
-  spawns : int;
-  max_pool_depth : int;
-  inlined_private : int;
-  inlined_public : int;
-  joins_stolen : int;
-  steals : int;
-  leap_steals : int;
-  backoffs : int;
-  failed_steals : int;
-  publish_events : int;
-  privatize_events : int;
-  injected : int;
-}
 
 (* ---- fault-injection stats ---- *)
 
@@ -1298,22 +1220,24 @@ module Invariants = struct
          expired=%d + cancelled=%d"
         ig.admitted ig.executed ig.shed ig.expired ig.cancelled;
     let s = Stats.aggregate pool in
-    let inlined = s.Stats.inlined_private + s.Stats.inlined_public in
+    let n = Stats.count s in
+    let spawns = n Event.Spawn and steals = n Event.Steal_ok in
+    let inlined = n Event.Inline_private + n Event.Inline_public in
+    let joins_stolen = n Event.Join_stolen in
     if pool.direct then begin
-      if s.Stats.spawns <> inlined + s.Stats.joins_stolen then
-        add "counter imbalance: spawns=%d but inlined+joins_stolen=%d"
-          s.Stats.spawns (inlined + s.Stats.joins_stolen)
+      if spawns <> inlined + joins_stolen then
+        add "counter imbalance: spawns=%d but inlined+joins_stolen=%d" spawns
+          (inlined + joins_stolen)
     end
     else if
       (* every queued spawn is either inlined by its owner or stolen *)
-      s.Stats.spawns <> inlined + s.Stats.steals
+      spawns <> inlined + steals
     then
-      add "counter imbalance: spawns=%d but inlined=%d + steals=%d"
-        s.Stats.spawns inlined s.Stats.steals;
+      add "counter imbalance: spawns=%d but inlined=%d + steals=%d" spawns
+        inlined steals;
     (* ... and every stolen spawn is waited out by its owner *)
-    if s.Stats.joins_stolen <> s.Stats.steals then
-      add "counter imbalance: joins_stolen=%d but steals=%d"
-        s.Stats.joins_stolen s.Stats.steals;
+    if joins_stolen <> steals then
+      add "counter imbalance: joins_stolen=%d but steals=%d" joins_stolen steals;
     List.rev !errs
 
   let check_exn pool =
@@ -1331,12 +1255,16 @@ let layout_check pool =
   Array.iter
     (fun w ->
       let tag v = Printf.sprintf "worker %d: %s" w.id v in
-      if not (Layout.is_padded w.hot) then
-        errs :=
-          tag
-            (Printf.sprintf "hot block occupies %d words (not line-padded)"
-               (Layout.size_words w.hot))
-          :: !errs;
+      let padded name block =
+        if not (Layout.is_padded block) then
+          errs :=
+            tag
+              (Printf.sprintf "%s occupies %d words (not line-padded)" name
+                 (Layout.size_words block))
+            :: !errs
+      in
+      padded "hot block" w.hot;
+      padded "count table" w.counts;
       List.iter
         (fun v -> errs := tag ("dstack " ^ v) :: !errs)
         (Ds.layout_check w.dstack))
@@ -1365,7 +1293,7 @@ let stall_report pool =
     (fun i w ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf {|{"id":%d,"progress":%d|} w.id
-        (w.hot.progress + w.hot.n_spawns);
+        (w.hot.progress + Stats.count w.counts Event.Spawn);
       Printf.bprintf buf {|,"dstack":{"depth":%d,"bot":%d,"live":[|}
         (Ds.depth w.dstack) (Ds.bot_index w.dstack);
       List.iteri
@@ -1412,7 +1340,7 @@ let watchdog_loop pool =
       let fired = ref false in
       Array.iteri
         (fun i w ->
-          let p = w.hot.progress + w.hot.n_spawns in
+          let p = w.hot.progress + Stats.count w.counts Event.Spawn in
           if p = last.(i) then begin
             stale.(i) <- stale.(i) + 1;
             if stale.(i) = pool.watchdog_stalls then fired := true
@@ -1460,29 +1388,21 @@ let make_worker ~id ~pool ~mode ~publicity ~capacity ~trace ~trace_capacity
       fl_on;
       inj;
       inj_interfere = direct_interfere inj;
+      counts = Layout.copy_as_padded (Array.make table_slots 0);
       hot =
         Layout.copy_as_padded
           {
             progress = 0;
             children = [];
-            n_spawns = 0;
-            n_steals = 0;
-            n_leap_steals = 0;
-            n_failed = 0;
-            n_inlined = 0;
-            n_injected = 0;
-            n_join_stolen = 0;
             ambient_cancel = None;
           };
     }
   in
-  if trace || fl_on then
-    Ds.set_event_hooks w.dstack
-      ~on_publish:(fun () ->
-        if w.fl_on then fault_delay w Fault.Site.Publish;
-        if w.tr_on then record w Event.Publish ~a:(-1) ~b:(-1))
-      ~on_privatize:(fun () ->
-        if w.tr_on then record w Event.Privatize ~a:(-1) ~b:(-1));
+  Ds.set_event_hooks w.dstack
+    ~on_publish:(fun () ->
+      if w.fl_on then fault_delay w Fault.Site.Publish;
+      note w Event.Publish ~a:(-1) ~b:(-1))
+    ~on_privatize:(fun () -> note w Event.Privatize ~a:(-1) ~b:(-1));
   w
 
 let create_of_config (c : Config.t) =

@@ -196,8 +196,8 @@ module Config : sig
       to watch) admission, non-positive [admission_target_ns] with
       [Adaptive], and [server] with a closed ingress (submission is the
       only way in). Returns the config unchanged when valid.
-      {!make}, {!override} and pool creation all validate; call this
-      directly only on records built by hand. *)
+      {!make} and pool creation both validate; call this directly only
+      on records built by hand (or derived with [{ c with ... }]). *)
 
   val make :
     ?workers:int ->
@@ -226,33 +226,6 @@ module Config : sig
       {!Wool_policy.t} value — the same value {!Wool_sim.Engine.run}
       accepts — and the two per-field arguments override it. The result
       is {!validate}d. *)
-
-  val override :
-    t ->
-    ?workers:int ->
-    ?mode:mode ->
-    ?publicity:publicity ->
-    ?capacity:int ->
-    ?idle_nap_ns:int ->
-    ?seed:int ->
-    ?trace:bool ->
-    ?trace_capacity:int ->
-    ?policy:Wool_policy.t ->
-    ?steal_policy:Wool_policy.Selector.t ->
-    ?backoff:Wool_policy.Backoff.t ->
-    ?faults:Wool_fault.Plan.t ->
-    ?watchdog_interval_ns:int ->
-    ?watchdog_stalls:int ->
-    ?injection_lanes:int ->
-    ?injection_capacity:int ->
-    ?admission:admission ->
-    ?admission_target_ns:int ->
-    ?server:bool ->
-    unit ->
-    t
-  (** [override c] is {!make} with [c] as the base instead of
-      {!default}: provided arguments replace the corresponding fields,
-      omitted ones keep [c]'s. The result is {!validate}d. *)
 
   val policy : t -> Wool_policy.t
   (** The [steal_policy]/[backoff] pair as one {!Wool_policy.t}. *)
@@ -534,54 +507,69 @@ val policy_name : t -> string
 
 val pool_of_ctx : ctx -> t
 
-type stats = {
-  spawns : int;
-  max_pool_depth : int;
-      (** deepest per-worker direct-stack occupancy (direct modes only) —
-          the §I space measure *)
-  inlined_private : int;
-  inlined_public : int;
-  joins_stolen : int;
-  steals : int;  (** successful steals, summed over thieves *)
-  leap_steals : int;  (** steals performed while leapfrogging *)
-  backoffs : int;  (** §III-A delayed-thief back-offs *)
-  failed_steals : int;
-  publish_events : int;
-  privatize_events : int;
-  injected : int;
-      (** injected jobs this worker drained from the lanes and ran *)
-}
+type pool := t
 
-(** Scheduler counters. Workers count locally without synchronisation;
-    readers see exact values once the pool is quiescent (between {!run}s),
-    racy-but-monotone snapshots otherwise. *)
+(** Scheduler counters. Every worker event is counted by the call that
+    traces it, into an owner-written table with one count per
+    {!Wool_trace.Event.tag} (plus the direct stack's high-water depth):
+    with tracing on and nothing dropped, a tag's count is the number of
+    its events in the worker rings. Workers count
+    without synchronisation; readers see exact values once the pool is
+    quiescent (between {!run}s), racy-but-monotone snapshots
+    otherwise. *)
 module Stats : sig
-  val per_worker : t -> stats array
-  (** One record per worker id — the per-event-source view the aggregate
+  type t
+  (** One worker's table, or several combined. *)
+
+  val count : t -> Wool_trace.Event.tag -> int
+  (** Events of this tag counted — for a worker event, exactly the
+      events its ring records when tracing is on. The producer-side
+      tags ([Submit]/[Admit]/[Reject]) are never counted here; see
+      {!ingress_stats}. *)
+
+  val max_pool_depth : t -> int
+  (** Deepest per-worker direct-stack occupancy (direct modes only; 0 in
+      the queued modes) — the §I space measure. *)
+
+  (** A key of the stats JSON: a tag's count, the failed steal
+      attempts ([Steal_attempt] − [Steal_ok]), or {!max_pool_depth}. *)
+  type key = Count of Wool_trace.Event.tag | Failed_steals | Max_pool_depth
+
+  val keys : (string * key) list
+  (** The stats JSON's keys, in order: [spawns], [max_pool_depth],
+      [inlined_private], [inlined_public], [joins_stolen], [steals],
+      [leap_steals], [backoffs], [failed_steals], [publish_events],
+      [privatize_events], [injected]. [backoffs] counts §III-A
+      delayed-thief back-offs on the thief that backed off; [injected]
+      counts the injected jobs a worker drained and ran. *)
+
+  val get : t -> key -> int
+
+  val per_worker : pool -> t array
+  (** One table per worker id — the per-event-source view the aggregate
       cannot reconstruct. *)
 
-  val aggregate : t -> stats
+  val aggregate : pool -> t
   (** Combined over workers since creation or the last {!reset}. *)
 
-  val policy_name : t -> string
-  (** Name of the steal policy the counters were collected under, so a
-      stats row can be labelled per policy in sweeps. *)
-
-  val reset : t -> unit
+  val reset : pool -> unit
   (** Zero the worker counters {e and} the ingress counters
       ({!ingress_stats}), so the {!Invariants.check} balance is relative
       to one reset point. *)
 
-  val zero : stats
-
-  val combine : stats -> stats -> stats
-  (** Counter-wise sum; [max_pool_depth] (a high-water mark) combines with
+  val combine : t -> t -> t
+  (** Count-wise sum; [max_pool_depth] (a high-water mark) combines with
       [max]. *)
 
-  val pp : Format.formatter -> stats -> unit
-  val to_json : stats -> string
+  val of_events : Wool_trace.Event.t array -> t
+  (** The table an event stream implies: a count per tag, and the
+      deepest [Spawn] descriptor index plus one. Equal, key for key, to
+      the counters of the rings it came from when nothing was dropped. *)
 
-  type nonrec t = stats
+  val pp : Format.formatter -> t -> unit
+
+  val to_json : t -> string
+  (** A flat JSON object of {!keys} and their values. *)
 end
 
 (* Tracing *)
@@ -644,11 +632,11 @@ module Invariants : sig
 end
 
 val layout_check : t -> string list
-(** Cache-layout regression check: every worker's hot-counter block and
-    the padded pieces of its direct stack (owner block, shared atomics,
-    per-descriptor state words) occupy whole cache lines. Returns
-    human-readable violations, [[]] when clean. Scans every descriptor;
-    test-path only. *)
+(** Cache-layout regression check: every worker's hot block, its count
+    table and the padded pieces of its direct stack (owner block, shared
+    atomics, per-descriptor state words) occupy whole cache lines.
+    Returns human-readable violations, [[]] when clean. Scans every
+    descriptor; test-path only. *)
 
 (* Stall watchdog *)
 

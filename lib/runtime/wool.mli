@@ -16,7 +16,9 @@ module Config = Pool.Config
 (** Pool configuration records; see {!Pool.Config}. *)
 
 module Stats = Pool.Stats
-(** Scheduler counters; see {!Pool.Stats}. *)
+(** Scheduler counters, one per {!Wool_trace.Event.tag}: [Stats.count s
+    Spawn], [Stats.max_pool_depth s], and the twelve-key JSON
+    ({!Pool.Stats.keys}); see {!Pool.Stats}. *)
 
 module Policy = Wool_policy
 (** Steal policies (victim selection + idle backoff); the same

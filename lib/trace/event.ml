@@ -20,42 +20,8 @@ type t = { ts : int; worker : int; tag : tag; a : int; b : int }
 
 let n_tags = 16
 
-let[@inline] tag_to_int = function
-  | Spawn -> 0
-  | Inline_private -> 1
-  | Inline_public -> 2
-  | Join_stolen -> 3
-  | Steal_attempt -> 4
-  | Steal_ok -> 5
-  | Steal_backoff -> 6
-  | Leap_steal -> 7
-  | Publish -> 8
-  | Privatize -> 9
-  | Nap_enter -> 10
-  | Nap_exit -> 11
-  | Submit -> 12
-  | Admit -> 13
-  | Reject -> 14
-  | Dequeue_injected -> 15
-
-let tag_of_int = function
-  | 0 -> Some Spawn
-  | 1 -> Some Inline_private
-  | 2 -> Some Inline_public
-  | 3 -> Some Join_stolen
-  | 4 -> Some Steal_attempt
-  | 5 -> Some Steal_ok
-  | 6 -> Some Steal_backoff
-  | 7 -> Some Leap_steal
-  | 8 -> Some Publish
-  | 9 -> Some Privatize
-  | 10 -> Some Nap_enter
-  | 11 -> Some Nap_exit
-  | 12 -> Some Submit
-  | 13 -> Some Admit
-  | 14 -> Some Reject
-  | 15 -> Some Dequeue_injected
-  | _ -> None
+(* The constructors are constant, so a tag is its declaration index. *)
+external tag_to_int : tag -> int = "%identity"
 
 let tag_name = function
   | Spawn -> "spawn"
@@ -81,6 +47,8 @@ let all_tags =
     Steal_ok; Steal_backoff; Leap_steal; Publish; Privatize; Nap_enter;
     Nap_exit; Submit; Admit; Reject; Dequeue_injected;
   |]
+
+let tag_of_int i = if i >= 0 && i < n_tags then Some all_tags.(i) else None
 
 let tag_of_name s =
   let rec go i =

@@ -42,9 +42,11 @@ type t = { ts : int; worker : int; tag : tag; a : int; b : int }
 
 val n_tags : int
 
-val tag_to_int : tag -> int
-(** Dense index in [0, n_tags); stable across versions of this module
-    within one build (used as the on-ring encoding). *)
+external tag_to_int : tag -> int = "%identity"
+(** Dense index in [0, n_tags): the constructor's declaration index
+    (used as the on-ring encoding and to index the runtime's per-worker
+    count table). An external, so a constant tag is a constant index
+    even across compilation units built [-opaque]. *)
 
 val tag_of_int : int -> tag option
 (** Inverse of {!tag_to_int}; [None] outside [0, n_tags). *)

@@ -147,21 +147,6 @@ let scenario_case (s : Scenarios.t) =
 
 let ev ?(ts = 0) ?(a = -1) ?(b = -1) worker tag = { E.ts; worker; tag; a; b }
 
-let counts ?(spawns = 0) ?(steals = 0) ?(leap_steals = 0) ?(joins_stolen = 0)
-    ?(inlined_private = 0) ?(inlined_public = 0) ?(publish_events = 0)
-    ?(privatize_events = 0) ?(injected = 0) () =
-  {
-    Oracle.spawns;
-    steals;
-    leap_steals;
-    joins_stolen;
-    inlined_private;
-    inlined_public;
-    publish_events;
-    privatize_events;
-    injected;
-  }
-
 let test_oracle_clean_history () =
   (* worker 0 spawns twice at index 0 (recycled), worker 1 steals both *)
   let per_worker =
@@ -180,14 +165,14 @@ let test_oracle_clean_history () =
       |];
     |]
   in
-  let c = counts ~spawns:2 ~steals:2 ~joins_stolen:2 () in
+  let c = [ (E.Spawn, 2); (E.Steal_ok, 2); (E.Join_stolen, 2) ] in
   Alcotest.(check (list string))
     "clean" []
     (Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker)
 
 let test_oracle_counter_mismatch () =
   let per_worker = [| [| ev 0 E.Spawn ~a:0 |] |] in
-  let c = counts ~spawns:2 () in
+  let c = [ (E.Spawn, 2) ] in
   match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "spawn undercount not flagged"
   | v :: _ ->
@@ -201,7 +186,7 @@ let test_oracle_phantom_steal () =
       [| ev 1 E.Steal_attempt ~b:0; ev 1 E.Steal_ok ~a:0 ~b:0 |];
     |]
   in
-  let c = counts ~spawns:1 ~steals:1 () in
+  let c = [ (E.Spawn, 1); (E.Steal_ok, 1) ] in
   match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "phantom steal not flagged"
   | v :: _ ->
@@ -216,7 +201,7 @@ let test_oracle_phantom_thief () =
       [| ev 1 E.Steal_attempt ~b:0 |];
     |]
   in
-  let c = counts ~spawns:1 ~joins_stolen:1 () in
+  let c = [ (E.Spawn, 1); (E.Join_stolen, 1) ] in
   match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "phantom thief not flagged"
   | v :: _ ->
@@ -225,7 +210,7 @@ let test_oracle_phantom_thief () =
 
 let test_oracle_dropped_skips () =
   let per_worker = [| [| ev 0 E.Spawn ~a:0 |] |] in
-  let c = counts ~spawns:99 () in
+  let c = [ (E.Spawn, 99) ] in
   Alcotest.(check (list string))
     "incomplete stream unchecked" []
     (Oracle.check_events ~direct:true ~counts:c ~dropped:1 per_worker)
@@ -238,7 +223,7 @@ let test_oracle_queued_skips_causality () =
       [| ev 1 E.Steal_attempt ~b:0; ev 1 E.Steal_ok ~b:0 |];
     |]
   in
-  let c = counts ~spawns:1 ~steals:1 ~joins_stolen:1 () in
+  let c = [ (E.Spawn, 1); (E.Steal_ok, 1); (E.Join_stolen, 1) ] in
   Alcotest.(check (list string))
     "clean" []
     (Oracle.check_events ~direct:false ~counts:c ~dropped:0 per_worker)

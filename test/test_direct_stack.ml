@@ -17,6 +17,15 @@ let expect_task what t =
   if not (inlined code) then Alcotest.failf "%s: expected inlined task" what;
   (v, code = Ds.inline_public)
 
+(* The stack counts only committed steals; window changes are counted
+   through its hooks, as the pool counts them. *)
+let window_hooks t =
+  let publishes = ref 0 and privatizes = ref 0 in
+  Ds.set_event_hooks t
+    ~on_publish:(fun () -> incr publishes)
+    ~on_privatize:(fun () -> incr privatizes);
+  (publishes, privatizes)
+
 (* The thief's id (or [Ds.stolen_finished]) and the descriptor index. *)
 let expect_stolen what t =
   let code = Ds.pop t in
@@ -49,9 +58,7 @@ let test_all_private_never_stealable () =
   | Ds.Stolen_task _ | Ds.Backoff -> Alcotest.fail "stole a private task");
   let _, public = expect_task "pop" t in
   Alcotest.(check bool) "private join" false public;
-  let s = Ds.stats t in
-  Alcotest.(check int) "inlined private" 1 s.Ds.inlined_private;
-  Alcotest.(check int) "failed steals" 1 s.Ds.failed_steals
+  Alcotest.(check int) "no steal committed" 0 (Ds.steal_count t)
 
 let test_all_public_steal_order () =
   let t = mk () in
@@ -125,6 +132,7 @@ let test_reuse_after_reclaim () =
 
 let test_adaptive_window_and_trip_wire () =
   let t = mk ~publicity:(Ds.Adaptive 2) () in
+  let publishes, _ = window_hooks t in
   for i = 1 to 5 do
     Ds.push t i
   done;
@@ -150,9 +158,8 @@ let test_adaptive_window_and_trip_wire () =
       Alcotest.(check int) "published" 3 v;
       Ds.complete_steal t ~index:idx
   | Ds.Fail | Ds.Backoff -> Alcotest.fail "steal after publish failed");
-  let s = Ds.stats t in
-  Alcotest.(check int) "publish events" 1 s.Ds.publish_events;
-  Alcotest.(check int) "steals" 3 s.Ds.steals
+  Alcotest.(check int) "publish events" 1 !publishes;
+  Alcotest.(check int) "steals" 3 (Ds.steal_count t)
 
 (* Regression: a privatize that fires when the shrunken window holds no
    live public descriptor at or above [bot] used to leave the trip index
@@ -161,6 +168,7 @@ let test_adaptive_window_and_trip_wire () =
    wire and re-arms it on the next push, which publishes itself. *)
 let test_trip_wire_survives_privatize_below_bot () =
   let t = mk ~capacity:64 ~publicity:(Ds.Adaptive 20) () in
+  let publishes, privatizes = window_hooks t in
   (* 21 pushes: slots 0..19 public (window 20, trip at 19), 20 private *)
   for i = 0 to 20 do
     Ds.push t i
@@ -181,8 +189,7 @@ let test_trip_wire_survives_privatize_below_bot () =
   for i = 20 downto 4 do
     Alcotest.(check int) "inline order" i (fst (expect_task "inline" t))
   done;
-  let s = Ds.stats t in
-  Alcotest.(check int) "privatized once" 1 s.Ds.privatize_events;
+  Alcotest.(check int) "privatized once" 1 !privatizes;
   (* the next spawn must be stealable again: the re-armed wire publishes
      the push itself (before the fix this task stayed private and the
      stack was permanently unstealable) *)
@@ -196,8 +203,7 @@ let test_trip_wire_survives_privatize_below_bot () =
      services a publish request: the window is live again *)
   let _, index = expect_stolen "re-armed wire join" t in
   Ds.reclaim t ~index;
-  let s = Ds.stats t in
-  Alcotest.(check int) "wire re-armed and sprung" 1 s.Ds.publish_events;
+  Alcotest.(check int) "wire re-armed and sprung" 1 !publishes;
   (* drain the thief-1 steals and verify a clean shutdown state *)
   while Ds.depth t > 0 do
     let _, index = expect_stolen "drain" t in
@@ -207,31 +213,36 @@ let test_trip_wire_survives_privatize_below_bot () =
 
 let test_privatize_after_public_inlines () =
   let t = mk ~publicity:(Ds.Adaptive 2) () in
+  let _, privatizes = window_hooks t in
   (* Inline public tasks repeatedly with no stealing: the owner should
      eventually privatise the window. *)
+  let private_joins = ref 0 in
   for _ = 1 to 20 do
     Ds.push t 1;
     Ds.push t 2;
-    ignore (Ds.pop t);
-    ignore (Ds.pop t)
+    for _ = 1 to 2 do
+      if Ds.pop t = Ds.inline_private then incr private_joins
+    done
   done;
-  let s = Ds.stats t in
-  Alcotest.(check bool) "privatized" true (s.Ds.privatize_events >= 1);
-  Alcotest.(check bool) "some private joins happened" true
-    (s.Ds.inlined_private > 0)
+  Alcotest.(check bool) "privatized" true (!privatizes >= 1);
+  Alcotest.(check bool) "some private joins happened" true (!private_joins > 0)
 
-let test_stats_counters () =
+(* [pop]'s codes tell the owner how each join went; the stack's one
+   count is the committed steals in its packed [bot] word, which a
+   reclaim keeps. *)
+let test_join_codes_and_steal_count () =
   let t = mk () in
-  Ds.push t 1;
-  Ds.push t 2;
-  ignore (Ds.pop t);
-  ignore (Ds.pop t);
-  let s = Ds.stats t in
-  Alcotest.(check int) "spawns" 2 s.Ds.spawns;
-  Alcotest.(check int) "inlined public" 2 s.Ds.inlined_public;
-  Ds.reset_stats t;
-  let s = Ds.stats t in
-  Alcotest.(check int) "reset" 0 s.Ds.spawns
+  List.iter (Ds.push t) [ 1; 2; 3 ];
+  (match Ds.steal t ~thief:1 with
+  | Ds.Stolen_task (1, 0) -> Ds.complete_steal t ~index:0
+  | _ -> Alcotest.fail "expected to steal task 1 at slot 0");
+  Alcotest.(check int) "one steal" 1 (Ds.steal_count t);
+  Alcotest.(check int) "join 3" Ds.inline_public (Ds.pop t);
+  Alcotest.(check int) "join 2" Ds.inline_public (Ds.pop t);
+  Alcotest.(check int) "join 1" Ds.stolen_finished (Ds.pop t);
+  Ds.reclaim t ~index:0;
+  Alcotest.(check int) "reclaim keeps the count" 1 (Ds.steal_count t);
+  Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
 let test_capacity_overflow () =
   let t = mk ~capacity:4 () in
@@ -347,8 +358,7 @@ let test_recycled_descriptor_backoff () =
   | Ds.Backoff -> ()
   | Ds.Stolen_task (v, _) -> Alcotest.failf "stole recycled task %d" v
   | Ds.Fail -> Alcotest.fail "expected Backoff, got Fail");
-  let s = Ds.stats t in
-  Alcotest.(check int) "one back-off" 1 s.Ds.backoffs;
+  Alcotest.(check int) "a back-off commits no steal" 1 (Ds.steal_count t);
   (* the restore left both refilled tasks live and bottom-most-first *)
   (match Ds.steal t ~thief:2 with
   | Ds.Stolen_task (12, 0) -> Ds.complete_steal t ~index:0
@@ -371,7 +381,7 @@ let concurrent_soak ~publicity ~thieves ~batches ~batch () =
   let t =
     Ds.create ~capacity:(batch + 8) ~publicity ~dummy:(-1) ()
   in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and backoffs = Atomic.make 0 in
   let thief_domains =
     List.init thieves (fun k ->
         Domain.spawn (fun () ->
@@ -383,20 +393,26 @@ let concurrent_soak ~publicity ~thieves ~batches ~batch () =
                   Atomic.incr executed.(payload);
                   Ds.complete_steal t ~index;
                   fails := 0
-              | Ds.Fail | Ds.Backoff ->
+              | (Ds.Fail | Ds.Backoff) as r ->
+                  if r = Ds.Backoff then Atomic.incr backoffs;
                   incr fails;
                   Domain.cpu_relax ();
                   if !fails land 1023 = 0 then Unix.sleepf 0.0002
             done))
   in
+  let inlines = ref 0 and joins_stolen = ref 0 in
   for b = 0 to batches - 1 do
     for i = 0 to batch - 1 do
       Ds.push t ((b * batch) + i)
     done;
     for _ = 1 to batch do
       let payload, code = pop t in
-      if inlined code then Atomic.incr executed.(payload)
+      if inlined code then begin
+        incr inlines;
+        Atomic.incr executed.(payload)
+      end
       else begin
+        incr joins_stolen;
         let index = Ds.depth t in
         if code >= 0 then begin
           let spins = ref 0 in
@@ -417,17 +433,16 @@ let concurrent_soak ~publicity ~thieves ~batches ~batch () =
       let n = Atomic.get c in
       if n <> 1 then Alcotest.failf "task %d executed %d times" i n)
     executed;
-  let s = Ds.stats t in
-  Alcotest.(check int) "all tasks accounted" total
-    (s.Ds.inlined_private + s.Ds.inlined_public + s.Ds.joins_stolen);
-  Alcotest.(check int) "steals equal stolen joins" s.Ds.joins_stolen s.Ds.steals;
+  let steals = Ds.steal_count t and backoffs = Atomic.get backoffs in
+  Alcotest.(check int) "all tasks accounted" total (!inlines + !joins_stolen);
+  Alcotest.(check int) "steals equal stolen joins" !joins_stolen steals;
   (* §III-A: "back offs are infrequent, always below 1% of successful
      steals" — allow slack for the scheduling noise of a time-shared box. *)
-  if s.Ds.steals > 100 then
+  if steals > 100 then
     Alcotest.(check bool)
-      (Printf.sprintf "backoffs rare (%d/%d)" s.Ds.backoffs s.Ds.steals)
+      (Printf.sprintf "backoffs rare (%d/%d)" backoffs steals)
       true
-      (float_of_int s.Ds.backoffs <= 0.05 *. float_of_int s.Ds.steals)
+      (float_of_int backoffs <= 0.05 *. float_of_int steals)
 
 let test_soak_public () =
   concurrent_soak ~publicity:Ds.All_public ~thieves:3 ~batches:400 ~batch:32 ()
@@ -457,7 +472,8 @@ let suite =
         Alcotest.test_case "trip wire survives privatize below bot" `Quick
           test_trip_wire_survives_privatize_below_bot;
         Alcotest.test_case "privatize" `Quick test_privatize_after_public_inlines;
-        Alcotest.test_case "stats" `Quick test_stats_counters;
+        Alcotest.test_case "join codes and steal count" `Quick
+          test_join_codes_and_steal_count;
         Alcotest.test_case "overflow" `Quick test_capacity_overflow;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         QCheck_alcotest.to_alcotest qcheck_sequential_stack_model;

@@ -413,25 +413,6 @@ let test_config_default_is_historical () =
   Alcotest.(check string) "default policy" "random/nap64"
     (Wp.name (C.policy C.default))
 
-let test_override_keeps_every_field () =
-  (* the regression this API change fixes: trace_capacity used to be
-     silently dropped by override *)
-  let base =
-    C.make ~workers:3 ~trace:true ~trace_capacity:123
-      ~policy:(Wp.make ~selector:Sel.Last_victim ())
-      ()
-  in
-  let kept = C.override base () in
-  Alcotest.(check int) "trace_capacity survives" 123 kept.C.trace_capacity;
-  Alcotest.(check string) "policy survives" (Wp.name (C.policy base))
-    (Wp.name (C.policy kept));
-  Alcotest.(check (option int)) "workers survive" (Some 3) kept.C.workers;
-  let bumped = C.override base ~trace_capacity:456 ~seed:9 () in
-  Alcotest.(check int) "trace_capacity overridable" 456
-    bumped.C.trace_capacity;
-  Alcotest.(check int) "seed overridable" 9 bumped.C.seed;
-  Alcotest.(check bool) "trace kept" true bumped.C.trace
-
 let suite =
   [
     ( "policy",
@@ -470,7 +451,5 @@ let suite =
           test_config_policy_roundtrip;
         Alcotest.test_case "config default historical" `Quick
           test_config_default_is_historical;
-        Alcotest.test_case "override keeps every field" `Quick
-          test_override_keeps_every_field;
       ] );
   ]

@@ -140,24 +140,23 @@ let test_stats_spawns () =
       let s = Wool.Stats.aggregate pool in
       (* fib spawns once per internal node *)
       let rec internal n = if n < 2 then 0 else 1 + internal (n - 1) + internal (n - 2) in
-      Alcotest.(check int) "spawn count" (internal 10) s.Wool.Pool.spawns;
+      Alcotest.(check int) "spawn count" (internal 10) (Wool.Stats.count s Spawn);
       Wool.Stats.reset pool;
-      Alcotest.(check int) "reset" 0 (Wool.Stats.aggregate pool).Wool.Pool.spawns)
+      Alcotest.(check int)
+        "reset" 0
+        (Wool.Stats.count (Wool.Stats.aggregate pool) Spawn))
 
 let test_stats_accounting_consistency () =
   Test_util.with_pool ~workers:4 ~publicity:(Wool.Adaptive 2) (fun pool ->
       Wool.Stats.reset pool;
       ignore (Wool.run pool (fun ctx -> fib ctx 22) : int);
-      let s = Wool.Stats.aggregate pool in
-      Alcotest.(check int) "every spawn joined exactly once" s.Wool.Pool.spawns
-        (s.Wool.Pool.inlined_private + s.Wool.Pool.inlined_public
-       + s.Wool.Pool.joins_stolen);
-      Alcotest.(check int) "stolen joins = steals" s.Wool.Pool.joins_stolen
-        s.Wool.Pool.steals;
-      if s.Wool.Pool.steals > 100 then
+      let n = Wool.Stats.count (Wool.Stats.aggregate pool) in
+      Alcotest.(check int) "every spawn joined exactly once" (n Spawn)
+        (n Inline_private + n Inline_public + n Join_stolen);
+      Alcotest.(check int) "stolen joins = steals" (n Join_stolen) (n Steal_ok);
+      if n Steal_ok > 100 then
         Alcotest.(check bool) "backoffs below 5%" true
-          (float_of_int s.Wool.Pool.backoffs
-          <= 0.05 *. float_of_int s.Wool.Pool.steals))
+          (float_of_int (n Steal_backoff) <= 0.05 *. float_of_int (n Steal_ok)))
 
 let test_max_pool_depth_stat () =
   (* a flat spawn loop occupies one descriptor per pending iteration *)
@@ -169,14 +168,68 @@ let test_max_pool_depth_stat () =
             (fun i fut -> ignore (Wool.join ctx fut : int); ignore i)
             (List.rev futs));
       Alcotest.(check int) "O(n) descriptors" 300
-        (Wool.Stats.aggregate pool).Wool.Pool.max_pool_depth);
+        (Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool)));
   (* deep recursion occupies one per level *)
   Test_util.with_pool ~workers:1 (fun pool ->
       Wool.Stats.reset pool;
       ignore (Wool.run pool (fun ctx -> fib ctx 12) : int);
-      let d = (Wool.Stats.aggregate pool).Wool.Pool.max_pool_depth in
+      let d = Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool) in
       Alcotest.(check bool) (Printf.sprintf "depth-bounded (%d)" d) true
         (d >= 6 && d <= 12))
+
+(* The stats JSON is a contract: [benchmark/] reads these keys by name
+   (its per-op counters and the [inlined_*] pair), so a rename or a
+   reorder must fail here rather than in a benchmark run. *)
+let stats_json_keys =
+  [
+    "spawns"; "max_pool_depth"; "inlined_private"; "inlined_public";
+    "joins_stolen"; "steals"; "leap_steals"; "backoffs"; "failed_steals";
+    "publish_events"; "privatize_events"; "injected";
+  ]
+
+let test_stats_json_contract () =
+  Test_util.with_pool ~workers:1 (fun pool ->
+      ignore (Wool.run pool (fun ctx -> fib ctx 12) : int);
+      let s = Wool.Stats.aggregate pool in
+      match Wool_trace.Json.parse (Wool.Stats.to_json s) with
+      | Ok (Wool_trace.Json.Obj members) ->
+          Alcotest.(check (list string))
+            "keys, names and order" stats_json_keys (List.map fst members);
+          List.iter
+            (fun (name, key) ->
+              Alcotest.(check (option (float 0.)))
+                (name ^ " value")
+                (Some (float_of_int (Wool.Stats.get s key)))
+                (Option.bind (List.assoc_opt name members)
+                   Wool_trace.Json.to_float))
+            Wool.Stats.keys
+      | Ok _ -> Alcotest.fail "stats JSON is not an object"
+      | Error e -> Alcotest.fail e)
+
+(* [combine] adds every count and takes the larger high-water depth. *)
+let test_stats_combine () =
+  let table ~per_tag ~depth =
+    Wool.Stats.of_events
+      (Array.concat
+         (Array.to_list
+            (Array.mapi
+               (fun i tag ->
+                 Array.make (per_tag i)
+                   { Wool_trace.Event.ts = 0; worker = 0; tag; a = -1; b = -1 })
+               Wool_trace.Event.all_tags)
+         @ [ [| { Wool_trace.Event.ts = 0; worker = 0; tag = Spawn;
+                  a = depth - 1; b = -1 } |] ]))
+  in
+  let a = table ~per_tag:(fun i -> 20 - i) ~depth:7
+  and b = table ~per_tag:(fun i -> 40 - (2 * i)) ~depth:3 in
+  let c = Wool.Stats.combine a b in
+  List.iter
+    (fun (name, key) ->
+      let get s = Wool.Stats.get s key in
+      let op = if key = Wool.Stats.Max_pool_depth then max else ( + ) in
+      Alcotest.(check int) name (op (get a) (get b)) (get c))
+    Wool.Stats.keys;
+  Alcotest.(check int) "depth is the max" 7 (Wool.Stats.max_pool_depth c)
 
 let test_num_workers_and_ids () =
   Test_util.with_pool ~workers:3 (fun pool ->
@@ -296,17 +349,14 @@ let test_stats_and_invariants_all_modes () =
           Alcotest.(check (list string))
             (nm ^ " invariants") []
             (Wool.Invariants.check pool);
-          let s = Wool.Stats.aggregate pool in
-          let inlined =
-            s.Wool.Pool.inlined_private + s.Wool.Pool.inlined_public
-          in
+          let n = Wool.Stats.count (Wool.Stats.aggregate pool) in
           Alcotest.(check int)
             (nm ^ " every spawn joined exactly once")
-            s.Wool.Pool.spawns
-            (inlined + s.Wool.Pool.joins_stolen);
+            (n Spawn)
+            (n Inline_private + n Inline_public + n Join_stolen);
           Alcotest.(check int)
             (nm ^ " stolen joins = steals")
-            s.Wool.Pool.joins_stolen s.Wool.Pool.steals))
+            (n Join_stolen) (n Steal_ok)))
     all_modes
 
 (* [Pool_overflow] unwinding: filling a small pool must raise the
@@ -407,7 +457,7 @@ let test_steal_policies_do_steal () =
         ignore (Wool.run pool (fun ctx -> fib ctx 22) : int);
         let agg = Wool.Stats.aggregate pool in
         Wool.shutdown pool;
-        if agg.Wool.Pool.steals > 0 then ()
+        if Wool.Stats.count agg Steal_ok > 0 then ()
         else if tries > 1 then attempt (tries - 1)
         else
           Alcotest.failf "%s: no successful steals in several fib(22) runs"
@@ -455,6 +505,8 @@ let suite =
         Alcotest.test_case "stats consistency" `Slow
           test_stats_accounting_consistency;
         Alcotest.test_case "max pool depth" `Quick test_max_pool_depth_stat;
+        Alcotest.test_case "stats JSON contract" `Quick test_stats_json_contract;
+        Alcotest.test_case "stats combine" `Quick test_stats_combine;
         Alcotest.test_case "workers and ids" `Quick test_num_workers_and_ids;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "mode round trip" `Quick test_mode_round_trip;

@@ -72,13 +72,12 @@ let test_traced_fib_invariants () =
   (* events agree with the stats counters (nothing dropped: rings are
      65536 deep and fib 20 spawns ~10k tasks per worker at most) *)
   Alcotest.(check int) "nothing dropped" 0 (Wool.trace_dropped pool);
-  let agg = Wool.Stats.aggregate pool in
-  Alcotest.(check int) "spawn events = spawn counter" agg.Wool.Pool.spawns
+  let n = Wool.Stats.count (Wool.Stats.aggregate pool) in
+  Alcotest.(check int) "spawn events = spawn counter" (n Spawn)
     (count_tag events Ev.Spawn);
-  Alcotest.(check int) "steal events = steal counter" agg.Wool.Pool.steals
+  Alcotest.(check int) "steal events = steal counter" (n Steal_ok)
     (count_tag events Ev.Steal_ok);
-  Alcotest.(check int) "join events = joins_stolen counter"
-    agg.Wool.Pool.joins_stolen
+  Alcotest.(check int) "join events = joins_stolen counter" (n Join_stolen)
     (count_tag events Ev.Join_stolen)
 
 (* Regression: a leap steal whose stolen task joins a stolen child of its
@@ -114,11 +113,11 @@ let test_nested_leap_steals_counted_once () =
   let result = Wool.run pool (task 0) in
   Wool.shutdown pool;
   Alcotest.(check int) "every task ran" 5 result;
-  let agg = Wool.Stats.aggregate pool in
-  Alcotest.(check int) "steals" 4 agg.Wool.Pool.steals;
+  let n = Wool.Stats.count (Wool.Stats.aggregate pool) in
+  Alcotest.(check int) "steals" 4 (n Steal_ok);
   Alcotest.(check int) "leap steal events" 3
     (count_tag (Wool.trace_events pool) Ev.Leap_steal);
-  Alcotest.(check int) "leap steal counter" 3 agg.Wool.Pool.leap_steals
+  Alcotest.(check int) "leap steal counter" 3 (n Leap_steal)
 
 let test_overflow_drops_oldest () =
   let cap = 64 in
@@ -134,13 +133,8 @@ let test_overflow_drops_oldest () =
      so together with the drop count they account for every record *)
   let agg = Wool.Stats.aggregate pool in
   let recorded =
-    (* a single worker never steals or naps, so its ring only ever sees
-       spawns, inlined joins, trip-wire publish/privatize traffic and
-       the dequeue of the injected root job *)
-    agg.Wool.Pool.spawns + agg.Wool.Pool.inlined_private
-    + agg.Wool.Pool.inlined_public + agg.Wool.Pool.joins_stolen
-    + agg.Wool.Pool.publish_events + agg.Wool.Pool.privatize_events
-    + agg.Wool.Pool.injected
+    (* every event a worker records, it counts *)
+    Array.fold_left (fun n tag -> n + Wool.Stats.count agg tag) 0 Ev.all_tags
   in
   Alcotest.(check int) "dropped + kept = recorded" recorded (dropped + cap);
   for i = 1 to cap - 1 do
@@ -157,11 +151,10 @@ let test_disabled_tracing_is_silent () =
   Alcotest.(check int) "no events" 0 (Array.length (Wool.trace_events pool));
   Alcotest.(check int) "no drops" 0 (Wool.trace_dropped pool);
   (* stats keep working exactly as before tracing existed *)
-  let agg = Wool.Stats.aggregate pool in
-  Alcotest.(check bool) "spawns counted" true (agg.Wool.Pool.spawns > 0);
-  Alcotest.(check int) "all spawns accounted" agg.Wool.Pool.spawns
-    (agg.Wool.Pool.inlined_private + agg.Wool.Pool.inlined_public
-   + agg.Wool.Pool.joins_stolen)
+  let n = Wool.Stats.count (Wool.Stats.aggregate pool) in
+  Alcotest.(check bool) "spawns counted" true (n Spawn > 0);
+  Alcotest.(check int) "all spawns accounted" (n Spawn)
+    (n Inline_private + n Inline_public + n Join_stolen)
 
 let test_with_pool_forwards_trace () =
   let saw =
@@ -188,6 +181,41 @@ let test_trace_clear () =
   Alcotest.(check int) "cleared" 0 (Array.length (Wool.trace_events pool));
   Alcotest.(check int) "drop count cleared" 0 (Wool.trace_dropped pool)
 
+(* A body that raises with spawns outstanding has them joined by the
+   unwinder, which must count and trace those joins like [join] does:
+   every tag's events equal its counter, and the stream implies the
+   whole stats table. *)
+let test_raising_body_events_match_counters () =
+  let pool = traced_pool ~workers:1 () in
+  (match
+     Wool.run pool (fun ctx ->
+         ignore (Wool.spawn ctx (fun _ -> 1) : int Wool.future);
+         ignore (Wool.spawn ctx (fun _ -> 2) : int Wool.future);
+         failwith "body")
+   with
+  | () -> Alcotest.fail "the body's exception was lost"
+  | exception Failure _ -> ());
+  Wool.shutdown pool;
+  Alcotest.(check (list string)) "quiescent" [] (Wool.Invariants.check pool);
+  let events = (Wool.trace_per_worker pool).(0) in
+  let agg = Wool.Stats.aggregate pool in
+  Alcotest.(check int) "both unwound joins inlined" 2
+    (Wool.Stats.count agg Inline_public);
+  Array.iter
+    (fun tag ->
+      Alcotest.(check int)
+        (Ev.tag_name tag ^ " events = counter")
+        (Wool.Stats.count agg tag) (count_tag events tag))
+    Ev.all_tags;
+  let implied = Wool.Stats.of_events events in
+  List.iter
+    (fun (name, key) ->
+      Alcotest.(check int)
+        (name ^ " implied by the stream")
+        (Wool.Stats.get agg key)
+        (Wool.Stats.get implied key))
+    Wool.Stats.keys
+
 let suite =
   [
     ( "real-trace",
@@ -203,5 +231,7 @@ let suite =
         Alcotest.test_case "with_pool forwards trace" `Quick
           test_with_pool_forwards_trace;
         Alcotest.test_case "trace_clear" `Quick test_trace_clear;
+        Alcotest.test_case "raising body: events match counters" `Quick
+          test_raising_body_events_match_counters;
       ] );
   ]

@@ -234,8 +234,9 @@ let test_lazy_one_worker_zero_spawns () =
                   (R.of_array ~leaf:32 (Array.init 2000 Fun.id)))
           in
           Alcotest.(check int) (nm ^ " sum") (2000 * 1999 / 2) got;
-          let s = Wool.Stats.aggregate pool in
-          Alcotest.(check int) (nm ^ " zero spawns") 0 s.Wool.Pool.spawns))
+          Alcotest.(check int)
+            (nm ^ " zero spawns") 0
+            (Wool.Stats.count (Wool.Stats.aggregate pool) Spawn)))
     Test_util.all_modes
 
 (* The steal_pressure hook itself: false on an idle single worker, and
@@ -301,8 +302,9 @@ let test_element0_accounting () =
       let check_spawns name expected f =
         Wool.Stats.reset pool;
         f ();
-        let s = Wool.Stats.aggregate pool in
-        Alcotest.(check int) (name ^ " spawns") expected s.Wool.Pool.spawns
+        Alcotest.(check int)
+          (name ^ " spawns") expected
+          (Wool.Stats.count (Wool.Stats.aggregate pool) Spawn)
       in
       check_spawns "map grain>=n" 1 (fun () ->
           let got =
