@@ -484,47 +484,48 @@ let chase_lev_last_task =
   }
 
 (* ---- ingress scenarios: threads call the shipped ingress body
-   (lib/deque/ingress_body.ml) as the pool does. Job [i]'s body returns
-   [i], and its id rides in the token slot; a worker runs a job and
-   settles its ticket as the pool's [exec_job] does. Every schedule ends
-   on [settled_once]. *)
+   (lib/deque/ingress_body.ml) as the pool does. A worker delivers a
+   popped job as the pool's drain does: the body's dequeue-time decision
+   ([must_run]) first, then, if the job must run, its body and the
+   settlement the pool's [exec_job] makes. Job [i]'s body counts its own
+   runs in [runs.(i)]. Every schedule ends on [settled_once]. *)
 
 module Ig = Ingress_checked
 
-let ingress ?(note = fun _ _ -> ()) () : (unit, int) Ig.t =
-  Ig.create ~lanes:1 ~capacity:2 ~note
+let ingress ?(note = fun _ _ -> ()) ?(now = fun () -> 0) () : unit Ig.t =
+  Ig.create ~lanes:1 ~capacity:2 ~admission:Reject ~target_ns:0 ~note
+    ~fault:(fun () _ -> ())
+    ~now
 
-let jobs ?(deadline = max_int) n =
-  let tks = Array.init n (fun _ -> Ig.ticket ()) in
+let jobs ?(deadline = max_int) ?token runs =
+  let tks = Array.map (fun _ -> Ig.ticket ()) runs in
   let job i =
-    Ig.J
-      { fn = (fun () -> i); tk = tks.(i); deadline; token = Some i; enq_ns = 0 }
+    let fn () = runs.(i) <- runs.(i) + 1 in
+    Ig.J { fn; tk = tks.(i); deadline; token; enq_ns = 0 }
   in
-  (tks, Array.init n job)
+  (tks, Array.mapi (fun i _ -> job i) runs)
 
-let admit t job = Ig.admit t ~lane:0 ~admission:Reject ~shedding:false job
-let pop (t : (unit, int) Ig.t) = Inject_queue_checked.try_pop t.lanes.(0)
+let admit t job = Ig.admit t ~lane:0 ~admission:Reject job
+let pop (t : unit Ig.t) = Inject_queue_checked.try_pop t.lanes.(0)
 
 (* The unscheduled prefix of a lifecycle scenario: job 0 admitted, and
    popped when [popped]. *)
-let one_job ?deadline ~popped () =
-  let t = ingress () and tks, jobs = jobs ?deadline 1 in
+let one_job ?now ?deadline ?token ~popped runs =
+  let t = ingress ?now () and tks, jobs = jobs ?deadline ?token runs in
   check (admit t jobs.(0)) "setup: admission failed";
   (t, tks, if popped then pop t else None)
 
-let run_job t runs (Ig.J j) =
-  let i = Option.get j.token in
-  runs.(i) <- runs.(i) + 1;
-  ignore (Ig.settle t j.tk (Done (Ok (j.fn ()))) : bool)
+let run_job t (Ig.J j as job) =
+  if Ig.must_run t () job then
+    ignore (Ig.settle t j.tk (Done (Ok (j.fn ()))) : bool)
 
-let rec drain_run t runs =
-  Option.iter (fun j -> run_job t runs j; drain_run t runs) (pop t)
+let rec drain_run t = Option.iter (fun j -> run_job t j; drain_run t) (pop t)
 
 (* Exactly one claim won per ticket: every ticket settled, and the claims
    won — each bumps exactly one of the four settle counters — number the
    admissions, so no admitted ticket was claimed twice. The rest of the
    ledger balances, and the lane is empty. *)
-let settled_once (t : (unit, int) Ig.t) tks =
+let settled_once (t : unit Ig.t) tks =
   let n = Shadow_atomic.get in
   Array.iteri
     (fun i tk ->
@@ -561,10 +562,10 @@ let submit_vs_shutdown =
           let note _ = function
             | Ig.Drop when Sched.self () = 0 -> saw_self_drain := true
             | Ig.Drop -> saw_shutdown_drain := true
-            | Ig.Admit | Ig.Refuse -> ()
+            | Ig.Admit | Ig.Refuse | Ig.Enter -> ()
           in
           let t = ingress ~note () in
-          let tks, jobs = jobs 1 in
+          let tks, jobs = jobs [| 0 |] in
           Sched.spawn (fun () ->
               if not (admit t jobs.(0)) then saw_early_reject := true);
           Sched.spawn (fun () ->
@@ -596,18 +597,18 @@ let submit_vs_drain =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
-          let tks, jobs = jobs 3 in
           let runs = Array.make 3 0 and admitted = [| true; true; false |] in
+          let tks, jobs = jobs runs in
           (* unscheduled prefix: the lane is full *)
           check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
           Sched.spawn (fun () -> admitted.(2) <- admit t jobs.(2));
           Sched.spawn (fun () ->
               (* one drain pass per prefilled slot *)
-              Option.iter (run_job t runs) (pop t);
-              Option.iter (run_job t runs) (pop t));
+              Option.iter (run_job t) (pop t);
+              Option.iter (run_job t) (pop t));
           Sched.final (fun () ->
               (* quiescent drain of whatever the worker raced past *)
-              drain_run t runs;
+              drain_run t;
               settled_once t tks;
               ran_once_if_admitted runs admitted;
               if admitted.(2) then saw_admit := true else saw_reject := true))
@@ -632,8 +633,8 @@ let submit_vs_submit =
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
-          let tks, jobs = jobs 3 in
           let runs = Array.make 3 0 and admitted = [| true; false; false |] in
+          let tks, jobs = jobs runs in
           (* unscheduled prefix: one slot taken, one free *)
           check (admit t jobs.(0)) "setup: prefill failed";
           let producer i =
@@ -649,7 +650,7 @@ let submit_vs_submit =
               check
                 (admitted.(1) || admitted.(2))
                 "the free slot admitted nobody";
-              drain_run t runs;
+              drain_run t;
               settled_once t tks;
               ran_once_if_admitted runs admitted))
     in
@@ -664,17 +665,9 @@ let submit_vs_submit =
   }
 
 (* ---- lifecycle scenarios: cancellation and deadlines on the shipped
-   ingress body. A worker delivers a popped job as the pool's drain
-   does: a set token settles the ticket cancelled, a passed deadline
-   settles it expired, and otherwise the job runs. Completions, cancels,
-   expiries and shutdown drops all ride the ticket's one claim. *)
-
-let deliver t runs ~cancelled ~expired (Ig.J j as job) =
-  if cancelled () then ignore (Ig.settle t j.tk Cancelled : bool)
-  else if expired j.deadline then ignore (Ig.settle t j.tk Expired : bool)
-  else run_job t runs job
-
-let never _ = false
+   ingress body. The dequeue-time decision is [Ig.must_run], reading a
+   real token and a virtual clock. Completions, cancels, expiries and
+   shutdown drops all ride the ticket's one claim. *)
 
 (* -- Scenario C1: cancel racing delivery, with multiplicity. A
    canceller sets the token while two deliveries of the same job (the
@@ -691,16 +684,11 @@ let cancel_vs_complete =
     and saw_cancel_after_run = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let t, tks, job = one_job ~popped:true () in
-          let job = Option.get job in
           let token = Shadow_atomic.make false and runs = [| 0 |] in
-          let delivery () =
-            deliver t runs ~expired:never
-              ~cancelled:(fun () -> Shadow_atomic.get token)
-              job
-          in
-          Sched.spawn delivery;
-          Sched.spawn delivery;
+          let t, tks, job = one_job ~token ~popped:true runs in
+          let job = Option.get job in
+          Sched.spawn (fun () -> run_job t job);
+          Sched.spawn (fun () -> run_job t job);
           Sched.spawn (fun () -> Shadow_atomic.set token true);
           Sched.final (fun () ->
               settled_once t tks;
@@ -736,17 +724,15 @@ let expire_vs_dequeue =
     let saw_run = ref false and saw_expired = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let t, tks, job = one_job ~deadline:1 ~popped:true () in
-          let job = Option.get job in
           let clock = Shadow_atomic.make 0 and runs = [| 0 |] in
+          let now () = Shadow_atomic.get clock in
+          let t, tks, job = one_job ~now ~deadline:1 ~popped:true runs in
+          let job = Option.get job in
           Sched.spawn (fun () ->
               (* the clock ticking past the deadline *)
               Shadow_atomic.set clock 1;
               Shadow_atomic.set clock 2);
-          Sched.spawn (fun () ->
-              deliver t runs ~cancelled:(fun () -> false)
-                ~expired:(fun d -> Shadow_atomic.get clock > d)
-                job);
+          Sched.spawn (fun () -> run_job t job);
           Sched.final (fun () ->
               settled_once t tks;
               match Ig.peek tks.(0) with
@@ -778,12 +764,10 @@ let cancel_vs_shutdown =
     let saw_cancelled = ref false and saw_rejected = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
-          let t, tks, _ = one_job ~popped:false () in
           let runs = [| 0 |] in
-          Sched.spawn (fun () ->
-              Option.iter
-                (deliver t runs ~cancelled:(fun () -> true) ~expired:never)
-                (pop t));
+          let token = Shadow_atomic.make true in
+          let t, tks, _ = one_job ~token ~popped:false runs in
+          Sched.spawn (fun () -> Option.iter (run_job t) (pop t));
           Sched.spawn (fun () ->
               Shadow_atomic.set t.stop true;
               Ig.drain t ~lane:0);

@@ -1,9 +1,9 @@
-(* Protocol body for the ingress: ticket settlement and admission. Like
-   inject_queue_body.ml, this file is compiled with a build-generated
-   prelude binding [A] (the atomic backend), [Iq] (the injection lanes
-   compiled against that backend), [L] (ledger counter updates) and [W]
-   (waking blocked awaiters, pausing a waiting producer); keep it free of
-   direct [Atomic] use.
+(* Protocol body for the ingress: the life of a submitted job from the
+   door to its settlement. Like inject_queue_body.ml, this file is
+   compiled with a build-generated prelude binding [A] (the atomic
+   backend), [Iq] (the injection lanes compiled against that backend),
+   [L] (ledger counter updates) and [W] (waking blocked awaiters,
+   pausing a waiting producer); keep it free of direct [Atomic] use.
 
    There is no interface file: the types below are the pool's API.
 
@@ -14,7 +14,12 @@
    decides the outcome exactly once, however many deliveries race it.
    The winner bumps the ledger and decrements [inflight], and only then
    publishes the final state: an awaiter woken by the publication sees
-   the ledger settled. *)
+   the ledger settled.
+
+   The body is the ledger's only writer. It admits ([admit], or [enter]
+   for a job its submitter runs), decides at dequeue whether a popped
+   job runs ([must_run]), and keeps the Adaptive controller's EWMA. The
+   pool pops a lane, runs what [must_run] says to run, and settles it. *)
 
 type 'a state =
   | Pending
@@ -26,25 +31,39 @@ type 'a state =
 
 type 'a ticket = 'a state A.t
 
-(* A queued job: its body runs on a ['w], and it may carry a token. *)
-type ('w, 'c) job =
+(* A queued job: its body runs on a ['w], and it may carry a cancel
+   token, a one-way flag. *)
+type 'w job =
   | J : {
       fn : 'w -> 'a;
       tk : 'a ticket;
       deadline : int; (* absolute ns; [max_int] = none *)
-      token : 'c option;
+      token : bool A.t option;
       enq_ns : int; (* submission time *)
     }
-      -> ('w, 'c) job
+      -> 'w job
 
 (* What the [note] hook hears, with the lane: an admitted push, a
-   refusal at admission, a queued job dropped unrun. *)
-type note = Admit | Refuse | Drop
+   refusal at admission, a queued job dropped unrun, an admission
+   without a lane ([enter]). *)
+type note = Admit | Refuse | Drop | Enter
 
-type ('w, 'c) t = {
-  lanes : ('w, 'c) job Iq.t array; (* [||] = ingress closed *)
+(* The dequeue-time checks the [fault] hook hears, each just before its
+   read: the token's, then the deadline's. *)
+type check = Cancel | Expire
+
+type 'w t = {
+  lanes : 'w job Iq.t array; (* [||] = ingress closed *)
   stop : bool A.t; (* the pool's stop flag *)
   note : int -> note -> unit; (* lane, event: the pool's trace/fault hook *)
+  fault : 'w -> check -> unit; (* the dequeuing worker's fault hook *)
+  now : unit -> int; (* the clock, in ns *)
+  adaptive : bool; (* Adaptive admission: the controller runs *)
+  target_ns : int; (* Adaptive's sojourn-latency target *)
+  wait_ewma : int A.t;
+      (* EWMA of observed lane-sojourn times (ns), fed by every dequeue
+         with a racy read-modify-write: a lost update only slows the
+         controller by one sample, so no CAS loop on the drain path *)
   submitted : int A.t;
   admitted : int A.t;
   rejected : int A.t; (* refused at admission *)
@@ -57,21 +76,21 @@ type ('w, 'c) t = {
 
 let ticket () = A.make Pending
 
-let create ~lanes ~capacity ~note =
+let create ~lanes ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
+    ~note ~fault ~now =
   let dummy =
-    J
-      {
-        fn = (fun _ -> ());
-        tk = ticket ();
-        deadline = max_int;
-        token = None;
-        enq_ns = 0;
-      }
+    J { fn = ignore; tk = ticket (); deadline = max_int; token = None;
+        enq_ns = 0 }
   in
   {
     lanes = Array.init lanes (fun _ -> Iq.create ~capacity ~dummy ());
     stop = A.make false;
     note;
+    fault;
+    now;
+    adaptive = admission = Adaptive;
+    target_ns;
+    wait_ewma = A.make 0;
     submitted = A.make 0;
     admitted = A.make 0;
     rejected = A.make 0;
@@ -81,6 +100,14 @@ let create ~lanes ~capacity ~note =
     cancelled = A.make 0;
     inflight = A.make 0;
   }
+
+(* Zero the ledger and the EWMA: a fresh measurement window. [inflight]
+   is a balance, not a flow, so it stays. *)
+let reset t =
+  List.iter
+    (fun c -> A.set c 0)
+    [ t.submitted; t.admitted; t.rejected; t.shed; t.completed; t.expired;
+      t.cancelled; t.wait_ewma ]
 
 (* The ticket as outsiders see it: a claim not yet published is still
    pending. *)
@@ -129,15 +156,20 @@ let refuse t ~lane (J j) =
   false
 
 (* The admission sequence: stop check → push (applying [admission]
-   while the lane is full) → stop re-check → self-drain. [shedding] is
-   the Adaptive controller's verdict: refuse at the door while the lane
-   holds a backlog. *)
-let admit t ~lane ~(admission : Wool_policy.Admission.t) ~shedding job =
+   while the lane is full) → stop re-check → self-drain. The Adaptive
+   controller refuses at the door while the sojourn EWMA is above target
+   and the lane holds a backlog: the backlog drains back under target
+   before fresh jobs may join it, and the backlog guard keeps an idle
+   pool admitting even right after a latency spike (the EWMA moves only
+   on dequeues). *)
+let admit t ~lane ~(admission : Wool_policy.Admission.t) job =
   L.bump t.submitted 1;
   if
     A.get t.stop
     || Array.length t.lanes = 0
-    || (shedding && Iq.size t.lanes.(lane) > 0)
+    || t.adaptive
+       && A.get t.wait_ewma > t.target_ns
+       && Iq.size t.lanes.(lane) > 0
   then refuse t ~lane job
   else begin
     let q = t.lanes.(lane) in
@@ -175,3 +207,41 @@ let admit t ~lane ~(admission : Wool_policy.Admission.t) ~shedding job =
       refuse t ~lane job
     end
   end
+
+(* Admission without a lane, for a job its submitter runs itself
+   ([Wool.run]): nothing else ever holds the job, so it is never
+   refused. *)
+let enter t ~lane =
+  L.bump t.submitted 1;
+  L.bump t.inflight 1;
+  L.bump t.admitted 1;
+  t.note lane Enter
+
+let settle_unrun t tk s =
+  ignore (settle t tk s : bool);
+  false
+
+(* The dequeue-time decision on a job worker [w] popped: whether it must
+   run. Every pop feeds the Adaptive EWMA first: a job dropped below for
+   sitting past its deadline is the loudest overload signal there is.
+   Then a set token settles the job cancelled, else a passed deadline
+   settles it expired, without running. The [fault] hook fires between
+   the pop and each read, stretching the race window between a late
+   canceller (or a ticking clock) and this worker. *)
+let must_run t w (J j) =
+  if t.adaptive then begin
+    (* alpha = 1/4 *)
+    let e = A.get t.wait_ewma in
+    A.set t.wait_ewma (e + ((t.now () - j.enq_ns - e) asr 2))
+  end;
+  let cancelled =
+    match j.token with
+    | Some c ->
+        t.fault w Cancel;
+        A.get c
+    | None -> false
+  in
+  if cancelled then settle_unrun t j.tk Cancelled
+  else if j.deadline <> max_int && (t.fault w Expire; t.now () > j.deadline)
+  then settle_unrun t j.tk Expired
+  else true

@@ -1,10 +1,11 @@
 (* Cooperative cancellation tokens.
 
    A token is one shared flag. Nothing in the runtime preempts a running
-   task: cancellation is *cooperative* — the ingress drops a cancelled
-   job at dequeue time (the body never starts), and a running body
-   observes the flag itself via [is_set]/[check] (or implicitly at every
-   spawn through the worker's ambient token, see {!Pool.spawn}).
+   task: cancellation is *cooperative* — the ingress body's dequeue-time
+   decision ([Wool_deque.Ingress.must_run]) drops a cancelled job (the
+   body never starts), and a running body observes the flag itself via
+   [is_set]/[check] (or implicitly at every spawn through the worker's
+   ambient token, see {!Pool.spawn}).
 
    The token carries no settlement state of its own: the ticket's one
    CAS claim ([Wool_deque.Ingress.settle]) decides cancel-vs-complete

@@ -18,7 +18,10 @@
     completion (and then the completion wins the settlement). One token
     may be shared by any number of submissions. *)
 
-type t
+type t = bool Atomic.t
+(** The flag itself: the ingress reads it directly when it dequeues a
+    job ([Wool_deque.Ingress.must_run]). Set it only through
+    {!cancel}. *)
 
 exception Cancelled
 (** Raised by {!check} (and by [Submit.await] on a ticket whose job was

@@ -287,16 +287,10 @@ and pool = {
   (* ingress: external submission lanes *)
   server : bool; (* worker 0 is a spawned domain, not the caller *)
   admission : admission;
-  adaptive : bool; (* [admission = Adaptive]: one immutable-bool branch *)
-  adm_target_ns : int; (* Adaptive's sojourn-latency target *)
-  adm_wait_ewma : int Atomic.t;
-      (* EWMA of observed lane-sojourn times (ns), updated by draining
-         workers with racy read-modify-writes — a lost update only slows
-         the controller by one sample, so no CAS loop on the drain path *)
   next_lane : int Atomic.t; (* producer round-robin cursor *)
-  ingress : (worker, Cancel.t) Ingress.t;
-      (* the lanes, the ledger, and the pool's stop flag, which admission
-         re-checks *)
+  ingress : worker Ingress.t;
+      (* the lanes, the ledger, the Adaptive controller, and the pool's
+         stop flag, which admission re-checks *)
   probe : probe;
 }
 
@@ -363,42 +357,36 @@ let[@inline] inline_tag code =
    pool built without [Config.faults] pays one predictable branch per
    site — the same cost model as the trace ring. *)
 
-(* Sites where only delays are meaningful ([Fail_steal]/[Raise_exn]
-   cannot fire here by [Kind.valid_at]). *)
-let fault_delay w site =
-  match Fault.Injector.fire w.inj site with
-  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) -> Fault.Injector.spin n
-  | Some _ | None -> ()
+(* The one fault decoder: act out a fire — a [Delay]/[Stall] spins here
+   — and say whether the site's own kind fired, the one [Kind.valid_at]
+   admits there besides the delays ([Fail_steal] at the steal sites,
+   [Raise_exn] at [Spawn], [Dup] at [Drain]). *)
+let decode = function
+  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
+      Fault.Injector.spin n;
+      false
+  | Some _ -> true
+  | None -> false
+
+let[@inline] trip inj site = decode (Fault.Injector.fire inj site)
+
+(* Sites where only delays can fire. *)
+let fault_delay w site = ignore (trip w.inj site : bool)
 
 (* The direct stack exposes its protocol windows ([Pre_cas]/[Post_cas]/
    [Trip]) through [Ds.steal]'s interference hook, so a delay injected
    at [Pre_steal_cas] genuinely recreates the §III-A delayed-thief ABA
-   rather than merely pausing before the call. Closed over the injector
-   alone so one closure per worker serves every attempt. *)
+   rather than merely pausing before the call; a [Fail_steal] abandons
+   the attempt. The queued modes, which have no protocol window of
+   their own, call it with [Pre_cas] before touching the victim's queue.
+   Closed over the injector alone so one closure per worker serves every
+   attempt. *)
 let direct_interfere inj phase =
-  let site =
-    match phase with
+  trip inj
+    (match phase with
     | Ds.Pre_cas -> Fault.Site.Pre_steal_cas
     | Ds.Post_cas -> Fault.Site.Post_steal_cas
-    | Ds.Trip -> Fault.Site.Trip_wire
-  in
-  match Fault.Injector.fire inj site with
-  | Some Fault.Kind.Fail_steal -> true
-  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-      Fault.Injector.spin n;
-      false
-  | Some (Fault.Kind.Raise_exn | Fault.Kind.Dup) | None -> false
-
-(* Thief-side pre-CAS site for the queued modes (Locked/Clev), which
-   have no protocol window of their own: a forced failure abandons the
-   attempt before touching the victim's queue. *)
-let fault_steal_pre w =
-  match Fault.Injector.fire w.inj Fault.Site.Pre_steal_cas with
-  | Some Fault.Kind.Fail_steal -> true
-  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-      Fault.Injector.spin n;
-      false
-  | Some (Fault.Kind.Raise_exn | Fault.Kind.Dup) | None -> false
+    | Ds.Trip -> Fault.Site.Trip_wire)
 
 (* ---- ingress instrumentation ----
 
@@ -420,9 +408,7 @@ let ig_fault ig site =
     let k = Fault.Injector.fire ig.ig_inj site in
     Mutex.unlock ig.ig_lock;
     (* spin outside the lock: the fault delays this producer, not all *)
-    match k with
-    | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) -> Fault.Injector.spin n
-    | Some _ | None -> ()
+    ignore (decode k : bool)
   end
 
 (* The ingress body's trace/fault hook. The [Admit] fault site sits
@@ -432,7 +418,16 @@ let ig_note ig lane = function
   | Ingress.Admit ->
       ig_fault ig Fault.Site.Admit;
       ig_record ig Event.Admit ~a:lane ~b:(-1)
+  | Ingress.Enter ->
+      ig_record ig Event.Submit ~a:lane ~b:(-1);
+      ig_record ig Event.Admit ~a:lane ~b:(-1)
   | Ingress.Refuse | Ingress.Drop -> ig_record ig Event.Reject ~a:lane ~b:(-1)
+
+(* The ingress body's dequeue-time fault hook, on the draining worker's
+   injector. *)
+let ig_check_fault w = function
+  | Ingress.Cancel -> if w.fl_on then fault_delay w Fault.Site.Cancel
+  | Ingress.Expire -> if w.fl_on then fault_delay w Fault.Site.Expire
 
 let nap pool ~factor =
   if pool.idle_nap_ns > 0 then
@@ -609,7 +604,7 @@ and steal_direct w ~victim =
   | Ds.Fail -> false
 
 and steal_queued w ~victim =
-  if w.fl_on && fault_steal_pre w then false
+  if w.fl_on && w.inj_interfere Ds.Pre_cas then false
   else
     match q_steal victim with
     | Some pc ->
@@ -661,66 +656,27 @@ and steal_idle w =
         end;
         ran
 
-(* Try to pop one injected job off the pool's ingress lanes and run it.
-   Called only from the idle loop — after the worker has run out of local
-   work, before it turns to remote steals — so the private-task fast path
+(* Try to pop one injected job off the pool's ingress lanes and run it,
+   if the ingress says it must run: a cancelled or expired job is
+   settled there, without a [Dequeue_injected] note, which the trace
+   oracle and the [injected] counter equate with executions. Called
+   only from the idle loop — after the worker has run out of local work,
+   before it turns to remote steals — so the private-task fast path
    never sees the lanes. Workers start their scan at a different lane
    each ([id]-staggered) to spread drain pressure. *)
 and drain_injected w =
-  let pool = w.pool in
-  let lanes = pool.ingress.lanes in
-  let nl = Array.length lanes in
+  let ig = w.pool.ingress in
+  let nl = Array.length ig.lanes in
   if nl = 0 then false
   else begin
-    let dup =
-      w.fl_on
-      &&
-      match Fault.Injector.fire w.inj Fault.Site.Drain with
-      | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-          Fault.Injector.spin n;
-          false
-      | Some Fault.Kind.Dup -> true
-      | Some _ | None -> false
-    in
+    let dup = w.fl_on && trip w.inj Fault.Site.Drain in
     let rec scan i =
       if i >= nl then false
       else begin
         let lane = if nl = 1 then 0 else (w.id + i) mod nl in
-        match Inject_queue.try_pop lanes.(lane) with
-        | Some (J j as job) ->
-            (* Lifecycle drops come first: a cancelled or expired job is
-               settled here without running — and without a
-               [Dequeue_injected] note, which the trace oracle and the
-               [injected] counter equate with executions. The
-               [Cancel]/[Expire] fault sites sit between the pop and the
-               respective check, stretching the race window between a
-               late canceller (or a ticking clock) and this worker. *)
-            if pool.adaptive then begin
-              (* racy EWMA (alpha = 1/4): a lost update costs one sample,
-                 which the controller tolerates by design. Every pop
-                 feeds it — a job dropped below for sitting past its
-                 deadline is the loudest overload signal there is. *)
-              let wait = Wool_util.Clock.now_ns () - j.enq_ns in
-              let e = Atomic.get pool.adm_wait_ewma in
-              Atomic.set pool.adm_wait_ewma (e + ((wait - e) asr 2))
-            end;
-            let cancelled =
-              match j.token with
-              | Some c ->
-                  if w.fl_on then fault_delay w Fault.Site.Cancel;
-                  Cancel.is_set c
-              | None -> false
-            in
-            if cancelled then
-              ignore (Ingress.settle pool.ingress j.tk Cancelled : bool)
-            else if
-              j.deadline <> max_int
-              && begin
-                   if w.fl_on then fault_delay w Fault.Site.Expire;
-                   Wool_util.Clock.now_ns () > j.deadline
-                 end
-            then ignore (Ingress.settle pool.ingress j.tk Expired : bool)
-            else exec_job w job ~lane ~dup;
+        match Inject_queue.try_pop ig.lanes.(lane) with
+        | Some job ->
+            if Ingress.must_run ig w job then exec_job w job ~lane ~dup;
             true
         | None -> scan (i + 1)
       end
@@ -833,14 +789,11 @@ let join_queued w fut =
    surfaces exactly like a task exception, exercising the full
    unwind/propagation path. *)
 let spawn_fault w fn =
-  match Fault.Injector.fire w.inj Fault.Site.Spawn with
-  | Some Fault.Kind.Raise_exn ->
-      let e = Fault.Injector.injected_exn w.inj Fault.Site.Spawn in
-      fun _ -> raise e
-  | Some (Fault.Kind.Delay n | Fault.Kind.Stall n) ->
-      Fault.Injector.spin n;
-      fn
-  | Some (Fault.Kind.Fail_steal | Fault.Kind.Dup) | None -> fn
+  if trip w.inj Fault.Site.Spawn then begin
+    let e = Fault.Injector.injected_exn w.inj Fault.Site.Spawn in
+    fun _ -> raise e
+  end
+  else fn
 
 let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   if w.pool.stopped then invalid_arg "Wool.spawn: pool is shut down";
@@ -949,26 +902,12 @@ module Submit = struct
 
   let await_for tk span_s = await_until tk ~deadline:(deadline_in span_s)
 
-  (* One submission through [Ingress.admit]; whether it was admitted.
-     The Adaptive early shed refuses at the door while the observed
-     sojourn latency is above target and the lane holds a backlog: the
-     backlog drains back under target before fresh jobs may join it, and
-     the backlog guard keeps an idle pool admitting even right after a
-     latency spike (the EWMA decays only on dequeues). *)
+  (* One submission through [Ingress.admit]; whether it was admitted. *)
   let admit ?(deadline = max_int) ?cancel pool ~lane ~batch ~admission tk fn =
     ig_fault pool.probe Fault.Site.Submit;
     ig_record pool.probe Event.Submit ~a:lane ~b:batch;
     Ingress.admit pool.ingress ~lane ~admission
-      ~shedding:
-        (pool.adaptive && Atomic.get pool.adm_wait_ewma > pool.adm_target_ns)
-      (J
-         {
-           fn;
-           tk;
-           deadline;
-           token = cancel;
-           enq_ns = Wool_util.Clock.now_ns ();
-         })
+      (J { fn; tk; deadline; token = cancel; enq_ns = pool.ingress.now () })
 
   let submit_on ?deadline ?cancel pool ~lane ~batch fn =
     let tk = Ingress.ticket () in
@@ -1107,15 +1046,7 @@ module Stats = struct
     Array.iter (fun w -> Array.fill w.counts 0 table_slots 0) pool.workers;
     (* the ingress balance ([Invariants.check]) is relative to the same
        reset point as the worker counters *)
-    let ig = pool.ingress in
-    Atomic.set ig.submitted 0;
-    Atomic.set ig.admitted 0;
-    Atomic.set ig.rejected 0;
-    Atomic.set ig.shed 0;
-    Atomic.set ig.completed 0;
-    Atomic.set ig.expired 0;
-    Atomic.set ig.cancelled 0;
-    Atomic.set pool.adm_wait_ewma 0
+    Ingress.reset pool.ingress
 
   let pp fmt s =
     Format.fprintf fmt "@[<hov 1>{";
@@ -1457,17 +1388,15 @@ let create_of_config (c : Config.t) =
       wd = None;
       server = c.Config.server;
       admission = c.Config.admission;
-      adaptive = c.Config.admission = Adaptive;
-      adm_target_ns = c.Config.admission_target_ns;
-      adm_wait_ewma = Atomic.make 0;
       next_lane = Atomic.make 0;
       ingress =
         Ingress.create
           ~lanes:
             (if c.Config.injection_capacity = 0 then 0
              else c.Config.injection_lanes)
-          ~capacity:c.Config.injection_capacity
-          ~note:(ig_note probe);
+          ~capacity:c.Config.injection_capacity ~admission:c.Config.admission
+          ~target_ns:c.Config.admission_target_ns ~note:(ig_note probe)
+          ~fault:ig_check_fault ~now:Wool_util.Clock.now_ns;
       probe;
     }
   in
@@ -1528,13 +1457,7 @@ let run pool f =
     let tk = Ingress.ticket () in
     let lane = lane_of pool in
     Atomic.set pool.active true;
-    (* admitted without a lane: nothing else ever holds the job, so the
-       ledger is bumped directly *)
-    Atomic.incr ig.submitted;
-    ig_record pool.probe Event.Submit ~a:lane ~b:(-1);
-    Atomic.incr ig.inflight;
-    Atomic.incr ig.admitted;
-    ig_record pool.probe Event.Admit ~a:lane ~b:(-1);
+    Ingress.enter ig ~lane;
     (* Jobs queued before this call go first, as if the root job had
        queued behind them; the bound keeps producers that keep
        submitting from starving it. *)

@@ -82,8 +82,9 @@ type admission = Wool_policy.Admission.t =
   | Adaptive
 (** What a full injection lane does to a new submission; see
     {!Wool_policy.Admission}. [Adaptive] also sheds {e before} the lane
-    fills, whenever the pool's sojourn-latency EWMA exceeds
-    [Config.admission_target_ns] and a backlog exists. *)
+    fills, whenever the ingress's sojourn-latency EWMA (fed by every
+    dequeue) exceeds [Config.admission_target_ns] and a backlog
+    exists. *)
 
 module Cancel = Cancel
 (** Cooperative cancellation tokens, attachable to submissions
@@ -169,9 +170,10 @@ module Config : sig
         (** what a full lane does to a new submission (default [Block]) *)
     admission_target_ns : int;
         (** [Adaptive] admission's sojourn-latency target (default 2ms):
-            while the EWMA of observed lane-sojourn times is above this
-            and a backlog exists, new submissions are rejected at the
-            door. Ignored by the other admission policies. *)
+            while the EWMA of observed lane-sojourn times, which the
+            ingress keeps, is above this and a backlog exists, new
+            submissions are rejected at the door. Ignored by the other
+            admission policies. *)
     server : bool;
         (** server mode (default [false]): {e every} worker, including 0,
             is a spawned domain, and the creating domain is a pure

@@ -124,7 +124,7 @@ let schedules =
     ("submit-vs-submit", 1_110);
     ("cancel-vs-complete", 84);
     ("expire-vs-dequeue", 10);
-    ("cancel-vs-shutdown", 1_375);
+    ("cancel-vs-shutdown", 1_705);
   ]
 
 (* Both directions: a scenario without a pin, and a pin whose scenario

@@ -387,6 +387,36 @@ let test_fault_stats_json () =
   | Error e -> Alcotest.fail ("invalid fault stats JSON: " ^ e));
   Wool.shutdown pool
 
+(* The dequeue-time sites: a pre-cancelled job crosses [Cancel] and a
+   past-deadline job crosses [Expire], once each, on the draining
+   worker's injector, before the ingress settles them unrun. *)
+let test_dequeue_sites_fire () =
+  let rule site =
+    { F.Plan.site; kind = F.Kind.Delay 1; rate = 1.0; max_fires = -1 }
+  in
+  let plan = F.Plan.make ~seed:1 [ rule F.Site.Cancel; rule F.Site.Expire ] in
+  Test_util.with_pool ~workers:1 ~faults:plan (fun pool ->
+      let ran = Atomic.make 0 in
+      let body _ = Atomic.incr ran in
+      let token = Wool.Cancel.create () in
+      Wool.Cancel.cancel token;
+      let cancelled = Wool.Submit.submit ~cancel:token pool body in
+      let deadline = Wool_util.Clock.now_ns () - 1 in
+      let expired = Wool.Submit.submit ~deadline pool body in
+      (* worker 0 drains the two jobs queued ahead of its own *)
+      Wool.run pool (fun _ -> ());
+      Alcotest.(check bool) "cancelled" true
+        (Wool.Submit.poll cancelled = `Cancelled);
+      Alcotest.(check bool) "expired" true
+        (Wool.Submit.poll expired = `Expired);
+      Alcotest.(check int) "no body ran" 0 (Atomic.get ran);
+      let stats = Wool.fault_stats pool in
+      let fired site = F.Stats.count stats site in
+      Alcotest.(check int) "cancel site fired" 1 (fired F.Site.Cancel);
+      Alcotest.(check int) "expire site fired" 1 (fired F.Site.Expire);
+      Alcotest.(check (list string))
+        "invariants" [] (Wool.Invariants.check pool))
+
 let suite =
   [
     ( "fault",
@@ -419,5 +449,7 @@ let suite =
         Alcotest.test_case "stall report valid JSON" `Quick
           test_stall_report_always_valid;
         Alcotest.test_case "fault stats JSON" `Quick test_fault_stats_json;
+        Alcotest.test_case "cancel and expire sites fire" `Quick
+          test_dequeue_sites_fire;
       ] );
   ]

@@ -283,6 +283,82 @@ let test_adaptive_sheds_under_load () =
       Alcotest.(check (list string)) "invariants" []
         (Wool.Invariants.check pool))
 
+(* -- the ingress body itself: [Wool_deque.Ingress] driven by hand,
+   on a clock the test sets, so the Adaptive controller and the
+   dequeue-time decision are deterministic -- *)
+
+module Ig = Wool_deque.Ingress
+
+let clock = ref 0
+
+let ingress ~admission =
+  Ig.create ~lanes:1 ~capacity:4 ~admission ~target_ns:1
+    ~note:(fun _ _ -> ())
+    ~fault:(fun () _ -> ())
+    ~now:(fun () -> !clock)
+
+let job ?(deadline = max_int) ?token () =
+  let tk = Ig.ticket () in
+  (tk, Ig.J { fn = (fun () -> ()); tk; deadline; token; enq_ns = 0 })
+
+let pop (t : unit Ig.t) =
+  Option.get (Wool_deque.Inject_queue.try_pop t.lanes.(0))
+let ledger (t : unit Ig.t) =
+  List.map Atomic.get
+    [
+      t.submitted; t.admitted; t.rejected; t.shed; t.completed; t.expired;
+      t.cancelled;
+    ]
+
+(* An expired pop still feeds the EWMA, and with a 1 ns target that one
+   sample sheds the next submission while a backlog is queued. *)
+let test_expired_pop_feeds_ewma () =
+  clock := 100;
+  let t = ingress ~admission:Adaptive in
+  let admit = Ig.admit t ~lane:0 ~admission:Adaptive in
+  let tk0, j0 = job ~deadline:50 () and _, j1 = job () and tk2, j2 = job () in
+  Alcotest.(check bool) "job 0 admitted" true (admit j0);
+  Alcotest.(check bool) "job 1 admitted" true (admit j1);
+  Alcotest.(check bool) "expired job not run" false (Ig.must_run t () (pop t));
+  Alcotest.(check bool) "settled expired" true (Ig.peek tk0 = Ig.Expired);
+  Alcotest.(check int)
+    "EWMA fed by the expired pop" 25 (Atomic.get t.wait_ewma);
+  Alcotest.(check bool) "refused at the door" false (admit j2);
+  Alcotest.(check bool) "ticket rejected" true (Ig.peek tk2 = Ig.Rejected);
+  Alcotest.(check int) "rejected" 1 (Atomic.get t.rejected)
+
+(* The token is read before the deadline: a cancelled job past its
+   deadline settles cancelled. *)
+let test_cancel_before_expiry () =
+  clock := 100;
+  let t = ingress ~admission:Reject in
+  let tk, j = job ~deadline:50 ~token:(Atomic.make true) () in
+  Alcotest.(check bool) "admitted" true
+    (Ig.admit t ~lane:0 ~admission:Reject j);
+  Alcotest.(check bool) "not run" false (Ig.must_run t () (pop t));
+  Alcotest.(check bool) "settled cancelled" true (Ig.peek tk = Ig.Cancelled);
+  Alcotest.(check (pair int int)) "cancelled, not expired" (1, 0)
+    (Atomic.get t.cancelled, Atomic.get t.expired)
+
+(* [reset] zeroes every ledger counter and the EWMA; [inflight], a
+   balance, keeps counting the job still queued. *)
+let test_reset () =
+  clock := 100;
+  let t = ingress ~admission:Adaptive in
+  let admit j = ignore (Ig.admit t ~lane:0 ~admission:Adaptive j : bool) in
+  let _, j0 = job ~deadline:50 () and _, j1 = job () and _, j2 = job () in
+  admit j0;
+  admit j1;
+  ignore (Ig.must_run t () (pop t) : bool);
+  admit j2;
+  Alcotest.(check (list int))
+    "ledger before" [ 3; 2; 1; 0; 0; 1; 0 ] (ledger t);
+  Ig.reset t;
+  Alcotest.(check (list int))
+    "ledger after" [ 0; 0; 0; 0; 0; 0; 0 ] (ledger t);
+  Alcotest.(check int) "EWMA after" 0 (Atomic.get t.wait_ewma);
+  Alcotest.(check int) "inflight kept" 1 (Atomic.get t.inflight)
+
 let suite =
   [
     ( "lifecycle",
@@ -310,5 +386,10 @@ let suite =
           test_awaiters_race_shutdown_all_modes;
         Alcotest.test_case "adaptive admission sheds under load" `Quick
           test_adaptive_sheds_under_load;
+        Alcotest.test_case "expired pop feeds the EWMA" `Quick
+          test_expired_pop_feeds_ewma;
+        Alcotest.test_case "cancel check before expiry" `Quick
+          test_cancel_before_expiry;
+        Alcotest.test_case "ingress reset" `Quick test_reset;
       ] );
   ]
