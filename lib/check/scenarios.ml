@@ -14,6 +14,9 @@ module Iq = Inject_queue_checked
 
 let check cond msg = if not cond then failwith msg
 
+(* Every scenario's owner ends with [Ds.sweep], as the pool's workers do
+   where a stack unwinds to its base, so this also checks that the sweep
+   clears every payload the joins left. *)
 let quiescent t =
   match Ds.check_quiescent t with
   | [] -> ()
@@ -105,7 +108,8 @@ let single_task_lifecycle =
               push c t 0;
               join c t ~record:(fun v ->
                   saw_inline := true;
-                  record v));
+                  record v);
+              Ds.sweep t);
           Sched.spawn (fun () ->
               attempt t ~thief:1 ~record:(fun v ->
                   saw_steal := true;
@@ -141,7 +145,8 @@ let stack_vs_one_thief =
               push c t 0;
               push c t 1;
               join c t ~record;
-              join c t ~record);
+              join c t ~record;
+              Ds.sweep t);
           Sched.spawn (fun () ->
               attempt t ~thief:1 ~record:(fun v ->
                   saw_steal := true;
@@ -185,6 +190,7 @@ let two_thieves_one_task =
           Sched.final (fun () ->
               (* the owner joins after the race settles *)
               join c t;
+              Ds.sweep t;
               check (execd.(0) = 1) "task 0 not executed exactly once";
               check (Ds.steal_count t = 1) "exactly one steal must commit";
               quiescent t;
@@ -228,7 +234,8 @@ let recycled_descriptor_backoff =
               push c t 2;
               push c t 3 (* recycles slot 1's descriptor *);
               join c t ~record;
-              join c t ~record);
+              join c t ~record;
+              Ds.sweep t);
           Sched.spawn (fun () ->
               attempt t ~thief:2
                 ~record:(fun v ->
@@ -285,7 +292,8 @@ let trip_wire_steal_vs_privatize =
           Sched.spawn (fun () ->
               join c t ~record (* 16th public inline => privatize, or stolen *);
               push c t 1 (* re-arms the wire if the privatize fired *);
-              join c t ~record);
+              join c t ~record;
+              Ds.sweep t);
           Sched.spawn (fun () ->
               attempt t ~thief:1 ~record:(fun v ->
                   saw_steal := true;
@@ -337,7 +345,8 @@ let publish_window =
           Sched.spawn (fun () ->
               join c t ~record;
               join c t ~record;
-              join c t ~record);
+              join c t ~record;
+              Ds.sweep t);
           Sched.spawn (fun () ->
               (* stealing slot 1 fires the wire; the owner's joins must
                  service the publish request *)
@@ -400,7 +409,8 @@ let leapfrog_hold =
                   done
                 end;
                 Ds.reclaim t ~index
-              end);
+              end;
+              Ds.sweep t);
           Sched.spawn (fun () ->
               match Ds.steal t ~thief:1 with
               | Ds.Stolen_task (v, index) ->

@@ -34,10 +34,10 @@ type 'a t
 exception Pool_overflow
 (** Raised by {!push} when the stack is at capacity. Raised before any
     slot or window mutation, so the stack is untouched and the spawn can
-    be unwound cleanly (the runtime re-exports this as
-    [Wool.Pool_overflow]). *)
+    be unwound cleanly. It is {!Task_state.Pool_overflow}, which the
+    runtime re-exports as [Wool.Pool_overflow]. *)
 
-type publicity =
+type publicity = Task_state.publicity =
   | All_private  (** nothing stealable; the Table II best case *)
   | All_public  (** every descriptor public; the Table II worst case *)
   | Adaptive of int
@@ -76,8 +76,8 @@ val steal_pressure : 'a t -> bool
 val top_payload : 'a t -> 'a
 (** The payload of the youngest descriptor — the task the next {!pop}
     joins. Valid until that pop, whatever it returns: a thief never
-    clears a payload cell. Owner only; raises [Invalid_argument] on an
-    empty stack. *)
+    clears a payload cell, and the pop leaves it for {!sweep}. Owner
+    only; raises [Invalid_argument] on an empty stack. *)
 
 (** {2 Join codes}
 
@@ -110,6 +110,18 @@ val stolen_done : 'a t -> index:int -> bool
 (** After a thief-id join code: has the thief marked the descriptor DONE?
     Not meaningful after {!stolen_finished} (the owner's exchange may have
     consumed the DONE state); those joins are complete by construction. *)
+
+val sweep : 'a t -> unit
+(** Clear the dead payloads above [top]. {!pop} and {!reclaim} leave a
+    joined task's payload in its slot (the next push at that depth
+    overwrites it), so a joined task's closure stays reachable until
+    then. The dead slots form one run from [top] upwards, and [sweep]
+    clears it, stopping at the first cell that already holds [dummy]: on
+    a swept stack it reads one slot. The runtime calls it where a stack
+    unwinds to its base (after a root or injected job, and after a
+    stolen task), so a stack retains at most the payloads of its deepest
+    frame since the last sweep. Owner only. Payloads must not be
+    [dummy] itself, or the sweep stops early. *)
 
 val hold : 'a t -> index:int -> unit
 (** After a thief-id join code, before the owner runs other tasks while
@@ -166,7 +178,8 @@ val set_event_hooks :
 val check_quiescent : 'a t -> string list
 (** Protocol-invariant check at quiescence (owner-side, nothing in
     flight): every descriptor state EMPTY, every payload cell back to
-    [dummy], [top = 0] and [bot = 0]. Returns human-readable violations,
+    [dummy] (that is, {!sweep} ran after the last join), [top = 0] and
+    [bot = 0]. Returns human-readable violations,
     [[]] when clean. Scans the whole capacity; diagnostic-path only. *)
 
 val dump_live : 'a t -> (int * string) list

@@ -1,11 +1,14 @@
 (* Protocol body for the direct task stack. This file is not compiled on
    its own: the build prepends a prelude binding [Ts], [Layout] and [A]
-   (the atomic backend, see atomic_ops.ml) and compiles the result as
-   [Direct_stack] (production, a prelude-defined [A]) and as
+   (the atomic backend, see atomic_ops.ml) and compiles the result three
+   times: as [Wool_deque.Direct_stack] (a prelude-defined [A]; the unit
+   tests' stack), as the [Ds] submodule of the pool's own unit (the same
+   prelude; see lib/runtime/dune), and as
    [Wool_check.Direct_stack_checked] (model checking,
-   [A = Shadow_atomic]). Keep it free of direct [Atomic]/[Domain] use. *)
+   [A = Shadow_atomic]). Keep it free of direct [Atomic]/[Domain] use.
+   The exception and [publicity] are [Ts]'s, so all three share them. *)
 
-exception Pool_overflow
+exception Pool_overflow = Ts.Pool_overflow
 
 type 'a slot = {
   state : Ts.t A.t;
@@ -16,7 +19,7 @@ type 'a slot = {
   mutable pushed_public : bool; (* owner-private: which join path to take *)
 }
 
-type publicity = All_private | All_public | Adaptive of int
+type publicity = Ts.publicity = All_private | All_public | Adaptive of int
 
 (* Owner-private working set: every field only worker [owner] reads or
    writes, batched into one cache-line-padded block so owner stores never
@@ -289,7 +292,6 @@ let rec join_public t slot i =
   let s = A.exchange slot.state Ts.empty in
   if s = Ts.task_public then begin
     maybe_privatize t i;
-    slot.payload <- t.dummy;
     inline_public
   end
   else if s = Ts.empty then begin
@@ -315,13 +317,24 @@ let[@inline] pop t =
   own.top <- own.top - 1;
   let i = own.top in
   let slot = t.slots.(i) in
-  if not slot.pushed_public then begin
+  if not slot.pushed_public then
     (* Private fast path: no atomic read-modify-write, no fence — the
-       descriptor was never visible to thieves. *)
-    slot.payload <- t.dummy;
+       descriptor was never visible to thieves. The payload stays in the
+       slot until a push overwrites it or [sweep] clears it. *)
     inline_private
-  end
   else join_public t slot i
+
+(* Dead payloads are cleared lazily: [pop] and [reclaim] leave them for
+   the next push at that depth to overwrite, so a pair pays one
+   [caml_modify], and one whose old value is usually young, not two.
+   Only [sweep] clears, and only upwards from [top], so the dead slots
+   stay one run that ends at the first [dummy]. *)
+let sweep t =
+  let i = ref t.own.top in
+  while !i < t.capacity && t.slots.(!i).payload != t.dummy do
+    t.slots.(!i).payload <- t.dummy;
+    incr i
+  done
 
 let stolen_done t ~index = A.get t.slots.(index).state = Ts.done_
 
@@ -333,7 +346,6 @@ let reclaim t ~index =
   t.own.top <- index;
   let slot = t.slots.(index) in
   A.set slot.state Ts.empty;
-  slot.payload <- t.dummy;
   (* Only the owner can be here, and every descriptor at or above [index]
      is dead, so no thief can be moving [bot] concurrently; the steal
      bits are preserved. *)

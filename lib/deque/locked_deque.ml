@@ -26,7 +26,7 @@ let create ?(capacity = 65536) ~dummy () =
 
 let push t v =
   let i = Atomic.get t.top in
-  if i >= Array.length t.cells then raise Direct_stack.Pool_overflow;
+  if i >= Array.length t.cells then raise Task_state.Pool_overflow;
   t.cells.(i) <- v;
   (* Release store: a thief that observes the new top under the lock also
      observes the cell write. *)
@@ -38,7 +38,14 @@ let pop t =
   let i = Atomic.get t.top - 1 in
   let b = Atomic.get t.bot in
   let r =
-    if i < b then None
+    if i < b then begin
+      (* Empty: thieves took every task, so [top = bot]. Rewind both to
+         0 (thieves read them only under the lock), or each steal would
+         cost the deque one cell of capacity for good. *)
+      Atomic.set t.bot 0;
+      Atomic.set t.top 0;
+      None
+    end
     else begin
       Atomic.set t.top i;
       let v = t.cells.(i) in

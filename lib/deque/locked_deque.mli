@@ -19,11 +19,12 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 
 val push : 'a t -> 'a -> unit
 (** Owner: spawn without taking the lock. Raises
-    {!Direct_stack.Pool_overflow} on overflow, before mutating anything. *)
+    {!Task_state.Pool_overflow} on overflow, before mutating anything. *)
 
 val pop : 'a t -> 'a option
 (** Owner: join under the lock; [None] when every remaining task has been
-    stolen (or the deque is empty). *)
+    stolen (or the deque is empty), in which case the deque's indices
+    rewind to 0, so steals do not use up its capacity. *)
 
 val steal : mode:[ `Base | `Peek | `Trylock ] -> 'a t -> 'a option
 (** Thief: take the oldest task under the locking discipline [mode]. *)

@@ -16,3 +16,7 @@ let pp ppf s =
   else if s = task_public then Format.pp_print_string ppf "TASK(public)"
   else if s = done_ then Format.pp_print_string ppf "DONE"
   else Format.fprintf ppf "STOLEN(%d)" (thief s)
+
+exception Pool_overflow
+
+type publicity = All_private | All_public | Adaptive of int

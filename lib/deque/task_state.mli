@@ -36,3 +36,14 @@ val thief : t -> int
 (** The thief index of a {!stolen} state. Requires [is_stolen]. *)
 
 val pp : Format.formatter -> t -> unit
+
+exception Pool_overflow
+(** Raised when a task pool is at capacity (see
+    {!Direct_stack.Pool_overflow}). Declared here so that every
+    instantiation of the direct-stack body raises the same exception. *)
+
+(** Which descriptors of a direct task stack are stealable (see
+    {!Direct_stack.publicity}). Declared here for the same reason as
+    {!Pool_overflow}: the library's stack, the pool's and the model
+    checker's share one type. *)
+type publicity = All_private | All_public | Adaptive of int

@@ -70,7 +70,7 @@ type mode = Mode.t =
   | Private
   | Clev
 
-type publicity = Wool_deque.Direct_stack.publicity =
+type publicity = Wool_deque.Task_state.publicity =
   | All_private
   | All_public
   | Adaptive of int
@@ -94,7 +94,7 @@ module Cancel = Cancel
 exception Pool_overflow
 (** Raised by {!spawn} when the calling worker's task pool is at
     [Config.capacity] (same exception as
-    {!Wool_deque.Direct_stack.Pool_overflow}). Raised before any pool
+    {!Wool_deque.Task_state.Pool_overflow}). Raised before any pool
     state is mutated, so the counters stay balanced, the pool remains
     usable, and the spawn unwinds like an ordinary task-body exception
     in every mode. *)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Acid check for the model checker: each mutation breaks one step of a
-# shipped protocol body, and `woolbench check --histories 0` must then
-# fail in the scenario named beside it. A mutation whose pattern no
+# shipped protocol body (the ingress body, then the direct-stack body),
+# and `woolbench check --histories 0` must then fail in the scenario
+# named beside it. A mutation whose pattern no
 # longer matches the source fails the script, so a stale mutation cannot
 # pass silently.
 #
@@ -28,6 +29,7 @@ mkdir -p "$tree"
 tar -C "$root" --exclude=./_build --exclude=./.git -cf - . | tar -C "$tree" -xf -
 
 body=lib/deque/ingress_body.ml
+ds=lib/deque/direct_stack_body.ml
 failed=0
 
 # mutate NAME FILE SCENARIO OLD NEW: replace the one occurrence of OLD
@@ -78,5 +80,16 @@ mutate "no cancel check at dequeue" "$body" cancel-vs-complete \
 mutate "no expiry check at dequeue" "$body" expire-vs-dequeue \
   $'  else if j.deadline <> max_int && (t.fault w Expire; t.now () > j.deadline)\n  then settle_unrun t j.tk Expired\n  else true' \
   '  else true'
+
+mutate "no bot re-check after the steal CAS" "$ds" recycled-descriptor-backoff \
+  '      if w1 land bot_mask <> b || aborted then begin' \
+  '      if aborted then begin'
+
+mutate "hold is a no-op" "$ds" leapfrog-hold \
+  'let hold t ~index = t.own.top <- index + 1' \
+  'let hold _ ~index:_ = ()'
+
+mutate "sweep is a no-op" "$ds" single-task-lifecycle \
+  '  let i = ref t.own.top in' '  let i = ref t.capacity in'
 
 exit $failed

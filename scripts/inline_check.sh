@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# Inlining guard for the private spawn/join pair: the direct-stack body
+# is compiled into the pool's own unit (lib/runtime/dune) so that
+# Ds.push, Ds.pop and Ds.depth inline into spawn_direct and join_direct.
+# This script builds the pool's object file and reads its object code.
+# It fails when either function
+#   - references the separately compiled Wool_deque.Direct_stack
+#     (a load from that module block: an indirect call into another
+#     unit, which is what the dev profile's -opaque makes of it), or
+#   - names push, pop, depth or service_publish (a call, or a closure
+#     load, of a Ds function that did not inline).
+#
+# Not part of `dune runtest`. Needs objdump (binutils). Run it from
+# anywhere:
+#
+#   scripts/inline_check.sh          # check this checkout
+#   scripts/inline_check.sh ROOT     # check the checkout at ROOT
+#
+# Exit status: 0 inlined, 1 not inlined, 2 the object or a function
+# could not be found.
+set -euo pipefail
+
+root=${1:-$(cd "$(dirname "$0")/.." && pwd)}
+obj=$root/_build/default/lib/runtime/.wool.objs/native/wool__Pool.o
+(cd "$root" && dune build --display=quiet ./lib/runtime/wool.cmxa)
+if [ ! -f "$obj" ]; then
+  echo "inline_check: no object at $obj" >&2
+  exit 2
+fi
+
+disasm=$(objdump -dr "$obj")
+status=0
+for fn in spawn_direct join_direct; do
+  body=$(awk -v fn="$fn" '
+    $0 ~ "<camlWool__Pool[.]" fn "_[0-9]+>:$" { on = 1; print; next }
+    on && /^$/ { exit }
+    on { print }' <<<"$disasm")
+  if [ -z "$body" ]; then
+    echo "inline_check: $fn not found in $obj" >&2
+    exit 2
+  fi
+  cross=$(grep -c 'camlWool_deque__Direct_stack' <<<"$body" || true)
+  calls=$(grep -Eo 'camlWool__Pool[.](push|pop|depth|service_publish)_[0-9]+' \
+    <<<"$body" | sort -u | tr '\n' ' ' || true)
+  if [ "$cross" -gt 0 ] || [ -n "$calls" ]; then
+    echo "FAIL  $fn: $cross reference(s) to Wool_deque.Direct_stack;" \
+      "not inlined: ${calls:-none}"
+    status=1
+  else
+    echo "ok    $fn: Ds.push/pop/depth inlined, no Direct_stack reference"
+  fi
+done
+exit $status

@@ -116,6 +116,7 @@ let test_join_with_running_thief () =
     (fst (expect_task "nested join" t));
   Alcotest.(check bool) "done now" true (Ds.stolen_done t ~index);
   Ds.reclaim t ~index;
+  Ds.sweep t;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
 let test_reuse_after_reclaim () =
@@ -209,6 +210,7 @@ let test_trip_wire_survives_privatize_below_bot () =
     let _, index = expect_stolen "drain" t in
     Ds.reclaim t ~index
   done;
+  Ds.sweep t;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
 let test_privatize_after_public_inlines () =
@@ -242,7 +244,41 @@ let test_join_codes_and_steal_count () =
   Alcotest.(check int) "join 1" Ds.stolen_finished (Ds.pop t);
   Ds.reclaim t ~index:0;
   Alcotest.(check int) "reclaim keeps the count" 1 (Ds.steal_count t);
+  Ds.sweep t;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
+
+(* Lazy clearing: [pop] and [reclaim] leave joined payloads in their
+   slots, and [check_quiescent] flags them until [sweep] clears the dead
+   run above [top] — a reclaimed stolen slot included — leaving the live
+   slots below [top] alone. *)
+let test_sweep_clears_dead_payloads () =
+  let t = mk () in
+  let stale () =
+    List.filter
+      (fun v -> Test_util.contains v "payload")
+      (Ds.check_quiescent t)
+  in
+  List.iter (Ds.push t) [ 1; 2; 3 ];
+  (match Ds.steal t ~thief:1 with
+  | Ds.Stolen_task (1, 0) -> Ds.complete_steal t ~index:0
+  | _ -> Alcotest.fail "expected to steal task 1 at slot 0");
+  ignore (expect_task "join 3" t);
+  ignore (expect_task "join 2" t);
+  Alcotest.(check (list string)) "joined payloads stay"
+    [ "3 payload cell(s) still hold a task closure" ]
+    (stale ());
+  Ds.sweep t;
+  Alcotest.(check int) "the live slot is kept" 1 (Ds.top_payload t);
+  Alcotest.(check (list string)) "only the live slot is left"
+    [ "1 payload cell(s) still hold a task closure" ]
+    (stale ());
+  let _, index = expect_stolen "join 1" t in
+  Ds.reclaim t ~index;
+  Alcotest.(check bool) "a reclaim leaves the stolen payload" false
+    (Ds.check_quiescent t = []);
+  Ds.sweep t;
+  Alcotest.(check (list string)) "quiescent after the sweep" []
+    (Ds.check_quiescent t)
 
 let test_capacity_overflow () =
   let t = mk ~capacity:4 () in
@@ -256,6 +292,7 @@ let test_capacity_overflow () =
     Alcotest.(check int) "pops survive overflow" i
       (fst (expect_task "pop after overflow" t))
   done;
+  Ds.sweep t;
   Alcotest.(check (list string)) "quiescent after overflow" []
     (Ds.check_quiescent t)
 
@@ -325,7 +362,9 @@ let qcheck_owner_model =
                   let v, code = pop t in
                   inlined code && v = expect)))
         ops
-      && (Ds.check_quiescent t = []) = (!model = []))
+      && (Ds.sweep t;
+          Ds.check_quiescent t = [])
+         = (!model = []))
 
 (* Deterministic regression for the delayed-CAS / recycled-descriptor
    back-off (paper §III-A): thief 2 reads TASK at slot 1 and stalls in
@@ -370,6 +409,7 @@ let test_recycled_descriptor_backoff () =
   Ds.reclaim t ~index;
   let _, index = expect_stolen "join 12" t in
   Ds.reclaim t ~index;
+  Ds.sweep t;
   Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
 
 (* Concurrency soak: one owner, several thief domains hammering the same
@@ -474,6 +514,8 @@ let suite =
         Alcotest.test_case "privatize" `Quick test_privatize_after_public_inlines;
         Alcotest.test_case "join codes and steal count" `Quick
           test_join_codes_and_steal_count;
+        Alcotest.test_case "sweep clears dead payloads" `Quick
+          test_sweep_clears_dead_payloads;
         Alcotest.test_case "overflow" `Quick test_capacity_overflow;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         QCheck_alcotest.to_alcotest qcheck_sequential_stack_model;

@@ -41,10 +41,28 @@ let test_overflow () =
   let d = mk ~capacity:2 () in
   Ld.push d 1;
   Ld.push d 2;
-  Alcotest.check_raises "overflow" Wool_deque.Direct_stack.Pool_overflow
+  Alcotest.check_raises "overflow" Wool_deque.Task_state.Pool_overflow
     (fun () -> Ld.push d 3);
   (* the raise must precede any mutation: the deque still works *)
   Alcotest.(check (option int)) "pops survive overflow" (Some 2) (Ld.pop d)
+
+(* Steals must not use up capacity: once thieves have emptied the deque,
+   the owner's failed pop rewinds it, and a full capacity of pushes fits
+   again. *)
+let test_steals_keep_capacity () =
+  let d = mk ~capacity:2 () in
+  for round = 1 to 3 do
+    Ld.push d round;
+    Ld.push d (-round);
+    Alcotest.(check (option int)) "steal" (Some round) (Ld.steal ~mode:`Base d);
+    Alcotest.(check (option int)) "steal" (Some (-round))
+      (Ld.steal ~mode:`Base d);
+    Alcotest.(check (option int)) "pop finds it empty" None (Ld.pop d)
+  done;
+  Ld.push d 4;
+  Ld.push d 5;
+  Alcotest.(check (option int)) "pop 5" (Some 5) (Ld.pop d);
+  Alcotest.(check (option int)) "pop 4" (Some 4) (Ld.pop d)
 
 let test_create_validation () =
   Alcotest.check_raises "bad capacity"
@@ -149,6 +167,7 @@ let suite =
         Alcotest.test_case "steal empty (all modes)" `Quick test_steal_empty;
         Alcotest.test_case "pop/steal meet" `Quick test_pop_steal_meet;
         Alcotest.test_case "overflow" `Quick test_overflow;
+        Alcotest.test_case "steals keep capacity" `Quick test_steals_keep_capacity;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "size" `Quick test_size;

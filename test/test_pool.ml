@@ -479,6 +479,67 @@ let qcheck_parallel_reduce_matches_fold =
                 ( + ))
           = expected))
 
+(* Lazy clearing: a joined task's future stays in its stack slot until
+   the worker sweeps its stack where it unwinds to its base. Once
+   [Wool.run] returns, no closure of the job may still be reachable from
+   the (live) pool. [big_block] registers a 1 MiB block in [weak], for
+   task bodies to capture. *)
+let big_block weak =
+  let b = Bytes.make (1 lsl 20) 'x' in
+  Weak.set weak 0 (Some b);
+  b
+
+let collected weak =
+  Gc.full_major ();
+  not (Weak.check weak 0)
+
+(* Two nested levels of joined spawns, each capturing the block: the
+   sweep must clear the whole dead run, not just the slot at [top]. *)
+let nested_spawns ctx weak =
+  let b = big_block weak in
+  let f =
+    Wool.spawn ctx (fun ctx ->
+        let g = Wool.spawn ctx (fun _ -> Bytes.length b) in
+        Wool.join ctx g + Bytes.length b)
+  in
+  Wool.join ctx f
+
+let test_joined_payload_collected () =
+  List.iter
+    (fun (name, mode) ->
+      Test_util.with_pool ~workers:1 ~mode (fun pool ->
+          let weak = Weak.create 1 in
+          Alcotest.(check int) (name ^ " result") (2 lsl 20)
+            (Wool.run pool (fun ctx -> nested_spawns ctx weak));
+          Alcotest.(check bool) (name ^ ": joined closures collected") true
+            (collected weak);
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    (List.filter (fun (_, m) -> Wool.Mode.is_direct m) all_modes)
+
+(* The same for tasks a thief spawns and joins inside a stolen task: the
+   thief sweeps its own stack before it marks the steal done. The root
+   cannot join [a] until the thief has run it, so the steal is forced. *)
+let test_thief_joined_payload_collected () =
+  Test_util.with_pool ~workers:2 ~mode:Wool.Private ~publicity:Wool.All_public
+    (fun pool ->
+      let weak = Weak.create 1 in
+      let ran_on = Atomic.make (-1) in
+      Wool.run pool (fun ctx ->
+          let a =
+            Wool.spawn ctx (fun ctx ->
+                let n = nested_spawns ctx weak in
+                Atomic.set ran_on (Wool.self_id ctx);
+                n)
+          in
+          Test_util.await_flag ran_on;
+          ignore (Wool.join ctx a : int));
+      Alcotest.(check int) "stolen by worker 1" 1 (Atomic.get ran_on);
+      Alcotest.(check bool) "thief's joined closures collected" true
+        (collected weak);
+      Alcotest.(check (list string)) "invariants" []
+        (Wool.Invariants.check pool))
+
 let suite =
   [
     ( "pool",
@@ -520,6 +581,10 @@ let suite =
           test_steal_policies_complete;
         Alcotest.test_case "steal policies steal" `Slow
           test_steal_policies_do_steal;
+        Alcotest.test_case "joined payload collected" `Quick
+          test_joined_payload_collected;
+        Alcotest.test_case "thief's joined payload collected" `Quick
+          test_thief_joined_payload_collected;
         QCheck_alcotest.to_alcotest qcheck_parallel_reduce_matches_fold;
       ] );
   ]
