@@ -30,7 +30,8 @@ type ctx
 
 val create : ?workers:int -> ?idle_nap_ns:int -> ?seed:int -> unit -> pool
 (** [workers] defaults to [Domain.recommended_domain_count ()];
-    [idle_nap_ns] as in {!Wool.Pool.create}. *)
+    [idle_nap_ns] (default 50µs, the Wool pool's nap unit) is how long
+    an idle worker sleeps when it naps. *)
 
 val run : pool -> (ctx -> 'a) -> 'a
 (** Execute a root task. Must be called from the creating domain, not from

@@ -502,8 +502,8 @@ let chase_lev_last_task =
 
 module Ig = Ingress_checked
 
-let ingress ?(note = fun _ _ -> ()) ?(now = fun () -> 0) () : unit Ig.t =
-  Ig.create ~lanes:1 ~capacity:2 ~admission:Reject ~target_ns:0 ~note
+let ingress ?(note = fun _ -> ()) ?(now = fun () -> 0) () : unit Ig.t =
+  Ig.create ~capacity:2 ~admission:Reject ~target_ns:0 ~note
     ~fault:(fun () _ -> ())
     ~now
 
@@ -515,8 +515,10 @@ let jobs ?(deadline = max_int) ?token runs =
   in
   (tks, Array.mapi (fun i _ -> job i) runs)
 
-let admit t job = Ig.admit t ~lane:0 ~admission:Reject job
-let pop (t : unit Ig.t) = Inject_queue_checked.try_pop t.lanes.(0)
+let admit ?(admission = Wool_policy.Admission.Reject) t job =
+  Ig.admit t ~admission job
+
+let pop (t : unit Ig.t) = Iq.try_pop t.lane
 
 (* The unscheduled prefix of a lifecycle scenario: job 0 admitted, and
    popped when [popped]. *)
@@ -546,7 +548,7 @@ let settled_once (t : unit Ig.t) tks =
     (Printf.sprintf "%d claims won for %d admitted tickets" won (n t.admitted));
   check (n t.inflight = 0) "inflight not settled to zero";
   check (n t.submitted = n t.admitted + n t.rejected) "ledger imbalance";
-  check (Inject_queue_checked.size t.lanes.(0) = 0) "lane not empty"
+  check (Iq.size t.lane = 0) "lane not empty"
 
 let ran_once_if_admitted runs admitted =
   Array.iteri
@@ -569,7 +571,7 @@ let submit_vs_shutdown =
     let stats =
       Sched.run ~max_schedules (fun () ->
           (* thread 0 submits, thread 1 shuts down *)
-          let note _ = function
+          let note = function
             | Ig.Drop when Sched.self () = 0 -> saw_self_drain := true
             | Ig.Drop -> saw_shutdown_drain := true
             | Ig.Admit | Ig.Refuse | Ig.Enter -> ()
@@ -580,7 +582,7 @@ let submit_vs_shutdown =
               if not (admit t jobs.(0)) then saw_early_reject := true);
           Sched.spawn (fun () ->
               Shadow_atomic.set t.stop true;
-              Ig.drain t ~lane:0);
+              Ig.drain t);
           Sched.final (fun () -> settled_once t tks))
     in
     check !saw_early_reject "coverage: pre-push stop never explored";
@@ -671,6 +673,62 @@ let submit_vs_submit =
   {
     name = "submit-vs-submit";
     descr = "enqueue-cursor CAS race for the last free slot";
+    run;
+  }
+
+(* -- Scenario 11: [Shed_oldest] admission on a full lane while a worker
+   drains it. The producer's shed pops the oldest job and settles it
+   rejected; the worker pops the job it reaches, and its delivery (run,
+   settle) completes in the final block, since settling a different
+   ticket races nothing. The two pops meet on the same cells, so each
+   job is shed or run, never both and never neither: every ticket
+   settles exactly once, the ledger balances (admitted = completed +
+   shed + expired + cancelled), and the lane ends empty. *)
+let shed_vs_drain =
+  let run ~max_schedules =
+    let saw_no_shed = ref false
+    and saw_shed_oldest = ref false
+    and saw_shed_next = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          let t = ingress () in
+          let runs = Array.make 3 0 and admitted = ref false
+          and taken = ref None in
+          let tks, jobs = jobs runs in
+          (* unscheduled prefix: the lane is full *)
+          check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
+          Sched.spawn (fun () ->
+              admitted := admit ~admission:Shed_oldest t jobs.(2));
+          Sched.spawn (fun () -> taken := pop t);
+          Sched.final (fun () ->
+              check !admitted "shedding admission refused a job";
+              Option.iter (run_job t) !taken;
+              drain_run t;
+              settled_once t tks;
+              Array.iteri
+                (fun i tk ->
+                  match Ig.peek tk with
+                  | Done _ ->
+                      check (runs.(i) = 1)
+                        (Printf.sprintf "job %d done but ran %d times" i
+                           runs.(i))
+                  | Rejected ->
+                      check (runs.(i) = 0) (Printf.sprintf "shed job %d ran" i);
+                      if i = 0 then saw_shed_oldest := true
+                      else saw_shed_next := true
+                  | _ -> failwith "impossible ticket state")
+                tks;
+              if Shadow_atomic.get t.shed = 0 then saw_no_shed := true))
+    in
+    check !saw_no_shed "coverage: a drained slot admitting unshed never explored";
+    check !saw_shed_oldest "coverage: shedding the oldest job never explored";
+    check !saw_shed_next
+      "coverage: shedding past a job the worker took never explored";
+    stats
+  in
+  {
+    name = "shed-vs-drain";
+    descr = "Shed_oldest eviction vs a draining worker on a full lane";
     run;
   }
 
@@ -780,7 +838,7 @@ let cancel_vs_shutdown =
           Sched.spawn (fun () -> Option.iter (run_job t) (pop t));
           Sched.spawn (fun () ->
               Shadow_atomic.set t.stop true;
-              Ig.drain t ~lane:0);
+              Ig.drain t);
           Sched.final (fun () ->
               settled_once t tks;
               check (runs.(0) = 0) "cancelled job ran";
@@ -812,6 +870,7 @@ let all =
     submit_vs_shutdown;
     submit_vs_drain;
     submit_vs_submit;
+    shed_vs_drain;
     cancel_vs_complete;
     expire_vs_dequeue;
     cancel_vs_shutdown;

@@ -5,7 +5,8 @@
     leapfrogging on a held stolen join, the Chase-Lev last-element
     race, the shipped ingress body (submit-vs-shutdown ticket
     resolution, producer/producer/consumer races on the injection
-    lanes), and the submission lifecycle (cancel-vs-complete settlement
+    lane, [Shed_oldest] eviction against a draining worker), and the
+    submission lifecycle (cancel-vs-complete settlement
     with duplicate deliveries, expire-vs-dequeue on a virtual clock, a
     pre-cancelled job racing the shutdown drain). Deque scenarios assert
     exactly-once execution, quiescence and counter balance on every

@@ -1,9 +1,10 @@
 (* Protocol body for the ingress: the life of a submitted job from the
    door to its settlement. Like inject_queue_body.ml, this file is
    compiled with a build-generated prelude binding [A] (the atomic
-   backend), [Iq] (the injection lanes compiled against that backend),
-   [L] (ledger counter updates) and [W] (waking blocked awaiters,
-   pausing a waiting producer); keep it free of direct [Atomic] use.
+   backend), [Iq] (the injection lane's queue, compiled against that
+   backend), [L] (ledger counter updates) and [W] (waking blocked
+   awaiters, pausing a waiting producer); keep it free of direct
+   [Atomic] use.
 
    There is no interface file: the types below are the pool's API.
 
@@ -19,7 +20,7 @@
    The body is the ledger's only writer. It admits ([admit], or [enter]
    for a job its submitter runs), decides at dequeue whether a popped
    job runs ([must_run]), and keeps the Adaptive controller's EWMA. The
-   pool pops a lane, runs what [must_run] says to run, and settles it. *)
+   pool pops the lane, runs what [must_run] says to run, and settles it. *)
 
 type 'a state =
   | Pending
@@ -43,9 +44,9 @@ type 'w job =
     }
       -> 'w job
 
-(* What the [note] hook hears, with the lane: an admitted push, a
-   refusal at admission, a queued job dropped unrun, an admission
-   without a lane ([enter]). *)
+(* What the [note] hook hears: an admitted push, a refusal at
+   admission, a queued job dropped unrun, an admission without the lane
+   ([enter]). *)
 type note = Admit | Refuse | Drop | Enter
 
 (* The dequeue-time checks the [fault] hook hears, each just before its
@@ -53,9 +54,9 @@ type note = Admit | Refuse | Drop | Enter
 type check = Cancel | Expire
 
 type 'w t = {
-  lanes : 'w job Iq.t array; (* [||] = ingress closed *)
+  lane : 'w job Iq.t;
   stop : bool A.t; (* the pool's stop flag *)
-  note : int -> note -> unit; (* lane, event: the pool's trace/fault hook *)
+  note : note -> unit; (* the pool's trace/fault hook *)
   fault : 'w -> check -> unit; (* the dequeuing worker's fault hook *)
   now : unit -> int; (* the clock, in ns *)
   adaptive : bool; (* Adaptive admission: the controller runs *)
@@ -76,14 +77,14 @@ type 'w t = {
 
 let ticket () = A.make Pending
 
-let create ~lanes ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
+let create ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
     ~note ~fault ~now =
   let dummy =
     J { fn = ignore; tk = ticket (); deadline = max_int; token = None;
         enq_ns = 0 }
   in
   {
-    lanes = Array.init lanes (fun _ -> Iq.create ~capacity ~dummy ());
+    lane = Iq.create ~capacity ~dummy ();
     stop = A.make false;
     note;
     fault;
@@ -136,23 +137,23 @@ let settle t tk s =
 
 (* Drop a popped job unrun: its ticket resolves rejected. Whoever pops a
    job owns its settlement, so the claim cannot lose here. *)
-let drop t ~lane (J j) =
-  t.note lane Drop;
+let drop t (J j) =
+  t.note Drop;
   ignore (settle t j.tk Rejected : bool)
 
-let rec drain t ~lane =
-  match Iq.try_pop t.lanes.(lane) with
+let rec drain t =
+  match Iq.try_pop t.lane with
   | Some job ->
-      drop t ~lane job;
-      drain t ~lane
+      drop t job;
+      drain t
   | None -> ()
 
 (* A refusal at the door. The ticket was never shared, so it resolves by
    a plain store, with no claim. *)
-let refuse t ~lane (J j) =
+let refuse t (J j) =
   L.bump t.rejected 1;
   A.set j.tk Rejected;
-  t.note lane Refuse;
+  t.note Refuse;
   false
 
 (* The admission sequence: stop check → push (applying [admission]
@@ -162,17 +163,14 @@ let refuse t ~lane (J j) =
    before fresh jobs may join it, and the backlog guard keeps an idle
    pool admitting even right after a latency spike (the EWMA moves only
    on dequeues). *)
-let admit t ~lane ~(admission : Wool_policy.Admission.t) job =
+let admit t ~(admission : Wool_policy.Admission.t) job =
   L.bump t.submitted 1;
+  let q = t.lane in
   if
     A.get t.stop
-    || Array.length t.lanes = 0
-    || t.adaptive
-       && A.get t.wait_ewma > t.target_ns
-       && Iq.size t.lanes.(lane) > 0
-  then refuse t ~lane job
+    || t.adaptive && A.get t.wait_ewma > t.target_ns && Iq.size q > 0
+  then refuse t job
   else begin
-    let q = t.lanes.(lane) in
     (* count in flight before the push: a worker could pop and settle
        the job before a post-push increment *)
     L.bump t.inflight 1;
@@ -187,35 +185,46 @@ let admit t ~lane ~(admission : Wool_policy.Admission.t) job =
                W.pause tries;
                push (tries + 1)
              end
-      | Shed_oldest ->
+      | Shed_oldest -> (
           (not (A.get t.stop))
-          && begin
-               Option.iter (drop t ~lane) (Iq.try_pop q);
-               push (tries + 1)
-             end
+          &&
+          match Iq.try_pop q with
+          | Some oldest ->
+              drop t oldest;
+              push (tries + 1)
+          | None ->
+              (* full, yet nothing to pop: a worker's pop has taken the
+                 slot and not yet freed it. Wait right after a failed
+                 push, whose last read is that slot's, so the checker's
+                 [W.pause] wakes on the freeing write. *)
+              Iq.try_push q job
+              || begin
+                   W.pause tries;
+                   push (tries + 1)
+                 end)
     in
     if push 0 then begin
       L.bump t.admitted 1;
-      t.note lane Admit;
+      t.note Admit;
       (* if [stop] was set after our push, shutdown's drain may already
          be done and no worker will pop again: drain the lane here *)
-      if A.get t.stop then drain t ~lane;
+      if A.get t.stop then drain t;
       true
     end
     else begin
       L.bump t.inflight (-1);
-      refuse t ~lane job
+      refuse t job
     end
   end
 
-(* Admission without a lane, for a job its submitter runs itself
+(* Admission without the lane, for a job its submitter runs itself
    ([Wool.run]): nothing else ever holds the job, so it is never
    refused. *)
-let enter t ~lane =
+let enter t =
   L.bump t.submitted 1;
   L.bump t.inflight 1;
   L.bump t.admitted 1;
-  t.note lane Enter
+  t.note Enter
 
 let settle_unrun t tk s =
   ignore (settle t tk s : bool);

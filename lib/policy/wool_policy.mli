@@ -173,8 +173,7 @@ module Backoff : sig
 
   (** What the idle loop should do after one more failed steal. [Nap f]
       means sleep [f] nap units; the unit is the scheduler's
-      ([idle_nap_ns] in the real runtime, [nap_cycles] in the
-      simulator). *)
+      (50µs in the real runtime, [nap_cycles] in the simulator). *)
   type action = Relax | Yield | Nap of int
 
   type state

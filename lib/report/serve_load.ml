@@ -150,7 +150,7 @@ let run_cell ~mode_name ~mode ~arrival ~admission ~producers ~workers
     ~rate_hz ~duration_s ~lane_capacity ~service_spins ~budget_ns
     ~admission_target_ns ~seed =
   let config =
-    Wool.Config.make ~workers ~mode ~server:true ~injection_lanes:1
+    Wool.Config.make ~workers ~mode ~server:true
       ~injection_capacity:lane_capacity ~admission ?admission_target_ns
       ~seed ()
   in

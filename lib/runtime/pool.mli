@@ -26,7 +26,7 @@
     domain, or {!run} from the owning domain, which counts its main task
     through the ingress and runs it as worker 0. Once
     a job is running, everything it spawns stays in the work-stealing
-    core and never touches the injection lanes.
+    core and never touches the injection lane.
 
     The [mode] selects the synchronisation strategy and reproduces the
     optimisation ladder of Table II plus a conventional baseline. The
@@ -80,7 +80,7 @@ type admission = Wool_policy.Admission.t =
   | Reject
   | Shed_oldest
   | Adaptive
-(** What a full injection lane does to a new submission; see
+(** What the full injection lane does to a new submission; see
     {!Wool_policy.Admission}. [Adaptive] also sheds {e before} the lane
     fills, whenever the ingress's sojourn-latency EWMA (fed by every
     dequeue) exceeds [Config.admission_target_ns] and a backlog
@@ -92,19 +92,20 @@ module Cancel = Cancel
     trees. *)
 
 exception Pool_overflow
-(** Raised by {!spawn} when the calling worker's task pool is at
-    [Config.capacity] (same exception as
-    {!Wool_deque.Task_state.Pool_overflow}). Raised before any pool
-    state is mutated, so the counters stay balanced, the pool remains
-    usable, and the spawn unwinds like an ordinary task-body exception
-    in every mode. *)
+(** Raised by {!spawn} when the calling worker's task pool already
+    holds its fixed 65,536 outstanding tasks (direct-stack descriptors,
+    or [Locked] deque slots; [Clev] grows on demand and never raises
+    it). The same exception as {!Wool_deque.Task_state.Pool_overflow}.
+    Raised before any pool state is mutated, so the counters stay
+    balanced, the pool remains usable, and the spawn unwinds like an
+    ordinary task-body exception in every mode. *)
 
 exception Submission_rejected
 (** Raised by {!Submit.await} (and {!run} on a racing shutdown) when the
     awaited ticket resolved rejected: the job was refused at admission
-    ([Reject] policy, an [Adaptive] shed, closed ingress, or pool
-    shutting down) or evicted before a worker took it ([Shed_oldest],
-    shutdown drain). The job body did {e not} run. *)
+    ([Reject] policy, an [Adaptive] shed, or pool shutting down) or
+    evicted before a worker took it ([Shed_oldest], shutdown drain).
+    The job body did {e not} run. *)
 
 exception Submission_expired
 (** Raised by {!Submit.await} when the awaited ticket resolved expired:
@@ -125,29 +126,23 @@ module Config : sig
     publicity : publicity;
         (** [Private] only: [Swap_generic] is always [All_public], and the
             queued modes have no descriptors *)
-    capacity : int;
-        (** max simultaneous descriptors per worker ([Locked]: deque
-            slots; [Clev] grows on demand) *)
-    idle_nap_ns : int;
-        (** one nap unit for the idle-backoff policy: how long an idle
-            thief sleeps per {!Wool_policy.Backoff.Nap} factor
-            (0 = pure spinning); keeps over-subscribed pools live *)
     seed : int;  (** victim-selection RNG seed *)
     trace : bool;  (** record scheduler events into per-worker rings *)
     trace_capacity : int;
         (** events retained per worker ring (rounded up to a power of
             two); overflow drops oldest-first *)
-    steal_policy : Wool_policy.Selector.t;
-        (** victim selection for unpinned steals (leapfrogging stays
-            pinned to the thief regardless); default
-            [Random_victim] — the historical behaviour. A
+    policy : Wool_policy.t;
+        (** the steal policy — the same value {!Wool_sim.Engine.run}
+            accepts. Its selector picks the victim of unpinned steals
+            (leapfrogging stays pinned to the thief regardless); a
             [Hierarchical] selector probes near-first over its
             {!Wool_policy.Topology}: an [Auto] spec sizes the topology
             from the pool's worker count at the first probe, and the
-            join path's thief hints double as steal-back targets *)
-    backoff : Wool_policy.Backoff.t;
-        (** idle behaviour after failed steals; default [Nap_after 64] —
-            the historical nap-after-64-failures loop *)
+            join path's thief hints double as steal-back targets. Its
+            backoff is the idle behaviour after failed steals; a
+            {!Wool_policy.Backoff.Nap} factor sleeps that many 50µs
+            units. Default {!Wool_policy.default}: random victims,
+            nap after 64 failures — the historical behaviour *)
     faults : Wool_fault.Plan.t option;
         (** deterministic fault injection (default [None] = hooks compile
             to one dead branch per site; [Some Plan.none] = hooks live
@@ -158,16 +153,12 @@ module Config : sig
         (** consecutive no-progress samples before the watchdog reports
             a stalled worker; 0 (the default) disables the watchdog —
             no extra domain is spawned *)
-    injection_lanes : int;
-        (** number of independent bounded MPMC injection queues
-            (default 1); more lanes spread producer contention, at the
-            cost of coarser FIFO ordering across producers *)
     injection_capacity : int;
-        (** slots per lane, rounded up to a power of two (default 1024);
-            [0] closes the ingress entirely — {!Submit.submit} rejects
-            everything, and {!run} still executes on worker 0 *)
+        (** slots of the ingress's one bounded MPMC injection lane,
+            rounded up to a power of two (default 1024) *)
     admission : admission;
-        (** what a full lane does to a new submission (default [Block]) *)
+        (** what the full lane does to a new submission (default
+            [Block]) *)
     admission_target_ns : int;
         (** [Adaptive] admission's sojourn-latency target (default 2ms):
             while the EWMA of observed lane-sojourn times, which the
@@ -184,20 +175,16 @@ module Config : sig
 
   val default : t
   (** [Private] mode, [Adaptive 4] publicity, auto worker count, tracing
-      off, random victims with nap-after-64 backoff, one 1024-slot
+      off, random victims with nap-after-64 backoff, a 1024-slot
       injection lane with [Block] admission, non-server. *)
 
   val validate : t -> t
-  (** Reject nonsensical combinations with a descriptive
+  (** Reject nonsensical settings with a descriptive
       [Invalid_argument] naming the field: non-positive [workers] /
-      [capacity] / [trace_capacity] / [injection_lanes], negative
-      [idle_nap_ns] / [watchdog_stalls] / [injection_capacity],
-      non-positive [watchdog_interval_ns] with the watchdog on,
-      [injection_capacity = 0] with [Block] (would wedge every
-      producer), [Shed_oldest] (nothing to shed) or [Adaptive] (no lane
-      to watch) admission, non-positive [admission_target_ns] with
-      [Adaptive], and [server] with a closed ingress (submission is the
-      only way in). Returns the config unchanged when valid.
+      [trace_capacity] / [injection_capacity], negative
+      [watchdog_stalls], non-positive [watchdog_interval_ns] with the
+      watchdog on, and non-positive [admission_target_ns] with
+      [Adaptive]. Returns the config unchanged when valid.
       {!make} and pool creation both validate; call this directly only
       on records built by hand (or derived with [{ c with ... }]). *)
 
@@ -205,35 +192,21 @@ module Config : sig
     ?workers:int ->
     ?mode:mode ->
     ?publicity:publicity ->
-    ?capacity:int ->
-    ?idle_nap_ns:int ->
     ?seed:int ->
     ?trace:bool ->
     ?trace_capacity:int ->
     ?policy:Wool_policy.t ->
-    ?steal_policy:Wool_policy.Selector.t ->
-    ?backoff:Wool_policy.Backoff.t ->
     ?faults:Wool_fault.Plan.t ->
     ?watchdog_interval_ns:int ->
     ?watchdog_stalls:int ->
-    ?injection_lanes:int ->
     ?injection_capacity:int ->
     ?admission:admission ->
     ?admission_target_ns:int ->
     ?server:bool ->
     unit ->
     t
-  (** Builder over {!default}; omitted arguments keep the default.
-      [?policy] sets [steal_policy] and [backoff] from one
-      {!Wool_policy.t} value — the same value {!Wool_sim.Engine.run}
-      accepts — and the two per-field arguments override it. The result
-      is {!validate}d. *)
-
-  val policy : t -> Wool_policy.t
-  (** The [steal_policy]/[backoff] pair as one {!Wool_policy.t}. *)
-
-  val with_policy : Wool_policy.t -> t -> t
-  (** Replace both policy fields from one {!Wool_policy.t}. *)
+  (** Builder over {!default}; omitted arguments keep the default. The
+      result is {!validate}d. *)
 
   val mode_name : mode -> string
   (** Lower-case label ("locked", "private", ...) for report rows. *)
@@ -257,8 +230,8 @@ val run : t -> (ctx -> 'a) -> 'a
     On a non-server pool, it must be called from the domain that created
     the pool, which acts as worker 0, and not from inside task code. The
     calling domain first helps drain the jobs already queued in the
-    injection lanes, then runs the main task itself, synchronously:
-    the task never enters a lane, so it is never rejected by
+    injection lane, then runs the main task itself, synchronously:
+    the task never enters the lane, so it is never rejected by
     backpressure, no idle worker can take it first, and
     {!self_id} of its context is always 0.
 
@@ -275,7 +248,7 @@ val run : t -> (ctx -> 'a) -> 'a
 
 val shutdown : t -> unit
 (** Stop and join the worker domains (and the watchdog domain, if any),
-    then drain the injection lanes, resolving every still-queued ticket
+    then drain the injection lane, resolving every still-queued ticket
     rejected — a submitter racing this call gets
     {!Submission_rejected} (or [None] from [try_submit]),
     deterministically and without hanging, never a stranded ticket.
@@ -290,7 +263,7 @@ val with_pool : ?config:Config.t -> (t -> 'a) -> 'a
 
     The ingress surface: any domain — not just the pool's creator — may
     inject work. Producers get a ['a ticket] per job; workers treat the
-    injection lanes as extra steal victims in their idle loop (after
+    injection lane as an extra steal victim in their idle loop (after
     local pops, before remote steals), so injected jobs never perturb
     the private-task fast path. *)
 module Submit : sig
@@ -347,8 +320,7 @@ module Submit : sig
     'a ticket option
   (** One-shot admission: [None] instead of waiting/shedding when the
       lane is full (whatever the admission policy), the [Adaptive]
-      controller is shedding, the ingress is closed, or the pool is
-      stopping. [Some tk] means admitted. [?deadline] and [?cancel] as
+      controller is shedding, or the pool is stopping. [Some tk] means admitted. [?deadline] and [?cancel] as
       for {!submit}. *)
 
   val submit_batch :
@@ -357,9 +329,8 @@ module Submit : sig
     t ->
     (ctx -> 'a) list ->
     'a ticket list
-  (** Submit a batch through a single lane pick, so consecutive elements
-      land in the same lane and a draining worker takes them without
-      re-probing. Each element gets its own ticket and is admitted
+  (** {!submit} each element in order; their [Submit] trace events carry
+      the batch size. Each element gets its own ticket and is admitted
       independently (under [Reject], a full lane can reject a suffix of
       the batch); [?deadline]/[?cancel] apply to every element (one
       token may cancel the whole batch). *)
@@ -392,7 +363,7 @@ module Submit : sig
       {!Expired} / {!Cancelled} for the corresponding drops. Idempotent
       — repeated [await]s of a resolved ticket return the same outcome.
       Do not call from inside task code on a non-server pool: a worker
-      blocked on a ticket is a worker not draining lanes. *)
+      blocked on a ticket is a worker not draining the lane. *)
 
   val await_for : 'a ticket -> float -> 'a option
   (** [await_for tk seconds]: {!await} with a producer-side timeout.
@@ -425,7 +396,7 @@ type ingress_stats = {
   admitted : int;  (** submissions that won a lane slot *)
   rejected : int;
       (** resolved rejected {e at admission} (full-lane [Reject], an
-          [Adaptive] shed, closed ingress, shutdown) *)
+          [Adaptive] shed, shutdown) *)
   shed : int;
       (** admitted jobs evicted before execution ([Shed_oldest] or the
           {!shutdown} drain) *)
@@ -621,7 +592,7 @@ module Invariants : sig
   (** Human-readable violations, [[]] when clean. Checks, per worker:
       every direct-stack descriptor EMPTY with [top = bot = 0] and
       payloads reset; the queued modes' deque empty; no outstanding
-      queued children. Then the ingress: every injection lane empty, no
+      queued children. Then the ingress: the injection lane empty, no
       in-flight submissions, [submitted = admitted + rejected] and
       [admitted = executed + shed + expired + cancelled]. Then
       globally: spawn/join/steal counter balance for the pool's shape

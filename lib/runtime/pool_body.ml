@@ -42,17 +42,13 @@ module Config = struct
     workers : int option;
     mode : mode;
     publicity : publicity;
-    capacity : int;
-    idle_nap_ns : int;
     seed : int;
     trace : bool;
     trace_capacity : int;
-    steal_policy : Wool_policy.Selector.t;
-    backoff : Wool_policy.Backoff.t;
+    policy : Wool_policy.t;
     faults : Wool_fault.Plan.t option;
     watchdog_interval_ns : int;
     watchdog_stalls : int;
-    injection_lanes : int;
     injection_capacity : int;
     admission : admission;
     admission_target_ns : int;
@@ -64,17 +60,13 @@ module Config = struct
       workers = None;
       mode = Private;
       publicity = Adaptive 4;
-      capacity = 65536;
-      idle_nap_ns = 50_000;
       seed = 0xC0FFEE;
       trace = false;
       trace_capacity = 1 lsl 16;
-      steal_policy = Wool_policy.default.Wool_policy.selector;
-      backoff = Wool_policy.default.Wool_policy.backoff;
+      policy = Wool_policy.default;
       faults = None;
       watchdog_interval_ns = 5_000_000;
       watchdog_stalls = 0;
-      injection_lanes = 1;
       injection_capacity = 1024;
       admission = Block;
       admission_target_ns = 2_000_000;
@@ -89,9 +81,6 @@ module Config = struct
     (match c.workers with
     | Some n when n <= 0 -> bad "workers must be positive (got %d)" n
     | Some _ | None -> ());
-    if c.capacity <= 0 then bad "capacity must be positive (got %d)" c.capacity;
-    if c.idle_nap_ns < 0 then
-      bad "idle_nap_ns must be non-negative (got %d)" c.idle_nap_ns;
     if c.trace_capacity <= 0 then
       bad "trace_capacity must be positive (got %d)" c.trace_capacity;
     if c.watchdog_stalls < 0 then
@@ -99,74 +88,36 @@ module Config = struct
     if c.watchdog_stalls > 0 && c.watchdog_interval_ns <= 0 then
       bad "watchdog_interval_ns must be positive when the watchdog is on (got %d)"
         c.watchdog_interval_ns;
-    if c.injection_lanes <= 0 then
-      bad "injection_lanes must be positive (got %d)" c.injection_lanes;
-    if c.injection_capacity < 0 then
-      bad "injection_capacity must be non-negative (got %d)"
-        c.injection_capacity;
-    if c.injection_capacity = 0 && c.admission = Block then
-      bad
-        "injection_capacity = 0 with Block admission would wedge every \
-         producer; use Reject to close the ingress";
-    if c.injection_capacity = 0 && c.admission = Shed_oldest then
-      bad
-        "injection_capacity = 0 with Shed_oldest admission has nothing to \
-         shed; use Reject to close the ingress";
-    if c.injection_capacity = 0 && c.admission = Adaptive then
-      bad
-        "injection_capacity = 0 with Adaptive admission has no lane to \
-         watch; use Reject to close the ingress";
+    if c.injection_capacity <= 0 then
+      bad "injection_capacity must be positive (got %d)" c.injection_capacity;
     if c.admission = Adaptive && c.admission_target_ns <= 0 then
       bad "admission_target_ns must be positive with Adaptive admission \
            (got %d)"
         c.admission_target_ns;
-    if c.server && c.injection_capacity = 0 then
-      bad "server mode needs injection_capacity > 0 (submission is the only \
-           way in)";
     c
 
-  let make ?workers ?mode ?publicity ?capacity ?idle_nap_ns ?seed ?trace
-      ?trace_capacity ?policy ?steal_policy ?backoff ?faults
-      ?watchdog_interval_ns ?watchdog_stalls ?injection_lanes
-      ?injection_capacity ?admission ?admission_target_ns ?server () =
+  let make ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
+      ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
+      ?admission ?admission_target_ns ?server () =
     let ov o d = Option.value o ~default:d in
-    let base_selector, base_backoff =
-      match policy with
-      | Some p -> (p.Wool_policy.selector, p.Wool_policy.backoff)
-      | None -> (default.steal_policy, default.backoff)
-    in
     validate
       {
         workers;
         mode = ov mode default.mode;
         publicity = ov publicity default.publicity;
-        capacity = ov capacity default.capacity;
-        idle_nap_ns = ov idle_nap_ns default.idle_nap_ns;
         seed = ov seed default.seed;
         trace = ov trace default.trace;
         trace_capacity = ov trace_capacity default.trace_capacity;
-        steal_policy = ov steal_policy base_selector;
-        backoff = ov backoff base_backoff;
+        policy = ov policy default.policy;
         faults;
         watchdog_interval_ns =
           ov watchdog_interval_ns default.watchdog_interval_ns;
         watchdog_stalls = ov watchdog_stalls default.watchdog_stalls;
-        injection_lanes = ov injection_lanes default.injection_lanes;
         injection_capacity = ov injection_capacity default.injection_capacity;
         admission = ov admission default.admission;
         admission_target_ns = ov admission_target_ns default.admission_target_ns;
         server = ov server default.server;
       }
-
-  let policy c =
-    { Wool_policy.selector = c.steal_policy; backoff = c.backoff }
-
-  let with_policy p c =
-    {
-      c with
-      steal_policy = p.Wool_policy.selector;
-      backoff = p.Wool_policy.backoff;
-    }
 
   let mode_name = Mode.name
 
@@ -179,30 +130,36 @@ module Config = struct
 
   let pp fmt c =
     Format.fprintf fmt
-      "{workers=%s; mode=%s; publicity=%s; capacity=%d;@ \
-       idle_nap_ns=%d; seed=%#x; trace=%b; trace_capacity=%d;@ \
-       steal_policy=%s; backoff=%s; faults=%s; watchdog=%s;@ \
-       ingress=%dx%d/%s%s}"
+      "{workers=%s; mode=%s; publicity=%s;@ \
+       seed=%#x; trace=%b; trace_capacity=%d;@ \
+       policy=%s; faults=%s; watchdog=%s;@ \
+       ingress=%d/%s%s}"
       (match c.workers with Some n -> string_of_int n | None -> "auto")
       (mode_name c.mode)
       (publicity_name c.publicity)
-      c.capacity
-      c.idle_nap_ns c.seed c.trace c.trace_capacity
-      (Wool_policy.Selector.name c.steal_policy)
-      (Wool_policy.Backoff.name c.backoff)
+      c.seed c.trace c.trace_capacity
+      (Wool_policy.name c.policy)
       (match c.faults with
       | Some p -> p.Wool_fault.Plan.name
       | None -> "off")
       (if c.watchdog_stalls > 0 then
          Printf.sprintf "%d@%dns" c.watchdog_stalls c.watchdog_interval_ns
        else "off")
-      c.injection_lanes c.injection_capacity
+      c.injection_capacity
       (admission_name c.admission)
       ((if c.admission = Adaptive then
           Printf.sprintf "(target=%dns)" c.admission_target_ns
         else "")
       ^ if c.server then "; server" else "")
 end
+
+(* Task-pool slots per worker: direct-stack descriptors, or [Locked]
+   deque cells ([Clev] grows on demand). *)
+let capacity = 65_536
+
+(* One nap unit of the idle backoff: an idle thief sleeps this long per
+   [Backoff.Nap] factor, which keeps over-subscribed pools live. *)
+let idle_nap_ns = 50_000
 
 type worker = {
   id : int;
@@ -273,7 +230,6 @@ and pool = {
      these immutable bools, as they do on [tr_on]/[fl_on] *)
   direct : bool; (* tasks live in [dstack] (Swap_generic, Private) *)
   generic : bool; (* Swap_generic: inlined joins go through [run_body] *)
-  idle_nap_ns : int;
   policy : Wool_policy.t;
   trace_on : bool;
   faults : Fault.Plan.t option;
@@ -287,12 +243,11 @@ and pool = {
   mutable on_stall : string -> unit;
   stall_reports : int Atomic.t;
   mutable wd : unit Domain.t option;
-  (* ingress: external submission lanes *)
+  (* ingress: external submission *)
   server : bool; (* worker 0 is a spawned domain, not the caller *)
   admission : admission;
-  next_lane : int Atomic.t; (* producer round-robin cursor *)
   ingress : worker Ingress.t;
-      (* the lanes, the ledger, the Adaptive controller, and the pool's
+      (* the lane, the ledger, the Adaptive controller, and the pool's
          stop flag, which admission re-checks *)
   probe : probe;
 }
@@ -417,24 +372,20 @@ let ig_fault ig site =
 (* The ingress body's trace/fault hook. The [Admit] fault site sits
    between a push and the stop re-check, stretching the window a racing
    shutdown must not slip through. *)
-let ig_note ig lane = function
+let ig_note ig = function
   | Ingress.Admit ->
       ig_fault ig Fault.Site.Admit;
-      ig_record ig Event.Admit ~a:lane ~b:(-1)
+      ig_record ig Event.Admit ~a:(-1) ~b:(-1)
   | Ingress.Enter ->
-      ig_record ig Event.Submit ~a:lane ~b:(-1);
-      ig_record ig Event.Admit ~a:lane ~b:(-1)
-  | Ingress.Refuse | Ingress.Drop -> ig_record ig Event.Reject ~a:lane ~b:(-1)
+      ig_record ig Event.Submit ~a:(-1) ~b:(-1);
+      ig_record ig Event.Admit ~a:(-1) ~b:(-1)
+  | Ingress.Refuse | Ingress.Drop -> ig_record ig Event.Reject ~a:(-1) ~b:(-1)
 
 (* The ingress body's dequeue-time fault hook, on the draining worker's
    injector. *)
 let ig_check_fault w = function
   | Ingress.Cancel -> if w.fl_on then fault_delay w Fault.Site.Cancel
   | Ingress.Expire -> if w.fl_on then fault_delay w Fault.Site.Expire
-
-let nap pool ~factor =
-  if pool.idle_nap_ns > 0 then
-    Unix.sleepf (float_of_int (pool.idle_nap_ns * factor) *. 1e-9)
 
 let idle_backoff w =
   Domain.cpu_relax ();
@@ -446,7 +397,7 @@ let idle_backoff w =
   | Backoff.Nap factor ->
       if w.fl_on then fault_delay w Fault.Site.Nap_entry;
       note w Event.Nap_enter ~a:factor ~b:(-1);
-      nap w.pool ~factor;
+      Unix.sleepf (float_of_int (idle_nap_ns * factor) *. 1e-9);
       note w Event.Nap_exit ~a:(-1) ~b:(-1)
 
 (* ---- the queued modes' deque (Locked/Clev) ----
@@ -497,22 +448,19 @@ let value_exn fut =
       (* Unreachable: completion is observed before the value is read. *)
       assert false
 
-(* Checkpoint of this worker's outstanding spawns, taken on entry to a
-   task body so [unwind] knows how far to go back. *)
-let mark w =
-  if w.pool.direct then Ds.depth w.dstack else List.length w.hot.children
-
 (* Run a task body, storing the result — or, on an exception, unwinding
    the body's own spawns and storing the exception with the backtrace
-   captured at the raise point. Never raises. *)
+   captured at the raise point. Never raises. The entry checkpoint of
+   this worker's outstanding spawns is its stack depth and its children
+   list, whichever the pool's shape keeps (the other stays 0 / [[]]). *)
 let rec run_body : 'a. worker -> 'a future -> unit =
  fun wk fut ->
-  let mark = mark wk in
+  let depth = Ds.depth wk.dstack and children = wk.hot.children in
   match fut.fn wk with
   | v -> fut.value <- Some (Ok v)
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      unwind wk ~mark;
+      unwind wk ~depth ~children;
       fut.value <- Some (Error (e, bt))
 
 (* ---- exception unwinding ----
@@ -522,12 +470,14 @@ let rec run_body : 'a. worker -> 'a future -> unit =
    a thief after its parent's frame is gone, and a direct-stack child
    would corrupt the strict LIFO discipline for every frame below. So
    the exception path joins-or-drains everything spawned since the
-   failing body's entry [mark] before the exception propagates. Drained
-   results (and any exceptions of the children themselves) are
-   discarded — the parent's exception wins. *)
-and unwind w ~mark =
+   failing body's entry checkpoint before the exception propagates.
+   Drained results (and any exceptions of the children themselves) are
+   discarded — the parent's exception wins. A queued body's spawns are
+   the cells consed onto its entry [children], so it pops until the list
+   is that entry list again, with no walk of the list. *)
+and unwind w ~depth ~children =
   if w.pool.direct then
-    while Ds.depth w.dstack > mark do
+    while Ds.depth w.dstack > depth do
       let (P fut) = Ds.top_payload w.dstack in
       let code = Ds.pop w.dstack in
       let index = Ds.depth w.dstack in
@@ -542,13 +492,15 @@ and unwind w ~mark =
       end
     done
   else
-    while List.length w.hot.children > mark do
+    let rec pop () =
       match w.hot.children with
-      | [] -> assert false (* length > mark >= 0 *)
-      | pc :: rest ->
+      | pc :: rest when w.hot.children != children ->
           w.hot.children <- rest;
-          take_child w pc
-    done
+          take_child w pc;
+          pop ()
+      | _ -> ()
+    in
+    pop ()
 
 (* Queued join of [pc], just unlinked from the head of [children]: pop it
    back and run it here, or wait out the thief that took it. *)
@@ -642,9 +594,9 @@ and leapfrog w ~victim_id ~index =
 
 (* One unpinned steal attempt against a policy-chosen victim, backing off
    on failure. This is the idle loop body and the Locked/Clev blocked-join
-   strategy. Injection lanes are checked first: an idle worker is exactly
-   the consumer the ingress wants, and a successful drain resets the
-   backoff like a successful steal. *)
+   strategy. The injection lane is checked first: an idle worker is
+   exactly the consumer the ingress wants, and a successful drain resets
+   the backoff like a successful steal. *)
 and steal_idle w =
   w.hot.progress <- w.hot.progress + 1;
   if drain_injected w then begin
@@ -664,33 +616,21 @@ and steal_idle w =
         end;
         ran
 
-(* Try to pop one injected job off the pool's ingress lanes and run it,
+(* Try to pop one injected job off the pool's ingress lane and run it,
    if the ingress says it must run: a cancelled or expired job is
    settled there, without a [Dequeue_injected] note, which the trace
    oracle and the [injected] counter equate with executions. Called
    only from the idle loop — after the worker has run out of local work,
    before it turns to remote steals — so the private-task fast path
-   never sees the lanes. Workers start their scan at a different lane
-   each ([id]-staggered) to spread drain pressure. *)
+   never sees the lane. *)
 and drain_injected w =
   let ig = w.pool.ingress in
-  let nl = Array.length ig.lanes in
-  if nl = 0 then false
-  else begin
-    let dup = w.fl_on && trip w.inj Fault.Site.Drain in
-    let rec scan i =
-      if i >= nl then false
-      else begin
-        let lane = if nl = 1 then 0 else (w.id + i) mod nl in
-        match Inject_queue.try_pop ig.lanes.(lane) with
-        | Some job ->
-            if Ingress.must_run ig w job then exec_job w job ~lane ~dup;
-            true
-        | None -> scan (i + 1)
-      end
-    in
-    scan 0
-  end
+  let dup = w.fl_on && trip w.inj Fault.Site.Drain in
+  match Inject_queue.try_pop ig.lane with
+  | Some job ->
+      if Ingress.must_run ig w job then exec_job w job ~dup;
+      true
+  | None -> false
 
 (* Run a job on [w] and settle its ticket; never raises. It runs twice
    when [dup] (the [Dup] drain fault: an at-least-once delivery that the
@@ -698,21 +638,21 @@ and drain_injected w =
    its task tree, which every [spawn] checks. As in [run_body], a job
    that raises first unwinds its own spawns; a [Cancel.Cancelled]
    escaping the body settles the ticket cancelled, not failed. *)
-and exec_job w (J j) ~lane ~dup =
-  note w Event.Dequeue_injected ~a:lane ~b:(-1);
+and exec_job w (J j) ~dup =
+  note w Event.Dequeue_injected ~a:(-1) ~b:(-1);
   let saved = w.hot.ambient_cancel in
   w.hot.ambient_cancel <- j.token;
   for _ = 0 to Bool.to_int dup do
-    let mark = mark w in
+    let depth = Ds.depth w.dstack and children = w.hot.children in
     let outcome =
       match j.fn w with
       | v -> Ingress.Done (Ok v)
       | exception Cancel.Cancelled ->
-          unwind w ~mark;
+          unwind w ~depth ~children;
           Ingress.Cancelled
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          unwind w ~mark;
+          unwind w ~depth ~children;
           Ingress.Done (Error (e, bt))
     in
     (* The stack is back at its base: clear the dead payloads the job's
@@ -848,11 +788,6 @@ let pool_of_ctx w = w.pool
 (* ---- the ingress path (external submission): [Submit] maps the
    public surface onto [Ingress], the model-checked protocol body ---- *)
 
-let lane_of pool =
-  let nl = Array.length pool.ingress.lanes in
-  if nl <= 1 then 0
-  else Atomic.fetch_and_add pool.next_lane 1 land max_int mod nl
-
 module Submit = struct
   type nonrec 'a ticket = 'a ticket
 
@@ -915,33 +850,29 @@ module Submit = struct
   let await_for tk span_s = await_until tk ~deadline:(deadline_in span_s)
 
   (* One submission through [Ingress.admit]; whether it was admitted. *)
-  let admit ?(deadline = max_int) ?cancel pool ~lane ~batch ~admission tk fn =
+  let admit ?(deadline = max_int) ?cancel pool ~batch ~admission tk fn =
     ig_fault pool.probe Fault.Site.Submit;
-    ig_record pool.probe Event.Submit ~a:lane ~b:batch;
-    Ingress.admit pool.ingress ~lane ~admission
+    ig_record pool.probe Event.Submit ~a:(-1) ~b:batch;
+    Ingress.admit pool.ingress ~admission
       (J { fn; tk; deadline; token = cancel; enq_ns = pool.ingress.now () })
 
-  let submit_on ?deadline ?cancel pool ~lane ~batch fn =
+  let submit_on ?deadline ?cancel pool ~batch fn =
     let tk = Ingress.ticket () in
     let admission = pool.admission in
-    ignore (admit ?deadline ?cancel pool ~lane ~batch ~admission tk fn);
+    ignore (admit ?deadline ?cancel pool ~batch ~admission tk fn);
     tk
 
   let submit ?deadline ?cancel pool fn =
-    submit_on ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1) fn
+    submit_on ?deadline ?cancel pool ~batch:(-1) fn
 
-  (* One lane pick for the whole batch: consecutive elements land in the
-     same lane, so a draining worker takes them without re-probing. *)
   let submit_batch ?deadline ?cancel pool fns =
-    let lane = lane_of pool and batch = List.length fns in
-    List.map (submit_on ?deadline ?cancel pool ~lane ~batch) fns
+    let batch = List.length fns in
+    List.map (submit_on ?deadline ?cancel pool ~batch) fns
 
   (* One-shot admission is admission under [Reject]. *)
   let try_submit ?deadline ?cancel pool fn =
     let tk = Ingress.ticket () in
-    if
-      admit ?deadline ?cancel pool ~lane:(lane_of pool) ~batch:(-1)
-        ~admission:Reject tk fn
+    if admit ?deadline ?cancel pool ~batch:(-1) ~admission:Reject tk fn
     then Some tk
     else None
 
@@ -1146,11 +1077,8 @@ module Invariants = struct
         if ch <> 0 then
           add "worker %d: %d outstanding queued children" w.id ch)
       pool.workers;
-    Array.iteri
-      (fun i q ->
-        let n = Inject_queue.size q in
-        if n <> 0 then add "lane %d holds %d injected jobs" i n)
-      pool.ingress.lanes;
+    let n = Inject_queue.size pool.ingress.lane in
+    if n <> 0 then add "the lane holds %d injected jobs" n;
     let ig = ingress_stats pool in
     if ig.inflight <> 0 then
       add "ingress: %d submissions still in flight" ig.inflight;
@@ -1278,7 +1206,7 @@ let watchdog_loop pool =
   while not (Atomic.get pool.ingress.stop) do
     Unix.sleepf interval;
     (* injected work keeps the pool "active" even with no [run] in
-       progress — a server pool is driven entirely through the lanes *)
+       progress — a server pool is driven entirely through the lane *)
     if Atomic.get pool.active || Atomic.get pool.ingress.inflight > 0 then begin
       let fired = ref false in
       Array.iteri
@@ -1307,8 +1235,8 @@ let watchdog_loop pool =
 
 (* ---- pool lifecycle ---- *)
 
-let make_worker ~id ~pool ~mode ~publicity ~capacity ~trace ~trace_capacity
-    ~faults rng =
+let make_worker ~id ~pool ~mode ~publicity ~trace ~trace_capacity ~faults rng
+    =
   let fl_on, plan =
     match faults with Some p -> (true, p) | None -> (false, Fault.Plan.none)
   in
@@ -1355,7 +1283,6 @@ let create_of_config (c : Config.t) =
     | Some n -> n
     | None -> Domain.recommended_domain_count ()
   in
-  if nworkers <= 0 then invalid_arg "Pool.create: workers must be positive";
   let publicity =
     (* The ladder modes below [Private] have no private tasks. *)
     match c.Config.mode with
@@ -1383,8 +1310,7 @@ let create_of_config (c : Config.t) =
       pmode = c.Config.mode;
       direct = Mode.is_direct c.Config.mode;
       generic = c.Config.mode = Swap_generic;
-      idle_nap_ns = c.Config.idle_nap_ns;
-      policy = Config.policy c;
+      policy = c.Config.policy;
       trace_on = c.Config.trace;
       faults = c.Config.faults;
       workers = [||];
@@ -1400,13 +1326,9 @@ let create_of_config (c : Config.t) =
       wd = None;
       server = c.Config.server;
       admission = c.Config.admission;
-      next_lane = Atomic.make 0;
       ingress =
-        Ingress.create
-          ~lanes:
-            (if c.Config.injection_capacity = 0 then 0
-             else c.Config.injection_lanes)
-          ~capacity:c.Config.injection_capacity ~admission:c.Config.admission
+        Ingress.create ~capacity:c.Config.injection_capacity
+          ~admission:c.Config.admission
           ~target_ns:c.Config.admission_target_ns ~note:(ig_note probe)
           ~fault:ig_check_fault ~now:Wool_util.Clock.now_ns;
       probe;
@@ -1415,7 +1337,6 @@ let create_of_config (c : Config.t) =
   let workers =
     Array.init nworkers (fun id ->
         make_worker ~id ~pool ~mode:c.Config.mode ~publicity
-          ~capacity:c.Config.capacity
           ~trace:c.Config.trace ~trace_capacity:c.Config.trace_capacity
           ~faults:c.Config.faults
           (Wool_util.Rng.split master))
@@ -1443,21 +1364,17 @@ let shutdown pool =
     pool.domains <- [];
     Option.iter Domain.join pool.wd;
     pool.wd <- None;
-    (* With the workers gone, a job still queued in a lane will never
+    (* With the workers gone, a job still queued in the lane will never
        run: resolve its ticket rejected so no awaiter hangs. A submitter
-       racing this drain re-checks [stop] after its push and drains its
-       own lane too ([Ingress.admit]), so no interleaving strands a
-       ticket. *)
-    Array.iteri
-      (fun lane _ -> Ingress.drain pool.ingress ~lane)
-      pool.ingress.lanes
+       racing this drain re-checks [stop] after its push and drains the
+       lane too ([Ingress.admit]), so no interleaving strands a ticket. *)
+    Ingress.drain pool.ingress
   end
 
 (* [run] on a non-server pool: the job is counted through the ingress
    like any submission, but the calling domain — worker 0 — executes it
    itself rather than queueing it, where an idle worker could take it
-   first, and even when the ingress is closed. It first helps drain the
-   jobs already queued ahead of it. On a server pool the caller is not a
+   first. It first helps drain the jobs already queued ahead of it. On a server pool the caller is not a
    worker, so it submits and blocks on the ticket like any other
    producer. *)
 let run pool f =
@@ -1467,20 +1384,17 @@ let run pool f =
     let w0 = pool.workers.(0) in
     let ig = pool.ingress in
     let tk = Ingress.ticket () in
-    let lane = lane_of pool in
     Atomic.set pool.active true;
-    Ingress.enter ig ~lane;
+    Ingress.enter ig;
     (* Jobs queued before this call go first, as if the root job had
        queued behind them; the bound keeps producers that keep
        submitting from starving it. *)
-    let ahead =
-      Array.fold_left (fun n q -> n + Inject_queue.size q) 0 ig.lanes
-    in
+    let ahead = Inject_queue.size ig.lane in
     let rec help n = if n > 0 && drain_injected w0 then help (n - 1) in
     help ahead;
     exec_job w0
       (J { fn = f; tk; deadline = max_int; token = None; enq_ns = 0 })
-      ~lane ~dup:false;
+      ~dup:false;
     Atomic.set pool.active false;
     Submit.outcome (Ingress.peek tk)
   end

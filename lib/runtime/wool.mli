@@ -75,8 +75,9 @@ type ingress_stats = Pool.ingress_stats
     cancelled/in-flight); see {!Pool.type-ingress_stats}. *)
 
 exception Pool_overflow
-(** Raised by {!spawn} when the worker's task pool is at capacity, before
-    any state is mutated; see {!Pool.Pool_overflow}. *)
+(** Raised by {!spawn} when the worker's task pool already holds its
+    fixed 65,536 tasks, before any state is mutated; see
+    {!Pool.Pool_overflow}. *)
 
 exception Submission_rejected
 (** Raised by {!Submit.await} on a rejected ticket; see
@@ -96,7 +97,7 @@ val run : pool -> (ctx -> 'a) -> 'a
     semantics. *)
 
 val shutdown : pool -> unit
-(** Stop and join the workers, then drain the injection lanes rejecting
+(** Stop and join the workers, then drain the injection lane rejecting
     every queued ticket; see {!Pool.shutdown}. *)
 
 val with_pool : ?config:Config.t -> (pool -> 'a) -> 'a

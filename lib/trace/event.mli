@@ -29,14 +29,14 @@ type tag =
   | Nap_enter  (** idle thief starts a nap after a failed-steal burst *)
   | Nap_exit  (** idle thief wakes up *)
   | Submit
-      (** external producer offers a job to the ingress; [a] = lane,
-          [b] = batch size ([-1] for a single submit) *)
-  | Admit  (** ingress accepted the job into a lane; [a] = lane *)
+      (** external producer offers a job to the ingress; [b] = batch
+          size ([-1] for a single submit). [a] is [-1] in the four
+          ingress events: the ingress has one lane *)
+  | Admit  (** ingress accepted the job into its lane *)
   | Reject
       (** ingress refused the job (full lane under [Reject], or pool
-          shut down); [a] = lane, [-1] when refused before lane choice *)
-  | Dequeue_injected
-      (** an idle worker drained one injected job; [a] = lane *)
+          shut down), or dropped a queued one unrun *)
+  | Dequeue_injected  (** an idle worker drained one injected job *)
 
 type t = { ts : int; worker : int; tag : tag; a : int; b : int }
 

@@ -68,7 +68,11 @@ mutate() {
 }
 
 mutate "no stop re-check after the push" "$body" submit-vs-shutdown \
-  $'      if A.get t.stop then drain t ~lane;\n' ''
+  $'      if A.get t.stop then drain t;\n' ''
+
+mutate "shed pops without settling" "$body" shed-vs-drain \
+  $'          | Some oldest ->\n              drop t oldest;\n' \
+  $'          | Some _ ->\n'
 
 mutate "last-writer-wins claim" "$body" cancel-vs-complete \
   '  A.compare_and_set tk Pending Claimed' '  (A.set tk Claimed; true)'

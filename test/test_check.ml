@@ -122,6 +122,7 @@ let schedules =
     ("submit-vs-shutdown", 19_977);
     ("submit-vs-drain", 13_316);
     ("submit-vs-submit", 1_110);
+    ("shed-vs-drain", 52_365);
     ("cancel-vs-complete", 84);
     ("expire-vs-dequeue", 10);
     ("cancel-vs-shutdown", 1_705);

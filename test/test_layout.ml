@@ -30,7 +30,7 @@ let test_direct_stack_layout () =
 let test_pool_layout_all_modes () =
   List.iter
     (fun (name, mode) ->
-      Test_util.with_pool ~workers:2 ~mode ~capacity:128 (fun pool ->
+      Test_util.with_pool ~workers:2 ~mode (fun pool ->
           Alcotest.(check (list string)) (name ^ " layout") []
             (Wool.layout_check pool)))
     [
@@ -43,7 +43,7 @@ let test_pool_layout_all_modes () =
 let test_layout_survives_work () =
   (* padding is a property of the blocks, not of a fresh pool: still true
      after the GC has moved things around under real scheduling *)
-  Test_util.with_pool ~workers:2 ~capacity:4096 (fun pool ->
+  Test_util.with_pool ~workers:2 (fun pool ->
       let rec fib ctx n =
         if n < 2 then n
         else begin

@@ -292,8 +292,8 @@ module Ig = Wool_deque.Ingress
 let clock = ref 0
 
 let ingress ~admission =
-  Ig.create ~lanes:1 ~capacity:4 ~admission ~target_ns:1
-    ~note:(fun _ _ -> ())
+  Ig.create ~capacity:4 ~admission ~target_ns:1
+    ~note:(fun _ -> ())
     ~fault:(fun () _ -> ())
     ~now:(fun () -> !clock)
 
@@ -302,7 +302,7 @@ let job ?(deadline = max_int) ?token () =
   (tk, Ig.J { fn = (fun () -> ()); tk; deadline; token; enq_ns = 0 })
 
 let pop (t : unit Ig.t) =
-  Option.get (Wool_deque.Inject_queue.try_pop t.lanes.(0))
+  Option.get (Wool_deque.Inject_queue.try_pop t.lane)
 let ledger (t : unit Ig.t) =
   List.map Atomic.get
     [
@@ -315,7 +315,7 @@ let ledger (t : unit Ig.t) =
 let test_expired_pop_feeds_ewma () =
   clock := 100;
   let t = ingress ~admission:Adaptive in
-  let admit = Ig.admit t ~lane:0 ~admission:Adaptive in
+  let admit = Ig.admit t ~admission:Adaptive in
   let tk0, j0 = job ~deadline:50 () and _, j1 = job () and tk2, j2 = job () in
   Alcotest.(check bool) "job 0 admitted" true (admit j0);
   Alcotest.(check bool) "job 1 admitted" true (admit j1);
@@ -334,7 +334,7 @@ let test_cancel_before_expiry () =
   let t = ingress ~admission:Reject in
   let tk, j = job ~deadline:50 ~token:(Atomic.make true) () in
   Alcotest.(check bool) "admitted" true
-    (Ig.admit t ~lane:0 ~admission:Reject j);
+    (Ig.admit t ~admission:Reject j);
   Alcotest.(check bool) "not run" false (Ig.must_run t () (pop t));
   Alcotest.(check bool) "settled cancelled" true (Ig.peek tk = Ig.Cancelled);
   Alcotest.(check (pair int int)) "cancelled, not expired" (1, 0)
@@ -345,7 +345,7 @@ let test_cancel_before_expiry () =
 let test_reset () =
   clock := 100;
   let t = ingress ~admission:Adaptive in
-  let admit j = ignore (Ig.admit t ~lane:0 ~admission:Adaptive j : bool) in
+  let admit j = ignore (Ig.admit t ~admission:Adaptive j : bool) in
   let _, j0 = job ~deadline:50 () and _, j1 = job () and _, j2 = job () in
   admit j0;
   admit j1;

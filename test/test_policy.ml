@@ -396,22 +396,15 @@ let test_config_policy_roundtrip () =
   let p = Wp.make ~selector:Sel.Round_robin ~backoff:(Bo.Nap_after 8) () in
   let c = C.make ~policy:p () in
   Alcotest.(check string) "selector lands" "round-robin"
-    (Sel.name c.C.steal_policy);
-  Alcotest.(check string) "backoff lands" "nap8" (Bo.name c.C.backoff);
+    (Sel.name c.C.policy.Wp.selector);
+  Alcotest.(check string) "backoff lands" "nap8"
+    (Bo.name c.C.policy.Wp.backoff);
   Alcotest.(check string) "read back as one value" (Wp.name p)
-    (Wp.name (C.policy c));
-  (* per-field arguments override the packaged policy *)
-  let c2 = C.make ~policy:p ~backoff:(Bo.Nap_after 2) () in
-  Alcotest.(check string) "field beats policy" "nap2" (Bo.name c2.C.backoff);
-  Alcotest.(check string) "other field kept" "round-robin"
-    (Sel.name c2.C.steal_policy);
-  let c3 = C.with_policy Wp.default c2 in
-  Alcotest.(check string) "with_policy replaces both" "random/nap64"
-    (Wp.name (C.policy c3))
+    (Wp.name c.C.policy)
 
 let test_config_default_is_historical () =
   Alcotest.(check string) "default policy" "random/nap64"
-    (Wp.name (C.policy C.default))
+    (Wp.name C.default.C.policy)
 
 let suite =
   [

@@ -247,22 +247,20 @@ let test_create_validation () =
           String.length m > 12 && String.sub m 0 12 = "Wool.Config:")
   in
   rejects "zero workers" (fun () -> Wool.Config.make ~workers:0 ());
-  rejects "negative capacity" (fun () -> Wool.Config.make ~capacity:(-1) ());
-  rejects "zero injection lanes" (fun () ->
-      Wool.Config.make ~injection_lanes:0 ());
   rejects "negative injection capacity" (fun () ->
       Wool.Config.make ~injection_capacity:(-1) ());
-  rejects "closed ingress with Block" (fun () ->
-      Wool.Config.make ~injection_capacity:0 ~admission:Wool.Block ());
-  rejects "closed ingress with Shed_oldest" (fun () ->
-      Wool.Config.make ~injection_capacity:0 ~admission:Wool.Shed_oldest ());
+  (* the ingress has one lane, and it cannot be closed *)
+  List.iter
+    (fun admission ->
+      rejects
+        ("closed ingress with " ^ Wool.Config.admission_name admission)
+        (fun () -> Wool.Config.make ~injection_capacity:0 ~admission ()))
+    Wool_policy.Admission.all;
   rejects "server with closed ingress" (fun () ->
       Wool.Config.make ~server:true ~injection_capacity:0
         ~admission:Wool.Reject ());
   rejects "watchdog with bad interval" (fun () ->
       Wool.Config.make ~watchdog_stalls:3 ~watchdog_interval_ns:0 ());
-  rejects "closed ingress with Adaptive" (fun () ->
-      Wool.Config.make ~injection_capacity:0 ~admission:Wool.Adaptive ());
   rejects "Adaptive with zero target" (fun () ->
       Wool.Config.make ~admission:Wool.Adaptive ~admission_target_ns:0 ());
   rejects "Adaptive with negative target" (fun () ->
@@ -284,17 +282,7 @@ let test_create_validation () =
        Wool.Config.make ~admission:Wool.Reject ~admission_target_ns:0 ()
      with
     | (_ : Wool.Config.t) -> true
-    | exception Invalid_argument _ -> false);
-  (* closed ingress + Reject is the legal way to get the pre-ingress
-     direct-execution pool *)
-  Test_util.with_pool ~workers:1 ~injection_capacity:0
-    ~admission:Wool.Reject (fun pool ->
-      Alcotest.(check int) "closed ingress still runs" 7
-        (Wool.run pool (fun _ -> 7));
-      Alcotest.(check bool) "submit rejects" true
-        (match Wool.Submit.try_submit pool (fun _ -> ()) with
-        | None -> true
-        | Some _ -> false))
+    | exception Invalid_argument _ -> false)
 
 (* The Mode module is the single name/parse table; every canonical name
    must survive a round trip, the legacy hyphenated spellings in old
@@ -359,29 +347,31 @@ let test_stats_and_invariants_all_modes () =
             (n Join_stolen) (n Steal_ok)))
     all_modes
 
-(* [Pool_overflow] unwinding: filling a small pool must raise the
-   dedicated exception before any state is mutated, the exception path
-   must join-or-drain everything outstanding, and the pool must come out
-   quiescent and reusable — in every mode. *)
+(* [Pool_overflow] unwinding: filling a worker's task pool (its fixed
+   65,536 tasks) must raise the dedicated exception before any state is
+   mutated, the exception path must join-or-drain everything
+   outstanding, and the pool must come out quiescent and reusable — in
+   every mode. *)
 let test_pool_overflow_unwind_all_modes () =
   (* breadth-first: push [n] sibling tasks, join them in LIFO order *)
   let spawn_n ctx n =
     let futs = List.init n (fun i -> Wool.spawn ctx (fun _ -> i)) in
     List.fold_left (fun acc f -> acc + Wool.join ctx f) 0 (List.rev futs)
   in
+  let n = 65_537 in
   List.iter
     (fun (name, mode) ->
-      Test_util.with_pool ~workers:2 ~mode ~capacity:64 (fun pool ->
+      Test_util.with_pool ~workers:2 ~mode (fun pool ->
           (match mode with
           | Wool.Clev ->
               (* the Chase–Lev deque grows on demand; there is no
                  overflow to raise, the run must simply complete *)
-              Alcotest.(check int) (name ^ " completes") (100 * 99 / 2)
-                (Wool.run pool (fun ctx -> spawn_n ctx 100))
+              Alcotest.(check int) (name ^ " completes") (n * (n - 1) / 2)
+                (Wool.run pool (fun ctx -> spawn_n ctx n))
           | Wool.Locked | Wool.Swap_generic | Wool.Private ->
               Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
                 (fun () ->
-                  ignore (Wool.run pool (fun ctx -> spawn_n ctx 100) : int)));
+                  ignore (Wool.run pool (fun ctx -> spawn_n ctx n) : int)));
           Alcotest.(check (list string)) (name ^ " invariants after unwind")
             [] (Wool.Invariants.check pool);
           (* the pool is reusable: same pool, fresh computation *)
@@ -410,8 +400,7 @@ let test_steal_policies_complete () =
   List.iter
     (fun policy ->
       let config =
-        Wool.Config.make ~workers:2 ~publicity:Wool.All_public
-          ~idle_nap_ns:1_000 ~policy ()
+        Wool.Config.make ~workers:2 ~publicity:Wool.All_public ~policy ()
       in
       let pool = Wool.create ~config () in
       Alcotest.(check string) "policy name plumbed"
