@@ -732,6 +732,113 @@ let shed_vs_drain =
     run;
   }
 
+(* -- Scenario 12: [Block] admission on a full lane while a worker
+   drains it. The producer waits for a slot, reading stop before each
+   retry push so that its pause follows the failed push directly; the
+   worker's pop frees the slot with the write that pause waits for. The
+   worker pops twice, and what it took runs in the final block, as in
+   [shed_vs_drain]; the producer's push lands between the two pops or
+   after both. The producer is always admitted, every ticket settles
+   once, the ledger balances, and no schedule deadlocks. *)
+let block_vs_drain =
+  let run ~max_schedules =
+    let saw_between = ref false and saw_after = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          (* the worker's completed pops, as the producer's push sees them *)
+          let pops = ref 0 and pops_at_admit = ref 0 in
+          let note = function
+            | Ig.Admit -> pops_at_admit := !pops
+            | Ig.Refuse | Ig.Drop | Ig.Enter -> ()
+          in
+          let t = ingress ~note () in
+          let runs = Array.make 3 0 and admitted = ref false in
+          let tks, jobs = jobs runs in
+          (* unscheduled prefix: the lane is full *)
+          check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
+          let taken = ref [] in
+          Sched.spawn (fun () -> admitted := admit ~admission:Block t jobs.(2));
+          Sched.spawn (fun () ->
+              for _ = 1 to 2 do
+                Option.iter (fun j -> taken := j :: !taken) (pop t);
+                incr pops
+              done);
+          Sched.final (fun () ->
+              check !admitted "blocking admission refused a job";
+              if !pops_at_admit = 1 then saw_between := true
+              else saw_after := true;
+              List.iter (run_job t) (List.rev !taken);
+              drain_run t;
+              settled_once t tks;
+              ran_once_if_admitted runs [| true; true; true |]))
+    in
+    check !saw_between "coverage: admission between the two pops never explored";
+    check !saw_after "coverage: admission after both pops never explored";
+    stats
+  in
+  {
+    name = "block-vs-drain";
+    descr = "Block admission waiting on a full lane vs a draining worker";
+    run;
+  }
+
+(* -- Scenario 13: one producer admitting while the lane's one worker
+   parks. The worker runs a server pool's idle loop reduced to the
+   lane: it pops, and on an empty lane calls the body's [park]. When
+   [park] finds a job in flight the pool would nap; here the worker
+   polls once more and, on a miss, waits for the next write (a pause
+   right after the failed pop's read, which the producer's publish
+   ends). A wake lost between the worker's re-check and its wait leaves
+   it parked after the producer has finished: a deadlock. The job the
+   worker took runs in the final block, since its settlement races
+   nothing. The worker always takes the job, which runs once, its
+   ticket settles once, and no worker is left registered. *)
+let submit_vs_park =
+  let run ~max_schedules =
+    let saw_wait = ref false
+    and saw_busy = ref false
+    and saw_no_park = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          let t = ingress () in
+          let runs = [| 0 |] in
+          let tks, jobs = jobs runs in
+          let parks = ref 0 and taken = ref None in
+          Sched.spawn (fun () -> check (admit t jobs.(0)) "admission refused");
+          Sched.spawn (fun () ->
+              let rec serve ~napped =
+                match pop t with
+                | Some _ as job -> taken := job
+                | None when napped ->
+                    Shadow_atomic.cpu_relax ();
+                    serve ~napped:false
+                | None ->
+                    incr parks;
+                    let idle = Ig.park t in
+                    if not idle then saw_busy := true;
+                    serve ~napped:(not idle)
+              in
+              serve ~napped:false);
+          Sched.final (fun () ->
+              check (Option.is_some !taken) "the worker never took the job";
+              Option.iter (run_job t) !taken;
+              settled_once t tks;
+              ran_once_if_admitted runs [| true |];
+              check (Shadow_atomic.get t.parked = 0) "a worker left registered";
+              if !parks = 0 then saw_no_park := true;
+              if Shadow_atomic.get t.gate > 0 then saw_wait := true))
+    in
+    check !saw_wait "coverage: a wake of a parked worker never explored";
+    check !saw_busy "coverage: the re-check finding a job never explored";
+    check !saw_no_park "coverage: a first poll finding the job never explored";
+    stats
+  in
+  {
+    name = "submit-vs-park";
+    descr = "admission vs an idle worker parking: no lost wake";
+    run;
+  }
+
 (* ---- lifecycle scenarios: cancellation and deadlines on the shipped
    ingress body. The dequeue-time decision is [Ig.must_run], reading a
    real token and a virtual clock. Completions, cancels, expiries and
@@ -871,6 +978,8 @@ let all =
     submit_vs_drain;
     submit_vs_submit;
     shed_vs_drain;
+    block_vs_drain;
+    submit_vs_park;
     cancel_vs_complete;
     expire_vs_dequeue;
     cancel_vs_shutdown;

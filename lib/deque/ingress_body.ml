@@ -3,8 +3,8 @@
    compiled with a build-generated prelude binding [A] (the atomic
    backend), [Iq] (the injection lane's queue, compiled against that
    backend), [L] (ledger counter updates) and [W] (waking blocked
-   awaiters, pausing a waiting producer); keep it free of direct
-   [Atomic] use.
+   awaiters, pausing a waiting producer, and the gate idle workers park
+   on); keep it free of direct [Atomic] use.
 
    There is no interface file: the types below are the pool's API.
 
@@ -20,7 +20,9 @@
    The body is the ledger's only writer. It admits ([admit], or [enter]
    for a job its submitter runs), decides at dequeue whether a popped
    job runs ([must_run]), and keeps the Adaptive controller's EWMA. The
-   pool pops the lane, runs what [must_run] says to run, and settles it. *)
+   pool pops the lane, runs what [must_run] says to run, and settles it.
+   A server pool's idle worker parks here ([park]) while nothing is in
+   flight, and an admission wakes one. *)
 
 type 'a state =
   | Pending
@@ -73,6 +75,8 @@ type 'w t = {
   expired : int A.t;
   cancelled : int A.t;
   inflight : int A.t; (* admitted, not yet settled *)
+  parked : int A.t; (* workers registered in [park] *)
+  gate : W.gate; (* what parked workers wait on; one per pool *)
 }
 
 let ticket () = A.make Pending
@@ -100,6 +104,8 @@ let create ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
     expired = A.make 0;
     cancelled = A.make 0;
     inflight = A.make 0;
+    parked = A.make 0;
+    gate = W.gate ();
   }
 
 (* Zero the ledger and the EWMA: a fresh measurement window. [inflight]
@@ -172,7 +178,8 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
   then refuse t job
   else begin
     (* count in flight before the push: a worker could pop and settle
-       the job before a post-push increment *)
+       the job before a post-push increment, and a worker about to park
+       must see the job in flight before it can find the lane empty *)
     L.bump t.inflight 1;
     let rec push tries =
       Iq.try_push q job
@@ -180,11 +187,11 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
       match admission with
       | Reject | Adaptive -> false
       | Block ->
-          (not (A.get t.stop))
-          && begin
-               W.pause tries;
-               push (tries + 1)
-             end
+          (* pause right after the failed push, whose last read is the
+             slot's, so the checker's [W.pause] wakes on the write that
+             frees it; read stop before the retry *)
+          W.pause tries;
+          (not (A.get t.stop)) && push (tries + 1)
       | Shed_oldest -> (
           (not (A.get t.stop))
           &&
@@ -204,6 +211,9 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
                  end)
     in
     if push 0 then begin
+      (* one load on a busy pool: the wake's lock and signal are paid
+         only while a worker is parked *)
+      if A.get t.parked > 0 then W.unpark t.gate;
       L.bump t.admitted 1;
       t.note Admit;
       (* if [stop] was set after our push, shutdown's drain may already
@@ -254,3 +264,32 @@ let must_run t w (J j) =
   else if j.deadline <> max_int && (t.fault w Expire; t.now () > j.deadline)
   then settle_unrun t j.tk Expired
   else true
+
+(* Park a server pool's idle worker until an admission or [stop] wakes
+   it; whether the ingress was idle, with no job in flight and stop
+   unset. When it was not, the caller naps as any idle worker does: a
+   job in flight may spawn tasks to steal. The worker registers in
+   [parked], takes the gate's epoch, and only then re-reads [inflight]
+   and [stop]; [admit] publishes the job in flight before it reads
+   [parked], and [stop] the flag before its wake. Each side publishes
+   before it reads the other, so with sequentially consistent atomics
+   at least one sees the other: the worker does not wait, or the waker
+   moves the epoch it waits on. The lane needs no read of its own: an
+   admitted job is in flight from before its push until it settles.
+   A worker woken while a job is in flight passes the wake on, so no
+   sibling stays parked while there may be tasks to steal. *)
+let[@inline never] park t =
+  ignore (A.fetch_and_add t.parked 1 : int);
+  let epoch = W.epoch t.gate in
+  let idle = A.get t.inflight = 0 && not (A.get t.stop) in
+  if idle then W.park t.gate epoch;
+  ignore (A.fetch_and_add t.parked (-1) : int);
+  if idle && A.get t.inflight > 0 && A.get t.parked > 0 then W.unpark t.gate;
+  idle
+
+(* Set the pool's stop flag and wake every parked worker. Stop is
+   published before the wake, and a parking worker re-reads it after
+   registering, so none sleeps through shutdown. *)
+let stop t =
+  A.set t.stop true;
+  W.unpark_all t.gate

@@ -158,7 +158,9 @@ end
 let capacity = 65_536
 
 (* One nap unit of the idle backoff: an idle thief sleeps this long per
-   [Backoff.Nap] factor, which keeps over-subscribed pools live. *)
+   [Backoff.Nap] factor, which keeps over-subscribed pools live. A
+   server pool's worker parks on the ingress instead while no job is in
+   flight ([idle_backoff]). *)
 let idle_nap_ns = 50_000
 
 type worker = {
@@ -397,7 +399,10 @@ let idle_backoff w =
   | Backoff.Nap factor ->
       if w.fl_on then fault_delay w Fault.Site.Nap_entry;
       note w Event.Nap_enter ~a:factor ~b:(-1);
-      Unix.sleepf (float_of_int (idle_nap_ns * factor) *. 1e-9);
+      (* a server pool's worker with nothing in flight waits for the next
+         admission instead of polling for it nap by nap *)
+      if not (w.pool.server && Ingress.park w.pool.ingress) then
+        Unix.sleepf (float_of_int (idle_nap_ns * factor) *. 1e-9);
       note w Event.Nap_exit ~a:(-1) ~b:(-1)
 
 (* ---- the queued modes' deque (Locked/Clev) ----
@@ -805,10 +810,12 @@ module Submit = struct
     | Expired -> raise Submission_expired
     | Pending | Claimed -> invalid_arg "Wool: ticket not settled"
 
+  let is_pending tk = Ingress.peek tk == Pending
+
   let await tk =
     match Ingress.peek tk with
     | Pending | Claimed ->
-        Ingress.W.block (fun () -> Ingress.peek tk == Pending);
+        Ingress.W.block is_pending tk;
         outcome (Ingress.peek tk)
     | st -> outcome st
 
@@ -1359,7 +1366,7 @@ let create ?(config = Config.default) () = create_of_config config
 let shutdown pool =
   if not pool.stopped then begin
     pool.stopped <- true;
-    Atomic.set pool.ingress.stop true;
+    Ingress.stop pool.ingress;
     List.iter Domain.join pool.domains;
     pool.domains <- [];
     Option.iter Domain.join pool.wd;

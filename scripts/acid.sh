@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each mutation breaks one step of a
-# shipped protocol body (the ingress body, then the direct-stack body),
-# and `woolbench check --histories 0` must then fail in the scenario
-# named beside it. A mutation whose pattern no
+# Acid check for the model checker: each of the ten mutations breaks one
+# step of a shipped protocol body (seven in the ingress body, then three
+# in the direct-stack body), and `woolbench check --histories 0` must
+# then fail in the scenario named beside it. A mutation whose pattern no
 # longer matches the source fails the script, so a stale mutation cannot
 # pass silently.
 #
 # Not part of `dune runtest`: it rebuilds the checker once per mutation
-# (about a minute in all). Run it from anywhere:
+# (about two minutes in all). Run it from anywhere:
 #
 #   scripts/acid.sh            # work in a fresh temporary directory
 #   scripts/acid.sh DIR        # work in DIR (kept afterwards)
@@ -69,6 +69,14 @@ mutate() {
 
 mutate "no stop re-check after the push" "$body" submit-vs-shutdown \
   $'      if A.get t.stop then drain t;\n' ''
+
+mutate "Block reads stop between its failed push and its pause" "$body" block-vs-drain \
+  $'          W.pause tries;\n          (not (A.get t.stop)) && push (tries + 1)' \
+  $'          (not (A.get t.stop)) && (W.pause tries; push (tries + 1))'
+
+mutate "park waits without re-checking after registering" "$body" submit-vs-park \
+  '  let idle = A.get t.inflight = 0 && not (A.get t.stop) in' \
+  '  let idle = true in'
 
 mutate "shed pops without settling" "$body" shed-vs-drain \
   $'          | Some oldest ->\n              drop t oldest;\n' \

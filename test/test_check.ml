@@ -108,7 +108,11 @@ let test_replay_deterministic () =
 
 (* The exact number of schedules each scenario explores. Exploration is
    deterministic, so a changed count means a changed protocol body or
-   scenario: update the table with the change, and say why. *)
+   scenario: update the table with the change, and say why. The four
+   scenarios whose producers admit into the lane moved when [admit]
+   gained its read of the parked-worker count (submit-vs-shutdown
+   19,977, submit-vs-drain 13,316, submit-vs-submit 1,110, shed-vs-drain
+   52,365 before it). *)
 let schedules =
   [
     ("single-task-lifecycle", 248);
@@ -119,10 +123,12 @@ let schedules =
     ("publish-window", 4_707);
     ("leapfrog-hold", 1_420);
     ("chase-lev-last-task", 125);
-    ("submit-vs-shutdown", 19_977);
-    ("submit-vs-drain", 13_316);
-    ("submit-vs-submit", 1_110);
-    ("shed-vs-drain", 52_365);
+    ("submit-vs-shutdown", 32_787);
+    ("submit-vs-drain", 31_532);
+    ("submit-vs-submit", 2_630);
+    ("shed-vs-drain", 81_075);
+    ("block-vs-drain", 23_940);
+    ("submit-vs-park", 87_108);
     ("cancel-vs-complete", 84);
     ("expire-vs-dequeue", 10);
     ("cancel-vs-shutdown", 1_705);

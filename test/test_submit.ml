@@ -234,6 +234,49 @@ let test_injected_jobs_can_spawn () =
       Alcotest.(check int) "fib 12 via ingress" (Test_util.fib_serial 12)
         (Wool.Submit.await tk))
 
+(* An idle server worker parks on the ingress instead of napping in a
+   loop: a count, not a time. Left idle for 100 ms, the one worker
+   records at most two [Nap_enter]s (its park, and a nap should its
+   first park find the startup's state still moving), where napping
+   records one per 50 µs unit. A submission wakes it, and shutdown of
+   the parked pool returns. *)
+let test_idle_server_worker_parks () =
+  let pool = Test_util.create ~workers:1 ~server:true () in
+  Unix.sleepf 0.1;
+  let naps = Wool.Stats.count (Wool.Stats.aggregate pool) Nap_enter in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 naps in 100 ms idle (read %d)" naps)
+    true (naps <= 2);
+  Alcotest.(check int) "a submission wakes it" 42
+    (Wool.Submit.await (Wool.Submit.submit pool (fun _ctx -> 42)));
+  (* long enough for the worker to park again before the shutdown *)
+  Unix.sleepf 0.01;
+  Wool.shutdown pool
+
+(* A job in flight keeps every sibling awake to steal: both workers of
+   an idle 2-worker server pool park, a submission wakes one, and the
+   job it runs spawns a child and then waits, without joining, for a
+   flag only the child sets. Only a sibling's steal can run the child,
+   so the wait times out if a sibling stays parked while the job is in
+   flight. *)
+let test_sibling_steals_from_injected_job () =
+  Test_util.with_pool ~workers:2 ~server:true ~mode:Wool.Private
+    ~publicity:Wool.All_public (fun pool ->
+      Unix.sleepf 0.05;
+      let tk =
+        Wool.Submit.submit pool (fun ctx ->
+            let flag = Atomic.make false in
+            let child = Wool.spawn ctx (fun _ctx -> Atomic.set flag true) in
+            let stolen =
+              Test_util.spin_until ~timeout_ns:2_000_000_000 (fun () ->
+                  Atomic.get flag)
+            in
+            Wool.join ctx child;
+            stolen)
+      in
+      Alcotest.(check bool) "the child ran on a sibling" true
+        (Wool.Submit.await tk))
+
 (* -- duplicate completions: the ticket layer settles exactly once -- *)
 
 (* Force the [Dup] drain fault so the submitted body really executes
@@ -310,6 +353,10 @@ let suite =
         Alcotest.test_case "server-mode run" `Quick test_server_run;
         Alcotest.test_case "multi-producer domains" `Quick
           test_multi_producer;
+        Alcotest.test_case "idle server worker parks" `Quick
+          test_idle_server_worker_parks;
+        Alcotest.test_case "sibling steals from injected job" `Quick
+          test_sibling_steals_from_injected_job;
         Alcotest.test_case "injected jobs can spawn" `Quick
           test_injected_jobs_can_spawn;
         Alcotest.test_case "ticket dedup under dup fault" `Quick
