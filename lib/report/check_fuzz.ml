@@ -231,7 +231,7 @@ let run_one ~seed =
     (fun i tk ->
       match Wool.Submit.await tk with
       | () -> add [ Printf.sprintf "cancelled submission %d completed" i ]
-      | exception Wool.Submit.Cancelled -> ()
+      | exception Wool.Cancel.Cancelled -> ()
       | exception e ->
           add
             [
@@ -295,25 +295,25 @@ let run_one ~seed =
           (n_inject + runs);
       ];
   let ig = Wool.ingress_stats pool in
-  if ig.Wool.Pool.submitted <> ig.Wool.Pool.admitted + ig.Wool.Pool.rejected
+  if ig.Wool.submitted <> ig.Wool.admitted + ig.Wool.rejected
   then
     add
       [
         Printf.sprintf "ingress imbalance: submitted %d <> admitted %d + \
                         rejected %d"
-          ig.Wool.Pool.submitted ig.Wool.Pool.admitted ig.Wool.Pool.rejected;
+          ig.Wool.submitted ig.Wool.admitted ig.Wool.rejected;
       ];
-  if ig.Wool.Pool.cancelled <> n_cancel then
+  if ig.Wool.cancelled <> n_cancel then
     add
       [
         Printf.sprintf "ingress cancelled = %d, expected %d"
-          ig.Wool.Pool.cancelled n_cancel;
+          ig.Wool.cancelled n_cancel;
       ];
-  if ig.Wool.Pool.expired <> n_expire then
+  if ig.Wool.expired <> n_expire then
     add
       [
         Printf.sprintf "ingress expired = %d, expected %d"
-          ig.Wool.Pool.expired n_expire;
+          ig.Wool.expired n_expire;
       ];
   (* the trace oracle wants exact thief rings: shut down first *)
   Wool.shutdown pool;
@@ -358,7 +358,7 @@ let print_rows rows =
       Table.add_row tbl
         [
           Table.cell_i r.seed;
-          Wool.Config.mode_name r.mode;
+          Wool.Mode.name r.mode;
           Table.cell_i r.workers;
           (if direct r.mode then publicity_name r.publicity else "-");
           Wool_policy.name r.policy;
@@ -377,7 +377,7 @@ let print_rows rows =
   List.iter
     (fun r ->
       Printf.printf "!! seed %d / %s / %d workers:\n" r.seed
-        (Wool.Config.mode_name r.mode)
+        (Wool.Mode.name r.mode)
         r.workers;
       List.iter (fun v -> Printf.printf "!!   %s\n" v) r.violations)
     bad;

@@ -99,7 +99,7 @@ let run_one ~workers ~mode ~policy (plan : Fault.Plan.t) =
   in
   (match Wool.Submit.await tk_cancel with
   | () -> add [ "cancelled submission completed" ]
-  | exception Wool.Submit.Cancelled -> ()
+  | exception Wool.Cancel.Cancelled -> ()
   | exception e ->
       add
         [
@@ -155,7 +155,7 @@ let print_rows rows =
     (fun r ->
       Table.add_row tbl
         [
-          Wool.Config.mode_name r.mode;
+          Wool.Mode.name r.mode;
           r.plan.Fault.Plan.name;
           Wool_policy.name r.policy;
           Table.cell_f ~dec:1 (r.elapsed_ns /. 1e6);
@@ -172,7 +172,7 @@ let print_rows rows =
   List.iter
     (fun r ->
       Printf.printf "!! %s / %s / %s:\n"
-        (Wool.Config.mode_name r.mode)
+        (Wool.Mode.name r.mode)
         r.plan.Fault.Plan.name
         (Wool_policy.name r.policy);
       List.iter (fun v -> Printf.printf "!!   %s\n" v) r.violations)

@@ -30,7 +30,6 @@ module Table = Wool_util.Table
 module Json = Wool_trace.Json
 
 let schema_version = "wool-serve/2"
-let schema_v1 = "wool-serve/1"
 
 type arrival = Sustained | Bursty | Overload
 
@@ -172,7 +171,7 @@ let run_cell ~mode_name ~mode ~arrival ~admission ~producers ~workers
             | ns -> Some (float_of_int ns)
             | exception Wool.Submission_rejected -> None
             | exception Wool.Submission_expired -> None
-            | exception Wool.Submit.Cancelled -> None)
+            | exception Wool.Cancel.Cancelled -> None)
           tickets
       in
       let elapsed_s = float_of_int (Clock.now_ns () - t_start) /. 1e9 in
@@ -182,7 +181,7 @@ let run_cell ~mode_name ~mode ~arrival ~admission ~producers ~workers
       let pct p = if lats = [||] then 0. else Stats.percentile lats p /. 1e6 in
       let goodput =
         match budget_ns with
-        | None -> float_of_int ig.Wool.Pool.executed /. elapsed_s
+        | None -> float_of_int ig.Wool.executed /. elapsed_s
         | Some b ->
             let fb = float_of_int b in
             let good =
@@ -195,18 +194,18 @@ let run_cell ~mode_name ~mode ~arrival ~admission ~producers ~workers
       {
         mode = mode_name;
         arrival = arrival_name arrival;
-        admission = Wool.Config.admission_name admission;
-        offered = ig.Wool.Pool.submitted;
-        admitted = ig.Wool.Pool.admitted;
-        rejected = ig.Wool.Pool.rejected;
-        shed = ig.Wool.Pool.shed;
-        executed = ig.Wool.Pool.executed;
-        expired = ig.Wool.Pool.expired;
-        cancelled = ig.Wool.Pool.cancelled;
+        admission = Wool_policy.Admission.name admission;
+        offered = ig.Wool.submitted;
+        admitted = ig.Wool.admitted;
+        rejected = ig.Wool.rejected;
+        shed = ig.Wool.shed;
+        executed = ig.Wool.executed;
+        expired = ig.Wool.expired;
+        cancelled = ig.Wool.cancelled;
         p50_ms = pct 50.0;
         p99_ms = pct 99.0;
         p999_ms = pct 99.9;
-        throughput = float_of_int ig.Wool.Pool.executed /. elapsed_s;
+        throughput = float_of_int ig.Wool.executed /. elapsed_s;
         goodput;
         target_ms =
           (match budget_ns with
@@ -334,7 +333,7 @@ let to_json ~date ~producers ~workers ~rate_hz ~duration_s rows =
   | Error msg -> failwith ("Serve_load.to_json: emitted invalid JSON: " ^ msg));
   body
 
-(* ---- decoding (schema tests; v1 documents stay readable) ---- *)
+(* ---- decoding (schema tests) ---- *)
 
 let ( let* ) o f = match o with Some v -> f v | None -> None
 
@@ -366,16 +365,11 @@ let row_of_tree t =
   let* throughput = float_member "throughput" t in
   let* elapsed_s = float_member "elapsed_s" t in
   let* violations = int_member "violations" t in
-  (* absent in v1 documents: every v1 cell ran under Reject with no
-     budget, so the ledger columns default to zero and goodput to the
-     raw throughput *)
-  let admission =
-    Option.value ~default:"reject" (string_member "admission" t)
-  in
-  let expired = Option.value ~default:0 (int_member "expired" t) in
-  let cancelled = Option.value ~default:0 (int_member "cancelled" t) in
-  let goodput = Option.value ~default:throughput (float_member "goodput" t) in
-  let target_ms = Option.value ~default:0. (float_member "target_ms" t) in
+  let* admission = string_member "admission" t in
+  let* expired = int_member "expired" t in
+  let* cancelled = int_member "cancelled" t in
+  let* goodput = float_member "goodput" t in
+  let* target_ms = float_member "target_ms" t in
   Some
     {
       mode; arrival; admission; offered; admitted; rejected; shed; executed;
@@ -390,7 +384,7 @@ let of_json body =
   | Ok t -> (
       let report =
         let* schema = string_member "schema" t in
-        if schema <> schema_version && schema <> schema_v1 then None
+        if schema <> schema_version then None
         else
           let* date = string_member "date" t in
           let* producers = int_member "producers" t in

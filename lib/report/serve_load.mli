@@ -27,11 +27,6 @@
 val schema_version : string
 (** ["wool-serve/2"]. *)
 
-val schema_v1 : string
-(** ["wool-serve/1"] — still accepted by {!of_json}; the ledger columns
-    absent from v1 documents default to zero, [admission] to
-    ["reject"], and [goodput] to the recorded throughput. *)
-
 type arrival = Sustained | Bursty | Overload
 
 val arrival_name : arrival -> string
@@ -109,8 +104,8 @@ val to_json :
     if that ever fails). *)
 
 val of_json : string -> (report, string) result
-(** Parse a wool-serve/2 (or v1) document; see {!schema_v1} for the v1
-    defaults. Unknown schemas and missing fields are [Error]. *)
+(** Parse a wool-serve/2 document. Other schemas and missing fields
+    are [Error]. *)
 
 val print_rows : row list -> int
 (** Print the table and any invariant violations; returns the number of

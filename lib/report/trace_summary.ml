@@ -92,7 +92,7 @@ let run ?(workers = 4) ?(out = "trace.json") ?(check = false) ?policy name =
   let (_ : int), serial_ns = Clock.time spec.Spec.serial in
   let config = Wool.Config.make ~workers ~trace:true ?policy () in
   let pool = Wool.create ~config () in
-  Printf.printf "steal policy: %s\n" (Wool.policy_name pool);
+  Printf.printf "steal policy: %s\n" (Wool_policy.name (Wool.policy pool));
   let (_ : int), par_ns =
     Clock.time (fun () -> Wool.run pool spec.Spec.wool)
   in

@@ -28,9 +28,3 @@ let of_name s =
 let is_direct = function
   | Swap_generic | Private -> true
   | Locked | Clev -> false
-
-let describe = function
-  | Locked -> "mutex-protected deque (baseline)"
-  | Swap_generic -> "direct task stack, generic swap joins"
-  | Private -> "direct task stack with private tasks (the paper's protocol)"
-  | Clev -> "Chase-Lev dynamic circular deque"

@@ -1,8 +1,8 @@
 (** First-class pool-mode descriptors.
 
     One source of truth for the mode list and the name/parse tables.
-    {!Pool} re-exports {!t} as [Pool.mode], so the constructors below are
-    the same values configuration code has always matched on. Every mode
+    {!Wool} re-exports {!t} as [Wool.mode], so the constructors below are
+    the same values configuration code matches on. Every mode
     executes each spawned task body exactly once. *)
 
 type t =
@@ -26,6 +26,3 @@ val of_name : string -> t option
 val is_direct : t -> bool
 (** Built on the paper's direct task stack (descriptor vocabulary, trip
     wire, leapfrogging). *)
-
-val describe : t -> string
-(** One-line human description. *)

@@ -1,5 +1,9 @@
 (** The Wool runtime: pools of domain workers with work stealing.
 
+    This is the runtime's one documented signature. It is reached as
+    {!Wool}, whose interface includes it and adds the loop
+    combinators; [Pool] itself is internal to the library.
+
     A pool owns [workers] domains. The programming model inside a task
     is the paper's SPAWN / CALL / JOIN (Figure 2): [spawn] pushes a task
     on the calling worker's pool, the caller then typically does ordinary
@@ -192,11 +196,12 @@ module Config : sig
   (** Reject nonsensical settings with a descriptive
       [Invalid_argument] naming the field: non-positive [workers] /
       [trace_capacity] / [injection_capacity], negative
-      [watchdog_stalls], non-positive [watchdog_interval_ns] with the
-      watchdog on, and non-positive [admission_target_ns] with
-      [Adaptive]. Returns the config unchanged when valid.
-      {!make} and pool creation both validate; call this directly only
-      on records built by hand (or derived with [{ c with ... }]). *)
+      [watchdog_stalls], an [Adaptive w] [publicity] with [w <= 0],
+      non-positive [watchdog_interval_ns] with the watchdog on, and
+      non-positive [admission_target_ns] with [Adaptive] admission.
+      Returns the config unchanged when valid. {!make} and pool creation
+      both validate; call this directly only on records built by hand
+      (or derived with [{ c with ... }]). *)
 
   val make :
     ?workers:int ->
@@ -218,14 +223,6 @@ module Config : sig
   (** Builder over {!default}; omitted arguments keep the default. The
       result is {!validate}d. *)
 
-  val mode_name : mode -> string
-  (** Lower-case label ("locked", "private", ...) for report rows. *)
-
-  val admission_name : admission -> string
-  (** {!Wool_policy.Admission.name}: "block" / "reject" / "shed-oldest" /
-      "adaptive". *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 val create : ?config:Config.t -> unit -> t
@@ -282,15 +279,6 @@ module Submit : sig
       It resolves exactly once — done (with the job's result or
       exception), rejected, cancelled or expired — by whichever of the
       job's endings wins a single CAS claim on that word. *)
-
-  exception Rejected
-  (** Alias of {!Submission_rejected}. *)
-
-  exception Expired
-  (** Alias of {!Submission_expired}. *)
-
-  exception Cancelled
-  (** Alias of {!Cancel.Cancelled}. *)
 
   val submit :
     ?deadline:int ->
@@ -369,8 +357,9 @@ module Submit : sig
   val await : 'a ticket -> 'a
   (** Block until the ticket resolves; returns the job's result,
       re-raises its exception (with the backtrace captured where the job
-      body raised, on whichever worker ran it), or raises {!Rejected} /
-      {!Expired} / {!Cancelled} for the corresponding drops. Idempotent
+      body raised, on whichever worker ran it), or raises
+      {!Submission_rejected} / {!Submission_expired} /
+      {!Cancel.Cancelled} for the corresponding drops. Idempotent
       — repeated [await]s of a resolved ticket return the same outcome.
       Do not call from inside task code on a non-server pool: a worker
       blocked on a ticket is a worker not draining the lane. *)
@@ -483,12 +472,8 @@ val num_workers : t -> int
 val mode : t -> mode
 
 val policy : t -> Wool_policy.t
-(** The steal policy this pool runs (victim selection + idle backoff). *)
-
-val policy_name : t -> string
-(** [Wool_policy.name (policy pool)], for report labels. *)
-
-val pool_of_ctx : ctx -> t
+(** The steal policy this pool runs (victim selection + idle backoff);
+    [Wool_policy.name (policy pool)] labels it in reports. *)
 
 type pool := t
 
@@ -586,9 +571,6 @@ val trace_clear : t -> unit
 (** Reset all rings (and their drop counts). Call only while quiescent. *)
 
 (* Fault injection *)
-
-val faults_enabled : t -> bool
-val fault_plan : t -> Wool_fault.Plan.t option
 
 val fault_stats : t -> Wool_fault.Stats.t
 (** Fault fires so far, summed over workers and the ingress injector

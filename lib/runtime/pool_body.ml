@@ -18,8 +18,8 @@ exception Pool_overflow = Ds.Pool_overflow
 module Mode = Mode
 module Cancel = Cancel
 
-(* Re-export so existing [Pool.Locked]-style constructor references keep
-   working; the descriptor module is the source of truth. *)
+(* Re-exported so [Wool.Locked] and friends name the constructors; the
+   descriptor module is the source of truth. *)
 type mode = Mode.t =
   | Locked
   | Swap_generic
@@ -81,6 +81,10 @@ module Config = struct
     (match c.workers with
     | Some n when n <= 0 -> bad "workers must be positive (got %d)" n
     | Some _ | None -> ());
+    (match c.publicity with
+    | Adaptive w when w <= 0 ->
+        bad "publicity Adaptive window must be positive (got %d)" w
+    | All_private | All_public | Adaptive _ -> ());
     if c.trace_capacity <= 0 then
       bad "trace_capacity must be positive (got %d)" c.trace_capacity;
     if c.watchdog_stalls < 0 then
@@ -118,39 +122,6 @@ module Config = struct
         admission_target_ns = ov admission_target_ns default.admission_target_ns;
         server = ov server default.server;
       }
-
-  let mode_name = Mode.name
-
-  let publicity_name = function
-    | All_private -> "all_private"
-    | All_public -> "all_public"
-    | Adaptive w -> Printf.sprintf "adaptive(%d)" w
-
-  let admission_name = Wool_policy.Admission.name
-
-  let pp fmt c =
-    Format.fprintf fmt
-      "{workers=%s; mode=%s; publicity=%s;@ \
-       seed=%#x; trace=%b; trace_capacity=%d;@ \
-       policy=%s; faults=%s; watchdog=%s;@ \
-       ingress=%d/%s%s}"
-      (match c.workers with Some n -> string_of_int n | None -> "auto")
-      (mode_name c.mode)
-      (publicity_name c.publicity)
-      c.seed c.trace c.trace_capacity
-      (Wool_policy.name c.policy)
-      (match c.faults with
-      | Some p -> p.Wool_fault.Plan.name
-      | None -> "off")
-      (if c.watchdog_stalls > 0 then
-         Printf.sprintf "%d@%dns" c.watchdog_stalls c.watchdog_interval_ns
-       else "off")
-      c.injection_capacity
-      (admission_name c.admission)
-      ((if c.admission = Adaptive then
-          Printf.sprintf "(target=%dns)" c.admission_target_ns
-        else "")
-      ^ if c.server then "; server" else "")
 end
 
 (* Task-pool slots per worker: direct-stack descriptors, or [Locked]
@@ -787,18 +758,12 @@ let self_id w = w.id
 let num_workers pool = Array.length pool.workers
 let mode pool = pool.pmode
 let policy pool = pool.policy
-let policy_name pool = Wool_policy.name pool.policy
-let pool_of_ctx w = w.pool
 
 (* ---- the ingress path (external submission): [Submit] maps the
    public surface onto [Ingress], the model-checked protocol body ---- *)
 
 module Submit = struct
   type nonrec 'a ticket = 'a ticket
-
-  exception Rejected = Submission_rejected
-  exception Expired = Submission_expired
-  exception Cancelled = Cancel.Cancelled
 
   (* A settled ticket as [await], [await_until] and [run] report it; a
      job's exception is re-raised with the backtrace of its raise. *)
@@ -1018,9 +983,6 @@ end
 
 (* ---- fault-injection stats ---- *)
 
-let faults_enabled pool = Option.is_some pool.faults
-let fault_plan pool = pool.faults
-
 let fault_stats pool =
   Fault.Stats.combine
     (Fault.Injector.stats pool.probe.ig_inj)
@@ -1155,7 +1117,7 @@ let stall_report pool =
   let buf = Buffer.create 1024 in
   let esc = Wool_trace.Json.escape in
   Buffer.add_string buf {|{"type":"wool_stall_report"|};
-  Printf.bprintf buf {|,"mode":"%s"|} (Config.mode_name pool.pmode);
+  Printf.bprintf buf {|,"mode":"%s"|} (Mode.name pool.pmode);
   Printf.bprintf buf {|,"policy":"%s"|} (esc (Wool_policy.name pool.policy));
   Printf.bprintf buf {|,"active":%b|} (Atomic.get pool.active);
   (let ig = ingress_stats pool in

@@ -1,70 +1,8 @@
-(** Wool: efficient work stealing for fine grained parallelism.
+(* Wool: the pool (see pool.mli for the execution model and the whole
+   API) plus the divide-and-conquer loop combinators used by the
+   loop-shaped benchmarks (mm, ssf). *)
 
-    OCaml implementation of the direct task stack scheduler of Faxén
-    (ICPP 2010). See {!Pool} for the execution model; this module re-exports
-    the pool API and adds divide-and-conquer loop combinators used by the
-    loop-shaped benchmarks (mm, ssf). *)
-
-module Pool = Pool
-module Mode = Pool.Mode
-module Config = Pool.Config
-module Stats = Pool.Stats
-module Policy = Wool_policy
-module Fault = Wool_fault
-module Invariants = Pool.Invariants
-module Submit = Pool.Submit
-module Cancel = Cancel
-
-type pool = Pool.t
-type ctx = Pool.ctx
-type 'a future = 'a Pool.future
-type mode = Pool.mode =
-  | Locked
-  | Swap_generic
-  | Private
-  | Clev
-
-type publicity = Pool.publicity = All_private | All_public | Adaptive of int
-
-type admission = Pool.admission =
-  | Block
-  | Reject
-  | Shed_oldest
-  | Adaptive
-
-type ingress_stats = Pool.ingress_stats
-
-exception Pool_overflow = Pool.Pool_overflow
-exception Submission_rejected = Pool.Submission_rejected
-exception Submission_expired = Pool.Submission_expired
-
-let create = Pool.create
-let run = Pool.run
-let shutdown = Pool.shutdown
-let with_pool = Pool.with_pool
-let spawn = Pool.spawn
-let join = Pool.join
-let call = Pool.call
-let cancel_token = Pool.cancel_token
-let steal_pressure = Pool.steal_pressure
-let self_id = Pool.self_id
-let num_workers = Pool.num_workers
-let policy = Pool.policy
-let policy_name = Pool.policy_name
-let ingress_stats = Pool.ingress_stats
-let layout_check = Pool.layout_check
-let faults_enabled = Pool.faults_enabled
-let fault_plan = Pool.fault_plan
-let fault_stats = Pool.fault_stats
-let stall_report = Pool.stall_report
-let set_on_stall = Pool.set_on_stall
-let stalls_fired = Pool.stalls_fired
-let trace_enabled = Pool.trace_enabled
-let trace_ingress = Pool.trace_ingress
-let trace_events = Pool.trace_events
-let trace_per_worker = Pool.trace_per_worker
-let trace_dropped = Pool.trace_dropped
-let trace_clear = Pool.trace_clear
+include Pool
 
 (* A non-positive grain used to hang these combinators: with [grain <= 0]
    a 1-element range never satisfies [hi - lo <= grain], and its split

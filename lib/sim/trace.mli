@@ -35,7 +35,7 @@ val record_event :
 
 val events : t -> Wool_trace.Event.t array
 (** All recorded events merged into one time-sorted stream — the same
-    shape {!Wool.Pool.trace_events} produces, so simulated and measured
+    shape {!Wool.trace_events} produces, so simulated and measured
     streams can be summarised, exported and compared with the same
     tooling. *)
 

@@ -1,6 +1,6 @@
 (** The shared scheduler-event vocabulary.
 
-    One tag per scheduler transition of the real runtime ({!Wool.Pool}) and
+    One tag per scheduler transition of the real runtime ({!Wool}) and
     of the simulator ({!Wool_sim.Engine}), so that measured event streams
     can be compared against simulated ones directly. An event is a flat
     record of small integers — cheap to store unboxed in a {!Ring} — plus

@@ -10,7 +10,14 @@
 #   - names push, pop, depth or service_publish (a call, or a closure
 #     load, of a Ds function that did not inline).
 #
-# Not part of `dune runtest`. Needs objdump (binutils). Run it from
+# It then prints, for information only, where spawn_direct and
+# join_direct sit: their offset mod 64 in the pool's object and in the
+# linked benchmark (benchmark/wool_bench.exe). Moving the pair across
+# a 64-byte boundary has moved fib's time before (EXPERIMENTS.md), so a
+# change that moves them is worth a `wool_bench.exe ab`. These lines
+# never change the exit status.
+#
+# Not part of `dune runtest`. Needs objdump and nm (binutils). Run it from
 # anywhere:
 #
 #   scripts/inline_check.sh          # check this checkout
@@ -50,4 +57,25 @@ for fn in spawn_direct join_direct; do
     echo "ok    $fn: Ds.push/pop/depth inlined, no Direct_stack reference"
   fi
 done
+
+placement() {
+  for fn in spawn_direct join_direct; do
+    addr=$(nm "$1" | awk -v fn="$fn" '
+      !found && $3 ~ "^camlWool__Pool[.]" fn "_[0-9]+$" { print $1; found = 1 }')
+    if [ -n "$addr" ]; then
+      echo "info  $fn: $2 offset 0x${addr#"${addr%%[!0]*}"}," \
+        "mod 64 = $((16#$addr % 64))"
+    else
+      echo "info  $fn: not found in $2"
+    fi
+  done
+}
+placement "$obj" object
+exe=$root/_build/default/benchmark/wool_bench.exe
+if (cd "$root" && dune build --display=quiet ./benchmark/wool_bench.exe) &&
+  [ -f "$exe" ]; then
+  placement "$exe" benchmark
+else
+  echo "info  no benchmark executable at $exe"
+fi
 exit $status

@@ -1,6 +1,6 @@
 (* Fault injection, exception robustness, and the stall watchdog. *)
 
-module F = Wool.Fault
+module F = Wool_fault
 module Json = Wool_trace.Json
 
 let all_modes = Test_util.all_modes

@@ -32,7 +32,7 @@ let test_expired_drop () =
   | _ -> Alcotest.fail "await on an expired ticket must raise Expired");
   Alcotest.(check int) "body never ran" 0 (Atomic.get ran);
   let ig = Wool.ingress_stats pool in
-  Alcotest.(check int) "expired" 1 ig.Wool.Pool.expired;
+  Alcotest.(check int) "expired" 1 ig.Wool.expired;
   Alcotest.(check (list string)) "invariants" [] (Wool.Invariants.check pool);
   Wool.shutdown pool
 
@@ -52,7 +52,7 @@ let test_future_deadline_runs () =
             42 (Wool.Submit.await tk))
         [ 60.; 1e12; infinity ];
       Alcotest.(check int) "expired" 0
-        (Wool.ingress_stats pool).Wool.Pool.expired;
+        (Wool.ingress_stats pool).Wool.expired;
       Alcotest.check_raises "NaN span"
         (Invalid_argument "Wool.Submit: the span is NaN") (fun () ->
           ignore (Wool.Submit.deadline_in nan : int)))
@@ -71,7 +71,7 @@ let test_await_for_timeout () =
   Wool.shutdown pool;
   (* once resolved, the timed await reports the outcome, not a timeout *)
   match Wool.Submit.await_for tk 1.0 with
-  | exception Wool.Submit.Rejected -> ()
+  | exception Wool.Submission_rejected -> ()
   | _ -> Alcotest.fail "shutdown-drained ticket must reject via await_for"
 
 let test_await_for_resolves () =
@@ -113,13 +113,13 @@ let test_cancel_before_start_all_modes () =
       | `Cancelled -> ()
       | _ -> Alcotest.failf "%s: pre-cancelled job must poll Cancelled" name);
       (match Wool.Submit.await tk with
-      | exception Wool.Submit.Cancelled -> ()
+      | exception Wool.Cancel.Cancelled -> ()
       | _ -> Alcotest.failf "%s: await must raise Cancelled" name);
       Alcotest.(check int) (name ^ ": body never ran") 0 (Atomic.get ran);
       Alcotest.(check int)
         (name ^ ": cancelled")
         1
-        (Wool.ingress_stats pool).Wool.Pool.cancelled;
+        (Wool.ingress_stats pool).Wool.cancelled;
       Alcotest.(check (list string))
         (name ^ ": invariants")
         [] (Wool.Invariants.check pool);
@@ -144,12 +144,12 @@ let test_cancel_mid_run () =
       Test_util.await_flag started;
       Wool.Cancel.cancel c;
       (match Wool.Submit.await tk with
-      | exception Wool.Submit.Cancelled -> ()
+      | exception Wool.Cancel.Cancelled -> ()
       | _ -> Alcotest.fail "mid-run cancel must resolve Cancelled");
       let ig = Wool.ingress_stats pool in
       (* settlement-based: a job cancelled mid-run is not "executed" *)
-      Alcotest.(check int) "executed" 0 ig.Wool.Pool.executed;
-      Alcotest.(check int) "cancelled" 1 ig.Wool.Pool.cancelled)
+      Alcotest.(check int) "executed" 0 ig.Wool.executed;
+      Alcotest.(check int) "cancelled" 1 ig.Wool.cancelled)
 
 let test_spawn_boundary_cancel () =
   Test_util.with_pool ~workers:1 ~server:true (fun pool ->
@@ -163,10 +163,10 @@ let test_spawn_boundary_cancel () =
             Wool.join ctx f)
       in
       (match Wool.Submit.await tk with
-      | exception Wool.Submit.Cancelled -> ()
+      | exception Wool.Cancel.Cancelled -> ()
       | _ -> Alcotest.fail "spawn under a set token must settle Cancelled");
       Alcotest.(check int) "cancelled" 1
-        (Wool.ingress_stats pool).Wool.Pool.cancelled)
+        (Wool.ingress_stats pool).Wool.cancelled)
 
 (* -- submit_retry -- *)
 
@@ -202,7 +202,7 @@ let test_submit_retry_exhausts () =
   Alcotest.(check bool) "backed off between attempts" true
     (elapsed >= 300_000);
   let ig = Wool.ingress_stats pool in
-  Alcotest.(check int) "three rejections" 3 ig.Wool.Pool.rejected;
+  Alcotest.(check int) "three rejections" 3 ig.Wool.rejected;
   (* [run] first helps drain the queued jobs, running the filler, so
      the earlier admission still completes *)
   ignore (Wool.run pool (fun _ctx -> 0));
@@ -276,10 +276,10 @@ let test_adaptive_sheds_under_load () =
       in
       let ig = Wool.ingress_stats pool in
       Alcotest.(check bool) "controller shed something" true (shed > 0);
-      Alcotest.(check int) "ledger agrees" shed ig.Wool.Pool.rejected;
+      Alcotest.(check int) "ledger agrees" shed ig.Wool.rejected;
       Alcotest.(check bool)
         "some work still ran" true
-        (ig.Wool.Pool.executed > 0);
+        (ig.Wool.executed > 0);
       Alcotest.(check (list string)) "invariants" []
         (Wool.Invariants.check pool))
 

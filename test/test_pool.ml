@@ -253,7 +253,7 @@ let test_create_validation () =
   List.iter
     (fun admission ->
       rejects
-        ("closed ingress with " ^ Wool.Config.admission_name admission)
+        ("closed ingress with " ^ Wool_policy.Admission.name admission)
         (fun () -> Wool.Config.make ~injection_capacity:0 ~admission ()))
     Wool_policy.Admission.all;
   rejects "server with closed ingress" (fun () ->
@@ -261,6 +261,18 @@ let test_create_validation () =
         ~admission:Wool.Reject ());
   rejects "watchdog with bad interval" (fun () ->
       Wool.Config.make ~watchdog_stalls:3 ~watchdog_interval_ns:0 ());
+  (* caught here, not first by the direct stack's constructor, whose
+     message names neither Config nor the field *)
+  List.iter
+    (fun w ->
+      match Wool.Config.make ~publicity:(Wool.Adaptive w) () with
+      | (_ : Wool.Config.t) -> Alcotest.failf "Adaptive %d accepted" w
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            "error names Config and publicity" true
+            (String.starts_with ~prefix:"Wool.Config:" m
+            && Test_util.contains m "publicity"))
+    [ 0; -1 ];
   rejects "Adaptive with zero target" (fun () ->
       Wool.Config.make ~admission:Wool.Adaptive ~admission_target_ns:0 ());
   rejects "Adaptive with negative target" (fun () ->
@@ -405,7 +417,7 @@ let test_steal_policies_complete () =
       let pool = Wool.create ~config () in
       Alcotest.(check string) "policy name plumbed"
         (Wool_policy.name policy)
-        (Wool.policy_name pool);
+        (Wool_policy.name (Wool.policy pool));
       let got = Wool.run pool (fun ctx -> fib ctx 18) in
       Wool.shutdown pool;
       Alcotest.(check int) (Wool_policy.name policy) (fib_serial 18) got)

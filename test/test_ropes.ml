@@ -360,11 +360,11 @@ let test_duplicated_body () =
   List.iter
     (fun (nm, mode) ->
       let plan =
-        Wool.Fault.Plan.make ~name:"dup-drain" ~seed:7
+        Wool_fault.Plan.make ~name:"dup-drain" ~seed:7
           [
             {
-              Wool.Fault.Plan.site = Wool.Fault.Site.Drain;
-              kind = Wool.Fault.Kind.Dup;
+              Wool_fault.Plan.site = Wool_fault.Site.Drain;
+              kind = Wool_fault.Kind.Dup;
               rate = 1.0;
               max_fires = 8;
             };

@@ -106,9 +106,9 @@ let test_reject_on_full_lane () =
   | `Pending -> ()
   | _ -> Alcotest.fail "admitted tickets stay pending");
   let ig = Wool.ingress_stats pool in
-  Alcotest.(check int) "submitted" 3 ig.Wool.Pool.submitted;
-  Alcotest.(check int) "admitted" 2 ig.Wool.Pool.admitted;
-  Alcotest.(check int) "rejected" 1 ig.Wool.Pool.rejected;
+  Alcotest.(check int) "submitted" 3 ig.Wool.submitted;
+  Alcotest.(check int) "admitted" 2 ig.Wool.admitted;
+  Alcotest.(check int) "rejected" 1 ig.Wool.rejected;
   Wool.shutdown pool;
   (* the two queued jobs were drained-rejected *)
   List.iter
@@ -118,7 +118,7 @@ let test_reject_on_full_lane () =
       | _ -> Alcotest.fail "queued ticket must reject at shutdown")
     [ t1; t2 ];
   let ig = Wool.ingress_stats pool in
-  Alcotest.(check int) "shed by drain" 2 ig.Wool.Pool.shed
+  Alcotest.(check int) "shed by drain" 2 ig.Wool.shed
 
 let test_shed_oldest () =
   let pool =
@@ -135,14 +135,14 @@ let test_shed_oldest () =
   | `Pending -> ()
   | _ -> Alcotest.fail "newest submission must be admitted");
   let ig = Wool.ingress_stats pool in
-  Alcotest.(check int) "all admitted" 3 ig.Wool.Pool.admitted;
-  Alcotest.(check bool) "shed at least one" true (ig.Wool.Pool.shed >= 1);
+  Alcotest.(check int) "all admitted" 3 ig.Wool.admitted;
+  Alcotest.(check bool) "shed at least one" true (ig.Wool.shed >= 1);
   Wool.shutdown pool
 
 let test_try_submit_full_lane () =
   List.iter
     (fun admission ->
-      let name = Wool.Config.admission_name admission in
+      let name = Wool_policy.Admission.name admission in
       let pool =
         Test_util.create ~workers:1 ~injection_capacity:2 ~admission ()
       in
@@ -158,7 +158,7 @@ let test_try_submit_full_lane () =
         (name ^ ": no wait") true
         (Wool_util.Clock.now_ns () - t0 < 1_000_000_000);
       Alcotest.(check int)
-        (name ^ ": nothing shed") 0 (Wool.ingress_stats pool).Wool.Pool.shed;
+        (name ^ ": nothing shed") 0 (Wool.ingress_stats pool).Wool.shed;
       ignore (Wool.run pool (fun _ctx -> 0) : int);
       Alcotest.(check int) (name ^ ": first job") 1 (Wool.Submit.await t1);
       Alcotest.(check int) (name ^ ": second job") 2 (Wool.Submit.await t2);
@@ -220,8 +220,8 @@ let test_multi_producer () =
             (Wool.Submit.await tk))
         tks;
       let ig = Wool.ingress_stats pool in
-      Alcotest.(check int) "all submitted" 16 ig.Wool.Pool.submitted;
-      Alcotest.(check int) "all executed" 16 ig.Wool.Pool.executed;
+      Alcotest.(check int) "all submitted" 16 ig.Wool.submitted;
+      Alcotest.(check int) "all executed" 16 ig.Wool.executed;
       Alcotest.(check (list string))
         "quiescent" [] (Wool.Invariants.check pool))
 
@@ -290,11 +290,11 @@ let test_ticket_dedup_under_dup_fault () =
   List.iter
     (fun (nm, mode) ->
       let plan =
-        Wool.Fault.Plan.make ~name:"dup-drain" ~seed:7
+        Wool_fault.Plan.make ~name:"dup-drain" ~seed:7
           [
             {
-              Wool.Fault.Plan.site = Wool.Fault.Site.Drain;
-              kind = Wool.Fault.Kind.Dup;
+              Wool_fault.Plan.site = Wool_fault.Site.Drain;
+              kind = Wool_fault.Kind.Dup;
               rate = 1.0;
               max_fires = 8;
             };
@@ -320,7 +320,7 @@ let test_ticket_dedup_under_dup_fault () =
           Alcotest.failf "%s: poll observed duplicate result %d" nm v
       | _ -> Alcotest.failf "%s: drained ticket must poll Done (Ok _)" nm);
       let ig = Wool.ingress_stats pool in
-      Alcotest.(check int) (nm ^ " inflight settled") 0 ig.Wool.Pool.inflight;
+      Alcotest.(check int) (nm ^ " inflight settled") 0 ig.Wool.inflight;
       Alcotest.(check (list string))
         (nm ^ " invariants") []
         (Wool.Invariants.check pool);

@@ -4,21 +4,15 @@
 (* Short-hand pool constructors: [Wool.create]/[Wool.with_pool] take
    only a config now, and spelling out [Wool.Config.make] at every one
    of the suites' ~200 pool creations drowns the test in plumbing. *)
-let config ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
-    ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
-    ?admission ?admission_target_ns ?server () =
-  Wool.Config.make ?workers ?mode ?publicity ?seed ?trace ?trace_capacity
-    ?policy ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
-    ?admission ?admission_target_ns ?server ()
-
 let create ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
     ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
     ?admission ?admission_target_ns ?server () =
   Wool.create
     ~config:
-      (config ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
-         ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
-         ?admission ?admission_target_ns ?server ())
+      (Wool.Config.make ?workers ?mode ?publicity ?seed ?trace
+         ?trace_capacity ?policy ?faults ?watchdog_interval_ns
+         ?watchdog_stalls ?injection_capacity ?admission ?admission_target_ns
+         ?server ())
     ()
 
 let with_pool ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
@@ -26,9 +20,10 @@ let with_pool ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
     ?admission ?admission_target_ns ?server f =
   Wool.with_pool
     ~config:
-      (config ?workers ?mode ?publicity ?seed ?trace ?trace_capacity ?policy
-         ?faults ?watchdog_interval_ns ?watchdog_stalls ?injection_capacity
-         ?admission ?admission_target_ns ?server ())
+      (Wool.Config.make ?workers ?mode ?publicity ?seed ?trace
+         ?trace_capacity ?policy ?faults ?watchdog_interval_ns
+         ?watchdog_stalls ?injection_capacity ?admission ?admission_target_ns
+         ?server ())
     f
 
 (* Every pool mode, with a label for per-case messages — derived from the
