@@ -20,7 +20,8 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
     [capacity] elements (rounded up to a power of two, minimum 2 — the
     seq protocol needs the one-lap gap between a published cell and the
     producer's next visit to it). [dummy] fills vacated cells so
-    consumed values are not retained. *)
+    consumed values are not retained. Raises [Invalid_argument] when no
+    such power of two is an [int]. *)
 
 val try_push : 'a t -> 'a -> bool
 (** Enqueue from any domain. [false] means the queue was full at the

@@ -27,7 +27,11 @@ type 'a t = {
   deq : int A.t; (* next consumer position *)
 }
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
+let rec next_pow2 n k =
+  if k >= n then k
+  else if k > max_int / 2 then
+    invalid_arg "Inject_queue.create: capacity too large"
+  else next_pow2 n (k * 2)
 
 let create ?(capacity = 64) ~dummy () =
   (* minimum 2: with a single slot, the producer one lap ahead sees the

@@ -65,9 +65,10 @@ let public_window ?workload () =
     title = "public window on " ^ W.label wl;
     series =
       List.map
-        (fun w -> mk (Printf.sprintf "adaptive %d" w) (P.Adaptive w))
+        (fun w ->
+          mk (Bench_json.publicity_name (Wool.Adaptive w)) (P.Adaptive w))
         [ 1; 2; 4; 8; 16 ]
-      @ [ mk "all public" P.All_public ];
+      @ [ mk (Bench_json.publicity_name Wool.All_public) P.All_public ];
   }
 
 let victim_selection ?workload () =

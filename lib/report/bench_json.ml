@@ -81,10 +81,9 @@ type report = {
 let modes = List.map (fun m -> (Wool.Mode.name m, m)) Wool.Mode.all
 
 let publicity_name = function
-  | None -> "default"
-  | Some Wool.All_private -> "all-private"
-  | Some Wool.All_public -> "all-public"
-  | Some (Wool.Adaptive n) -> Printf.sprintf "adaptive-%d" n
+  | Wool.All_private -> "all-private"
+  | Wool.All_public -> "all-public"
+  | Wool.Adaptive n -> Printf.sprintf "adaptive-%d" n
 
 (* One (workload, mode, publicity, workers) cell: [repeats] timed pool
    runs, a fresh pool per repeat so the counters describe exactly one
@@ -117,7 +116,7 @@ let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
     workload = spec.Spec.name;
     descr = spec.Spec.descr;
     mode = mode_name;
-    publicity = publicity_name publicity;
+    publicity = Option.fold ~none:"default" ~some:publicity_name publicity;
     workers;
     repeats;
     ok = !ok;

@@ -34,6 +34,9 @@ type stat = {
   p999 : float;
 }
 
+val publicity_name : Wool.publicity -> string
+(** ["all-private"], ["all-public"], ["adaptive-4"], as cells store it. *)
+
 (** One (workload, mode, publicity, workers) cell. *)
 type run = {
   workload : string;

@@ -338,11 +338,6 @@ let run_one ~seed =
 let fuzz ?(histories = 100) ?(seed0 = 0) () =
   List.init histories (fun i -> run_one ~seed:(seed0 + i))
 
-let publicity_name = function
-  | Wool.All_public -> "public"
-  | Wool.All_private -> "private"
-  | Wool.Adaptive n -> Printf.sprintf "adaptive %d" n
-
 let print_rows rows =
   let tbl =
     Table.create ~title:"schedule fuzzing vs sequential oracle"
@@ -360,7 +355,8 @@ let print_rows rows =
           Table.cell_i r.seed;
           Wool.Mode.name r.mode;
           Table.cell_i r.workers;
-          (if direct r.mode then publicity_name r.publicity else "-");
+          (if direct r.mode then Bench_json.publicity_name r.publicity
+           else "-");
           Wool_policy.name r.policy;
           (if r.faulty then "plan" else "-");
           Table.cell_i r.nodes;

@@ -10,8 +10,12 @@
    a leaf iterates chunk by chunk and asks the runtime between chunks —
    via {!Wool.steal_pressure}, the trip-wire / thief-activity signal the
    direct task stack maintains anyway — whether thieves are hungry. Only
-   then does it halve the remainder and spawn one side. One worker, or a
-   saturated pool, runs the whole range as a plain loop.
+   then does it halve the remainder and spawn one side. The chunks grow
+   1, 2, 4, … up to the split's cap (Tzannes et al.'s lazy binary
+   splitting), so the first poll comes after one element and a thief
+   that is already waiting need not sit out a whole cap-sized chunk.
+   One worker, or a saturated pool, runs the whole range as a plain
+   loop.
 
    Every parallel body below writes disjoint slots of a fresh array (or
    folds pure values), so no two tasks write the same location. [pred]
@@ -140,25 +144,31 @@ let rec eager_reduce ctx ~grain ~combine body lo hi =
 (* Lazy binary splitting: run one chunk, poll for hunger, and only under
    pressure halve the remainder — spawning the far half, recursing (still
    lazily) into the near half. With no pressure this is a plain loop:
-   zero spawns, constant stack. [acc0] threads the fold across chunks;
-   the spawned half starts from [neutral], and associativity of
-   [combine] glues the halves back together. *)
-let rec lazy_reduce ctx ~chunk ~neutral ~combine body acc0 lo hi =
+   zero spawns, constant stack. The chunk ramps 1, 2, 4, … up to [cap]
+   (the header says why), costing an unwatched loop log2 [cap] extra
+   chunk boundaries; both halves of a split restart the ramp, and the
+   split test compares the remainder with the next chunk. [acc0]
+   threads the fold across chunks; the spawned half starts from
+   [neutral], and associativity of [combine] glues the halves back
+   together. *)
+let rec lazy_reduce ctx ~cap ~neutral ~combine body acc0 lo hi =
   let acc = ref acc0 in
   let pos = ref lo in
+  let chunk = ref 1 in
   let finished = ref false in
   while (not !finished) && !pos < hi do
     check_cancel ctx;
-    let stop = min hi (!pos + chunk) in
+    let stop = min hi (!pos + !chunk) in
     acc := combine !acc (body !pos stop);
     pos := stop;
-    if hi - !pos > chunk && Wool.steal_pressure ctx then begin
+    chunk := min cap (2 * !chunk);
+    if hi - !pos > !chunk && Wool.steal_pressure ctx then begin
       let mid = !pos + ((hi - !pos) / 2) in
       let right =
         Wool.spawn ctx (fun ctx ->
-            lazy_reduce ctx ~chunk ~neutral ~combine body neutral mid hi)
+            lazy_reduce ctx ~cap ~neutral ~combine body neutral mid hi)
       in
-      let l = lazy_reduce ctx ~chunk ~neutral ~combine body !acc !pos mid in
+      let l = lazy_reduce ctx ~cap ~neutral ~combine body !acc !pos mid in
       acc := combine l (Wool.join ctx right);
       finished := true
     end
@@ -171,8 +181,7 @@ let run_reduce ctx ~split ~neutral ~combine body lo hi =
   else
     match split with
     | Eager grain -> eager_reduce ctx ~grain ~combine body lo hi
-    | Lazy_split chunk ->
-        lazy_reduce ctx ~chunk ~neutral ~combine body neutral lo hi
+    | Lazy_split cap -> lazy_reduce ctx ~cap ~neutral ~combine body neutral lo hi
 
 let unit_combine () () = ()
 
@@ -243,7 +252,7 @@ let reduce ctx ?(split = default_split) ~neutral ~combine f t =
     0 (length t)
 
 (* Block decomposition shared by [scan] and [filter]: the element space
-   is cut into fixed blocks of the split's chunk/grain size, and the
+   is cut into fixed blocks of the split's cap/grain size, and the
    engine then runs over {e block} indices with granularity 1 — so one
    engine chunk is one block, preserving the configured granularity. *)
 let block_layout split n =

@@ -8,9 +8,11 @@
     runs one chunk of iterations, polls {!Wool.steal_pressure} (the
     trip-wire / thief-activity signal the direct task stack maintains
     anyway), and only when thieves are hungry halves the remaining range
-    and spawns one side. With no pressure (one worker, or a saturated
-    pool) the whole range runs as a plain sequential loop with zero
-    spawns. [Eager] reproduces the conventional fixed-grain recursive
+    and spawns one side. The chunk starts at one iteration and doubles
+    after each poll up to the split's cap, so a waiting thief is served
+    after the first iteration. With no pressure (one worker, or a
+    saturated pool) the whole range runs as a plain sequential loop with
+    zero spawns. [Eager] reproduces the conventional fixed-grain recursive
     schedule, kept as the A/B baseline (`woolbench ropes`).
 
     {b Purity.} Every parallel body writes disjoint slots of fresh
@@ -35,16 +37,19 @@ type 'a t
 (** How a parallel operation cuts its index range into tasks. *)
 type split =
   | Lazy_split of int
-      (** [Lazy_split chunk]: run [chunk] iterations, poll
+      (** [Lazy_split cap]: run a chunk of iterations, poll
           {!Wool.steal_pressure}, split the remainder in half only under
-          pressure. The default, with chunk 64. *)
+          pressure. The chunk starts at 1 and doubles after each chunk
+          up to [cap]; both halves of a split restart at 1.
+          [Lazy_split 1] polls after every iteration. The default, with
+          cap 64. *)
   | Eager of int
       (** [Eager grain]: conventional schedule — recursively halve down
           to [grain] iterations per leaf and spawn every split,
           regardless of demand. *)
 
 val default_split : split
-(** [Lazy_split 64]. *)
+(** [Lazy_split 64]: chunks of 1, 2, 4, …, 64, then 64 each. *)
 
 val empty : 'a t
 

@@ -194,8 +194,8 @@ module Config : sig
 
   val validate : t -> t
   (** Reject nonsensical settings with a descriptive
-      [Invalid_argument] naming the field: non-positive [workers] /
-      [trace_capacity] / [injection_capacity], negative
+      [Invalid_argument] naming the field: non-positive [workers],
+      [trace_capacity] / [injection_capacity] outside [1..2^30], negative
       [watchdog_stalls], an [Adaptive w] [publicity] with [w <= 0],
       non-positive [watchdog_interval_ns] with the watchdog on, and
       non-positive [admission_target_ns] with [Adaptive] admission.

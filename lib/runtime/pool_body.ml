@@ -75,7 +75,10 @@ module Config = struct
 
   (* Reject nonsensical settings here, with the field named, instead of
      letting them surface as a wedged pool or a mod-by-zero deep in the
-     ingress path. *)
+     ingress path. The capacities are rounded up to a power of two, and
+     their arrays allocated, at pool creation: 2^30 bounds both. *)
+  let max_capacity = 1 lsl 30
+
   let validate c =
     let bad fmt = Printf.ksprintf invalid_arg ("Wool.Config: " ^^ fmt) in
     (match c.workers with
@@ -85,15 +88,15 @@ module Config = struct
     | Adaptive w when w <= 0 ->
         bad "publicity Adaptive window must be positive (got %d)" w
     | All_private | All_public | Adaptive _ -> ());
-    if c.trace_capacity <= 0 then
-      bad "trace_capacity must be positive (got %d)" c.trace_capacity;
+    if c.trace_capacity <= 0 || c.trace_capacity > max_capacity then
+      bad "trace_capacity must be in 1..2^30 (got %d)" c.trace_capacity;
     if c.watchdog_stalls < 0 then
       bad "watchdog_stalls must be non-negative (got %d)" c.watchdog_stalls;
     if c.watchdog_stalls > 0 && c.watchdog_interval_ns <= 0 then
       bad "watchdog_interval_ns must be positive when the watchdog is on (got %d)"
         c.watchdog_interval_ns;
-    if c.injection_capacity <= 0 then
-      bad "injection_capacity must be positive (got %d)" c.injection_capacity;
+    if c.injection_capacity <= 0 || c.injection_capacity > max_capacity then
+      bad "injection_capacity must be in 1..2^30 (got %d)" c.injection_capacity;
     if c.admission = Adaptive && c.admission_target_ns <= 0 then
       bad "admission_target_ns must be positive with Adaptive admission \
            (got %d)"

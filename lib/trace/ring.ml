@@ -10,7 +10,10 @@ type t = {
   mutable head : int; (* total events ever written; owner-only *)
 }
 
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
+let rec pow2 n k =
+  if k >= n then k
+  else if k > max_int / 2 then invalid_arg "Ring.create: capacity too large"
+  else pow2 n (k * 2)
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";

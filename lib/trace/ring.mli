@@ -17,7 +17,8 @@
 type t
 
 val create : capacity:int -> t
-(** [capacity] is rounded up to a power of two; at least 2. *)
+(** [capacity] is rounded up to a power of two; at least 2. Raises
+    [Invalid_argument] when no such [int] exists. *)
 
 val capacity : t -> int
 

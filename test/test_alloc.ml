@@ -32,10 +32,7 @@ let test_spawn_join_words () =
         (fun publicity ->
           let name =
             Printf.sprintf "%s/%s" (Wool.Mode.name mode)
-              (match publicity with
-              | Wool.All_private -> "all-private"
-              | Wool.All_public -> "all-public"
-              | Wool.Adaptive w -> Printf.sprintf "adaptive-%d" w)
+              (Wool_report.Bench_json.publicity_name publicity)
           in
           let w = words_per_pair ~mode ~publicity in
           if w > float_of_int bound +. 0.01 then

@@ -359,6 +359,15 @@ let test_reset () =
   Alcotest.(check int) "EWMA after" 0 (Atomic.get t.wait_ewma);
   Alcotest.(check int) "inflight kept" 1 (Atomic.get t.inflight)
 
+(* Rounding a capacity above 2^61 up to a power of two has no [int]
+   answer: the lane raises instead of doubling its counter into 0. *)
+let test_lane_capacity_too_large () =
+  Alcotest.check_raises "max_int"
+    (Invalid_argument "Inject_queue.create: capacity too large") (fun () ->
+      ignore
+        (Wool_deque.Inject_queue.create ~capacity:max_int ~dummy:() ()
+          : unit Wool_deque.Inject_queue.t))
+
 let suite =
   [
     ( "lifecycle",
@@ -391,5 +400,7 @@ let suite =
         Alcotest.test_case "cancel check before expiry" `Quick
           test_cancel_before_expiry;
         Alcotest.test_case "ingress reset" `Quick test_reset;
+        Alcotest.test_case "lane capacity too large" `Quick
+          test_lane_capacity_too_large;
       ] );
   ]

@@ -249,6 +249,23 @@ let test_create_validation () =
   rejects "zero workers" (fun () -> Wool.Config.make ~workers:0 ());
   rejects "negative injection capacity" (fun () ->
       Wool.Config.make ~injection_capacity:(-1) ());
+  (* rounding [max_int] up to a power of two used to wrap to 0 and loop;
+     no pool is created here *)
+  List.iter
+    (fun (field, make) ->
+      match make () with
+      | (_ : Wool.Config.t) -> Alcotest.failf "%s max_int accepted" field
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            ("error names Config and " ^ field)
+            true
+            (String.starts_with ~prefix:"Wool.Config:" m
+            && Test_util.contains m field))
+    [
+      ("trace_capacity", fun () -> Wool.Config.make ~trace_capacity:max_int ());
+      ( "injection_capacity",
+        fun () -> Wool.Config.make ~injection_capacity:max_int () );
+    ];
   (* the ingress has one lane, and it cannot be closed *)
   List.iter
     (fun admission ->

@@ -239,6 +239,39 @@ let test_lazy_one_worker_zero_spawns () =
             (Wool.Stats.count (Wool.Stats.aggregate pool) Spawn)))
     Test_util.all_modes
 
+(* The lazy chunk schedule on one worker (no pressure, so no split):
+   the chunk starts at one element and doubles up to the cap, then stays
+   there. [combine] sees two kinds of right argument: an element ([f x],
+   folded inside a chunk) and a chunk's fold (folded into the running
+   accumulator); it records the length of the latter. *)
+type run = Elem | Run of int
+
+let chunk_lengths split n =
+  Test_util.with_pool ~workers:1 (fun pool ->
+      let seen = ref [] in
+      let len = function Elem -> 1 | Run k -> k in
+      let combine l r =
+        (match r with Run k -> seen := k :: !seen | Elem -> ());
+        Run (len l + len r)
+      in
+      let total =
+        Wool.run pool (fun ctx ->
+            R.reduce ctx ~split ~neutral:(Run 0) ~combine
+              (fun _ -> Elem)
+              (R.of_array ~leaf:32 (Array.make n ())))
+      in
+      Alcotest.(check int) "all elements folded" n (len total);
+      List.rev !seen)
+
+let test_lazy_chunk_schedule () =
+  Alcotest.(check (list int))
+    "Lazy_split 64 doubles to the cap"
+    [ 1; 2; 4; 8; 16; 32; 64; 64; 64; 10 ]
+    (chunk_lengths (R.Lazy_split 64) (127 + 128 + 10));
+  Alcotest.(check (list int))
+    "Lazy_split 1 polls after every element" [ 1; 1; 1; 1; 1 ]
+    (chunk_lengths (R.Lazy_split 1) 5)
+
 (* The steal_pressure hook itself: false on an idle single worker, and
    eventually true on a direct-mode pool whose thieves are starving (the
    failed-probe counters advance, which is exactly the hunger signal the
@@ -518,6 +551,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_filter;
         QCheck_alcotest.to_alcotest qcheck_scan;
         QCheck_alcotest.to_alcotest qcheck_append;
+        Alcotest.test_case "lazy chunk schedule" `Quick test_lazy_chunk_schedule;
       ] );
     ( "parallel helpers",
       [

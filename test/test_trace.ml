@@ -156,6 +156,11 @@ let test_ring_record_snapshot () =
         e)
     evs
 
+let test_ring_capacity_too_large () =
+  Alcotest.check_raises "max_int"
+    (Invalid_argument "Ring.create: capacity too large") (fun () ->
+      ignore (Ring.create ~capacity:max_int : Ring.t))
+
 let test_ring_overflow_drops_oldest () =
   let r = Ring.create ~capacity:4 in
   for i = 0 to 9 do
@@ -218,6 +223,8 @@ let suite =
         Alcotest.test_case "ring overflow" `Quick test_ring_overflow_drops_oldest;
         Alcotest.test_case "chrome export" `Quick test_chrome_export_is_valid_json;
         Alcotest.test_case "sim event stream" `Quick test_sim_event_stream;
+        Alcotest.test_case "ring capacity too large" `Quick
+          test_ring_capacity_too_large;
       ] );
     ( "trace",
       [
