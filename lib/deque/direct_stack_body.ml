@@ -264,7 +264,7 @@ let inline_private = -3
 let inline_public = -2
 let stolen_finished = -1
 
-let top_payload t =
+let[@inline] top_payload t =
   let top = t.own.top in
   if top <= 0 then invalid_arg "Direct_stack.top_payload: empty stack";
   t.slots.(top - 1).payload

@@ -35,9 +35,9 @@
     The [mode] selects the synchronisation strategy and reproduces the
     optimisation ladder of Table II plus a conventional baseline. The
     modes come in two task-pool shapes: the direct task stack
-    ([Swap_generic], [Private]), whose descriptors hold the future
-    itself, and a per-worker queue of pending-child records ([Locked],
-    [Clev]).
+    ([Swap_generic], [Private]), whose descriptors hold the task
+    closure itself, and a per-worker queue of pending-child records
+    ([Locked], [Clev]).
 
     - [Locked]: per-worker lock taken at join and steal, no per-descriptor
       state (the paper's "base" row).
@@ -67,6 +67,7 @@ type ctx
     task code (no domain-local lookup on the hot path). *)
 
 type 'a future
+(** A spawned task: the closure {!spawn} pushed, no record of its own. *)
 
 type mode = Mode.t =
   | Locked
@@ -434,7 +435,9 @@ val spawn : ctx -> (ctx -> 'a) -> 'a future
 
 val join : ctx -> 'a future -> 'a
 (** Join with the most recent unjoined [spawn] of this worker. Raises
-    [Invalid_argument] if called out of LIFO order or from another worker.
+    [Invalid_argument], before the task pool is touched, unless that
+    task is this future (physically): out of LIFO order, a second join
+    and another worker's future are all refused.
 
     If the task body raised — locally or on a thief — the exception is
     re-raised here with the backtrace captured at the original raise
@@ -460,8 +463,9 @@ val steal_pressure : ctx -> bool
     steal-attempt counters that moved since this worker's previous
     poll — failed probes included, which is what lets an all-private
     leaf notice hungry thieves at all). [Locked]/[Clev] have no trip
-    wire and report an emptied deque instead. Always [false] on a
-    single-worker pool. Cheap (at most two atomic loads); call it
+    wire and report whether thieves failed to take work from this
+    worker since its previous poll. Always [false] on a single-worker
+    pool. Cheap (at most two atomic loads); call it
     between chunks of leaf work, not per element. Must be called from
     the worker's own task code. *)
 
@@ -584,16 +588,14 @@ module Invariants : sig
   (** Human-readable violations, [[]] when clean. Checks, per worker:
       every direct-stack descriptor EMPTY with [top = bot = 0] and
       payloads reset; the queued modes' deque empty; no outstanding
-      queued children. Then the ingress: the injection lane empty, no
-      in-flight submissions, [submitted = admitted + rejected] and
+      queued children; no result cell holding an outcome. Then the
+      ingress: the injection lane empty, no in-flight submissions,
+      [submitted = admitted + rejected] and
       [admitted = executed + shed + expired + cancelled]. Then
       globally: spawn/join/steal counter balance for the pool's shape
       (direct modes: [spawns = inlined + joins_stolen]; queued modes:
       [spawns = inlined + steals]; both: [joins_stolen = steals]). The
       balance is relative to the last {!Stats.reset}. *)
-
-  val check_exn : t -> unit
-  (** Raises [Failure] listing the violations, if any. *)
 end
 
 val layout_check : t -> string list

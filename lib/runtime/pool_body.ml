@@ -137,11 +137,16 @@ let capacity = 65_536
    flight ([idle_backoff]). *)
 let idle_nap_ns = 50_000
 
+(* A finished task's outcome, its type hidden: a result cell's value. *)
+type outcome = (Obj.t, exn * Printexc.raw_backtrace) result
+
 type worker = {
   id : int;
   pool : pool;
   dstack : packed Ds.t;
   queue : queue; (* Locked/Clev only; [No_queue] in the direct modes *)
+  results : outcome array; (* direct modes: one result cell per slot *)
+  probes : int Atomic.t; (* padded; queued modes: failed steals from us *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
   bo : Backoff.state;
@@ -186,12 +191,14 @@ and worker_hot = {
      running, if any: [spawn] checks it so a cancelled submission's task
      tree stops fanning out at the next spawn boundary. Owner-written,
      owner-read — never shared. *)
+  mutable probes_seen : int; (* [probes] at the previous pressure poll *)
 }
 
 (* A queued spawn: the entry Locked/Clev push on the deque and cons onto
-   [children]. Whoever takes it runs [pc_task]; a thief then sets
-   [pc_completed], which the owner's join waits on. *)
-and pending_child = { pc_task : packed; pc_completed : bool Atomic.t }
+   [children]. Whoever takes it runs [pc_task] into [pc_result]; a thief
+   then sets [pc_completed], which the owner's join waits on. *)
+and pending_child = {
+  pc_task : packed; pc_completed : bool Atomic.t; mutable pc_result : outcome }
 
 (* The per-worker task deque of the two queued modes, built only in
    them: the direct-stack modes keep their tasks in [dstack]. *)
@@ -240,20 +247,14 @@ and probe = {
   ig_inj : Fault.Injector.t;
 }
 
-and 'a future = {
-  fn : worker -> 'a;
-  mutable value : ('a, exn * Printexc.raw_backtrace) result option;
-  index : int; (* descriptor index in the owner's direct stack; -1 otherwise *)
-  owner_id : int;
-}
-
-(* A task as the pools hold it: the future itself, its type hidden.
-   Unboxed, so a spawn stores the future and allocates nothing beside
-   it; whoever takes the task unpacks it and calls [run_body]. *)
-and packed = P : 'a future -> packed [@@unboxed]
+(* A task as the pools hold it: its closure, the result type hidden and
+   unboxed; whoever takes the task unpacks it and calls [run_body]. *)
+and packed = P : (worker -> 'a) -> packed [@@unboxed]
 
 type t = pool
 type ctx = worker
+
+type 'a future = ctx -> 'a (* the closure [spawn] pushed *)
 
 type 'a ticket = 'a Ingress.ticket
 
@@ -262,8 +263,11 @@ exception Submission_expired
 
 let dummy_task (_ : worker) = ()
 
-let dummy_packed = P { fn = dummy_task; value = None; index = -1; owner_id = -1 }
-let dummy_child = { pc_task = dummy_packed; pc_completed = Atomic.make true }
+let dummy_packed = P dummy_task
+let no_outcome : outcome = Ok (Obj.repr ()) (* an empty cell, by identity *)
+
+let dummy_child =
+  { pc_task = dummy_packed; pc_completed = Atomic.make true; pc_result = no_outcome }
 
 (* The count table's slots: the high-water depth first, then one per
    tag. [tag_to_int] is the identity, so a constant tag's slot is a
@@ -416,31 +420,39 @@ let select_victim w =
   | None -> None
   | Some v -> Some w.pool.workers.(v)
 
-let value_exn fut =
-  match fut.value with
-  | Some (Ok v) -> v
-  | Some (Error (e, bt)) ->
-      (* re-raise at the joiner with the backtrace captured where the
-         task body originally raised — possibly on another worker *)
-      Printexc.raise_with_backtrace e bt
-  | None ->
-      (* Unreachable: completion is observed before the value is read. *)
-      assert false
+(* The value of [fut]'s outcome [r], or its exception re-raised with the
+   backtrace of the raise, possibly on another worker. The runtime's one
+   cast: every caller takes [r] from the cell of the slot (or pending
+   child) whose task it has checked is physically [fut], so [r] came
+   from running this very closure. If that closure had two typings it
+   would be polymorphic in its result, and whatever it returns inhabits
+   both. An index check could not carry this: a stale future at a
+   reused depth would pass it and cast another spawn's result. *)
+let value_exn (_ : 'a future) (r : outcome) : 'a =
+  match r with
+  | Ok v -> Obj.obj v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(* Run a task body, storing the result — or, on an exception, unwinding
-   the body's own spawns and storing the exception with the backtrace
-   captured at the raise point. Never raises. The entry checkpoint of
-   this worker's outstanding spawns is its stack depth and its children
-   list, whichever the pool's shape keeps (the other stays 0 / [[]]). *)
-let rec run_body : 'a. worker -> 'a future -> unit =
+(* Take slot [index]'s result cell, leaving it empty: it retains nothing. *)
+let take_result w fut index =
+  let r = w.results.(index) in
+  w.results.(index) <- no_outcome;
+  value_exn fut r
+
+(* Run a task body to its outcome — on an exception, after unwinding the
+   body's own spawns, with the backtrace captured at the raise point.
+   Never raises. The entry checkpoint of this worker's outstanding
+   spawns is its stack depth and its children list, whichever the
+   pool's shape keeps (the other stays 0 / [[]]). *)
+let rec run_body : 'a. worker -> 'a future -> outcome =
  fun wk fut ->
   let depth = Ds.depth wk.dstack and children = wk.hot.children in
-  match fut.fn wk with
-  | v -> fut.value <- Some (Ok v)
+  match fut wk with
+  | v -> Ok (Obj.repr v)
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       unwind wk ~depth ~children;
-      fut.value <- Some (Error (e, bt))
+      Error (e, bt)
 
 (* ---- exception unwinding ----
 
@@ -462,12 +474,11 @@ and unwind w ~depth ~children =
       let index = Ds.depth w.dstack in
       if code < Ds.stolen_finished then begin
         note w (inline_tag code) ~a:index ~b:(-1);
-        run_body w fut
+        ignore (run_body w fut : outcome)
       end
       else begin
-        note w Event.Join_stolen ~a:index ~b:code;
-        if code >= 0 then leapfrog w ~victim_id:code ~index;
-        Ds.reclaim w.dstack ~index
+        join_stolen w ~code ~index;
+        w.results.(index) <- no_outcome
       end
     done
   else
@@ -475,23 +486,25 @@ and unwind w ~depth ~children =
       match w.hot.children with
       | pc :: rest when w.hot.children != children ->
           w.hot.children <- rest;
-          take_child w pc;
+          ignore (take_child w pc : outcome);
           pop ()
       | _ -> ()
     in
     pop ()
 
 (* Queued join of [pc], just unlinked from the head of [children]: pop it
-   back and run it here, or wait out the thief that took it. *)
+   back and run it here into its result cell, or wait out the thief that
+   took it; then take the cell, leaving it empty (a Chase-Lev steal
+   leaves [pc] in its buffer). *)
 and take_child w pc =
-  match q_pop w with
+  (match q_pop w with
   | Some top ->
       (* every newer spawn is already joined and thieves take the oldest
          first, so a task still in the deque is [pc] *)
       assert (top == pc);
       note w Event.Inline_public ~a:(-1) ~b:(-1);
       let (P fut) = pc.pc_task in
-      run_body w fut
+      pc.pc_result <- run_body w fut
   | None ->
       (* No thief identity in the queued modes: steal per the policy
          while waiting. This is the strategy whose buried-join behaviour
@@ -499,7 +512,10 @@ and take_child w pc =
       note w Event.Join_stolen ~a:(-1) ~b:(-1);
       while not (Atomic.get pc.pc_completed) do
         ignore (steal_idle w : bool)
-      done
+      done);
+  let r = pc.pc_result in
+  pc.pc_result <- no_outcome;
+  r
 
 (* ---- steal attempts ----
 
@@ -529,12 +545,14 @@ and steal_direct w ~victim =
   match result with
   | Ds.Stolen_task (P fut, index) ->
       note w Event.Steal_ok ~a:index ~b:victim.id;
-      run_body w fut;
+      let r = run_body w fut in
       (* The thief's stack is back where the steal found it: clear what
          the stolen task left above it. Before the DONE store, like the
          count above, so that a pool whose root job has returned holds
-         no dead payload. *)
+         no dead payload. The outcome's cell is written first too: the
+         DONE store publishes it. *)
       Ds.sweep w.dstack;
+      victim.results.(index) <- r;
       Ds.complete_steal victim.dstack ~index;
       true
   | Ds.Backoff ->
@@ -542,17 +560,28 @@ and steal_direct w ~victim =
       false
   | Ds.Fail -> false
 
+(* A failed attempt bumps the victim's [probes], its pressure signal. *)
 and steal_queued w ~victim =
-  if w.fl_on && w.inj_interfere Ds.Pre_cas then false
-  else
-    match q_steal victim with
-    | Some pc ->
-        note w Event.Steal_ok ~a:(-1) ~b:victim.id;
-        let (P fut) = pc.pc_task in
-        run_body w fut;
-        Atomic.set pc.pc_completed true;
-        true
-    | None -> false
+  match
+    if w.fl_on && w.inj_interfere Ds.Pre_cas then None else q_steal victim
+  with
+  | Some pc ->
+      note w Event.Steal_ok ~a:(-1) ~b:victim.id;
+      let (P fut) = pc.pc_task in
+      pc.pc_result <- run_body w fut;
+      Atomic.set pc.pc_completed true;
+      true
+  | None ->
+      Atomic.incr victim.probes;
+      false
+
+(* A direct join whose task [pop] found stolen ([code] is the thief's id,
+   or [Ds.stolen_finished]): wait, then free the slot. *)
+and join_stolen w ~code ~index =
+  note w Event.Join_stolen ~a:index ~b:code;
+  Select.stolen_by w.sel ~thief:code;
+  if code >= 0 then leapfrog w ~victim_id:code ~index;
+  Ds.reclaim w.dstack ~index
 
 (* Leapfrogging (§I, Wagner & Calder): while blocked on a task stolen by
    [victim_id], steal only from that worker. Any task acquired this way is
@@ -649,9 +678,10 @@ let worker_loop w =
 
 (* ---- spawn ---- *)
 
-let spawn_direct w (fn : worker -> 'a) : 'a future =
+(* Inlined into [spawn], like [join_direct] into [join], so a private
+   pair is one call each; the queued shape stays out of line. *)
+let[@inline] spawn_direct w (fut : 'a future) : 'a future =
   let index = Ds.depth w.dstack in
-  let fut = { fn; value = None; index; owner_id = w.id } in
   (* the push may raise [Pool_overflow]; only spawns that happened are
      noted, so an overflow leaves the spawn/join balance intact for
      [Invariants.check] *)
@@ -661,9 +691,10 @@ let spawn_direct w (fn : worker -> 'a) : 'a future =
     Array.unsafe_set w.counts depth_slot (index + 1);
   fut
 
-let spawn_queued w (fn : worker -> 'a) : 'a future =
-  let fut = { fn; value = None; index = -1; owner_id = w.id } in
-  let pc = { pc_task = P fut; pc_completed = Atomic.make false } in
+let[@inline never] spawn_queued w (fut : 'a future) : 'a future =
+  let pc =
+    { pc_task = P fut; pc_completed = Atomic.make false; pc_result = no_outcome }
+  in
   (* Push first: if the queue overflows, no phantom child is left on the
      list for the unwinder to wait on forever. A thief completing the
      task before the cons is harmless — the record just starts life with
@@ -675,44 +706,44 @@ let spawn_queued w (fn : worker -> 'a) : 'a future =
 
 (* ---- join ---- *)
 
-let join_direct w fut =
-  let index = fut.index in
-  if index <> Ds.depth w.dstack - 1 then
-    invalid_arg "Wool.join: joins must be made in LIFO spawn order";
+let not_newest () = invalid_arg "Wool.join: not this worker's newest spawn"
+
+(* The one check, before the stack is touched: [fut] is the closure in
+   this worker's newest slot ([P fut] is [fut], unboxed). It refuses an
+   out-of-order join, a second join and another worker's future, and it
+   makes [value_exn]'s cast sound. *)
+let[@inline] join_direct w fut =
+  if not (Ds.depth w.dstack > 0 && Ds.top_payload w.dstack == P fut) then
+    not_newest ();
   let code = Ds.pop w.dstack in
+  let index = Ds.depth w.dstack in
   if code < Ds.stolen_finished then begin
     note w (inline_tag code) ~a:index ~b:(-1);
     if w.pool.generic then begin
       (* Generic join: run the descriptor's payload into its result cell
          and read it back, as a runtime without task-specific join
          functions must. *)
-      run_body w fut;
-      value_exn fut
+      w.results.(index) <- run_body w fut;
+      take_result w fut index
     end
     else
       (* Task-specific join: direct call of the typed task function.
          An exception here unwinds in the caller's [run_body]. *)
-      fut.fn w
+      fut w
   end
   else begin
-    (* [code] is the thief's id, or [Ds.stolen_finished] *)
-    note w Event.Join_stolen ~a:index ~b:code;
-    Select.stolen_by w.sel ~thief:code;
-    if code >= 0 then leapfrog w ~victim_id:code ~index;
-    Ds.reclaim w.dstack ~index;
-    value_exn fut
+    join_stolen w ~code ~index;
+    take_result w fut index
   end
 
-(* The LIFO check comes before the deque is touched: [fut] must be the
-   newest outstanding spawn, the head of [children]. ([P fut] is [fut]
-   itself, the constructor being unboxed.) *)
-let join_queued w fut =
+(* The same check against the head of [children], the newest
+   outstanding spawn, before the deque is touched. *)
+let[@inline never] join_queued w fut =
   match w.hot.children with
   | pc :: rest when pc.pc_task == P fut ->
       w.hot.children <- rest;
-      take_child w pc;
-      value_exn fut
-  | _ -> invalid_arg "Wool.join: joins must be made in LIFO spawn order"
+      value_exn fut (take_child w pc)
+  | _ -> not_newest ()
 
 (* ---- the public task operations ---- *)
 
@@ -738,8 +769,6 @@ let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
   if w.pool.direct then spawn_direct w fn else spawn_queued w fn
 
 let join (w : ctx) fut =
-  if fut.owner_id <> w.id then
-    invalid_arg "Wool.join: future joined on a different worker";
   if w.fl_on then fault_delay w Fault.Site.Join;
   if w.pool.direct then join_direct w fut else join_queued w fut
 
@@ -749,13 +778,14 @@ let cancel_token (w : ctx) = w.hot.ambient_cancel
 (* Hunger poll for lazy splitters (Wool_ropes): should the running task
    carve off stealable work right now? The direct modes read the trip
    wire / thief-activity state their stack already maintains (see
-   {!Ds.steal_pressure}); the queued baselines have no trip wire, so the
-   best cheap proxy is "my deque has been drained" — thieves took
-   everything I published and may be starving. *)
+   {!Ds.steal_pressure}); the queued baselines have no trip wire, so
+   they report whether thieves failed to take work from this worker
+   since the previous poll, as the direct stack's [fb] does. *)
 let steal_pressure (w : ctx) =
-  let pool = w.pool in
-  if pool.direct then Ds.steal_pressure w.dstack
-  else Array.length pool.workers > 1 && q_size w = 0
+  if w.pool.direct then Ds.steal_pressure w.dstack
+  else
+    let p = Atomic.get w.probes in
+    p <> w.hot.probes_seen && (w.hot.probes_seen <- p; true)
 
 let self_id w = w.id
 let num_workers pool = Array.length pool.workers
@@ -1047,7 +1077,17 @@ module Invariants = struct
             (Mode.name pool.pmode) qs;
         let ch = List.length w.hot.children in
         if ch <> 0 then
-          add "worker %d: %d outstanding queued children" w.id ch)
+          add "worker %d: %d outstanding queued children" w.id ch;
+        (* Every join empties the cell it takes; of the deques only a
+           Chase-Lev buffer keeps the children it hands out. *)
+        let held = ref 0 in
+        let count r = if r != no_outcome then incr held in
+        Array.iter count w.results;
+        (match w.queue with
+        | Clev_q q -> Chase_lev.iter_cells (fun pc -> count pc.pc_result) q
+        | Locked_q _ | No_queue -> ());
+        if !held <> 0 then
+          add "worker %d: %d result cell(s) still hold an outcome" w.id !held)
       pool.workers;
     let n = Inject_queue.size pool.ingress.lane in
     if n <> 0 then add "the lane holds %d injected jobs" n;
@@ -1082,13 +1122,6 @@ module Invariants = struct
     if joins_stolen <> steals then
       add "counter imbalance: joins_stolen=%d but steals=%d" joins_stolen steals;
     List.rev !errs
-
-  let check_exn pool =
-    match check pool with
-    | [] -> ()
-    | errs ->
-        failwith
-          ("Wool.Invariants.check_exn: " ^ String.concat "; " errs)
 end
 
 (* ---- cache-layout regression check (test path) ---- *)
@@ -1207,11 +1240,7 @@ let watchdog_loop pool =
 
 (* ---- pool lifecycle ---- *)
 
-let make_worker ~id ~pool ~mode ~publicity ~trace ~trace_capacity ~faults rng
-    =
-  let fl_on, plan =
-    match faults with Some p -> (true, p) | None -> (false, Fault.Plan.none)
-  in
+let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
   let inj = Fault.Injector.make plan ~worker:id in
   let w =
     {
@@ -1219,26 +1248,24 @@ let make_worker ~id ~pool ~mode ~publicity ~trace ~trace_capacity ~faults rng
       pool;
       dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
       queue =
-        (match mode with
+        (match c.mode with
         | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:dummy_child ())
         | Clev -> Clev_q (Chase_lev.create ~dummy:dummy_child ())
         | Swap_generic | Private -> No_queue);
+      results = (if pool.direct then Array.make capacity no_outcome else [||]);
+      probes = Layout.padded_atomic 0;
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
       bo = Backoff.make pool.policy.Wool_policy.backoff;
-      tr_on = trace;
-      ring = Ring.create ~capacity:(if trace then trace_capacity else 2);
-      fl_on;
+      tr_on = c.trace;
+      ring = Ring.create ~capacity:(if c.trace then c.trace_capacity else 2);
+      fl_on = Option.is_some c.faults;
       inj;
       inj_interfere = direct_interfere inj;
       counts = Layout.copy_as_padded (Array.make table_slots 0);
       hot =
         Layout.copy_as_padded
-          {
-            progress = 0;
-            children = [];
-            ambient_cancel = None;
-          };
+          { progress = 0; children = []; ambient_cancel = None; probes_seen = 0 };
     }
   in
   Ds.set_event_hooks w.dstack
@@ -1248,12 +1275,10 @@ let make_worker ~id ~pool ~mode ~publicity ~trace ~trace_capacity ~faults rng
     ~on_privatize:(fun () -> note w Event.Privatize ~a:(-1) ~b:(-1));
   w
 
-let create_of_config (c : Config.t) =
-  let c = Config.validate c in
+let create ?(config = Config.default) () =
+  let c = Config.validate config in
   let nworkers =
-    match c.Config.workers with
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
+    Option.value c.Config.workers ~default:(Domain.recommended_domain_count ())
   in
   let publicity =
     (* The ladder modes below [Private] have no private tasks. *)
@@ -1262,9 +1287,7 @@ let create_of_config (c : Config.t) =
     | Locked | Clev | Private -> c.Config.publicity
   in
   let master = Wool_util.Rng.make c.Config.seed in
-  let plan =
-    match c.Config.faults with Some p -> p | None -> Fault.Plan.none
-  in
+  let plan = Option.value c.Config.faults ~default:Fault.Plan.none in
   let probe =
     {
       ig_lock = Mutex.create ();
@@ -1308,10 +1331,7 @@ let create_of_config (c : Config.t) =
   in
   let workers =
     Array.init nworkers (fun id ->
-        make_worker ~id ~pool ~mode:c.Config.mode ~publicity
-          ~trace:c.Config.trace ~trace_capacity:c.Config.trace_capacity
-          ~faults:c.Config.faults
-          (Wool_util.Rng.split master))
+        make_worker ~id ~pool ~publicity ~plan c (Wool_util.Rng.split master))
   in
   pool.workers <- workers;
   (* In server mode every worker — including 0 — is a spawned domain and
@@ -1325,8 +1345,6 @@ let create_of_config (c : Config.t) =
   if c.Config.watchdog_stalls > 0 then
     pool.wd <- Some (Domain.spawn (fun () -> watchdog_loop pool));
   pool
-
-let create ?(config = Config.default) () = create_of_config config
 
 let shutdown pool =
   if not pool.stopped then begin

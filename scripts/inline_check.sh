@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
 # Inlining guard for the private spawn/join pair: the direct-stack body
 # is compiled into the pool's own unit (lib/runtime/dune) so that
-# Ds.push, Ds.pop and Ds.depth inline into spawn_direct and join_direct.
-# This script builds the pool's object file and reads its object code.
-# It fails when either function
+# Ds.push, Ds.pop, Ds.depth and Ds.top_payload inline into spawn_direct
+# and join_direct, and those two are [@inline] so that they inline into
+# the public spawn and join: a private pair is one call each. This
+# script builds the pool's object file and reads its object code. It
+# fails when spawn or join
 #   - references the separately compiled Wool_deque.Direct_stack
 #     (a load from that module block: an indirect call into another
 #     unit, which is what the dev profile's -opaque makes of it), or
-#   - names push, pop, depth or service_publish (a call, or a closure
-#     load, of a Ds function that did not inline).
+#   - names push, pop, depth, top_payload, service_publish,
+#     spawn_direct or join_direct (a call, or a closure load, of a
+#     function that did not inline).
 #
-# It then prints, for information only, where spawn_direct and
-# join_direct sit: their offset mod 64 in the pool's object and in the
-# linked benchmark (benchmark/wool_bench.exe). Moving the pair across
-# a 64-byte boundary has moved fib's time before (EXPERIMENTS.md), so a
-# change that moves them is worth a `wool_bench.exe ab`. These lines
-# never change the exit status.
+# It then prints, for information only, where spawn and join sit: their
+# offset mod 64 in the pool's object and in the linked benchmark
+# (benchmark/wool_bench.exe), and each one's static instruction count
+# in the object, a per-layer figure that no timing noise moves. Moving
+# the pair across a 64-byte boundary has moved fib's time before
+# (EXPERIMENTS.md), so a change that moves them is worth a
+# `wool_bench.exe ab`. These lines never change the exit status.
 #
 # Not part of `dune runtest`. Needs objdump and nm (binutils). Run it from
 # anywhere:
@@ -37,7 +41,7 @@ fi
 
 disasm=$(objdump -dr "$obj")
 status=0
-for fn in spawn_direct join_direct; do
+for fn in spawn join; do
   body=$(awk -v fn="$fn" '
     $0 ~ "<camlWool__Pool[.]" fn "_[0-9]+>:$" { on = 1; print; next }
     on && /^$/ { exit }
@@ -47,19 +51,23 @@ for fn in spawn_direct join_direct; do
     exit 2
   fi
   cross=$(grep -c 'camlWool_deque__Direct_stack' <<<"$body" || true)
-  calls=$(grep -Eo 'camlWool__Pool[.](push|pop|depth|service_publish)_[0-9]+' \
+  calls=$(grep -Eo 'camlWool__Pool[.](push|pop|depth|top_payload|service_publish|spawn_direct|join_direct)_[0-9]+' \
     <<<"$body" | sort -u | tr '\n' ' ' || true)
   if [ "$cross" -gt 0 ] || [ -n "$calls" ]; then
     echo "FAIL  $fn: $cross reference(s) to Wool_deque.Direct_stack;" \
       "not inlined: ${calls:-none}"
     status=1
   else
-    echo "ok    $fn: Ds.push/pop/depth inlined, no Direct_stack reference"
+    echo "ok    $fn: the private path inlined, no Direct_stack reference"
   fi
+  # one line per instruction: address, bytes and mnemonic (a long
+  # instruction's continuation line has no mnemonic)
+  count=$(awk -F'\t' '$1 ~ /^ *[0-9a-f]+:$/ && NF >= 3' <<<"$body" | wc -l)
+  echo "info  $fn: $count instructions"
 done
 
 placement() {
-  for fn in spawn_direct join_direct; do
+  for fn in spawn join; do
     addr=$(nm "$1" | awk -v fn="$fn" '
       !found && $3 ~ "^camlWool__Pool[.]" fn "_[0-9]+$" { print $1; found = 1 }')
     if [ -n "$addr" ]; then

@@ -2,13 +2,15 @@
    [Wool.spawn] + [Wool.join] pair allocates on a 1-worker pool, where
    the join always inlines and every allocation lands on the measuring
    domain, so the count repeats exactly. The body is a closed function,
-   so the count is the runtime's own: the future record (5 words) and,
-   on the generic join, the result cell it stores and reads back (4
-   words). A body closure capturing one variable, as in fib or the
-   benchmark's pair probe, adds 4 words: 9 per pair. The queued modes
-   (Locked, Clev) also allocate the pending-child record (3 words), its
+   so the count is the runtime's own. The direct modes allocate no
+   descriptor: the slot holds the task closure itself, which is the
+   future, so a task-specific join allocates nothing. The generic join
+   ([Swap_generic]) stores the outcome in its result cell and reads it
+   back: the [Ok] (2 words). A body closure capturing one variable, as
+   in fib or the benchmark's pair probe, adds 4 words. The queued modes
+   (Locked, Clev) allocate the pending-child record (4 words), its
    completion flag (2), its list cell (3) and the [Some] the deque's pop
-   returns (2), and run the result cell too: 19 words. *)
+   returns (2), and store the outcome too: 13 words. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -40,10 +42,10 @@ let test_spawn_join_words () =
               name w bound)
         [ Wool.All_private; Wool.All_public; Wool.Adaptive 4 ])
     [
-      (Wool.Private, 5);
-      (Wool.Swap_generic, 9);
-      (Wool.Locked, 19);
-      (Wool.Clev, 19);
+      (Wool.Private, 0);
+      (Wool.Swap_generic, 2);
+      (Wool.Locked, 13);
+      (Wool.Clev, 13);
     ]
 
 let suite =

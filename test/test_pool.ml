@@ -558,6 +558,103 @@ let test_thief_joined_payload_collected () =
       Alcotest.(check (list string)) "invariants" []
         (Wool.Invariants.check pool))
 
+(* A direct and a queued mode: [join]'s one check, and the result cells
+   it guards, have one form in each shape. *)
+let guarded_modes = [ Wool.Private; Wool.Clev ]
+
+(* A second join of a future finds an older task in the newest slot and
+   is refused; without the check it would take that task's result. *)
+let test_join_twice_raises () =
+  List.iter
+    (fun mode ->
+      let name = Wool.Mode.name mode in
+      Test_util.with_pool ~workers:1 ~mode (fun pool ->
+          Wool.run pool (fun ctx ->
+              let a = Wool.spawn ctx (fun _ -> 1) in
+              let b = Wool.spawn ctx (fun _ -> 2) in
+              Alcotest.(check int) (name ^ " b") 2 (Wool.join ctx b);
+              (match Wool.join ctx b with
+              | _ -> Alcotest.failf "%s: second join went through" name
+              | exception Invalid_argument _ -> ());
+              Alcotest.(check int) (name ^ " a") 1 (Wool.join ctx a));
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    guarded_modes
+
+(* Worker 1, running a task it stole, joins a future of worker 0 while
+   its own newest slot holds another task: refused. *)
+let test_join_other_worker_raises () =
+  List.iter
+    (fun mode ->
+      let name = Wool.Mode.name mode in
+      Test_util.with_pool ~workers:2 ~mode ~publicity:Wool.All_public
+        (fun pool ->
+          let target = Atomic.make None in
+          let ran_on = Atomic.make (-1) in
+          let verdict =
+            Wool.run pool (fun ctx ->
+                let a =
+                  Wool.spawn ctx (fun ctx ->
+                      ignore
+                        (Test_util.spin_until (fun () ->
+                             Atomic.get target <> None)
+                          : bool);
+                      let h = Wool.spawn ctx (fun _ -> 2) in
+                      let verdict =
+                        (* a join that went through took [h]'s slot *)
+                        match Wool.join ctx (Option.get (Atomic.get target)) with
+                        | _ -> "joined"
+                        | exception Invalid_argument _ ->
+                            ignore (Wool.join ctx h : int);
+                            "refused"
+                      in
+                      Atomic.set ran_on (Wool.self_id ctx);
+                      verdict)
+                in
+                let mine = Wool.spawn ctx (fun _ -> 1) in
+                Atomic.set target (Some mine);
+                Test_util.await_flag ran_on;
+                Alcotest.(check int) (name ^ " mine") 1 (Wool.join ctx mine);
+                Wool.join ctx a)
+          in
+          Alcotest.(check int) (name ^ ": stolen by worker 1") 1
+            (Atomic.get ran_on);
+          Alcotest.(check string) (name ^ ": foreign join") "refused" verdict;
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    guarded_modes
+
+(* A stolen task's outcome waits in a result cell for its join, which
+   empties the cell: once [Wool.run] returns, a result no one holds is
+   collected, and the pool holds no outcome. The steal is forced. *)
+let test_stolen_result_collected () =
+  List.iter
+    (fun mode ->
+      let name = Wool.Mode.name mode in
+      Test_util.with_pool ~workers:2 ~mode ~publicity:Wool.All_public
+        (fun pool ->
+          let weak = Weak.create 1 in
+          let ran_on = Atomic.make (-1) in
+          let n =
+            Wool.run pool (fun ctx ->
+                let a =
+                  Wool.spawn ctx (fun ctx ->
+                      let b = big_block weak in
+                      Atomic.set ran_on (Wool.self_id ctx);
+                      b)
+                in
+                Test_util.await_flag ran_on;
+                Bytes.length (Wool.join ctx a))
+          in
+          Alcotest.(check int) (name ^ " result") (1 lsl 20) n;
+          Alcotest.(check int) (name ^ ": stolen by worker 1") 1
+            (Atomic.get ran_on);
+          Alcotest.(check bool) (name ^ ": stolen result collected") true
+            (collected weak);
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    guarded_modes
+
 let suite =
   [
     ( "pool",
@@ -603,6 +700,11 @@ let suite =
           test_joined_payload_collected;
         Alcotest.test_case "thief's joined payload collected" `Quick
           test_thief_joined_payload_collected;
+        Alcotest.test_case "join twice" `Quick test_join_twice_raises;
+        Alcotest.test_case "join another worker's future" `Quick
+          test_join_other_worker_raises;
+        Alcotest.test_case "stolen result collected" `Quick
+          test_stolen_result_collected;
         QCheck_alcotest.to_alcotest qcheck_parallel_reduce_matches_fold;
       ] );
   ]
