@@ -7,7 +7,8 @@
    - Accounting: each counter equals the number of events carrying its
      tag (only sound when the rings dropped nothing).
 
-   - Causality, direct modes only (queued modes carry [a = -1]):
+   - Causality, direct modes only (a queued pool's [Join_stolen] names
+     no thief, [b = -1]):
      descriptor indices recycle, so ordering single events is not
      possible — and timestamps cannot be used anyway, because events are
      recorded *after* their protocol action (a thief can record its

@@ -13,5 +13,5 @@ val check_events :
 (** Human-readable violations, [[]] when clean. [counts] pairs each
     counted tag with its counter: the rings must hold exactly that many
     events of the tag. [direct] enables the per-descriptor causality
-    checks (queued modes record [a = -1]). When [dropped > 0] the stream
-    is incomplete and nothing is checked. *)
+    checks (a queued pool's stolen joins name no thief). When
+    [dropped > 0] the stream is incomplete and nothing is checked. *)

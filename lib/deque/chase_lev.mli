@@ -27,8 +27,3 @@ val steal : 'a t -> [ `Stolen of 'a | `Empty | `Retry ]
 
 val size : 'a t -> int
 (** Racy snapshot of the current element count (never negative). *)
-
-val iter_cells : ('a -> unit) -> 'a t -> unit
-(** Every cell of the current buffer, live or dead: a steal leaves the
-    stolen element in its cell until a push overwrites it. Owner-side,
-    for checks on a quiescent deque. *)

@@ -87,7 +87,3 @@ let steal t =
 let size t =
   let b = A.get t.bottom and top = A.get t.top in
   max 0 (b - top)
-
-(* Every cell of the current buffer, live or dead: a steal leaves its
-   cell as it was until a push overwrites it. For quiescent checks. *)
-let iter_cells f t = Array.iter f t.buf.cells

@@ -192,3 +192,20 @@ val layout_check : 'a t -> string list
     shared atomic, and every slot's state word occupy whole cache lines
     (see {!Wool_util.Layout.is_padded}). Returns human-readable
     violations, [[]] when clean. Scans every slot; test-path only. *)
+
+(** {2 A stack behind a separate deque}
+
+    A queued pool keeps its tasks on an [All_private] stack and
+    publishes their indices on a deque of its own; a thief that takes an
+    index reads the task with {!payload}, runs it and calls
+    {!complete_steal}. The owner keeps the slot pushed until
+    {!stolen_done}, then calls {!release}. Neither moves [bot]. *)
+
+val payload : 'a t -> index:int -> 'a
+(** The task pushed at [index]. A thief may read it once the owner's
+    deque has handed it [index]; the owner does not overwrite it until
+    the thief's {!complete_steal}. *)
+
+val release : 'a t -> index:int -> unit
+(** Owner: pop the stolen slot [index], the newest, once {!stolen_done}
+    reports it, and clear its state. Unlike {!reclaim}, [bot] stays. *)

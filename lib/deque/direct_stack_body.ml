@@ -489,3 +489,14 @@ let dump_live t =
     if i < top || s <> Ts.empty then live := (i, state_name s) :: !live
   done;
   !live
+
+(* A queued pool's stack is [All_private]: its deque, not [steal], hands
+   out slot indices, and the thief reads the task here. *)
+let payload t ~index = t.slots.(index).payload
+
+(* A queued pool's stolen slot once its thief's DONE has landed: pop it
+   and clear its state. Unlike [reclaim] it leaves [bot], which no
+   [steal] moves in a queued pool. *)
+let release t ~index =
+  t.own.top <- index;
+  A.set t.slots.(index).state Ts.empty

@@ -6,11 +6,13 @@
     executes each spawned task body exactly once. *)
 
 type t =
-  | Locked  (** mutex-protected deque (baseline) *)
+  | Locked
+      (** mutex-protected deque of slot indices (baseline); the tasks sit
+          on an all-private direct task stack *)
   | Swap_generic  (** direct task stack, generic swap joins *)
   | Private
       (** direct task stack with private tasks — the paper's protocol *)
-  | Clev  (** Chase-Lev dynamic circular deque *)
+  | Clev  (** Chase-Lev dynamic circular deque, of slot indices too *)
 
 val all : t list
 (** Every mode, in the order reports print them. *)
@@ -24,5 +26,6 @@ val of_name : string -> t option
     Round-trips with {!name}. *)
 
 val is_direct : t -> bool
-(** Built on the paper's direct task stack (descriptor vocabulary, trip
-    wire, leapfrogging). *)
+(** Thieves steal from the paper's direct task stack (descriptor states,
+    trip wire, leapfrogging). The queued modes keep their tasks on an
+    all-private one and publish them through their deque. *)

@@ -33,14 +33,17 @@
     core and never touches the injection lane.
 
     The [mode] selects the synchronisation strategy and reproduces the
-    optimisation ladder of Table II plus a conventional baseline. The
-    modes come in two task-pool shapes: the direct task stack
-    ([Swap_generic], [Private]), whose descriptors hold the task
-    closure itself, and a per-worker queue of pending-child records
-    ([Locked], [Clev]).
+    optimisation ladder of Table II plus a conventional baseline. Every
+    mode keeps its tasks in one per-worker array of descriptors, the
+    direct task stack, each holding the task closure itself. The modes
+    come in two task-pool shapes, which differ in how thieves reach
+    that array: through the descriptors' own states ([Swap_generic],
+    [Private]), or through a per-worker deque of slot indices over an
+    all-private stack ([Locked], [Clev]).
 
-    - [Locked]: per-worker lock taken at join and steal, no per-descriptor
-      state (the paper's "base" row).
+    - [Locked]: per-worker lock taken at join and steal; a descriptor's
+      state only carries a stolen task's completion (the paper's "base"
+      row). Joins take the generic path, as in [Swap_generic].
     - [Swap_generic]: atomic exchange on the descriptor state, but joins go
       through the generic path and the result cell ("synchronize on
       task").
@@ -49,9 +52,11 @@
       tasks"); the default. With [~publicity:All_public] it is the
       paper's "task specific join" row, which Table II gives the same
       cost as "private tasks (no private)".
-    - [Clev]: a Chase–Lev pointer deque with random (non-leapfrog) stealing
-      on blocked joins — the conventional steal-child baseline (TBB-like),
-      exhibiting the buried-join behaviour discussed in §I.
+    - [Clev]: a Chase–Lev deque with random (non-leapfrog) stealing on
+      blocked joins — the conventional steal-child baseline (TBB-like),
+      exhibiting the buried-join behaviour discussed in §I. Its cells
+      name slots, which only the owner recycles, so a stale cell retains
+      nothing.
 
     Every mode executes each spawned task body exactly once. *)
 
@@ -98,9 +103,9 @@ module Cancel = Cancel
 
 exception Pool_overflow
 (** Raised by {!spawn} when the calling worker's task pool already
-    holds its fixed 65,536 outstanding tasks (direct-stack descriptors,
-    or [Locked] deque slots; [Clev] grows on demand and never raises
-    it). The same exception as {!Wool_deque.Task_state.Pool_overflow}.
+    holds its fixed 65,536 outstanding tasks, in every mode: the direct
+    stack's descriptors, which the queued modes' deques index too. The
+    same exception as {!Wool_deque.Task_state.Pool_overflow}.
     Raised before any pool state is mutated, so the counters stay
     balanced, the pool remains usable, and the spawn unwinds like an
     ordinary task-body exception in every mode. *)
@@ -129,8 +134,9 @@ module Config : sig
         (** [None] = [Domain.recommended_domain_count ()] *)
     mode : mode;
     publicity : publicity;
-        (** [Private] only: [Swap_generic] is always [All_public], and the
-            queued modes have no descriptors *)
+        (** [Private] only: [Swap_generic] is always [All_public], and
+            the queued modes' stacks are [All_private] (their deques
+            publish the tasks) *)
     seed : int;  (** victim-selection RNG seed *)
     trace : bool;  (** record scheduler events into per-worker rings *)
     trace_capacity : int;
@@ -500,8 +506,8 @@ module Stats : sig
       {!ingress_stats}. *)
 
   val max_pool_depth : t -> int
-  (** Deepest per-worker direct-stack occupancy (direct modes only; 0 in
-      the queued modes) — the §I space measure. *)
+  (** Deepest per-worker direct-stack occupancy, in every mode — the §I
+      space measure. *)
 
   (** A key of the stats JSON: a tag's count, the failed steal
       attempts ([Steal_attempt] − [Steal_ok]), or {!max_pool_depth}. *)
@@ -587,15 +593,13 @@ module Invariants : sig
   val check : t -> string list
   (** Human-readable violations, [[]] when clean. Checks, per worker:
       every direct-stack descriptor EMPTY with [top = bot = 0] and
-      payloads reset; the queued modes' deque empty; no outstanding
-      queued children; no result cell holding an outcome. Then the
-      ingress: the injection lane empty, no in-flight submissions,
-      [submitted = admitted + rejected] and
+      payloads reset; the queued modes' deque empty; no result cell
+      holding an outcome. Then the ingress: the injection lane empty,
+      no in-flight submissions, [submitted = admitted + rejected] and
       [admitted = executed + shed + expired + cancelled]. Then
-      globally: spawn/join/steal counter balance for the pool's shape
-      (direct modes: [spawns = inlined + joins_stolen]; queued modes:
-      [spawns = inlined + steals]; both: [joins_stolen = steals]). The
-      balance is relative to the last {!Stats.reset}. *)
+      globally, in both shapes, the spawn/join/steal counter balance:
+      [spawns = inlined + joins_stolen] and [joins_stolen = steals].
+      The balance is relative to the last {!Stats.reset}. *)
 end
 
 val layout_check : t -> string list
@@ -611,9 +615,8 @@ val stall_report : t -> string
 (** A diagnostic JSON object: pool mode and policy, the ingress state
     (lane occupancy and {!ingress_stats} counters), and per worker the
     progress counter, direct-stack occupancy with live descriptor
-    states, the queued modes' deque size, outstanding children,
-    scheduler counters, and the tail of the trace ring (when tracing is
-    on). Valid JSON by
+    states, the queued modes' deque size, scheduler counters, and the
+    tail of the trace ring (when tracing is on). Valid JSON by
     construction ({!Wool_trace.Json.validate} accepts it); safe to call
     at any time — concurrent readings are racy snapshots. *)
 

@@ -127,8 +127,9 @@ module Config = struct
       }
 end
 
-(* Task-pool slots per worker: direct-stack descriptors, or [Locked]
-   deque cells ([Clev] grows on demand). *)
+(* Task-pool slots per worker, in every mode: the direct stack's
+   descriptors (a queued pool's [Locked] deque has as many cells; its
+   [Clev] deque grows, but the stack overflows first). *)
 let capacity = 65_536
 
 (* One nap unit of the idle backoff: an idle thief sleeps this long per
@@ -145,7 +146,7 @@ type worker = {
   pool : pool;
   dstack : packed Ds.t;
   queue : queue; (* Locked/Clev only; [No_queue] in the direct modes *)
-  results : outcome array; (* direct modes: one result cell per slot *)
+  results : outcome array; (* one result cell per slot *)
   probes : int Atomic.t; (* padded; queued modes: failed steals from us *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
@@ -182,10 +183,6 @@ and worker_hot = {
      samples [progress + spawns] so the spawn/join fast path carries no
      extra store. *)
   mutable progress : int;
-  (* Locked/Clev only: outstanding spawns of the task currently executing
-     on this worker (and its callers), newest first. The direct-stack
-     modes get this for free from descriptor [depth]. *)
-  mutable children : pending_child list;
   mutable ambient_cancel : Cancel.t option;
   (* the cancel token of the injected job this worker is currently
      running, if any: [spawn] checks it so a cancelled submission's task
@@ -194,18 +191,13 @@ and worker_hot = {
   mutable probes_seen : int; (* [probes] at the previous pressure poll *)
 }
 
-(* A queued spawn: the entry Locked/Clev push on the deque and cons onto
-   [children]. Whoever takes it runs [pc_task] into [pc_result]; a thief
-   then sets [pc_completed], which the owner's join waits on. *)
-and pending_child = {
-  pc_task : packed; pc_completed : bool Atomic.t; mutable pc_result : outcome }
-
 (* The per-worker task deque of the two queued modes, built only in
-   them: the direct-stack modes keep their tasks in [dstack]. *)
+   them. Every mode keeps its tasks in [dstack]; a queued pool's stack is
+   [All_private], and this deque publishes the indices of its slots. *)
 and queue =
   | No_queue
-  | Locked_q of pending_child Locked_deque.t
-  | Clev_q of pending_child Chase_lev.t
+  | Locked_q of int Locked_deque.t
+  | Clev_q of int Chase_lev.t
 
 and pool = {
   pmode : mode;
@@ -265,9 +257,6 @@ let dummy_task (_ : worker) = ()
 
 let dummy_packed = P dummy_task
 let no_outcome : outcome = Ok (Obj.repr ()) (* an empty cell, by identity *)
-
-let dummy_child =
-  { pc_task = dummy_packed; pc_completed = Atomic.make true; pc_result = no_outcome }
 
 (* The count table's slots: the high-water depth first, then one per
    tag. [tag_to_int] is the identity, so a constant tag's slot is a
@@ -388,10 +377,10 @@ let idle_backoff w =
    Push, pop and steal run only in a queued pool, whose every worker has
    a deque. *)
 
-let q_push w pc =
+let q_push w index =
   match w.queue with
-  | Locked_q q -> Locked_deque.push q pc
-  | Clev_q q -> Chase_lev.push q pc
+  | Locked_q q -> Locked_deque.push q index
+  | Clev_q q -> Chase_lev.push q index
   | No_queue -> assert false
 
 let q_pop w =
@@ -402,10 +391,10 @@ let q_pop w =
 
 let q_steal victim =
   match victim.queue with
-  | Locked_q q -> Locked_deque.steal ~mode:`Base q
+  | Locked_q q -> Locked_deque.steal q
   | Clev_q q -> (
       match Chase_lev.steal q with
-      | `Stolen pc -> Some pc
+      | `Stolen index -> Some index
       | `Empty | `Retry -> None)
   | No_queue -> assert false
 
@@ -422,36 +411,35 @@ let select_victim w =
 
 (* The value of [fut]'s outcome [r], or its exception re-raised with the
    backtrace of the raise, possibly on another worker. The runtime's one
-   cast: every caller takes [r] from the cell of the slot (or pending
-   child) whose task it has checked is physically [fut], so [r] came
-   from running this very closure. If that closure had two typings it
-   would be polymorphic in its result, and whatever it returns inhabits
-   both. An index check could not carry this: a stale future at a
-   reused depth would pass it and cast another spawn's result. *)
+   cast: every caller takes [r] from the cell of the slot whose task it
+   has checked is physically [fut], so [r] came from running this very
+   closure. If that closure had two typings it would be polymorphic in
+   its result, and whatever it returns inhabits both. An index check
+   could not carry this: a stale future at a reused depth would pass it
+   and cast another spawn's result. *)
 let value_exn (_ : 'a future) (r : outcome) : 'a =
   match r with
   | Ok v -> Obj.obj v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* Take slot [index]'s result cell, leaving it empty: it retains nothing. *)
-let take_result w fut index =
+let take_cell w index =
   let r = w.results.(index) in
   w.results.(index) <- no_outcome;
-  value_exn fut r
+  r
 
 (* Run a task body to its outcome — on an exception, after unwinding the
    body's own spawns, with the backtrace captured at the raise point.
    Never raises. The entry checkpoint of this worker's outstanding
-   spawns is its stack depth and its children list, whichever the
-   pool's shape keeps (the other stays 0 / [[]]). *)
+   spawns is its stack depth, in both shapes. *)
 let rec run_body : 'a. worker -> 'a future -> outcome =
  fun wk fut ->
-  let depth = Ds.depth wk.dstack and children = wk.hot.children in
+  let depth = Ds.depth wk.dstack in
   match fut wk with
   | v -> Ok (Obj.repr v)
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      unwind wk ~depth ~children;
+      unwind wk ~depth;
       Error (e, bt)
 
 (* ---- exception unwinding ----
@@ -463,13 +451,11 @@ let rec run_body : 'a. worker -> 'a future -> outcome =
    the exception path joins-or-drains everything spawned since the
    failing body's entry checkpoint before the exception propagates.
    Drained results (and any exceptions of the children themselves) are
-   discarded — the parent's exception wins. A queued body's spawns are
-   the cells consed onto its entry [children], so it pops until the list
-   is that entry list again, with no walk of the list. *)
-and unwind w ~depth ~children =
-  if w.pool.direct then
-    while Ds.depth w.dstack > depth do
-      let (P fut) = Ds.top_payload w.dstack in
+   discarded — the parent's exception wins. *)
+and unwind w ~depth =
+  while Ds.depth w.dstack > depth do
+    let (P fut) = Ds.top_payload w.dstack in
+    if w.pool.direct then begin
       let code = Ds.pop w.dstack in
       let index = Ds.depth w.dstack in
       if code < Ds.stolen_finished then begin
@@ -478,64 +464,71 @@ and unwind w ~depth ~children =
       end
       else begin
         join_stolen w ~code ~index;
-        w.results.(index) <- no_outcome
+        ignore (take_cell w index : outcome)
       end
-    done
-  else
-    let rec pop () =
-      match w.hot.children with
-      | pc :: rest when w.hot.children != children ->
-          w.hot.children <- rest;
-          ignore (take_child w pc : outcome);
-          pop ()
-      | _ -> ()
-    in
-    pop ()
+    end
+    else ignore (take_queued w fut : outcome)
+  done
 
-(* Queued join of [pc], just unlinked from the head of [children]: pop it
-   back and run it here into its result cell, or wait out the thief that
-   took it; then take the cell, leaving it empty (a Chase-Lev steal
-   leaves [pc] in its buffer). *)
-and take_child w pc =
-  (match q_pop w with
-  | Some top ->
+(* Queued join of the newest slot, whose task is [fut]: pop its index
+   back off the deque and run it here, or wait out the thief that took
+   it; the outcome, its cell left empty. A stolen slot stays pushed until
+   the thief's DONE lands, so the spawns made while waiting go above it
+   instead of overwriting the task the thief reads. *)
+and take_queued : 'a. worker -> 'a future -> outcome =
+ fun w fut ->
+  let index = Ds.depth w.dstack - 1 in
+  match q_pop w with
+  | Some i ->
       (* every newer spawn is already joined and thieves take the oldest
-         first, so a task still in the deque is [pc] *)
-      assert (top == pc);
-      note w Event.Inline_public ~a:(-1) ~b:(-1);
-      let (P fut) = pc.pc_task in
-      pc.pc_result <- run_body w fut
+         first, so an index still in the deque is the newest slot's *)
+      assert (i = index);
+      ignore (Ds.pop w.dstack : int);
+      note w Event.Inline_public ~a:index ~b:(-1);
+      run_body w fut
   | None ->
       (* No thief identity in the queued modes: steal per the policy
          while waiting. This is the strategy whose buried-join behaviour
          §I discusses. *)
-      note w Event.Join_stolen ~a:(-1) ~b:(-1);
-      while not (Atomic.get pc.pc_completed) do
+      note w Event.Join_stolen ~a:index ~b:(-1);
+      while not (Ds.stolen_done w.dstack ~index) do
         ignore (steal_idle w : bool)
-      done);
-  let r = pc.pc_result in
-  pc.pc_result <- no_outcome;
-  r
+      done;
+      Ds.release w.dstack ~index;
+      take_cell w index
 
-(* ---- steal attempts ----
+(* ---- steal attempts ---- *)
 
-   Each notes its own [Steal_ok] *before* running the task: the count
-   must be ordered before the completion signal the owner waits on
-   (descriptor DONE / [pc_completed]), or a quiescent invariant check
-   could observe the join without the steal. *)
-
-(* Attempt to steal one task from [victim] and run it. *)
+(* Attempt to steal one task from [victim] and run it. Whichever shape
+   handed over the slot, the thief reads the task from the victim's
+   stack and hands the outcome back through the slot's result cell and
+   DONE. [Steal_ok] is noted *before* the task runs: the count must be
+   ordered before the DONE store the owner waits on, or a quiescent
+   invariant check could observe the join without the steal. *)
 and steal_once w ~(victim : worker) =
   note w Event.Steal_attempt ~a:(-1) ~b:victim.id;
-  let ran =
+  let index =
     if w.pool.direct then steal_direct w ~victim else steal_queued w ~victim
   in
-  if ran then begin
-    Backoff.on_success w.bo;
-    Select.on_success w.sel ~victim:victim.id
-  end;
-  ran
+  index >= 0
+  && begin
+       note w Event.Steal_ok ~a:index ~b:victim.id;
+       let (P fut) = Ds.payload victim.dstack ~index in
+       let r = run_body w fut in
+       (* The thief's stack is back where the steal found it: clear what
+          the stolen task left above it. Before the DONE store, like the
+          count above, so that a pool whose root job has returned holds
+          no dead payload. The outcome's cell is written first too: the
+          DONE store publishes it. *)
+       Ds.sweep w.dstack;
+       victim.results.(index) <- r;
+       Ds.complete_steal victim.dstack ~index;
+       Backoff.on_success w.bo;
+       Select.on_success w.sel ~victim:victim.id;
+       true
+     end
 
+(* The index of the slot taken from [victim]'s stack, or -1. *)
 and steal_direct w ~victim =
   let result =
     if w.fl_on then
@@ -543,37 +536,22 @@ and steal_direct w ~victim =
     else Ds.steal victim.dstack ~thief:w.id
   in
   match result with
-  | Ds.Stolen_task (P fut, index) ->
-      note w Event.Steal_ok ~a:index ~b:victim.id;
-      let r = run_body w fut in
-      (* The thief's stack is back where the steal found it: clear what
-         the stolen task left above it. Before the DONE store, like the
-         count above, so that a pool whose root job has returned holds
-         no dead payload. The outcome's cell is written first too: the
-         DONE store publishes it. *)
-      Ds.sweep w.dstack;
-      victim.results.(index) <- r;
-      Ds.complete_steal victim.dstack ~index;
-      true
+  | Ds.Stolen_task (_, index) -> index
   | Ds.Backoff ->
       note w Event.Steal_backoff ~a:(-1) ~b:victim.id;
-      false
-  | Ds.Fail -> false
+      -1
+  | Ds.Fail -> -1
 
-(* A failed attempt bumps the victim's [probes], its pressure signal. *)
+(* The index taken from [victim]'s deque, or -1. A failed attempt bumps
+   the victim's [probes], its pressure signal. *)
 and steal_queued w ~victim =
   match
     if w.fl_on && w.inj_interfere Ds.Pre_cas then None else q_steal victim
   with
-  | Some pc ->
-      note w Event.Steal_ok ~a:(-1) ~b:victim.id;
-      let (P fut) = pc.pc_task in
-      pc.pc_result <- run_body w fut;
-      Atomic.set pc.pc_completed true;
-      true
+  | Some index -> index
   | None ->
       Atomic.incr victim.probes;
-      false
+      -1
 
 (* A direct join whose task [pop] found stolen ([code] is the thief's id,
    or [Ds.stolen_finished]): wait, then free the slot. *)
@@ -651,16 +629,16 @@ and exec_job w (J j) ~dup =
   let saved = w.hot.ambient_cancel in
   w.hot.ambient_cancel <- j.token;
   for _ = 0 to Bool.to_int dup do
-    let depth = Ds.depth w.dstack and children = w.hot.children in
+    let depth = Ds.depth w.dstack in
     let outcome =
       match j.fn w with
       | v -> Ingress.Done (Ok v)
       | exception Cancel.Cancelled ->
-          unwind w ~depth ~children;
+          unwind w ~depth;
           Ingress.Cancelled
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          unwind w ~depth ~children;
+          unwind w ~depth;
           Ingress.Done (Error (e, bt))
     in
     (* The stack is back at its base: clear the dead payloads the job's
@@ -691,30 +669,21 @@ let[@inline] spawn_direct w (fut : 'a future) : 'a future =
     Array.unsafe_set w.counts depth_slot (index + 1);
   fut
 
+(* A queued spawn is a direct one on the [All_private] stack, whose
+   slot index the deque then publishes. The stack overflows first, so
+   the deque's push cannot fail. *)
 let[@inline never] spawn_queued w (fut : 'a future) : 'a future =
-  let pc =
-    { pc_task = P fut; pc_completed = Atomic.make false; pc_result = no_outcome }
-  in
-  (* Push first: if the queue overflows, no phantom child is left on the
-     list for the unwinder to wait on forever. A thief completing the
-     task before the cons is harmless — the record just starts life with
-     [pc_completed] already true. *)
-  q_push w pc;
-  w.hot.children <- pc :: w.hot.children;
-  note w Event.Spawn ~a:(-1) ~b:(-1);
+  let index = Ds.depth w.dstack in
+  ignore (spawn_direct w fut : 'a future);
+  q_push w index;
   fut
 
 (* ---- join ---- *)
 
 let not_newest () = invalid_arg "Wool.join: not this worker's newest spawn"
 
-(* The one check, before the stack is touched: [fut] is the closure in
-   this worker's newest slot ([P fut] is [fut], unboxed). It refuses an
-   out-of-order join, a second join and another worker's future, and it
-   makes [value_exn]'s cast sound. *)
+(* After [join]'s check. *)
 let[@inline] join_direct w fut =
-  if not (Ds.depth w.dstack > 0 && Ds.top_payload w.dstack == P fut) then
-    not_newest ();
   let code = Ds.pop w.dstack in
   let index = Ds.depth w.dstack in
   if code < Ds.stolen_finished then begin
@@ -724,7 +693,7 @@ let[@inline] join_direct w fut =
          and read it back, as a runtime without task-specific join
          functions must. *)
       w.results.(index) <- run_body w fut;
-      take_result w fut index
+      value_exn fut (take_cell w index)
     end
     else
       (* Task-specific join: direct call of the typed task function.
@@ -733,17 +702,10 @@ let[@inline] join_direct w fut =
   end
   else begin
     join_stolen w ~code ~index;
-    take_result w fut index
+    value_exn fut (take_cell w index)
   end
 
-(* The same check against the head of [children], the newest
-   outstanding spawn, before the deque is touched. *)
-let[@inline never] join_queued w fut =
-  match w.hot.children with
-  | pc :: rest when pc.pc_task == P fut ->
-      w.hot.children <- rest;
-      value_exn fut (take_child w pc)
-  | _ -> not_newest ()
+let[@inline never] join_queued w fut = value_exn fut (take_queued w fut)
 
 (* ---- the public task operations ---- *)
 
@@ -770,6 +732,12 @@ let spawn (w : ctx) (fn : ctx -> 'a) : 'a future =
 
 let join (w : ctx) fut =
   if w.fl_on then fault_delay w Fault.Site.Join;
+  (* The one check, in both shapes, before the task pool is touched:
+     [fut] is the closure in this worker's newest slot ([P fut] is [fut],
+     unboxed). It refuses an out-of-order join, a second join and another
+     worker's future, and it makes [value_exn]'s cast sound. *)
+  if not (Ds.depth w.dstack > 0 && Ds.top_payload w.dstack == P fut) then
+    not_newest ();
   if w.pool.direct then join_direct w fut else join_queued w fut
 
 let call (w : ctx) fn = fn w
@@ -1075,17 +1043,9 @@ module Invariants = struct
         if qs <> 0 then
           add "worker %d: %s deque holds %d tasks" w.id
             (Mode.name pool.pmode) qs;
-        let ch = List.length w.hot.children in
-        if ch <> 0 then
-          add "worker %d: %d outstanding queued children" w.id ch;
-        (* Every join empties the cell it takes; of the deques only a
-           Chase-Lev buffer keeps the children it hands out. *)
+        (* Every join empties the cell it takes. *)
         let held = ref 0 in
-        let count r = if r != no_outcome then incr held in
-        Array.iter count w.results;
-        (match w.queue with
-        | Clev_q q -> Chase_lev.iter_cells (fun pc -> count pc.pc_result) q
-        | Locked_q _ | No_queue -> ());
+        Array.iter (fun r -> if r != no_outcome then incr held) w.results;
         if !held <> 0 then
           add "worker %d: %d result cell(s) still hold an outcome" w.id !held)
       pool.workers;
@@ -1107,17 +1067,11 @@ module Invariants = struct
     let spawns = n Event.Spawn and steals = n Event.Steal_ok in
     let inlined = n Event.Inline_private + n Event.Inline_public in
     let joins_stolen = n Event.Join_stolen in
-    if pool.direct then begin
-      if spawns <> inlined + joins_stolen then
-        add "counter imbalance: spawns=%d but inlined+joins_stolen=%d" spawns
-          (inlined + joins_stolen)
-    end
-    else if
-      (* every queued spawn is either inlined by its owner or stolen *)
-      spawns <> inlined + steals
-    then
-      add "counter imbalance: spawns=%d but inlined=%d + steals=%d" spawns
-        inlined steals;
+    (* every spawn is joined once, inline or after its steal, in both
+       shapes ... *)
+    if spawns <> inlined + joins_stolen then
+      add "counter imbalance: spawns=%d but inlined+joins_stolen=%d" spawns
+        (inlined + joins_stolen);
     (* ... and every stolen spawn is waited out by its owner *)
     if joins_stolen <> steals then
       add "counter imbalance: joins_stolen=%d but steals=%d" joins_stolen steals;
@@ -1179,7 +1133,6 @@ let stall_report pool =
         (Ds.dump_live w.dstack);
       Buffer.add_string buf "]}";
       Printf.bprintf buf {|,"queue_size":%d|} (q_size w);
-      Printf.bprintf buf {|,"children":%d|} (List.length w.hot.children);
       Printf.bprintf buf {|,"stats":%s|} (Stats.to_json (Stats.of_worker w));
       Buffer.add_string buf {|,"trace":[|};
       let evs = Ring.snapshot w.ring ~worker:w.id in
@@ -1249,10 +1202,10 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
       dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
       queue =
         (match c.mode with
-        | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:dummy_child ())
-        | Clev -> Clev_q (Chase_lev.create ~dummy:dummy_child ())
+        | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:(-1) ())
+        | Clev -> Clev_q (Chase_lev.create ~dummy:(-1) ())
         | Swap_generic | Private -> No_queue);
-      results = (if pool.direct then Array.make capacity no_outcome else [||]);
+      results = Array.make capacity no_outcome;
       probes = Layout.padded_atomic 0;
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
@@ -1265,7 +1218,7 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
       counts = Layout.copy_as_padded (Array.make table_slots 0);
       hot =
         Layout.copy_as_padded
-          { progress = 0; children = []; ambient_cancel = None; probes_seen = 0 };
+          { progress = 0; ambient_cancel = None; probes_seen = 0 };
     }
   in
   Ds.set_event_hooks w.dstack
@@ -1281,10 +1234,13 @@ let create ?(config = Config.default) () =
     Option.value c.Config.workers ~default:(Domain.recommended_domain_count ())
   in
   let publicity =
-    (* The ladder modes below [Private] have no private tasks. *)
+    (* The ladder modes below [Private] have no private tasks. A queued
+       pool's deque publishes its tasks, so its stack keeps them all
+       private. *)
     match c.Config.mode with
     | Swap_generic -> All_public
-    | Locked | Clev | Private -> c.Config.publicity
+    | Locked | Clev -> All_private
+    | Private -> c.Config.publicity
   in
   let master = Wool_util.Rng.make c.Config.seed in
   let plan = Option.value c.Config.faults ~default:Fault.Plan.none in

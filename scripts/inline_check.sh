@@ -3,15 +3,19 @@
 # is compiled into the pool's own unit (lib/runtime/dune) so that
 # Ds.push, Ds.pop, Ds.depth and Ds.top_payload inline into spawn_direct
 # and join_direct, and those two are [@inline] so that they inline into
-# the public spawn and join: a private pair is one call each. This
+# the public spawn and join: a private pair is one call each. The
+# queued shape (spawn_queued, join_queued) stays out of line. This
 # script builds the pool's object file and reads its object code. It
 # fails when spawn or join
 #   - references the separately compiled Wool_deque.Direct_stack
 #     (a load from that module block: an indirect call into another
-#     unit, which is what the dev profile's -opaque makes of it), or
+#     unit, which is what the dev profile's -opaque makes of it),
 #   - names push, pop, depth, top_payload, service_publish,
 #     spawn_direct or join_direct (a call, or a closure load, of a
-#     function that did not inline).
+#     function that did not inline), or
+#   - references Wool_deque.Locked_deque or Wool_deque.Chase_lev, or
+#     names q_push, q_pop or take_queued (the queued shape inlined into
+#     the public pair).
 #
 # It then prints, for information only, where spawn and join sit: their
 # offset mod 64 in the pool's object and in the linked benchmark
@@ -53,12 +57,15 @@ for fn in spawn join; do
   cross=$(grep -c 'camlWool_deque__Direct_stack' <<<"$body" || true)
   calls=$(grep -Eo 'camlWool__Pool[.](push|pop|depth|top_payload|service_publish|spawn_direct|join_direct)_[0-9]+' \
     <<<"$body" | sort -u | tr '\n' ' ' || true)
-  if [ "$cross" -gt 0 ] || [ -n "$calls" ]; then
+  queued=$(grep -Eo 'camlWool_deque__(Locked_deque|Chase_lev)|camlWool__Pool[.](q_push|q_pop|take_queued)_[0-9]+' \
+    <<<"$body" | sort -u | tr '\n' ' ' || true)
+  if [ "$cross" -gt 0 ] || [ -n "$calls" ] || [ -n "$queued" ]; then
     echo "FAIL  $fn: $cross reference(s) to Wool_deque.Direct_stack;" \
-      "not inlined: ${calls:-none}"
+      "not inlined: ${calls:-none}; queued path inlined: ${queued:-no}"
     status=1
   else
-    echo "ok    $fn: the private path inlined, no Direct_stack reference"
+    echo "ok    $fn: the private path inlined, no Direct_stack," \
+      "Locked_deque or Chase_lev reference"
   fi
   # one line per instruction: address, bytes and mnemonic (a long
   # instruction's continuation line has no mnemonic)

@@ -2,15 +2,15 @@
    [Wool.spawn] + [Wool.join] pair allocates on a 1-worker pool, where
    the join always inlines and every allocation lands on the measuring
    domain, so the count repeats exactly. The body is a closed function,
-   so the count is the runtime's own. The direct modes allocate no
-   descriptor: the slot holds the task closure itself, which is the
-   future, so a task-specific join allocates nothing. The generic join
+   so the count is the runtime's own. No mode allocates a descriptor:
+   every mode's slot holds the task closure itself, which is the future,
+   so a task-specific join allocates nothing. The generic join
    ([Swap_generic]) stores the outcome in its result cell and reads it
    back: the [Ok] (2 words). A body closure capturing one variable, as
    in fib or the benchmark's pair probe, adds 4 words. The queued modes
-   (Locked, Clev) allocate the pending-child record (4 words), its
-   completion flag (2), its list cell (3) and the [Some] the deque's pop
-   returns (2), and store the outcome too: 13 words. *)
+   (Locked, Clev) push the slot's index on their deque, whose pop returns
+   it in a [Some] (2 words), and run the task to its outcome, the [Ok]
+   (2): 4 words. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -44,8 +44,8 @@ let test_spawn_join_words () =
     [
       (Wool.Private, 0);
       (Wool.Swap_generic, 2);
-      (Wool.Locked, 13);
-      (Wool.Clev, 13);
+      (Wool.Locked, 4);
+      (Wool.Clev, 4);
     ]
 
 let suite =

@@ -10,32 +10,23 @@ let test_lifo_pop () =
   Alcotest.(check (option int)) "pop 1" (Some 1) (Ld.pop d);
   Alcotest.(check (option int)) "empty" None (Ld.pop d)
 
-let steal_modes = [ ("base", `Base); ("peek", `Peek); ("trylock", `Trylock) ]
-
 let test_steal_fifo () =
-  List.iter
-    (fun (name, mode) ->
-      let d = mk () in
-      List.iter (Ld.push d) [ 1; 2; 3 ];
-      Alcotest.(check (option int)) (name ^ " oldest") (Some 1) (Ld.steal ~mode d);
-      Alcotest.(check (option int)) (name ^ " next") (Some 2) (Ld.steal ~mode d))
-    steal_modes
+  let d = mk () in
+  List.iter (Ld.push d) [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "oldest" (Some 1) (Ld.steal d);
+  Alcotest.(check (option int)) "next" (Some 2) (Ld.steal d)
 
 let test_steal_empty () =
-  List.iter
-    (fun (name, mode) ->
-      let d = mk () in
-      Alcotest.(check (option int)) (name ^ " empty") None (Ld.steal ~mode d))
-    steal_modes
+  Alcotest.(check (option int)) "empty" None (Ld.steal (mk ()))
 
 let test_pop_steal_meet () =
   let d = mk () in
   Ld.push d 1;
   Ld.push d 2;
-  Alcotest.(check (option int)) "steal 1" (Some 1) (Ld.steal ~mode:`Base d);
+  Alcotest.(check (option int)) "steal 1" (Some 1) (Ld.steal d);
   Alcotest.(check (option int)) "pop 2" (Some 2) (Ld.pop d);
   Alcotest.(check (option int)) "pop empty" None (Ld.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Ld.steal ~mode:`Base d)
+  Alcotest.(check (option int)) "steal empty" None (Ld.steal d)
 
 let test_overflow () =
   let d = mk ~capacity:2 () in
@@ -54,9 +45,9 @@ let test_steals_keep_capacity () =
   for round = 1 to 3 do
     Ld.push d round;
     Ld.push d (-round);
-    Alcotest.(check (option int)) "steal" (Some round) (Ld.steal ~mode:`Base d);
+    Alcotest.(check (option int)) "steal" (Some round) (Ld.steal d);
     Alcotest.(check (option int)) "steal" (Some (-round))
-      (Ld.steal ~mode:`Base d);
+      (Ld.steal d);
     Alcotest.(check (option int)) "pop finds it empty" None (Ld.pop d)
   done;
   Ld.push d 4;
@@ -69,25 +60,13 @@ let test_create_validation () =
     (Invalid_argument "Locked_deque.create: capacity") (fun () ->
       ignore (Ld.create ~capacity:0 ~dummy:0 ()))
 
-let test_stats () =
-  let d = mk () in
-  ignore (Ld.steal ~mode:`Peek d);
-  (* empty: peek reject, no lock *)
-  Ld.push d 1;
-  ignore (Ld.steal ~mode:`Peek d);
-  ignore (Ld.pop d);
-  let s = Ld.stats d in
-  Alcotest.(check int) "peek rejects" 1 s.Ld.peek_rejects;
-  Alcotest.(check int) "lock acquires" 2 s.Ld.lock_acquires;
-  Alcotest.(check int) "no trylock aborts" 0 s.Ld.trylock_aborts
-
 let test_size () =
   let d = mk () in
   Alcotest.(check int) "empty" 0 (Ld.size d);
   Ld.push d 1;
   Ld.push d 2;
   Alcotest.(check int) "two" 2 (Ld.size d);
-  ignore (Ld.steal ~mode:`Base d);
+  ignore (Ld.steal d);
   Alcotest.(check int) "one" 1 (Ld.size d)
 
 let qcheck_owner_model =
@@ -121,12 +100,11 @@ let test_concurrent_sum () =
   let stolen_sum = Atomic.make 0 in
   let stop = Atomic.make false in
   let thieves =
-    List.init 2 (fun k ->
-        let mode = if k = 0 then `Base else `Trylock in
+    List.init 2 (fun _ ->
         Domain.spawn (fun () ->
             let fails = ref 0 in
             while not (Atomic.get stop) do
-              match Ld.steal ~mode d with
+              match Ld.steal d with
               | Some v ->
                   ignore (Atomic.fetch_and_add stolen_sum v : int);
                   fails := 0
@@ -163,13 +141,12 @@ let suite =
     ( "locked_deque",
       [
         Alcotest.test_case "LIFO pop" `Quick test_lifo_pop;
-        Alcotest.test_case "steal FIFO (all modes)" `Quick test_steal_fifo;
-        Alcotest.test_case "steal empty (all modes)" `Quick test_steal_empty;
+        Alcotest.test_case "steal FIFO" `Quick test_steal_fifo;
+        Alcotest.test_case "steal empty" `Quick test_steal_empty;
         Alcotest.test_case "pop/steal meet" `Quick test_pop_steal_meet;
         Alcotest.test_case "overflow" `Quick test_overflow;
         Alcotest.test_case "steals keep capacity" `Quick test_steals_keep_capacity;
         Alcotest.test_case "create validation" `Quick test_create_validation;
-        Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "size" `Quick test_size;
         QCheck_alcotest.to_alcotest qcheck_owner_model;
         Alcotest.test_case "concurrent sum" `Slow test_concurrent_sum;

@@ -377,10 +377,10 @@ let test_stats_and_invariants_all_modes () =
     all_modes
 
 (* [Pool_overflow] unwinding: filling a worker's task pool (its fixed
-   65,536 tasks) must raise the dedicated exception before any state is
-   mutated, the exception path must join-or-drain everything
-   outstanding, and the pool must come out quiescent and reusable — in
-   every mode. *)
+   65,536 slots, in every mode) must raise the dedicated exception
+   before any state is mutated, the exception path must join-or-drain
+   everything outstanding, and the pool must come out quiescent and
+   reusable. *)
 let test_pool_overflow_unwind_all_modes () =
   (* breadth-first: push [n] sibling tasks, join them in LIFO order *)
   let spawn_n ctx n =
@@ -391,16 +391,8 @@ let test_pool_overflow_unwind_all_modes () =
   List.iter
     (fun (name, mode) ->
       Test_util.with_pool ~workers:2 ~mode (fun pool ->
-          (match mode with
-          | Wool.Clev ->
-              (* the Chase–Lev deque grows on demand; there is no
-                 overflow to raise, the run must simply complete *)
-              Alcotest.(check int) (name ^ " completes") (n * (n - 1) / 2)
-                (Wool.run pool (fun ctx -> spawn_n ctx n))
-          | Wool.Locked | Wool.Swap_generic | Wool.Private ->
-              Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
-                (fun () ->
-                  ignore (Wool.run pool (fun ctx -> spawn_n ctx n) : int)));
+          Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
+            (fun () -> ignore (Wool.run pool (fun ctx -> spawn_n ctx n) : int));
           Alcotest.(check (list string)) (name ^ " invariants after unwind")
             [] (Wool.Invariants.check pool);
           (* the pool is reusable: same pool, fresh computation *)
@@ -533,34 +525,48 @@ let test_joined_payload_collected () =
             (collected weak);
           Alcotest.(check (list string)) (name ^ " invariants") []
             (Wool.Invariants.check pool)))
-    (List.filter (fun (_, m) -> Wool.Mode.is_direct m) all_modes)
+    all_modes
 
-(* The same for tasks a thief spawns and joins inside a stolen task: the
-   thief sweeps its own stack before it marks the steal done. The root
-   cannot join [a] until the thief has run it, so the steal is forced. *)
+(* The same for a stolen task: the tasks a thief spawns and joins inside
+   it (the thief sweeps its own stack before it marks the steal done),
+   and the stolen closure itself, here capturing the block (the victim
+   sweeps the slot, and a deque that hands out slot indices holds
+   nothing). The root cannot join [a] until the thief has run it, so the
+   steal is forced. *)
 let test_thief_joined_payload_collected () =
-  Test_util.with_pool ~workers:2 ~mode:Wool.Private ~publicity:Wool.All_public
-    (fun pool ->
-      let weak = Weak.create 1 in
-      let ran_on = Atomic.make (-1) in
-      Wool.run pool (fun ctx ->
-          let a =
-            Wool.spawn ctx (fun ctx ->
-                let n = nested_spawns ctx weak in
-                Atomic.set ran_on (Wool.self_id ctx);
-                n)
-          in
-          Test_util.await_flag ran_on;
-          ignore (Wool.join ctx a : int));
-      Alcotest.(check int) "stolen by worker 1" 1 (Atomic.get ran_on);
-      Alcotest.(check bool) "thief's joined closures collected" true
-        (collected weak);
-      Alcotest.(check (list string)) "invariants" []
-        (Wool.Invariants.check pool))
-
-(* A direct and a queued mode: [join]'s one check, and the result cells
-   it guards, have one form in each shape. *)
-let guarded_modes = [ Wool.Private; Wool.Clev ]
+  let bodies =
+    [
+      ("nested spawns", fun weak ctx -> nested_spawns ctx weak);
+      ( "captured block",
+        fun weak ->
+          let b = big_block weak in
+          fun _ -> Bytes.length b );
+    ]
+  in
+  List.iter
+    (fun ((name, mode), (input, body)) ->
+      let name = Printf.sprintf "%s, %s" name input in
+      Test_util.with_pool ~workers:2 ~mode ~publicity:Wool.All_public
+        (fun pool ->
+          let weak = Weak.create 1 in
+          let ran_on = Atomic.make (-1) in
+          Wool.run pool (fun ctx ->
+              let body = body weak in
+              let a =
+                Wool.spawn ctx (fun ctx ->
+                    let n = body ctx in
+                    Atomic.set ran_on (Wool.self_id ctx);
+                    n)
+              in
+              Test_util.await_flag ran_on;
+              ignore (Wool.join ctx a : int));
+          Alcotest.(check int) (name ^ ": stolen by worker 1") 1
+            (Atomic.get ran_on);
+          Alcotest.(check bool) (name ^ ": stolen closures collected") true
+            (collected weak);
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    (List.concat_map (fun m -> List.map (fun b -> (m, b)) bodies) all_modes)
 
 (* A second join of a future finds an older task in the newest slot and
    is refused; without the check it would take that task's result. *)
@@ -579,7 +585,7 @@ let test_join_twice_raises () =
               Alcotest.(check int) (name ^ " a") 1 (Wool.join ctx a));
           Alcotest.(check (list string)) (name ^ " invariants") []
             (Wool.Invariants.check pool)))
-    guarded_modes
+    Wool.Mode.all
 
 (* Worker 1, running a task it stole, joins a future of worker 0 while
    its own newest slot holds another task: refused. *)
@@ -622,7 +628,7 @@ let test_join_other_worker_raises () =
           Alcotest.(check string) (name ^ ": foreign join") "refused" verdict;
           Alcotest.(check (list string)) (name ^ " invariants") []
             (Wool.Invariants.check pool)))
-    guarded_modes
+    Wool.Mode.all
 
 (* A stolen task's outcome waits in a result cell for its join, which
    empties the cell: once [Wool.run] returns, a result no one holds is
@@ -653,7 +659,7 @@ let test_stolen_result_collected () =
             (collected weak);
           Alcotest.(check (list string)) (name ^ " invariants") []
             (Wool.Invariants.check pool)))
-    guarded_modes
+    Wool.Mode.all
 
 let suite =
   [
