@@ -6,8 +6,8 @@
    and writes a Chrome trace_event JSON next to a summary report.
    `woolbench policy` runs the steal-policy grid: the simulated
    locality grid, then every victim selector on a real pool.
-   `woolbench faults` stress-tests the scheduler under seeded fault
-   plans and checks protocol invariants after every run.
+   `woolbench check` model-checks the protocols and fuzzes seeded
+   histories, some under fault plans, against a sequential oracle.
    `woolbench bench <workload|all>` runs the tier-1 benchmark matrix and
    writes a schema-stable BENCH_<date>.json for the perf trajectory.
    `woolbench serve` drives a server-mode pool with open-loop Poisson
@@ -48,7 +48,10 @@ let run_experiment keys =
       end
 
 let keys_arg =
-  let doc = "Experiments to run: list | all | fig1 table1 table2 table3 fig4 fig5 table4 fig6." in
+  let doc =
+    Printf.sprintf "Experiments to run: list | all | %s."
+      (String.concat " " (Wool_report.Registry.keys ()))
+  in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let experiments_term = Term.(ret (const run_experiment $ keys_arg))
@@ -153,83 +156,6 @@ let policy_cmd =
   Cmd.v
     (Cmd.info "policy" ~doc)
     Term.(ret (const run $ workers_arg $ out_arg $ compare_arg))
-
-let faults_cmd =
-  let workers_arg =
-    let doc = "Number of worker domains." in
-    Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"N" ~doc)
-  in
-  let seeds_arg =
-    let doc = "Fault plans per mode (seeds 0..N-1)." in
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc)
-  in
-  let no_exn_arg =
-    let doc = "Leave injected-exception rules out of the random plans." in
-    Arg.(value & flag & info [ "no-exceptions" ] ~doc)
-  in
-  let overhead_arg =
-    let doc =
-      "Instead of the sweep, measure the disabled-path overhead: fib wall \
-       time with faults absent vs. a live-but-empty plan vs. the watchdog \
-       sampling."
-    in
-    Arg.(value & flag & info [ "overhead" ] ~doc)
-  in
-  let max_seconds_arg =
-    let doc =
-      "Hard wall-clock limit; the process exits 124 if the sweep is still \
-       running (a stalled sweep is itself a scheduler bug). 0 disables."
-    in
-    Arg.(value & opt int 0 & info [ "max-seconds" ] ~docv:"S" ~doc)
-  in
-  let run workers seeds no_exceptions overhead max_seconds =
-    if workers < 1 then `Error (false, "--workers must be at least 1")
-    else if seeds < 1 then `Error (false, "--seeds must be at least 1")
-    else begin
-      if max_seconds > 0 then begin
-        (* watchdog for the watchdog: a detached domain that kills the
-           process if the sweep wedges (never joined; exit ends it).
-           The deadline is monotonic — a wall-clock step must not fire
-           or defer it. *)
-        let deadline =
-          Wool_util.Clock.now_ns () + (max_seconds * 1_000_000_000)
-        in
-        ignore
-          (Domain.spawn (fun () ->
-               while Wool_util.Clock.now_ns () < deadline do
-                 Unix.sleepf 0.2
-               done;
-               prerr_endline "woolbench faults: wall-clock limit hit";
-               exit 124)
-            : unit Domain.t)
-      end;
-      if overhead then begin
-        ignore
-          (Wool_report.Fault_sweep.overhead ~workers ()
-            : (string * float) list);
-        `Ok ()
-      end
-      else begin
-        let rows =
-          Wool_report.Fault_sweep.sweep ~workers ~seeds
-            ~exceptions:(not no_exceptions) ()
-        in
-        let bad = Wool_report.Fault_sweep.print_rows rows in
-        if bad = 0 then `Ok ()
-        else `Error (false, Printf.sprintf "%d runs violated invariants" bad)
-      end
-    end
-  in
-  let doc =
-    "stress the scheduler under seeded fault plans (all four modes) and \
-     check protocol invariants after every run"
-  in
-  Cmd.v
-    (Cmd.info "faults" ~doc)
-    Term.(
-      ret
-        (const run $ workers_arg $ seeds_arg $ no_exn_arg $ overhead_arg
-        $ max_seconds_arg))
 
 let bench_cmd =
   let workloads_arg =
@@ -501,7 +427,10 @@ let check_cmd =
       `Error (false, "--max-schedules must be at least 1")
     else begin
       if max_seconds > 0 then begin
-        (* same detached monotonic-deadline watchdog as `faults` *)
+        (* watchdog for the watchdog: a detached domain that kills the
+           process if checking wedges (never joined; exit ends it). The
+           deadline is monotonic — a wall-clock step must not fire or
+           defer it. *)
         let deadline =
           Wool_util.Clock.now_ns () + (max_seconds * 1_000_000_000)
         in
@@ -536,7 +465,9 @@ let check_cmd =
   let doc =
     "model-check the shipped protocols exhaustively on bounded scenarios, \
      run every kernel on every real scheduler against serial, then fuzz \
-     seeded multi-domain histories against a sequential oracle"
+     seeded multi-domain histories against a sequential oracle, a third \
+     of them under timing faults and a third under injected task \
+     exceptions"
   in
   Cmd.v
     (Cmd.info "check" ~doc)
@@ -555,15 +486,14 @@ let () =
   let doc =
     "regenerate the tables and figures of the Wool paper; `woolbench \
      trace <workload>` records a scheduler trace; `woolbench policy` \
-     runs the steal-policy grid; `woolbench faults` and \
-     `woolbench check` stress and model-check the scheduler; `woolbench \
+     runs the steal-policy grid; `woolbench check` model-checks the \
+     scheduler and fuzzes it under fault plans; `woolbench \
      serve` load-tests the external-submission ingress; `woolbench ropes` \
      compares lazy vs eager rope splitting"
   in
   let subcommands =
     [
-      trace_cmd; policy_cmd; faults_cmd; bench_cmd; ropes_cmd; serve_cmd;
-      check_cmd;
+      trace_cmd; policy_cmd; bench_cmd; ropes_cmd; serve_cmd; check_cmd;
     ]
   in
   let argv =

@@ -7,8 +7,9 @@
    - Accounting: each counter equals the number of events carrying its
      tag (only sound when the rings dropped nothing).
 
-   - Causality, direct modes only (a queued pool's [Join_stolen] names
-     no thief, [b = -1]):
+   - Causality, in both task-pool shapes (a queued pool's [Spawn] and
+     [Steal_ok] carry the slot index; its [Join_stolen] names no thief,
+     [b = -1], so only the steal half applies to it):
      descriptor indices recycle, so ordering single events is not
      possible — and timestamps cannot be used anyway, because events are
      recorded *after* their protocol action (a thief can record its
@@ -32,7 +33,7 @@ let count_tag per_worker tag =
         acc evs)
     0 per_worker
 
-let check_events ~direct ~counts ~dropped per_worker =
+let check_events ~counts ~dropped per_worker =
   if dropped > 0 then [] (* incomplete stream: nothing sound to check *)
   else begin
     let errs = ref [] in
@@ -57,50 +58,48 @@ let check_events ~direct ~counts ~dropped per_worker =
         if !ok > !att then
           add "worker %d: %d steal_ok but only %d steal_attempt" w !ok !att)
       per_worker;
-    if direct then begin
-      (* multiplicity causality over recycled descriptor indices *)
-      let tally tbl key =
-        Hashtbl.replace tbl key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      in
-      let spawns = Hashtbl.create 64 (* (owner, index) -> n *) in
-      let steal_ok = Hashtbl.create 64 (* (thief, index, victim) -> n *) in
-      let steals_of = Hashtbl.create 64 (* (victim, index) -> n *) in
-      let joins = Hashtbl.create 64 (* (owner, index, thief) -> n *) in
-      Array.iteri
-        (fun w evs ->
-          Array.iter
-            (fun (e : E.t) ->
-              match e.tag with
-              | E.Spawn when e.a >= 0 -> tally spawns (w, e.a)
-              | E.Steal_ok when e.a >= 0 && e.b >= 0 ->
-                  tally steal_ok (w, e.a, e.b);
-                  tally steals_of (e.b, e.a)
-              | E.Join_stolen when e.a >= 0 && e.b >= 0 ->
-                  tally joins (w, e.a, e.b)
-              | _ -> ())
-            evs)
-        per_worker;
-      Hashtbl.iter
-        (fun (victim, index) n ->
-          let sp = Option.value ~default:0 (Hashtbl.find_opt spawns (victim, index)) in
-          if n > sp then
-            add
-              "causality: %d steal(s) of descriptor %d from worker %d but \
-               only %d spawn(s) there"
-              n index victim sp)
-        steals_of;
-      Hashtbl.iter
-        (fun (owner, index, thief) n ->
-          let st =
-            Option.value ~default:0 (Hashtbl.find_opt steal_ok (thief, index, owner))
-          in
-          if n > st then
-            add
-              "causality: worker %d joined descriptor %d as stolen-by-%d %d \
-               time(s) but that thief committed only %d matching steal(s)"
-              owner index thief n st)
-        joins
-    end;
+    (* multiplicity causality over recycled descriptor indices *)
+    let tally tbl key =
+      Hashtbl.replace tbl key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    in
+    let spawns = Hashtbl.create 64 (* (owner, index) -> n *) in
+    let steal_ok = Hashtbl.create 64 (* (thief, index, victim) -> n *) in
+    let steals_of = Hashtbl.create 64 (* (victim, index) -> n *) in
+    let joins = Hashtbl.create 64 (* (owner, index, thief) -> n *) in
+    Array.iteri
+      (fun w evs ->
+        Array.iter
+          (fun (e : E.t) ->
+            match e.tag with
+            | E.Spawn when e.a >= 0 -> tally spawns (w, e.a)
+            | E.Steal_ok when e.a >= 0 && e.b >= 0 ->
+                tally steal_ok (w, e.a, e.b);
+                tally steals_of (e.b, e.a)
+            | E.Join_stolen when e.a >= 0 && e.b >= 0 ->
+                tally joins (w, e.a, e.b)
+            | _ -> ())
+          evs)
+      per_worker;
+    Hashtbl.iter
+      (fun (victim, index) n ->
+        let sp = Option.value ~default:0 (Hashtbl.find_opt spawns (victim, index)) in
+        if n > sp then
+          add
+            "causality: %d steal(s) of descriptor %d from worker %d but \
+             only %d spawn(s) there"
+            n index victim sp)
+      steals_of;
+    Hashtbl.iter
+      (fun (owner, index, thief) n ->
+        let st =
+          Option.value ~default:0 (Hashtbl.find_opt steal_ok (thief, index, owner))
+        in
+        if n > st then
+          add
+            "causality: worker %d joined descriptor %d as stolen-by-%d %d \
+             time(s) but that thief committed only %d matching steal(s)"
+            owner index thief n st)
+      joins;
     List.rev !errs
   end

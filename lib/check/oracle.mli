@@ -5,13 +5,13 @@
     used). *)
 
 val check_events :
-  direct:bool ->
   counts:(Wool_trace.Event.tag * int) list ->
   dropped:int ->
   Wool_trace.Event.t array array ->
   string list
 (** Human-readable violations, [[]] when clean. [counts] pairs each
     counted tag with its counter: the rings must hold exactly that many
-    events of the tag. [direct] enables the per-descriptor causality
-    checks (a queued pool's stolen joins name no thief). When
-    [dropped > 0] the stream is incomplete and nothing is checked. *)
+    events of the tag. The per-descriptor causality checks apply to both
+    task-pool shapes; a stolen join that names no thief ([b = -1], as a
+    queued pool's do) is left out of the join half. When [dropped > 0]
+    the stream is incomplete and nothing is checked. *)

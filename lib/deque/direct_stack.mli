@@ -209,3 +209,7 @@ val payload : 'a t -> index:int -> 'a
 val release : 'a t -> index:int -> unit
 (** Owner: pop the stolen slot [index], the newest, once {!stolen_done}
     reports it, and clear its state. Unlike {!reclaim}, [bot] stays. *)
+
+val note_miss : 'a t -> unit
+(** Thief: its attempt on the stack's deque took nothing. Counted like
+    a failed {!steal}, which {!steal_pressure} reads. *)

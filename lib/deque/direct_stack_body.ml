@@ -500,3 +500,7 @@ let payload t ~index = t.slots.(index).payload
 let release t ~index =
   t.own.top <- index;
   A.set t.slots.(index).state Ts.empty
+
+(* A queued pool's failed steal: its deque had no index for the thief.
+   Counted in [fb] like a failed [steal], so [steal_pressure] sees it. *)
+let note_miss t = ignore (A.fetch_and_add t.fb 1 : int)

@@ -1,14 +1,17 @@
 (* Randomized schedule fuzzing with a sequential oracle ("woolbench
    check"): run seeded fork-join histories through the real pool —
    random spawn trees, random mode / worker-count / publicity / policy
-   combinations, optionally under a fault-injection plan that perturbs
-   timing — and validate every history against ground truth: the result
-   must equal a sequential evaluation, every task must execute exactly
-   once, the quiescent pool must pass {!Wool.Invariants.check}, and the
-   recorded trace stream must satisfy {!Wool_check.Oracle.check_events}
-   (counter accounting plus steal/spawn/join causality). The multi-domain
-   schedule itself is the randomness source; the seed makes the workload
-   and configuration reproducible, not the interleaving. *)
+   combinations, a third under a fault plan that perturbs timing and a
+   third under one that also injects task exceptions — and validate
+   every history against ground truth: the result must equal a
+   sequential evaluation, every task must execute exactly once, the
+   quiescent pool must pass {!Wool.Invariants.check} (after every
+   injected exception too, and the pool must then finish a clean run),
+   and the recorded trace stream must satisfy
+   {!Wool_check.Oracle.check_events} (counter accounting plus
+   steal/spawn/join causality). The multi-domain schedule itself is the
+   randomness source; the seed makes the workload and configuration
+   reproducible, not the interleaving. *)
 
 module Table = Wool_util.Table
 module Clock = Wool_util.Clock
@@ -25,15 +28,20 @@ type spec = { id : int; children : spec list }
 
 let max_depth = 8
 
-(* Deterministic tree from [rng]: 0-3 children per node until [budget]
-   ids are spent. Explicit recursion (not [List.init]) keeps the Rng
-   draw order defined. *)
+(* Deterministic tree from [rng]: 1-3 children at the root (a lone root
+   never spawns, so its history could neither steal nor join) and 0-3
+   below, until [budget] ids are spent. Explicit recursion (not
+   [List.init]) keeps the Rng draw order defined. *)
 let gen_spec rng ~budget =
   let next_id = ref 0 in
   let rec node depth =
     let id = !next_id in
     incr next_id;
-    let want = if depth >= max_depth then 0 else Rng.int rng 4 in
+    let want =
+      if depth = 0 then 1 + Rng.int rng 3
+      else if depth >= max_depth then 0
+      else Rng.int rng 4
+    in
     let rec kids n acc =
       if n = 0 || !next_id >= budget then List.rev acc
       else kids (n - 1) (node (depth + 1) :: acc)
@@ -68,7 +76,20 @@ let rec task counts ctx spec =
     (fun acc f -> acc + Wool.join ctx f)
     spec.id (List.rev futs)
 
+(* The spawns one run of the tree made, from its execution counts:
+   every task that ran spawned all its children. An injected exception
+   replaces a spawned body, so the children of a task that never ran
+   were never spawned. *)
+let rec spawned counts spec =
+  List.fold_left
+    (fun acc c -> acc + spawned counts c)
+    (if Atomic.get counts.(spec.id) > 0 then List.length spec.children
+     else 0)
+    spec.children
+
 (* ---- one history ---- *)
+
+type plan_kind = No_faults | Timing | Exceptions
 
 type row = {
   seed : int;
@@ -76,9 +97,11 @@ type row = {
   workers : int;
   publicity : Wool.publicity;
   policy : Wool_policy.t;
-  faulty : bool;  (** ran under a random (exception-free) fault plan *)
+  plan : plan_kind;
   nodes : int;  (** tasks in the spec tree *)
   stats : Wool.Stats.t;
+  fires : int;  (** fault fires, all sites, workers and runs *)
+  exn_runs : int;  (** runs that ended in [Wool_fault.Injected] *)
   elapsed_ns : float;
   violations : string list;  (** oracle violations (must be empty) *)
 }
@@ -86,10 +109,15 @@ type row = {
 (* Every mode: the single source of truth is {!Wool.Mode.all}, so a new
    mode is fuzzed the day it exists. *)
 let all_modes = Array.of_list Wool.Mode.all
+let plan_kinds = [| No_faults; Timing; Exceptions |]
+
+let plan_kind_name = function
+  | No_faults -> "-"
+  | Timing -> "timing"
+  | Exceptions -> "exn"
+
 let publicities = [| Wool.All_public; Wool.Adaptive 1; Wool.Adaptive 4;
                      Wool.All_private |]
-
-let direct = Wool.Mode.is_direct
 
 (* The oracle's accounting: every tag the stats JSON counts. None of
    them moves once [run] returns, unlike the idle loop's probes and
@@ -103,10 +131,13 @@ let counts_of_stats s =
 
 let run_one ~seed =
   (* Everything about the history flows from the seed: the mode rotates
-     so any consecutive window of 4 seeds covers all four, the rest is
-     drawn from a seed-keyed generator. *)
+     so any consecutive window of 4 seeds covers all four, the plan kind
+     rotates every 4 seeds so any window of 12 gives every mode each
+     kind once, and the rest is drawn from a seed-keyed generator. *)
   let rng = Rng.make (0x5eed0 + seed) in
-  let mode = all_modes.(seed mod Array.length all_modes) in
+  let n_modes = Array.length all_modes in
+  let mode = all_modes.(seed mod n_modes) in
+  let plan = plan_kinds.(seed / n_modes mod Array.length plan_kinds) in
   let workers = 1 + Rng.int rng 4 in
   let publicity = publicities.(Rng.int rng (Array.length publicities)) in
   let policies = Array.of_list (Wool_policy.sweep ()) in
@@ -129,12 +160,6 @@ let run_one ~seed =
         ()
     end
     else policies.(Rng.int rng (Array.length policies))
-  in
-  let faults =
-    (* half the seeds run under timing interference: delays and forced
-       retries at the protocol fault sites, no injected exceptions *)
-    if Rng.bool rng then Some (Fault.Plan.random ~exceptions:false ~seed ())
-    else None
   in
   let budget = 30 + Rng.int rng 171 in
   (* a quarter of the histories run as server pools (worker 0 spawned,
@@ -159,6 +184,29 @@ let run_one ~seed =
   let spec, nodes = gen_spec rng ~budget in
   let expect = eval spec in
   let counts = Array.init nodes (fun _ -> Atomic.make 0) in
+  let faults =
+    (* timing interference: delays and forced retries at the protocol
+       fault sites. An exception plan adds a bounded [Raise_exn] rule at
+       [Spawn] whose rate scales to the tree, about two fires per run
+       ([Plan.random]'s own 0.001-0.011 per spawn almost never fires on
+       a tree this small), each worker capped at one or two. *)
+    let timing = Fault.Plan.random ~exceptions:false ~seed () in
+    match plan with
+    | No_faults -> None
+    | Timing -> Some timing
+    | Exceptions ->
+        let raise_exn =
+          {
+            Fault.Plan.site = Fault.Site.Spawn;
+            kind = Fault.Kind.Raise_exn;
+            rate = 2. /. float nodes;
+            max_fires = 1 + Rng.int rng 2;
+          }
+        in
+        Some
+          (Fault.Plan.make ~name:(timing.name ^ "+exn") ~seed
+             (raise_exn :: timing.rules))
+  in
   let config =
     Wool.Config.make ~workers ~mode ~publicity ~policy ?faults ~seed ~server
       ~trace:true ~trace_capacity:(1 lsl 14) ()
@@ -166,6 +214,7 @@ let run_one ~seed =
   let pool = Wool.create ~config () in
   let violations = ref [] in
   let add v = violations := !violations @ v in
+  let bad fmt = Printf.ksprintf (fun m -> add [ m ]) fmt in
   let tickets =
     Wool.Submit.submit_batch pool
       (List.init n_inject (fun i _ctx ->
@@ -184,141 +233,128 @@ let run_one ~seed =
     List.init n_expire (fun _ ->
         Wool.Submit.submit ~deadline:(Clock.now_ns () - 1) pool drop_body)
   in
-  let (), elapsed_ns =
-    Clock.time (fun () ->
-        let v = Wool.run pool (fun ctx -> task counts ctx spec) in
-        if v <> expect then
-          add
-            [
-              Printf.sprintf "wrong result: eval = %d, expected %d" v expect;
-            ])
+  (* a dropped submission's ticket must settle to its drop exception *)
+  let await_dropped what dropped =
+    List.iteri (fun i tk ->
+        match Wool.Submit.await tk with
+        | () -> bad "%s submission %d completed" what i
+        | exception e when e = dropped -> ()
+        | exception e ->
+            bad "%s submission %d raised %s" what i (Printexc.to_string e))
   in
+  (* Every submission was queued ahead of the first run, so once a run
+     returns they have all left the lane: awaiting them brings the pool
+     to quiescence, which {!Wool.Invariants.check} needs. Forced before
+     the first check. *)
+  let await_tickets =
+    lazy
+      begin
+        List.iteri
+          (fun i tk ->
+            match Wool.Submit.await tk with
+            | v ->
+                if v <> 0x1000 + i then
+                  bad "submission %d returned %#x, expected %#x" i v
+                    (0x1000 + i)
+            | exception e ->
+                bad "submission %d raised %s" i (Printexc.to_string e))
+          tickets;
+        await_dropped "cancelled" Wool.Cancel.Cancelled cancel_tickets;
+        await_dropped "expired" Wool.Submission_expired expire_tickets;
+        if Atomic.get dropped_ran <> 0 then
+          bad "%d dropped submission bodies executed" (Atomic.get dropped_ran)
+      end
+  in
+  (* Run until a run returns: an injected exception must leave the pool
+     quiescent and reusable, so each retry doubles as the reusability
+     check. Each worker's exception rule fires at most twice, so a tree
+     run and a rope run need at most [2 * workers + 2] runs in all. *)
+  let runs = ref 0 and exn_runs = ref 0 in
+  let rec until_clean ~after f =
+    incr runs;
+    let r =
+      match Wool.run pool f with
+      | v -> Some v
+      | exception Fault.Injected _ -> None
+    in
+    after ();
+    match r with
+    | Some _ -> r
+    | None ->
+        incr exn_runs;
+        Lazy.force await_tickets;
+        add (Wool.Invariants.check pool);
+        if !runs < (2 * workers) + 2 then until_clean ~after f
+        else begin
+          bad "exception rule never exhausted; giving up";
+          None
+        end
+  in
+  (* every attempt's spawns, so the counters can be held to them; the
+     per-task counts start again at each attempt, and the clean run is
+     the one the exactly-once check below reads *)
+  let tree_spawns = ref 0 in
+  let v, elapsed_ns =
+    Clock.time (fun () ->
+        until_clean
+          ~after:(fun () -> tree_spawns := !tree_spawns + spawned counts spec)
+          (fun ctx ->
+            Array.iter (fun c -> Atomic.set c 0) counts;
+            task counts ctx spec))
+  in
+  (match v with
+  | Some v when v <> expect -> bad "wrong result: eval = %d, expected %d" v expect
+  | _ -> ());
   if rope then begin
     let xs = Array.init rope_len (fun i -> i * 7 mod 64) in
     let expect_sum = Array.fold_left ( + ) 0 xs in
-    let got =
-      Wool.run pool (fun ctx ->
+    match
+      until_clean ~after:ignore (fun ctx ->
           Wool_ropes.reduce ctx
             ~split:(Wool_ropes.Lazy_split rope_chunk)
             ~neutral:0 ~combine:( + ) Fun.id
             (Wool_ropes.of_array xs))
-    in
-    if got <> expect_sum then
-      add
-        [
-          Printf.sprintf "rope reduce = %d, expected %d (chunk %d, len %d)"
-            got expect_sum rope_chunk rope_len;
-        ]
+    with
+    | Some got when got <> expect_sum ->
+        bad "rope reduce = %d, expected %d (chunk %d, len %d)" got expect_sum
+          rope_chunk rope_len
+    | _ -> ()
   end;
-  List.iteri
-    (fun i tk ->
-      match Wool.Submit.await tk with
-      | v ->
-          if v <> 0x1000 + i then
-            add
-              [
-                Printf.sprintf "submission %d returned %#x, expected %#x" i v
-                  (0x1000 + i);
-              ]
-      | exception e ->
-          add
-            [
-              Printf.sprintf "submission %d raised %s" i
-                (Printexc.to_string e);
-            ])
-    tickets;
-  List.iteri
-    (fun i tk ->
-      match Wool.Submit.await tk with
-      | () -> add [ Printf.sprintf "cancelled submission %d completed" i ]
-      | exception Wool.Cancel.Cancelled -> ()
-      | exception e ->
-          add
-            [
-              Printf.sprintf "cancelled submission %d raised %s" i
-                (Printexc.to_string e);
-            ])
-    cancel_tickets;
-  List.iteri
-    (fun i tk ->
-      match Wool.Submit.await tk with
-      | () -> add [ Printf.sprintf "expired submission %d completed" i ]
-      | exception Wool.Submission_expired -> ()
-      | exception e ->
-          add
-            [
-              Printf.sprintf "expired submission %d raised %s" i
-                (Printexc.to_string e);
-            ])
-    expire_tickets;
-  if Atomic.get dropped_ran <> 0 then
-    add
-      [
-        Printf.sprintf "%d dropped submission bodies executed"
-          (Atomic.get dropped_ran);
-      ];
+  Lazy.force await_tickets;
   (* Execution multiplicity is the ground truth: every mode must show
      every task at exactly 1. *)
   Array.iteri
     (fun id c ->
       let n = Atomic.get c in
-      if n <> 1 then
-        add [ Printf.sprintf "task %d executed %d times, expected 1" id n ])
+      if n <> 1 then bad "task %d executed %d times, expected 1" id n)
     counts;
   add (Wool.Invariants.check pool);
   let stats = Wool.Stats.aggregate pool in
   let spawns = Wool.Stats.count stats Spawn in
   (* A rope run adds however many splits steal pressure forced (a
-     schedule-dependent, nonnegative count), so with a rope the edge
+     schedule-dependent, nonnegative count), so with a rope the tree's
      count is a lower bound instead of an exact match. *)
-  (if rope then begin
-     if spawns < nodes - 1 then
-       add
-         [
-           Printf.sprintf "stats.spawns = %d, expected >= %d (tree edges)"
-             spawns (nodes - 1);
-         ]
-   end
-   else if spawns <> nodes - 1 then
-     add
-       [
-         Printf.sprintf "stats.spawns = %d, expected %d (tree edges)" spawns
-           (nodes - 1);
-       ]);
+  let spawns_ok =
+    if rope then spawns >= !tree_spawns else spawns = !tree_spawns
+  in
+  if not spawns_ok then
+    bad "stats.spawns = %d, expected %s%d (the tree runs' edges)" spawns
+      (if rope then ">= " else "")
+      !tree_spawns;
   (* every [Wool.run] goes through the ingress too *)
-  let runs = if rope then 2 else 1 in
   let injected = Wool.Stats.count stats Dequeue_injected in
-  if injected <> n_inject + runs then
-    add
-      [
-        Printf.sprintf "stats.injected = %d, expected %d" injected
-          (n_inject + runs);
-      ];
+  if injected <> n_inject + !runs then
+    bad "stats.injected = %d, expected %d" injected (n_inject + !runs);
   let ig = Wool.ingress_stats pool in
-  if ig.Wool.submitted <> ig.Wool.admitted + ig.Wool.rejected
-  then
-    add
-      [
-        Printf.sprintf "ingress imbalance: submitted %d <> admitted %d + \
-                        rejected %d"
-          ig.Wool.submitted ig.Wool.admitted ig.Wool.rejected;
-      ];
   if ig.Wool.cancelled <> n_cancel then
-    add
-      [
-        Printf.sprintf "ingress cancelled = %d, expected %d"
-          ig.Wool.cancelled n_cancel;
-      ];
+    bad "ingress cancelled = %d, expected %d" ig.Wool.cancelled n_cancel;
   if ig.Wool.expired <> n_expire then
-    add
-      [
-        Printf.sprintf "ingress expired = %d, expected %d"
-          ig.Wool.expired n_expire;
-      ];
+    bad "ingress expired = %d, expected %d" ig.Wool.expired n_expire;
+  let fires = Fault.Stats.total (Wool.fault_stats pool) in
   (* the trace oracle wants exact thief rings: shut down first *)
   Wool.shutdown pool;
   add
-    (Oracle.check_events ~direct:(direct mode)
+    (Oracle.check_events
        ~counts:(counts_of_stats stats)
        ~dropped:(Wool.trace_dropped pool)
        (Wool.trace_per_worker pool));
@@ -328,9 +364,11 @@ let run_one ~seed =
     workers;
     publicity;
     policy;
-    faulty = faults <> None;
+    plan;
     nodes;
     stats;
+    fires;
+    exn_runs = !exn_runs;
     elapsed_ns;
     violations = !violations;
   }
@@ -343,8 +381,8 @@ let print_rows rows =
     Table.create ~title:"schedule fuzzing vs sequential oracle"
       ~header:
         [
-          "seed"; "mode"; "w"; "publicity"; "policy"; "faults"; "tasks";
-          "inj"; "steals"; "ms"; "oracle";
+          "seed"; "mode"; "w"; "publicity"; "policy"; "plan"; "tasks";
+          "inj"; "steals"; "fires"; "exn"; "ms"; "oracle";
         ]
       ()
   in
@@ -355,13 +393,15 @@ let print_rows rows =
           Table.cell_i r.seed;
           Wool.Mode.name r.mode;
           Table.cell_i r.workers;
-          (if direct r.mode then Bench_json.publicity_name r.publicity
+          (if Wool.Mode.is_direct r.mode then Bench_json.publicity_name r.publicity
            else "-");
           Wool_policy.name r.policy;
-          (if r.faulty then "plan" else "-");
+          plan_kind_name r.plan;
           Table.cell_i r.nodes;
           Table.cell_i (Wool.Stats.count r.stats Dequeue_injected);
           Table.cell_i (Wool.Stats.count r.stats Steal_ok);
+          Table.cell_i r.fires;
+          Table.cell_i r.exn_runs;
           Table.cell_f ~dec:1 (r.elapsed_ns /. 1e6);
           (match r.violations with
           | [] -> "ok"
@@ -377,12 +417,26 @@ let print_rows rows =
         r.workers;
       List.iter (fun v -> Printf.printf "!!   %s\n" v) r.violations)
     bad;
-  let steals =
-    List.fold_left (fun acc r -> acc + Wool.Stats.count r.stats Steal_ok) 0 rows
-  in
-  let tasks = List.fold_left (fun acc r -> acc + r.nodes) 0 rows in
-  Printf.printf "%d histories, %d tasks, %d steals, %d with violations\n"
-    (List.length rows) tasks steals (List.length bad);
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  (* per mode, the histories that raised an injected exception and then
+     passed every check: the invariants after each exception and the
+     clean run's *)
+  Printf.printf "recovered from injected exceptions: %s\n"
+    (String.concat ", "
+       (List.map
+          (fun m ->
+            Printf.sprintf "%s %d" (Wool.Mode.name m)
+              (List.length
+                 (List.filter
+                    (fun r -> r.mode = m && r.exn_runs > 0 && r.violations = [])
+                    rows)))
+          Wool.Mode.all));
+  Printf.printf
+    "%d histories, %d tasks, %d steals, %d fault fires, %d \
+     injected-exception runs, %d with violations\n"
+    (List.length rows) (sum (fun r -> r.nodes))
+    (sum (fun r -> Wool.Stats.count r.stats Steal_ok)) (sum (fun r -> r.fires))
+    (sum (fun r -> r.exn_runs)) (List.length bad);
   List.length bad
 
 (* ---- the kernel matrix: every tier-1 kernel on every real scheduler

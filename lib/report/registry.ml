@@ -24,6 +24,9 @@ let all =
       run = Ablation.run };
     { key = "gantt"; title = "Gantt traces of representative schedules";
       run = Gantt.run };
+    { key = "hooks";
+      title = "Disabled-path overhead of the fault hooks and the watchdog";
+      run = Hooks.run };
   ]
 
 let find key = List.find_opt (fun e -> e.key = key) all

@@ -147,7 +147,6 @@ type worker = {
   dstack : packed Ds.t;
   queue : queue; (* Locked/Clev only; [No_queue] in the direct modes *)
   results : outcome array; (* one result cell per slot *)
-  probes : int Atomic.t; (* padded; queued modes: failed steals from us *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
   bo : Backoff.state;
@@ -188,7 +187,6 @@ and worker_hot = {
      running, if any: [spawn] checks it so a cancelled submission's task
      tree stops fanning out at the next spawn boundary. Owner-written,
      owner-read — never shared. *)
-  mutable probes_seen : int; (* [probes] at the previous pressure poll *)
 }
 
 (* The per-worker task deque of the two queued modes, built only in
@@ -542,15 +540,16 @@ and steal_direct w ~victim =
       -1
   | Ds.Fail -> -1
 
-(* The index taken from [victim]'s deque, or -1. A failed attempt bumps
-   the victim's [probes], its pressure signal. *)
+(* The index taken from [victim]'s deque, or -1. A failed attempt
+   counts against the victim's stack, as a failed [Ds.steal] does: that
+   count is its owner's steal-pressure signal. *)
 and steal_queued w ~victim =
   match
     if w.fl_on && w.inj_interfere Ds.Pre_cas then None else q_steal victim
   with
   | Some index -> index
   | None ->
-      Atomic.incr victim.probes;
+      Ds.note_miss victim.dstack;
       -1
 
 (* A direct join whose task [pop] found stolen ([code] is the thief's id,
@@ -744,16 +743,13 @@ let call (w : ctx) fn = fn w
 let cancel_token (w : ctx) = w.hot.ambient_cancel
 
 (* Hunger poll for lazy splitters (Wool_ropes): should the running task
-   carve off stealable work right now? The direct modes read the trip
-   wire / thief-activity state their stack already maintains (see
-   {!Ds.steal_pressure}); the queued baselines have no trip wire, so
-   they report whether thieves failed to take work from this worker
-   since the previous poll, as the direct stack's [fb] does. *)
-let steal_pressure (w : ctx) =
-  if w.pool.direct then Ds.steal_pressure w.dstack
-  else
-    let p = Atomic.get w.probes in
-    p <> w.hot.probes_seen && (w.hot.probes_seen <- p; true)
+   carve off stealable work right now? Every mode reads the trip wire /
+   thief-activity state the worker's stack maintains (see
+   {!Ds.steal_pressure}). A queued pool's stack is [All_private]: its
+   trip wire never springs and no [Ds.steal] counts a steal on it, so
+   the poll reports whether thieves failed to take work from this worker
+   since the previous poll ([Ds.note_miss]). *)
+let steal_pressure (w : ctx) = Ds.steal_pressure w.dstack
 
 let self_id w = w.id
 let num_workers pool = Array.length pool.workers
@@ -1206,7 +1202,6 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
         | Clev -> Clev_q (Chase_lev.create ~dummy:(-1) ())
         | Swap_generic | Private -> No_queue);
       results = Array.make capacity no_outcome;
-      probes = Layout.padded_atomic 0;
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
       bo = Backoff.make pool.policy.Wool_policy.backoff;
@@ -1218,7 +1213,7 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
       counts = Layout.copy_as_padded (Array.make table_slots 0);
       hot =
         Layout.copy_as_padded
-          { progress = 0; ambient_cancel = None; probes_seen = 0 };
+          { progress = 0; ambient_cancel = None };
     }
   in
   Ds.set_event_hooks w.dstack

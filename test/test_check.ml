@@ -175,12 +175,12 @@ let test_oracle_clean_history () =
   let c = [ (E.Spawn, 2); (E.Steal_ok, 2); (E.Join_stolen, 2) ] in
   Alcotest.(check (list string))
     "clean" []
-    (Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker)
+    (Oracle.check_events ~counts:c ~dropped:0 per_worker)
 
 let test_oracle_counter_mismatch () =
   let per_worker = [| [| ev 0 E.Spawn ~a:0 |] |] in
   let c = [ (E.Spawn, 2) ] in
-  match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
+  match Oracle.check_events ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "spawn undercount not flagged"
   | v :: _ ->
       Alcotest.(check bool) "names spawns" true (Test_util.contains v "spawn")
@@ -194,7 +194,7 @@ let test_oracle_phantom_steal () =
     |]
   in
   let c = [ (E.Spawn, 1); (E.Steal_ok, 1) ] in
-  match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
+  match Oracle.check_events ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "phantom steal not flagged"
   | v :: _ ->
       Alcotest.(check bool) "causality message" true
@@ -209,7 +209,7 @@ let test_oracle_phantom_thief () =
     |]
   in
   let c = [ (E.Spawn, 1); (E.Join_stolen, 1) ] in
-  match Oracle.check_events ~direct:true ~counts:c ~dropped:0 per_worker with
+  match Oracle.check_events ~counts:c ~dropped:0 per_worker with
   | [] -> Alcotest.fail "phantom thief not flagged"
   | v :: _ ->
       Alcotest.(check bool) "causality message" true
@@ -220,20 +220,36 @@ let test_oracle_dropped_skips () =
   let c = [ (E.Spawn, 99) ] in
   Alcotest.(check (list string))
     "incomplete stream unchecked" []
-    (Oracle.check_events ~direct:true ~counts:c ~dropped:1 per_worker)
+    (Oracle.check_events ~counts:c ~dropped:1 per_worker)
 
-let test_oracle_queued_skips_causality () =
-  (* queued modes carry a = -1; only accounting applies *)
+let test_oracle_queued_clean () =
+  (* a queued pool's history: spawns and steals carry the slot index,
+     the stolen join names no thief *)
   let per_worker =
     [|
-      [| ev 0 E.Spawn; ev 0 E.Join_stolen |];
-      [| ev 1 E.Steal_attempt ~b:0; ev 1 E.Steal_ok ~b:0 |];
+      [| ev 0 E.Spawn ~a:0; ev 0 E.Join_stolen ~a:0 |];
+      [| ev 1 E.Steal_attempt ~b:0; ev 1 E.Steal_ok ~a:0 ~b:0 |];
     |]
   in
   let c = [ (E.Spawn, 1); (E.Steal_ok, 1); (E.Join_stolen, 1) ] in
   Alcotest.(check (list string))
     "clean" []
-    (Oracle.check_events ~direct:false ~counts:c ~dropped:0 per_worker)
+    (Oracle.check_events ~counts:c ~dropped:0 per_worker)
+
+let test_oracle_queued_phantom_steal () =
+  (* a queued steal of a slot its victim never pushed *)
+  let per_worker =
+    [|
+      [| ev 0 E.Spawn ~a:0; ev 0 E.Join_stolen ~a:0 |];
+      [| ev 1 E.Steal_attempt ~b:0; ev 1 E.Steal_ok ~a:1 ~b:0 |];
+    |]
+  in
+  let c = [ (E.Spawn, 1); (E.Steal_ok, 1); (E.Join_stolen, 1) ] in
+  match Oracle.check_events ~counts:c ~dropped:0 per_worker with
+  | [] -> Alcotest.fail "queued phantom steal not flagged"
+  | v :: _ ->
+      Alcotest.(check bool) "causality message" true
+        (Test_util.contains v "causality")
 
 let suite =
   [
@@ -261,7 +277,9 @@ let suite =
         Alcotest.test_case "phantom thief" `Quick test_oracle_phantom_thief;
         Alcotest.test_case "dropped events skip" `Quick
           test_oracle_dropped_skips;
-        Alcotest.test_case "queued accounting only" `Quick
-          test_oracle_queued_skips_causality;
+        Alcotest.test_case "queued history clean" `Quick
+          test_oracle_queued_clean;
+        Alcotest.test_case "queued phantom steal" `Quick
+          test_oracle_queued_phantom_steal;
       ] );
   ]

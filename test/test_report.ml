@@ -6,7 +6,7 @@ let test_registry_keys_unique () =
   let keys = R.Registry.keys () in
   let sorted = List.sort_uniq compare keys in
   Alcotest.(check int) "unique" (List.length keys) (List.length sorted);
-  Alcotest.(check int) "all experiments present" 11 (List.length keys)
+  Alcotest.(check int) "all experiments present" 12 (List.length keys)
 
 let test_registry_find () =
   (match R.Registry.find "fig1" with

@@ -288,14 +288,20 @@ let test_steal_pressure_single_worker_false () =
     Test_util.all_modes
 
 let test_steal_pressure_hungry_thieves () =
-  Test_util.with_pool ~workers:3 ~mode:Wool.Private (fun pool ->
-      let saw = Wool.run pool (fun ctx ->
-          (* hold the only descriptor; idle thieves probe and fail, which
-             must register as pressure at the owner within the timeout *)
-          Test_util.spin_until ~timeout_ns:2_000_000_000 (fun () ->
-              Wool.steal_pressure ctx))
-      in
-      Alcotest.(check bool) "pressure observed with starving thieves" true saw)
+  List.iter
+    (fun mode ->
+      Test_util.with_pool ~workers:3 ~mode (fun pool ->
+          let saw = Wool.run pool (fun ctx ->
+              (* hold the only descriptor; idle thieves probe and fail,
+                 which must register as pressure at the owner within the
+                 timeout *)
+              Test_util.spin_until ~timeout_ns:2_000_000_000 (fun () ->
+                  Wool.steal_pressure ctx))
+          in
+          Alcotest.(check bool)
+            (Wool.Mode.name mode ^ ": pressure observed with starving thieves")
+            true saw))
+    Wool.Mode.all
 
 (* ---- parallel_* helper regressions (this PR's bugfixes) ---- *)
 
