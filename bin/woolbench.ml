@@ -439,7 +439,9 @@ let check_cmd =
                while Wool_util.Clock.now_ns () < deadline do
                  Unix.sleepf 0.2
                done;
-               prerr_endline "woolbench check: wall-clock limit hit";
+               prerr_endline
+                 ("woolbench check: wall-clock limit hit in "
+                 ^ Wool_report.Check_fuzz.in_flight ());
                exit 124)
             : unit Domain.t)
       end;

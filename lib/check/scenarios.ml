@@ -439,6 +439,70 @@ let leapfrog_hold =
     run;
   }
 
+(* -- Scenario 6c: the owner pushes past the slot array's length while a
+   thief steals. This copy of the stack starts with two slots, both
+   pushed in setup, so the owner's push of task 2 grows the array to
+   four. A grow keeps the old slot records, so a steal through the old
+   array takes the record the owner joins through the new one. An
+   attempt that read the old array and finds [bot] at its end must fail
+   as on an empty stack, though the owner has grown it and published
+   task 2. The owner joins once the race is over. *)
+let steal_vs_grow =
+  let run ~max_schedules =
+    let saw_shared = ref false
+    and saw_grown = ref false
+    and saw_stale = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          let t = Ds.create ~capacity:4 ~publicity:Ds.All_public ~dummy:(-1) () in
+          let c = tally () in
+          let execd = Array.make 3 0 in
+          let record v = execd.(v) <- execd.(v) + 1 in
+          push c t 0;
+          push c t 1;
+          Sched.spawn (fun () ->
+              (* the thief: its own steals are the only moves of [bot] *)
+              let stolen = ref 0 in
+              for _ = 1 to 3 do
+                let held = Ds.length t in
+                match Ds.steal t ~thief:1 with
+                | Ds.Stolen_task (v, index) ->
+                    if held < Ds.length t then saw_shared := true;
+                    if index >= 2 then saw_grown := true;
+                    incr stolen;
+                    record v;
+                    Ds.complete_steal t ~index
+                | Ds.Fail ->
+                    if held = !stolen && held < Ds.length t then
+                      saw_stale := true
+                | Ds.Backoff -> failwith "unexpected back-off"
+              done);
+          Sched.spawn (fun () -> push c t 2);
+          Sched.final (fun () ->
+              check (Ds.length t = 4) "the array did not grow to 4 slots";
+              for _ = 1 to 3 do
+                join c t ~record
+              done;
+              Ds.sweep t;
+              for v = 0 to 2 do
+                check (execd.(v) = 1)
+                  (Printf.sprintf "task %d not executed exactly once" v)
+              done;
+              quiescent t;
+              balanced c t))
+    in
+    check !saw_shared "coverage: steal through a pre-grow array never explored";
+    check !saw_grown "coverage: steal past the initial length never explored";
+    check !saw_stale
+      "coverage: attempt failing past a pre-grow array's end never explored";
+    stats
+  in
+  {
+    name = "steal-vs-grow";
+    descr = "owner grows the slot array while a thief steals through it";
+    run;
+  }
+
 (* -- Scenario 7: the Chase-Lev baseline's classic race — owner pop and
    thief steal meet on the last element and settle it with the CAS on
    [top]. Exercises the second instantiation of the functorised body. *)
@@ -973,6 +1037,7 @@ let all =
     trip_wire_steal_vs_privatize;
     publish_window;
     leapfrog_hold;
+    steal_vs_grow;
     chase_lev_last_task;
     submit_vs_shutdown;
     submit_vs_drain;

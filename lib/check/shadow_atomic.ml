@@ -33,5 +33,6 @@ let fetch_and_add r n =
 
 let unscheduled_add r n = r.v <- r.v + n
 let cpu_relax () = Sched.relax ()
+let step label = Sched.exec ~label ~write:false ignore
 let is_padded _ = true
 let size_words _ = Wool_util.Layout.cache_line_words

@@ -33,6 +33,14 @@ module type S = sig
       another thread performs a write, turning unbounded protocol spins
       into finite schedules. *)
 
+  val step : string -> unit
+  (** A scheduling point that touches no cell, named for the schedule
+      trace; nothing in production. The instrumented backend lets other
+      threads run here, before the plain writes that follow it: the
+      direct stack's grow stores its new slot array with a plain write,
+      and this step lets the checker run a thief between the owner's
+      last push into the old array and the grow. *)
+
   val is_padded : 'a t -> bool
   (** Layout introspection for the layout regression checks; always true
       under the instrumented backend. *)

@@ -23,6 +23,12 @@ module type S = sig
       another thread writes, keeping protocol spin loops finite under
       exhaustive exploration. *)
 
+  val step : string -> unit
+  (** A named scheduling point that touches no cell: nothing in
+      production; the instrumented backend interleaves other threads
+      there, before the plain writes that follow it (the direct stack's
+      grow). *)
+
   val is_padded : 'a t -> bool
   val size_words : 'a t -> int
 end

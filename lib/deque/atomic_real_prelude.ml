@@ -21,9 +21,17 @@ module A = struct
   let[@inline] compare_and_set t old now = Atomic.compare_and_set t old now
   let[@inline] fetch_and_add t n = Atomic.fetch_and_add t n
   let[@inline] cpu_relax () = Domain.cpu_relax ()
+  let[@inline] step (_ : string) = ()
   let is_padded t = Wool_util.Layout.is_padded t
   let size_words t = Wool_util.Layout.size_words t
 end
 
 (* Conformance check only; call sites go through [A] directly. *)
 module _ : Atomic_ops.S with type 'a t = 'a Atomic.t = A
+
+(* The direct task stack's initial slot-array length: a push that reaches
+   the array's length doubles it, up to the stack's capacity. The model
+   checker's copy of the body binds 2 instead (lib/check/dune), so a
+   scenario grows the array on its third push. The other protocol
+   bodies do not use it. *)
+let initial_slots = 64 [@@warning "-32"]

@@ -1,7 +1,11 @@
 (** The direct task stack (paper Section III-A and III-B).
 
     A per-worker array of fixed-size task descriptors managed with strict
-    stack discipline. The owner pushes and pops at [top] (fully private);
+    stack discipline. The array starts short (64 slots) and a push that
+    reaches its length doubles it, up to the stack's capacity; the grown
+    array shares the old one's descriptors, so a thief still holding the
+    old array reads the same descriptors below its length and fails past
+    it. The owner pushes and pops at [top] (fully private);
     thieves operate at [bot]. Thief/victim synchronisation happens on each
     descriptor's [state] word — exchange on the owner's join, CAS on steals —
     never on [top]/[bot], so no Dijkstra-style protocol or fences beyond the
@@ -32,7 +36,8 @@
 type 'a t
 
 exception Pool_overflow
-(** Raised by {!push} when the stack is at capacity. Raised before any
+(** Raised by {!push} when the stack holds [capacity] tasks and its slot
+    array has grown to that length. Raised before any
     slot or window mutation, so the stack is untouched and the spawn can
     be unwound cleanly. It is {!Task_state.Pool_overflow}, which the
     runtime re-exports as [Wool.Pool_overflow]. *)
@@ -47,13 +52,17 @@ type publicity = Task_state.publicity =
 val create :
   ?capacity:int -> ?publicity:publicity -> dummy:'a -> unit -> 'a t
 (** A stack holding at most [capacity] (default 65536) simultaneous tasks.
-    [dummy] fills empty payload cells. Default publicity is [Adaptive 4]. *)
+    [capacity] is a cap: the stack starts with [min capacity 64] slots
+    and {!push} doubles the array when it reaches its length, up to
+    [capacity]. [dummy] fills empty payload cells. Default publicity is
+    [Adaptive 4]. *)
 
 val push : 'a t -> 'a -> unit
 (** Spawn: store the payload, then release the descriptor with a state store
     (the write that makes the task stealable is last). Also services pending
-    publish requests. Raises {!Pool_overflow} if the stack is full, before
-    mutating anything. *)
+    publish requests. A push at the slot array's length first grows the
+    array (see {!length}). Raises {!Pool_overflow} if the stack is full,
+    before mutating anything. *)
 
 val depth : 'a t -> int
 (** Number of live descriptors ([top]); owner only. *)
@@ -178,9 +187,10 @@ val set_event_hooks :
 val check_quiescent : 'a t -> string list
 (** Protocol-invariant check at quiescence (owner-side, nothing in
     flight): every descriptor state EMPTY, every payload cell back to
-    [dummy] (that is, {!sweep} ran after the last join), [top = 0] and
-    [bot = 0]. Returns human-readable violations,
-    [[]] when clean. Scans the whole capacity; diagnostic-path only. *)
+    [dummy] (that is, {!sweep} ran after the last join), every result
+    cell empty ({!take_result} ran after each {!set_result}), [top = 0]
+    and [bot = 0]. Returns human-readable violations, [[]] when clean.
+    Scans the live slot array ({!length} slots); diagnostic-path only. *)
 
 val dump_live : 'a t -> (int * string) list
 (** Racy snapshot of the live descriptors — every index below [top] plus
@@ -191,7 +201,8 @@ val layout_check : 'a t -> string list
 (** Verify the cache-conscious layout invariants: the owner block, each
     shared atomic, and every slot's state word occupy whole cache lines
     (see {!Wool_util.Layout.is_padded}). Returns human-readable
-    violations, [[]] when clean. Scans every slot; test-path only. *)
+    violations, [[]] when clean. Scans the live slot array; test-path
+    only. *)
 
 (** {2 A stack behind a separate deque}
 
@@ -213,3 +224,25 @@ val release : 'a t -> index:int -> unit
 val note_miss : 'a t -> unit
 (** Thief: its attempt on the stack's deque took nothing. Counted like
     a failed {!steal}, which {!steal_pressure} reads. *)
+
+(** {2 Result cells}
+
+    Each slot has a result cell for the outcome of a stolen task: the
+    thief leaves it there before {!complete_steal}, and the owner's join
+    takes it once {!stolen_done} (or {!stolen_finished}) says the thief
+    is done. The cell is a field of the slot's descriptor, which a grow
+    shares between the old and new arrays, so a thief's write is never
+    lost to a grow. *)
+
+val set_result : 'a t -> index:int -> Task_state.outcome -> unit
+(** Thief: store the outcome of the task it stole at [index], before
+    {!complete_steal}. *)
+
+val take_result : 'a t -> index:int -> Task_state.outcome
+(** Owner: the outcome in slot [index]'s cell, leaving the cell
+    {!Task_state.no_outcome} so that it retains nothing. *)
+
+val length : 'a t -> int
+(** The slot array's current length: [min capacity 64] at {!create},
+    doubled by each push that reaches it, at most the capacity. A racy
+    snapshot off the owner; for tests and diagnostics. *)

@@ -1,6 +1,7 @@
 (* Protocol body for the direct task stack. This file is not compiled on
-   its own: the build prepends a prelude binding [Ts], [Layout] and [A]
-   (the atomic backend, see atomic_ops.ml) and compiles the result three
+   its own: the build prepends a prelude binding [Ts], [Layout], [A]
+   (the atomic backend, see atomic_ops.ml) and [initial_slots] (the slot
+   array's starting length) and compiles the result three
    times: as [Wool_deque.Direct_stack] (a prelude-defined [A]; the unit
    tests' stack), as the [Ds] submodule of the pool's own unit (the same
    prelude; see lib/runtime/dune), and as
@@ -17,6 +18,9 @@ type 'a slot = {
          line under the owner touching slot [b']. *)
   mutable payload : 'a;
   mutable pushed_public : bool; (* owner-private: which join path to take *)
+  mutable result : Ts.outcome;
+      (* a stolen task's outcome: the thief writes it before its DONE,
+         the owner's join empties it (see [set_result]) *)
 }
 
 type publicity = Ts.publicity = All_private | All_public | Adaptive of int
@@ -43,11 +47,27 @@ type 'a owner = {
 }
 
 (* Thief-shared words live in individually padded atomics; the top-level
-   record itself is immutable after [create], so its cache lines are
-   read-shared and never invalidated. *)
+   record's only mutable field is [slots], written once per grow, so its
+   cache lines are read-shared and almost never invalidated.
+
+   The slot array grows on demand: it starts at [initial_slots] (or the
+   capacity, if smaller), and a push that reaches its length replaces it
+   with one twice as long, up to [capacity] (see [grow]). The new array
+   holds the same slot records below the old length, so the owner, a
+   thief and the result cells all meet in one record per index whichever
+   array they read it through. The owner stores the new array in [slots]
+   with a plain write before the push that needs it; a thief reads
+   [slots] once per attempt, before [bot], and may get the old array:
+   below its length, it names the same records as the new one; at or
+   past it, the attempt fails (counted in [fb]) as on an empty stack.
+   So a stale array is only short, never wrong, and no ordering is
+   needed beyond OCaml's guarantee that a domain reading a pointer to a
+   freshly built array sees it initialised. A thief that got an index
+   through a queued pool's deque read the owner's deque push, which
+   follows the grow, so it reads the grown array. *)
 type 'a t = {
-  slots : 'a slot array;
-  capacity : int;
+  mutable slots : 'a slot array;
+  capacity : int; (* the most slots [slots] may grow to *)
   dummy : 'a;
   publicity : publicity;
   own : 'a owner; (* padded; owner-private *)
@@ -73,6 +93,14 @@ let no_hook () = ()
    public window is wider than steal pressure warrants and privatises. *)
 let privatize_threshold = 16
 
+let new_slot dummy =
+  {
+    state = A.make_padded Ts.empty;
+    payload = dummy;
+    pushed_public = false;
+    result = Ts.no_outcome;
+  }
+
 let create ?(capacity = 65536) ?(publicity = Adaptive 4) ~dummy () =
   if capacity <= 0 || capacity > bot_mask then
     invalid_arg "Direct_stack.create: capacity";
@@ -80,14 +108,7 @@ let create ?(capacity = 65536) ?(publicity = Adaptive 4) ~dummy () =
   | Adaptive w when w <= 0 ->
       invalid_arg "Direct_stack.create: adaptive window must be positive"
   | All_private | All_public | Adaptive _ -> ());
-  let slots =
-    Array.init capacity (fun _ ->
-        {
-          state = A.make_padded Ts.empty;
-          payload = dummy;
-          pushed_public = false;
-        })
-  in
+  let slots = Array.init (min capacity initial_slots) (fun _ -> new_slot dummy) in
   let public_limit =
     match publicity with
     | All_private -> 0
@@ -190,14 +211,28 @@ let[@inline] service_publish t =
         own.on_publish ()
       end
 
+(* The push at index [Array.length t.slots] needs a longer array: double
+   it, keeping the old slot records below the old length (see [t]). At
+   the capacity, raise before anything is mutated, so a failed spawn
+   leaves the stack exactly as it was. [A.step] is nothing in
+   production; under the model checker it lets a thief run between the
+   owner's last push into the old array and this store. *)
+let[@inline never] grow t =
+  let old = t.slots in
+  let n = Array.length old in
+  if n >= t.capacity then raise Pool_overflow;
+  A.step "grow";
+  t.slots <-
+    Array.init (min t.capacity (2 * n)) (fun i ->
+        if i < n then old.(i) else new_slot t.dummy)
+
 let[@inline] push t v =
   let own = t.own in
-  (* overflow is raised before any slot or window mutation, so a failed
-     spawn leaves the stack exactly as it was *)
-  if own.top >= t.capacity then raise Pool_overflow;
-  service_publish t;
   let i = own.top in
-  let slot = t.slots.(i) in
+  if i >= Array.length t.slots then grow t;
+  service_publish t;
+  (* in bounds: checked above, and a grow only lengthens the array *)
+  let slot = Array.unsafe_get t.slots i in
   slot.payload <- v;
   if i < own.public_limit then begin
     slot.pushed_public <- true;
@@ -330,9 +365,10 @@ let[@inline] pop t =
    Only [sweep] clears, and only upwards from [top], so the dead slots
    stay one run that ends at the first [dummy]. *)
 let sweep t =
+  let slots = t.slots in
   let i = ref t.own.top in
-  while !i < t.capacity && t.slots.(!i).payload != t.dummy do
-    t.slots.(!i).payload <- t.dummy;
+  while !i < Array.length slots && slots.(!i).payload != t.dummy do
+    slots.(!i).payload <- t.dummy;
     incr i
   done
 
@@ -361,13 +397,17 @@ type steal_phase = Pre_cas | Post_cas | Trip
 let no_interference (_ : steal_phase) = false
 
 let steal ?(interfere = no_interference) t ~thief =
+  (* The array first, then [bot]: an owner's grow between the two leaves
+     this attempt holding the old array with [bot] past its end, which
+     fails as an empty stack does (see [t]). *)
+  let slots = t.slots in
   let b = A.get t.botw land bot_mask in
-  if b >= t.capacity then begin
+  if b >= Array.length slots then begin
     ignore (A.fetch_and_add t.fb 1 : int);
     Fail
   end
   else begin
-    let slot = t.slots.(b) in
+    let slot = slots.(b) in
     let s1 = A.get slot.state in
     if not (Ts.is_task_public s1) then begin
       ignore (A.fetch_and_add t.fb 1 : int);
@@ -441,21 +481,26 @@ let check_quiescent t =
     add "top = %d (expected 0: unjoined descriptors)" t.own.top;
   let b = bot_index t in
   if b <> 0 then add "bot = %d (expected 0: unreclaimed steals)" b;
-  let bad_state = ref 0 and bad_payload = ref 0 and first = ref (-1) in
-  for i = 0 to t.capacity - 1 do
-    let slot = t.slots.(i) in
+  let bad_state = ref 0 and bad_payload = ref 0 and bad_result = ref 0 in
+  let first = ref (-1) and slots = t.slots in
+  for i = 0 to Array.length slots - 1 do
+    let slot = slots.(i) in
     if A.get slot.state <> Ts.empty then begin
       incr bad_state;
       if !first < 0 then first := i
     end;
-    if slot.payload != t.dummy then incr bad_payload
+    if slot.payload != t.dummy then incr bad_payload;
+    if slot.result != Ts.no_outcome then incr bad_result
   done;
   if !bad_state > 0 then
     add "%d descriptor(s) not EMPTY (first: index %d, state %s)" !bad_state
       !first
-      (state_name (A.get t.slots.(!first).state));
+      (state_name (A.get slots.(!first).state));
   if !bad_payload > 0 then
     add "%d payload cell(s) still hold a task closure" !bad_payload;
+  (* every join empties the result cell it takes *)
+  if !bad_result > 0 then
+    add "%d result cell(s) still hold an outcome" !bad_result;
   List.rev !violations
 
 let layout_check t =
@@ -483,9 +528,10 @@ let layout_check t =
 
 let dump_live t =
   let top = t.own.top in
+  let slots = t.slots in
   let live = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    let s = A.get t.slots.(i).state in
+  for i = Array.length slots - 1 downto 0 do
+    let s = A.get slots.(i).state in
     if i < top || s <> Ts.empty then live := (i, state_name s) :: !live
   done;
   !live
@@ -504,3 +550,18 @@ let release t ~index =
 (* A queued pool's failed steal: its deque had no index for the thief.
    Counted in [fb] like a failed [steal], so [steal_pressure] sees it. *)
 let note_miss t = ignore (A.fetch_and_add t.fb 1 : int)
+
+(* Thief: leave the outcome of the task stolen at [index] in its slot's
+   result cell, before [complete_steal] publishes it. The slot record,
+   not an array cell, so a grow cannot strand the write. *)
+let set_result t ~index r = t.slots.(index).result <- r
+
+(* Owner: the outcome in slot [index]'s result cell, leaving the cell
+   empty so it retains nothing. *)
+let take_result t ~index =
+  let slot = t.slots.(index) in
+  let r = slot.result in
+  slot.result <- Ts.no_outcome;
+  r
+
+let length t = Array.length t.slots

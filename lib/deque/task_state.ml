@@ -20,3 +20,7 @@ let pp ppf s =
 exception Pool_overflow
 
 type publicity = All_private | All_public | Adaptive of int
+
+type outcome = (Obj.t, exn * Printexc.raw_backtrace) result
+
+let no_outcome : outcome = Ok (Obj.repr ())

@@ -47,3 +47,12 @@ exception Pool_overflow
     {!Pool_overflow}: the library's stack, the pool's and the model
     checker's share one type. *)
 type publicity = All_private | All_public | Adaptive of int
+
+type outcome = (Obj.t, exn * Printexc.raw_backtrace) result
+(** A finished task's outcome, its value's type hidden: what a slot's
+    result cell holds between a thief's run of the task and the owner's
+    join (see {!Direct_stack.set_result}). The runtime casts the value
+    back; the stack only stores it. *)
+
+val no_outcome : outcome
+(** An empty result cell, recognised by identity. *)

@@ -129,6 +129,12 @@ let counts_of_stats s =
       | _, (Wool.Stats.Failed_steals | Max_pool_depth) -> None)
     Wool.Stats.keys
 
+(* What the checker is running right now, for a wall-clock watchdog to
+   name when it fires: written before each scenario, kernel cell and
+   history starts. *)
+let current = Atomic.make "nothing yet"
+let in_flight () = Atomic.get current
+
 let run_one ~seed =
   (* Everything about the history flows from the seed: the mode rotates
      so any consecutive window of 4 seeds covers all four, the plan kind
@@ -139,6 +145,11 @@ let run_one ~seed =
   let mode = all_modes.(seed mod n_modes) in
   let plan = plan_kinds.(seed / n_modes mod Array.length plan_kinds) in
   let workers = 1 + Rng.int rng 4 in
+  Atomic.set current
+    (Printf.sprintf "history seed %d (mode %s, plan %s, %d workers)" seed
+       (Wool.Mode.name mode)
+       (match plan with No_faults -> "none" | p -> plan_kind_name p)
+       workers);
   let publicity = publicities.(Rng.int rng (Array.length publicities)) in
   let policies = Array.of_list (Wool_policy.sweep ()) in
   (* a third of the histories run a hierarchical selector with a random
@@ -656,6 +667,8 @@ let kernel_matrix ?(workers = 3) () =
     (fun k ->
       let expected = k.serial () in
       let wool_cell mode =
+        Atomic.set current
+          (Printf.sprintf "kernel %s on wool/%s" k.name (Wool.Mode.name mode));
         Wool.with_pool ~config:(Wool.Config.make ~workers ~mode ())
           (fun pool ->
             let got, ns = Clock.time (fun () -> Wool.run pool k.wool) in
@@ -671,6 +684,7 @@ let kernel_matrix ?(workers = 3) () =
             })
       in
       let cactus_cell =
+        Atomic.set current (Printf.sprintf "kernel %s on steal-parent" k.name);
         Ca.with_pool ~workers (fun pool ->
             let got, ns = Clock.time (fun () -> Ca.run pool k.cactus) in
             let s = Ca.stats pool in
@@ -729,6 +743,7 @@ let run_scenarios ?max_schedules () =
   let failures = ref [] in
   List.iter
     (fun (s : Wool_check.Scenarios.t) ->
+      Atomic.set current ("scenario " ^ s.name);
       match Wool_check.Scenarios.run_one ?max_schedules s with
       | Wool_check.Scenarios.Pass (st : Wool_check.Sched.stats) ->
           Table.add_row tbl

@@ -94,3 +94,10 @@ val run_scenarios : ?max_schedules:int -> unit -> int
 (** Exhaustively explore every {!Wool_check.Scenarios.all} scenario,
     print the schedule-count table, and return the number of failures
     (0 = green). *)
+
+val in_flight : unit -> string
+(** What is running now: the scenario, the kernel cell (kernel and
+    scheduler) or the history (seed, mode, plan kind and workers) that
+    {!run_scenarios}, {!kernel_matrix} or {!run_one} started last. Safe
+    to read from another domain, for a watchdog that names a wedged
+    check. *)

@@ -103,9 +103,11 @@ module Cancel = Cancel
 
 exception Pool_overflow
 (** Raised by {!spawn} when the calling worker's task pool already
-    holds its fixed 65,536 outstanding tasks, in every mode: the direct
-    stack's descriptors, which the queued modes' deques index too. The
-    same exception as {!Wool_deque.Task_state.Pool_overflow}.
+    holds 65,536 outstanding tasks, in every mode: the direct stack's
+    descriptors, which the queued modes' deques index too. The stack
+    starts with 64 descriptors and doubles on demand up to that cap, so
+    a pool costs the depth its tasks reach, not the cap. The same
+    exception as {!Wool_deque.Task_state.Pool_overflow}.
     Raised before any pool state is mutated, so the counters stay
     balanced, the pool remains usable, and the spawn unwinds like an
     ordinary task-body exception in every mode. *)
@@ -235,7 +237,9 @@ end
 val create : ?config:Config.t -> unit -> t
 (** Create a pool from [config] (default {!Config.default}; validated —
     see {!Config.validate}). The per-setting optional arguments this
-    function once took are gone; build a config with {!Config.make}. *)
+    function once took are gone; build a config with {!Config.make}.
+    Returns once every spawned worker domain is running, so a {!run}
+    right after it meets its thieves. *)
 
 val run : t -> (ctx -> 'a) -> 'a
 (** Execute a main task to completion. The job is counted through the
@@ -592,9 +596,9 @@ val fault_stats : t -> Wool_fault.Stats.t
 module Invariants : sig
   val check : t -> string list
   (** Human-readable violations, [[]] when clean. Checks, per worker:
-      every direct-stack descriptor EMPTY with [top = bot = 0] and
-      payloads reset; the queued modes' deque empty; no result cell
-      holding an outcome. Then the ingress: the injection lane empty,
+      every direct-stack descriptor EMPTY with [top = bot = 0], its
+      payload reset and its result cell empty (over the descriptors the
+      stack has grown to); the queued modes' deque empty. Then the ingress: the injection lane empty,
       no in-flight submissions, [submitted = admitted + rejected] and
       [admitted = executed + shed + expired + cancelled]. Then
       globally, in both shapes, the spawn/join/steal counter balance:
@@ -607,7 +611,7 @@ val layout_check : t -> string list
     table and the padded pieces of its direct stack (owner block, shared
     atomics, per-descriptor state words) occupy whole cache lines.
     Returns human-readable violations, [[]] when clean. Scans every
-    descriptor; test-path only. *)
+    descriptor the stack has grown to; test-path only. *)
 
 (* Stall watchdog *)
 

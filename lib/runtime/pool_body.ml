@@ -127,9 +127,9 @@ module Config = struct
       }
 end
 
-(* Task-pool slots per worker, in every mode: the direct stack's
-   descriptors (a queued pool's [Locked] deque has as many cells; its
-   [Clev] deque grows, but the stack overflows first). *)
+(* Task-pool slots per worker, in every mode: the cap the direct stack's
+   slot array grows to (a queued pool's [Locked] deque has as many cells;
+   its [Clev] deque grows, but the stack overflows first). *)
 let capacity = 65_536
 
 (* One nap unit of the idle backoff: an idle thief sleeps this long per
@@ -138,15 +138,15 @@ let capacity = 65_536
    flight ([idle_backoff]). *)
 let idle_nap_ns = 50_000
 
-(* A finished task's outcome, its type hidden: a result cell's value. *)
-type outcome = (Obj.t, exn * Printexc.raw_backtrace) result
+(* A finished task's outcome, its type hidden: a result cell's value.
+   Each slot of the direct stack has one cell ([Ds.set_result]). *)
+type outcome = Wool_deque.Task_state.outcome
 
 type worker = {
   id : int;
   pool : pool;
   dstack : packed Ds.t;
   queue : queue; (* Locked/Clev only; [No_queue] in the direct modes *)
-  results : outcome array; (* one result cell per slot *)
   rng : Wool_util.Rng.t;
   sel : Select.state;
   bo : Backoff.state;
@@ -254,7 +254,6 @@ exception Submission_expired
 let dummy_task (_ : worker) = ()
 
 let dummy_packed = P dummy_task
-let no_outcome : outcome = Ok (Obj.repr ()) (* an empty cell, by identity *)
 
 (* The count table's slots: the high-water depth first, then one per
    tag. [tag_to_int] is the identity, so a constant tag's slot is a
@@ -420,12 +419,6 @@ let value_exn (_ : 'a future) (r : outcome) : 'a =
   | Ok v -> Obj.obj v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(* Take slot [index]'s result cell, leaving it empty: it retains nothing. *)
-let take_cell w index =
-  let r = w.results.(index) in
-  w.results.(index) <- no_outcome;
-  r
-
 (* Run a task body to its outcome — on an exception, after unwinding the
    body's own spawns, with the backtrace captured at the raise point.
    Never raises. The entry checkpoint of this worker's outstanding
@@ -462,7 +455,7 @@ and unwind w ~depth =
       end
       else begin
         join_stolen w ~code ~index;
-        ignore (take_cell w index : outcome)
+        ignore (Ds.take_result w.dstack ~index : outcome)
       end
     end
     else ignore (take_queued w fut : outcome)
@@ -493,7 +486,7 @@ and take_queued : 'a. worker -> 'a future -> outcome =
         ignore (steal_idle w : bool)
       done;
       Ds.release w.dstack ~index;
-      take_cell w index
+      Ds.take_result w.dstack ~index
 
 (* ---- steal attempts ---- *)
 
@@ -519,7 +512,7 @@ and steal_once w ~(victim : worker) =
           no dead payload. The outcome's cell is written first too: the
           DONE store publishes it. *)
        Ds.sweep w.dstack;
-       victim.results.(index) <- r;
+       Ds.set_result victim.dstack ~index r;
        Ds.complete_steal victim.dstack ~index;
        Backoff.on_success w.bo;
        Select.on_success w.sel ~victim:victim.id;
@@ -691,8 +684,8 @@ let[@inline] join_direct w fut =
       (* Generic join: run the descriptor's payload into its result cell
          and read it back, as a runtime without task-specific join
          functions must. *)
-      w.results.(index) <- run_body w fut;
-      value_exn fut (take_cell w index)
+      Ds.set_result w.dstack ~index (run_body w fut);
+      value_exn fut (Ds.take_result w.dstack ~index)
     end
     else
       (* Task-specific join: direct call of the typed task function.
@@ -701,7 +694,7 @@ let[@inline] join_direct w fut =
   end
   else begin
     join_stolen w ~code ~index;
-    value_exn fut (take_cell w index)
+    value_exn fut (Ds.take_result w.dstack ~index)
   end
 
 let[@inline never] join_queued w fut = value_exn fut (take_queued w fut)
@@ -1038,12 +1031,7 @@ module Invariants = struct
         let qs = q_size w in
         if qs <> 0 then
           add "worker %d: %s deque holds %d tasks" w.id
-            (Mode.name pool.pmode) qs;
-        (* Every join empties the cell it takes. *)
-        let held = ref 0 in
-        Array.iter (fun r -> if r != no_outcome then incr held) w.results;
-        if !held <> 0 then
-          add "worker %d: %d result cell(s) still hold an outcome" w.id !held)
+            (Mode.name pool.pmode) qs)
       pool.workers;
     let n = Inject_queue.size pool.ingress.lane in
     if n <> 0 then add "the lane holds %d injected jobs" n;
@@ -1120,8 +1108,8 @@ let stall_report pool =
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf {|{"id":%d,"progress":%d|} w.id
         (w.hot.progress + Stats.count w.counts Event.Spawn);
-      Printf.bprintf buf {|,"dstack":{"depth":%d,"bot":%d,"live":[|}
-        (Ds.depth w.dstack) (Ds.bot_index w.dstack);
+      Printf.bprintf buf {|,"dstack":{"depth":%d,"bot":%d,"slots":%d,"live":[|}
+        (Ds.depth w.dstack) (Ds.bot_index w.dstack) (Ds.length w.dstack);
       List.iteri
         (fun j (idx, st) ->
           if j > 0 then Buffer.add_char buf ',';
@@ -1201,7 +1189,6 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
         | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:(-1) ())
         | Clev -> Clev_q (Chase_lev.create ~dummy:(-1) ())
         | Swap_generic | Private -> No_queue);
-      results = Array.make capacity no_outcome;
       rng;
       sel = Select.make pool.policy.Wool_policy.selector ~self:id ();
       bo = Backoff.make pool.policy.Wool_policy.backoff;
@@ -1289,10 +1276,18 @@ let create ?(config = Config.default) () =
      the creating domain only submits; otherwise the creator acts as
      worker 0 inside [run], as before. *)
   let first_spawned = if c.Config.server then 0 else 1 in
+  let started = Atomic.make first_spawned in
   pool.domains <-
     List.init (nworkers - first_spawned) (fun i ->
         let w = workers.(i + first_spawned) in
-        Domain.spawn (fun () -> worker_loop w));
+        Domain.spawn (fun () ->
+            Atomic.incr started;
+            worker_loop w));
+  (* Return once every worker runs: a [run] right after [create] then
+     meets its thieves instead of finishing before their domains start. *)
+  while Atomic.get started < nworkers do
+    Domain.cpu_relax ()
+  done;
   if c.Config.watchdog_stalls > 0 then
     pool.wd <- Some (Domain.spawn (fun () -> watchdog_loop pool));
   pool

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each of the ten mutations breaks one
-# step of a shipped protocol body (seven in the ingress body, then three
-# in the direct-stack body), and `woolbench check --histories 0` must
+# Acid check for the model checker: each of the eleven mutations breaks
+# one step of a shipped protocol body (seven in the ingress body, then
+# four in the direct-stack body), and `woolbench check --histories 0` must
 # then fail in the scenario named beside it. A mutation whose pattern no
 # longer matches the source fails the script, so a stale mutation cannot
 # pass silently.
@@ -103,5 +103,9 @@ mutate "hold is a no-op" "$ds" leapfrog-hold \
 
 mutate "sweep is a no-op" "$ds" single-task-lifecycle \
   '  let i = ref t.own.top in' '  let i = ref t.capacity in'
+
+mutate "grow makes fresh records for the old indices" "$ds" steal-vs-grow \
+  $'(fun i ->\n        if i < n then old.(i) else new_slot t.dummy)' \
+  '(fun _ -> new_slot t.dummy)'
 
 exit $failed

@@ -122,6 +122,7 @@ let schedules =
     ("trip-wire-steal-vs-privatize", 28_954);
     ("publish-window", 4_707);
     ("leapfrog-hold", 1_420);
+    ("steal-vs-grow", 206);
     ("chase-lev-last-task", 125);
     ("submit-vs-shutdown", 32_787);
     ("submit-vs-drain", 31_532);

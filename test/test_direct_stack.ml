@@ -296,6 +296,112 @@ let test_capacity_overflow () =
   Alcotest.(check (list string)) "quiescent after overflow" []
     (Ds.check_quiescent t)
 
+(* The default capacity is still 65,536 tasks: the array grows to it and
+   the next push overflows, before anything is mutated. *)
+let test_default_capacity_overflow () =
+  let t = Ds.create ~publicity:Ds.All_private ~dummy:(-1) () in
+  Alcotest.(check int) "starts short" 64 (Ds.length t);
+  for i = 1 to 65_536 do
+    Ds.push t i
+  done;
+  Alcotest.(check int) "grown to the cap" 65_536 (Ds.length t);
+  Alcotest.check_raises "overflow at 65,536" Ds.Pool_overflow (fun () ->
+      Ds.push t 0);
+  Alcotest.(check int) "depth untouched" 65_536 (Ds.depth t);
+  Alcotest.(check int) "newest task untouched" 65_536 (Ds.top_payload t)
+
+(* The slot array starts at 64 slots and doubles on demand. A thief that
+   took slot 0's descriptor from the old array (here, in its [Pre_cas]
+   window) steals it after the owner's grow: both arrays name one
+   descriptor. Its result cell, written after the grow, reaches the
+   owner's join, and the slots only the grown array holds are stolen
+   like any other. *)
+let test_steal_across_grow () =
+  let t = mk () in
+  for i = 0 to 63 do
+    Ds.push t i
+  done;
+  Alcotest.(check int) "full, not grown" 64 (Ds.length t);
+  let interfere = function
+    | Ds.Pre_cas ->
+        Ds.push t 64;
+        false
+    | Ds.Post_cas | Ds.Trip -> false
+  in
+  (match Ds.steal t ~interfere ~thief:1 with
+  | Ds.Stolen_task (0, 0) -> ()
+  | _ -> Alcotest.fail "expected to steal task 0 across the grow");
+  Alcotest.(check int) "grown" 128 (Ds.length t);
+  Ds.set_result t ~index:0 (Ok (Obj.repr 100));
+  Ds.complete_steal t ~index:0;
+  for i = 1 to 64 do
+    match Ds.steal t ~thief:1 with
+    | Ds.Stolen_task (v, index) when v = i && index = i ->
+        Ds.complete_steal t ~index
+    | _ -> Alcotest.failf "expected to steal task %d at slot %d" i i
+  done;
+  for i = 64 downto 1 do
+    let _, index = expect_stolen "join" t in
+    Alcotest.(check int) "joined slot" i index;
+    Ds.reclaim t ~index
+  done;
+  let _, index = expect_stolen "join 0" t in
+  Alcotest.(check bool) "a held result cell is flagged" true
+    (List.exists
+       (fun v -> Test_util.contains v "result cell")
+       (Ds.check_quiescent t));
+  (match Ds.take_result t ~index with
+  | Ok v -> Alcotest.(check int) "the thief's result" 100 (Obj.obj v)
+  | Error _ -> Alcotest.fail "expected a value in the result cell");
+  Ds.reclaim t ~index;
+  Ds.sweep t;
+  Alcotest.(check (list string)) "quiescent" [] (Ds.check_quiescent t)
+
+(* A thief that reads the slot array before the owner grows it holds the
+   short array. With [bot] at its end the attempt fails, as on an empty
+   stack, even once the owner has grown the array and published the task
+   past it. Explored under the model checker, whose copy of the stack
+   starts with two slots: the thief, spawned first, reads the array
+   before the owner's push of task 2 grows it, and every interleaving of
+   the rest is run. *)
+let test_stale_array_fails_past_its_end () =
+  let module Cs = Wool_check.Direct_stack_checked in
+  let module Sched = Wool_check.Sched in
+  let seen = ref [] in
+  let published = ref false in
+  let stats =
+    Sched.run (fun () ->
+        let t = Cs.create ~capacity:4 ~publicity:Cs.All_public ~dummy:(-1) () in
+        Cs.push t 0;
+        Cs.push t 1;
+        List.iter
+          (fun i ->
+            match Cs.steal t ~thief:1 with
+            | Cs.Stolen_task (v, index) when v = i -> Cs.complete_steal t ~index
+            | _ -> failwith "setup: expected to steal the first two tasks")
+          [ 0; 1 ];
+        published := false;
+        Sched.spawn (fun () ->
+            let held = Cs.length t in
+            let r = Cs.steal t ~thief:1 in
+            seen := (held, r = Cs.Fail, !published) :: !seen);
+        Sched.spawn (fun () ->
+            Cs.push t 2;
+            published := true);
+        Sched.final (fun () ->
+            if Cs.top_payload t <> 2 then failwith "task 2 not on the stack"))
+  in
+  Alcotest.(check bool) "several schedules" true (stats.Sched.schedules > 1);
+  Alcotest.(check int) "one attempt per schedule" stats.Sched.schedules
+    (List.length !seen);
+  List.iter
+    (fun (held, failed, _) ->
+      Alcotest.(check int) "held the pre-grow array" 2 held;
+      Alcotest.(check bool) "failed cleanly" true failed)
+    !seen;
+  Alcotest.(check bool) "failed with task 2 already public" true
+    (List.exists (fun (_, _, published) -> published) !seen)
+
 let test_create_validation () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Direct_stack.create: capacity") (fun () ->
@@ -517,6 +623,11 @@ let suite =
         Alcotest.test_case "sweep clears dead payloads" `Quick
           test_sweep_clears_dead_payloads;
         Alcotest.test_case "overflow" `Quick test_capacity_overflow;
+        Alcotest.test_case "overflow at the default capacity" `Quick
+          test_default_capacity_overflow;
+        Alcotest.test_case "steal across a grow" `Quick test_steal_across_grow;
+        Alcotest.test_case "stale array fails past its end" `Quick
+          test_stale_array_fails_past_its_end;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         QCheck_alcotest.to_alcotest qcheck_sequential_stack_model;
         QCheck_alcotest.to_alcotest qcheck_owner_model;

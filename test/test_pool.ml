@@ -376,23 +376,32 @@ let test_stats_and_invariants_all_modes () =
             (n Join_stolen) (n Steal_ok)))
     all_modes
 
-(* [Pool_overflow] unwinding: filling a worker's task pool (its fixed
-   65,536 slots, in every mode) must raise the dedicated exception
+(* [Pool_overflow] unwinding: filling a worker's task pool (its stack
+   grows to 65,536 slots, in every mode) must raise the dedicated exception
    before any state is mutated, the exception path must join-or-drain
    everything outstanding, and the pool must come out quiescent and
    reusable. *)
 let test_pool_overflow_unwind_all_modes () =
   (* breadth-first: push [n] sibling tasks, join them in LIFO order *)
+  let spawned = ref 0 in
   let spawn_n ctx n =
-    let futs = List.init n (fun i -> Wool.spawn ctx (fun _ -> i)) in
+    let futs =
+      List.init n (fun i ->
+          let f = Wool.spawn ctx (fun _ -> i) in
+          incr spawned;
+          f)
+    in
     List.fold_left (fun acc f -> acc + Wool.join ctx f) 0 (List.rev futs)
   in
   let n = 65_537 in
   List.iter
     (fun (name, mode) ->
       Test_util.with_pool ~workers:2 ~mode (fun pool ->
+          spawned := 0;
           Alcotest.check_raises (name ^ " overflow") Wool.Pool_overflow
             (fun () -> ignore (Wool.run pool (fun ctx -> spawn_n ctx n) : int));
+          Alcotest.(check int) (name ^ " overflows at exactly 65,536") 65_536
+            !spawned;
           Alcotest.(check (list string)) (name ^ " invariants after unwind")
             [] (Wool.Invariants.check pool);
           (* the pool is reusable: same pool, fresh computation *)
@@ -661,6 +670,42 @@ let test_stolen_result_collected () =
             (Wool.Invariants.check pool)))
     Wool.Mode.all
 
+(* A spawn chain 200 deep, past the 64 slots a worker's stack starts
+   with, so the stack grows twice while a thief steals from it. Each
+   level spawns a leaf, and the bottom waits until worker 1 has run 100
+   leaves, the oldest first: past slot 64 it steals from the grown
+   stack. Every leaf's value comes back through its join. *)
+let test_deep_chain_grows_under_steals () =
+  let depth = 200 and wanted = 100 in
+  List.iter
+    (fun (name, mode) ->
+      Test_util.with_pool ~workers:2 ~mode ~publicity:Wool.All_public
+        (fun pool ->
+          let stolen = Atomic.make 0 in
+          let leaf d ctx =
+            if Wool.self_id ctx = 1 then Atomic.incr stolen;
+            d
+          in
+          let rec chain ctx d =
+            if d = 0 then begin
+              Alcotest.(check bool) (name ^ ": worker 1 stole enough") true
+                (Test_util.spin_until (fun () -> Atomic.get stolen >= wanted));
+              0
+            end
+            else begin
+              let f = Wool.spawn ctx (leaf d) in
+              let rest = chain ctx (d - 1) in
+              rest + Wool.join ctx f
+            end
+          in
+          Alcotest.(check int) (name ^ " sum") (depth * (depth + 1) / 2)
+            (Wool.run pool (fun ctx -> chain ctx depth));
+          Alcotest.(check bool) (name ^ ": steals past slot 64") true
+            (Atomic.get stolen >= wanted);
+          Alcotest.(check (list string)) (name ^ " invariants") []
+            (Wool.Invariants.check pool)))
+    all_modes
+
 let suite =
   [
     ( "pool",
@@ -711,6 +756,8 @@ let suite =
           test_join_other_worker_raises;
         Alcotest.test_case "stolen result collected" `Quick
           test_stolen_result_collected;
+        Alcotest.test_case "deep chain grows under steals" `Quick
+          test_deep_chain_grows_under_steals;
         QCheck_alcotest.to_alcotest qcheck_parallel_reduce_matches_fold;
       ] );
   ]
