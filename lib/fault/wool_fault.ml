@@ -233,14 +233,6 @@ module Stats = struct
             Format.fprintf fmt "%s=%d" k v)
           fs;
         Format.fprintf fmt "}@]"
-
-  let to_json t =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v)
-           (fields t))
-    ^ "}"
 end
 
 module Injector = struct

@@ -148,7 +148,6 @@ module Stats : sig
   (** Non-zero ["site/kind"] counters, for tables. *)
 
   val pp : Format.formatter -> t -> unit
-  val to_json : t -> string
 end
 
 (** Per-worker injector: owns a private RNG split from the plan seed so

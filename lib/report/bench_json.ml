@@ -18,9 +18,6 @@ module Spec = Exp_common.Spec
 
 let schema_version = "wool-bench/2"
 
-(* v1 documents (no tail percentiles) still decode; see [stat_of_tree] *)
-let schema_v1 = "wool-bench/1"
-
 type stat = {
   n : int;
   mean : float;
@@ -177,147 +174,70 @@ let measure ?(size = Spec.Std) ?(workers = [ 1; 2; 4 ]) ?(repeats = 3)
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding                                                       *)
+(* JSON encoding and decoding (for --compare)                          *)
 
-let add_float b v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" v)
-  else if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
-  else Buffer.add_string b "null" (* inf/nan have no JSON spelling *)
-
-let add_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_stat b (s : stat) =
-  Buffer.add_string b (Printf.sprintf "{\"n\":%d" s.n);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",\"%s\":" k);
-      add_float b v)
+let stat_to_tree (s : stat) =
+  Json.Obj
     [
-      ("mean", s.mean); ("median", s.median); ("stddev", s.stddev);
-      ("min", s.min); ("max", s.max); ("p10", s.p10); ("p90", s.p90);
-      ("p99", s.p99); ("p999", s.p999);
-    ];
-  Buffer.add_char b '}'
+      ("n", Int s.n); ("mean", Num s.mean); ("median", Num s.median);
+      ("stddev", Num s.stddev); ("min", Num s.min); ("max", Num s.max);
+      ("p10", Num s.p10); ("p90", Num s.p90); ("p99", Num s.p99);
+      ("p999", Num s.p999);
+    ]
 
-let add_run b (r : run) =
-  Buffer.add_string b "{\"workload\":";
-  add_string b r.workload;
-  Buffer.add_string b ",\"descr\":";
-  add_string b r.descr;
-  Buffer.add_string b ",\"mode\":";
-  add_string b r.mode;
-  Buffer.add_string b ",\"publicity\":";
-  add_string b r.publicity;
-  Buffer.add_string b
-    (Printf.sprintf ",\"workers\":%d,\"repeats\":%d,\"ok\":%b" r.workers
-       r.repeats r.ok);
-  Buffer.add_string b ",\"serial_ns\":";
-  add_stat b r.serial_ns;
-  Buffer.add_string b ",\"parallel_ns\":";
-  add_stat b r.parallel_ns;
-  Buffer.add_string b ",\"overhead\":";
-  add_float b r.overhead;
-  Buffer.add_string b ",\"speedup\":";
-  add_float b r.speedup;
-  Buffer.add_string b
-    (Printf.sprintf ",\"spawns\":%d,\"steals\":%d" r.spawns r.steals);
-  Buffer.add_string b ",\"g_t_ns\":";
-  add_float b r.g_t_ns;
-  Buffer.add_string b ",\"g_l_ns\":";
-  add_float b r.g_l_ns;
-  Buffer.add_char b '}'
+let run_to_tree (r : run) =
+  Json.Obj
+    [
+      ("workload", Str r.workload); ("descr", Str r.descr);
+      ("mode", Str r.mode); ("publicity", Str r.publicity);
+      ("workers", Int r.workers); ("repeats", Int r.repeats);
+      ("ok", Bool r.ok); ("serial_ns", stat_to_tree r.serial_ns);
+      ("parallel_ns", stat_to_tree r.parallel_ns);
+      ("overhead", Num r.overhead); ("speedup", Num r.speedup);
+      ("spawns", Int r.spawns); ("steals", Int r.steals);
+      ("g_t_ns", Num r.g_t_ns); ("g_l_ns", Num r.g_l_ns);
+    ]
 
 let to_json (rep : report) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":";
-  add_string b rep.schema;
-  Buffer.add_string b ",\"date\":";
-  add_string b rep.date;
-  Buffer.add_string b ",\"size\":";
-  add_string b rep.size;
-  Buffer.add_string b ",\"ghz\":";
-  add_float b rep.ghz;
-  Buffer.add_string b ",\"runs\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      add_run b r)
-    rep.runs;
-  Buffer.add_string b "]}\n";
-  let body = Buffer.contents b in
-  (match Json.validate body with
-  | Ok () -> ()
-  | Error msg -> failwith ("Bench_json.to_json: emitted invalid JSON: " ^ msg));
-  body
-
-(* ------------------------------------------------------------------ *)
-(* JSON decoding (for --compare)                                       *)
+  Json.to_string
+    (Obj
+       [
+         ("schema", Str rep.schema); ("date", Str rep.date);
+         ("size", Str rep.size); ("ghz", Num rep.ghz);
+         ("runs", Arr (List.map run_to_tree rep.runs));
+       ])
 
 let ( let* ) o f = match o with Some v -> f v | None -> None
 
-let float_member k t =
-  match Json.member k t with
-  | None -> None
-  | Some Json.Null -> Some infinity (* inf round-trips as null *)
-  | Some v -> Json.to_float v
-
-let int_member k t =
-  let* v = float_member k t in
-  Some (int_of_float v)
-
-let string_member k t =
-  let* v = Json.member k t in
-  Json.to_string v
-
-let bool_member k t =
-  match Json.member k t with Some (Json.Bool v) -> Some v | _ -> None
-
 let stat_of_tree t =
-  let* n = int_member "n" t in
-  let* mean = float_member "mean" t in
-  let* median = float_member "median" t in
-  let* stddev = float_member "stddev" t in
-  let* min = float_member "min" t in
-  let* max = float_member "max" t in
-  let* p10 = float_member "p10" t in
-  let* p90 = float_member "p90" t in
-  (* absent in v1 documents: default to [max], the only sound upper
-     bound the old schema recorded for the tail *)
-  let p99 = Option.value ~default:max (float_member "p99" t) in
-  let p999 = Option.value ~default:max (float_member "p999" t) in
+  let* n = Json.int_member "n" t in
+  let* mean = Json.float_member "mean" t in
+  let* median = Json.float_member "median" t in
+  let* stddev = Json.float_member "stddev" t in
+  let* min = Json.float_member "min" t in
+  let* max = Json.float_member "max" t in
+  let* p10 = Json.float_member "p10" t in
+  let* p90 = Json.float_member "p90" t in
+  let* p99 = Json.float_member "p99" t in
+  let* p999 = Json.float_member "p999" t in
   Some { n; mean; median; stddev; min; max; p10; p90; p99; p999 }
 
 let run_of_tree t =
-  let* workload = string_member "workload" t in
-  let* descr = string_member "descr" t in
-  let* mode = string_member "mode" t in
-  let* publicity = string_member "publicity" t in
-  let* workers = int_member "workers" t in
-  let* repeats = int_member "repeats" t in
-  let* ok = bool_member "ok" t in
-  let* serial_ns = Json.member "serial_ns" t in
-  let* serial_ns = stat_of_tree serial_ns in
-  let* parallel_ns = Json.member "parallel_ns" t in
-  let* parallel_ns = stat_of_tree parallel_ns in
-  let* overhead = float_member "overhead" t in
-  let* speedup = float_member "speedup" t in
-  let* spawns = int_member "spawns" t in
-  let* steals = int_member "steals" t in
-  let* g_t_ns = float_member "g_t_ns" t in
-  let* g_l_ns = float_member "g_l_ns" t in
+  let* workload = Json.string_member "workload" t in
+  let* descr = Json.string_member "descr" t in
+  let* mode = Json.string_member "mode" t in
+  let* publicity = Json.string_member "publicity" t in
+  let* workers = Json.int_member "workers" t in
+  let* repeats = Json.int_member "repeats" t in
+  let* ok = Json.bool_member "ok" t in
+  let* serial_ns = Option.bind (Json.member "serial_ns" t) stat_of_tree in
+  let* parallel_ns = Option.bind (Json.member "parallel_ns" t) stat_of_tree in
+  let* overhead = Json.float_member "overhead" t in
+  let* speedup = Json.float_member "speedup" t in
+  let* spawns = Json.int_member "spawns" t in
+  let* steals = Json.int_member "steals" t in
+  let* g_t_ns = Json.float_member "g_t_ns" t in
+  let* g_l_ns = Json.float_member "g_l_ns" t in
   Some
     {
       workload; descr; mode; publicity; workers; repeats; ok; serial_ns;
@@ -329,16 +249,15 @@ let of_json body =
   | Error msg -> Error msg
   | Ok t -> (
       let report =
-        let* schema = string_member "schema" t in
-        if schema <> schema_version && schema <> schema_v1 then None
+        let* schema = Json.string_member "schema" t in
+        if schema <> schema_version then None
         else
-          let* date = string_member "date" t in
-          let* size = string_member "size" t in
-          let* ghz = float_member "ghz" t in
-          let* runs = Json.member "runs" t in
-          let* runs = Json.to_list runs in
+          let* date = Json.string_member "date" t in
+          let* size = Json.string_member "size" t in
+          let* ghz = Json.float_member "ghz" t in
+          let* runs = Json.list_member "runs" t in
           let runs = List.map run_of_tree runs in
-          if List.exists (fun r -> r = None) runs then None
+          if List.mem None runs then None
           else
             Some
               {
@@ -354,16 +273,9 @@ let of_json body =
                schema_version))
 
 let write_file path rep =
-  let oc = open_out_bin path in
-  output_string oc (to_json rep);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_json rep))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  of_json body
+let read_file path = of_json (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -16,9 +16,7 @@
 
 val schema_version : string
 (** ["wool-bench/2"]; bumped on any field change. v2 added the tail
-    percentiles [p99]/[p999] to {!stat}; {!of_json} still accepts
-    ["wool-bench/1"] documents, defaulting the missing tails to the
-    recorded [max]. *)
+    percentiles [p99]/[p999] to {!stat}. *)
 
 (** Summary of one timed sample set, in nanoseconds. *)
 type stat = {
@@ -87,12 +85,12 @@ val measure :
     filter, an empty or non-positive worker list, or [repeats < 1]. *)
 
 val to_json : report -> string
-(** Render; the result is checked with {!Wool_trace.Json.validate}
-    before being returned (raises [Failure] if that ever fails). *)
+(** Render as compact JSON ({!Wool_trace.Json.to_string}); an infinite
+    float (e.g. [g_l_ns] with no steals) prints as [null]. *)
 
 val of_json : string -> (report, string) result
-(** Inverse of {!to_json}; also rejects documents whose ["schema"] is
-    neither {!schema_version} nor the previous ["wool-bench/1"]. *)
+(** Inverse of {!to_json} ([null] reads back as [infinity]); rejects
+    documents whose ["schema"] is not {!schema_version}. *)
 
 val write_file : string -> report -> unit
 val read_file : string -> (report, string) result

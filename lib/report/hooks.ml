@@ -4,7 +4,9 @@
    watchdog sampling alongside. Reports the minimum over [reps] runs
    each — the noise floor of a shared box is one-sided, so the min
    tracks the code cost where a median still soaks up scheduler
-   interference. *)
+   interference. Each run gets a fresh pool, and the configurations
+   take turns: a 2-worker pool is fast or slow from its creation on, so
+   one pool per row would time the pool, not the hooks. *)
 
 module Table = Wool_util.Table
 module Clock = Wool_util.Clock
@@ -24,31 +26,33 @@ let rec fib_task ctx n =
   end
 
 let run () =
-  let time_config label config =
-    let pool = Wool.create ~config () in
-    (* warm-up run to fault in domains and code paths *)
-    ignore (Wool.run pool (fun ctx -> fib_task ctx 20) : int);
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let v, ns =
-        Clock.time (fun () -> Wool.run pool (fun ctx -> fib_task ctx arg))
-      in
-      ignore (Sys.opaque_identity v : int);
-      if ns < !best then best := ns
-    done;
-    Wool.shutdown pool;
-    (label, !best)
+  let configs =
+    [
+      ("faults off", Wool.Config.make ~workers ());
+      ( "faults on, empty plan",
+        Wool.Config.make ~workers ~faults:Wool_fault.Plan.none () );
+      ( "watchdog on (1s threshold)",
+        Wool.Config.make ~workers ~watchdog_interval_ns:100_000_000
+          ~watchdog_stalls:10 () );
+    ]
   in
-  let base = time_config "faults off" (Wool.Config.make ~workers ()) in
-  let empty =
-    time_config "faults on, empty plan"
-      (Wool.Config.make ~workers ~faults:Wool_fault.Plan.none ())
+  let time_once config =
+    Wool.with_pool ~config (fun pool ->
+        (* warm-up run to fault in domains and code paths *)
+        ignore (Wool.run pool (fun ctx -> fib_task ctx 20) : int);
+        let v, ns =
+          Clock.time (fun () -> Wool.run pool (fun ctx -> fib_task ctx arg))
+        in
+        ignore (Sys.opaque_identity v : int);
+        ns)
   in
-  let watched =
-    time_config "watchdog on (1s threshold)"
-      (Wool.Config.make ~workers ~watchdog_interval_ns:100_000_000
-         ~watchdog_stalls:10 ())
-  in
+  let best = Array.make (List.length configs) infinity in
+  for _ = 1 to reps do
+    List.iteri
+      (fun i (_, config) -> best.(i) <- Float.min best.(i) (time_once config))
+      configs
+  done;
+  let rows = List.mapi (fun i (label, _) -> (label, best.(i))) configs in
   let tbl =
     Table.create
       ~title:
@@ -57,7 +61,7 @@ let run () =
       ~header:[ "configuration"; "ms"; "vs off" ]
       ()
   in
-  let _, base_ns = base in
+  let base_ns = best.(0) in
   List.iter
     (fun (label, ns) ->
       Table.add_row tbl
@@ -66,5 +70,5 @@ let run () =
           Table.cell_f ~dec:2 (ns /. 1e6);
           Printf.sprintf "%+.1f%%" ((ns /. base_ns -. 1.) *. 100.);
         ])
-    [ base; empty; watched ];
+    rows;
   Table.print tbl

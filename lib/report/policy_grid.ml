@@ -53,8 +53,6 @@ let selectors sockets =
     Selector.Hierarchical (Hier.auto ~sockets ());
   ]
 
-let str s = "\"" ^ Json.escape s ^ "\""
-
 let hex_of_hash h = Printf.sprintf "%Lx" (Int64.of_int h)
 
 let run_cell ~seed ~sockets ~tree ~workers selector =
@@ -137,45 +135,32 @@ let print g =
 
 (* ---- JSON snapshot ---- *)
 
-let cell_to_buf b c =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"workers\":%d,\"selector\":%s,\"time\":%d,\"steals\":%d,\
-        \"remote\":%d,\"failed\":%d,\"hash\":%s}"
-       c.workers (str c.selector) c.time c.steals c.remote c.failed
-       (str c.hash))
+let cell_to_tree c =
+  Json.Obj
+    [
+      ("workers", Int c.workers); ("selector", Str c.selector);
+      ("time", Int c.time); ("steals", Int c.steals); ("remote", Int c.remote);
+      ("failed", Int c.failed); ("hash", Str c.hash);
+    ]
 
 let to_json g =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":%s,\"seed\":%d,\"sockets\":%d,\"descr\":%s"
-       (str g.schema) g.seed g.sockets (str g.descr));
-  Buffer.add_string b ",\"cells\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      cell_to_buf b c)
-    g.cells;
-  Buffer.add_string b "]}\n";
-  let body = Buffer.contents b in
-  (match Json.validate body with
-  | Ok () -> ()
-  | Error msg -> failwith ("Policy_grid.to_json: emitted invalid JSON: " ^ msg));
-  body
+  Json.to_string
+    (Obj
+       [
+         ("schema", Str g.schema); ("seed", Int g.seed);
+         ("sockets", Int g.sockets); ("descr", Str g.descr);
+         ("cells", Arr (List.map cell_to_tree g.cells));
+       ])
 
 let of_json body =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let need what = function
+  let field read name t =
+    match read name t with
     | Some v -> Ok v
-    | None -> Error (Printf.sprintf "policy grid JSON: missing %s" what)
+    | None -> Error (Printf.sprintf "policy grid JSON: missing %s" name)
   in
-  let int_field name t =
-    let* v = need name (Option.bind (Json.member name t) Json.to_float) in
-    Ok (int_of_float v)
-  in
-  let str_field name t =
-    need name (Option.bind (Json.member name t) Json.to_string)
-  in
+  let int_field = field Json.int_member
+  and str_field = field Json.string_member in
   let* t =
     match Json.parse body with
     | Ok t -> Ok t
@@ -190,7 +175,7 @@ let of_json body =
     let* seed = int_field "seed" t in
     let* sockets = int_field "sockets" t in
     let* descr = str_field "descr" t in
-    let* cells = need "cells" (Option.bind (Json.member "cells" t) Json.to_list) in
+    let* cells = field Json.list_member "cells" t in
     let* cells =
       List.fold_left
         (fun acc ct ->
@@ -208,16 +193,9 @@ let of_json body =
     Ok { schema; seed; sockets; descr; cells = List.rev cells }
 
 let write_file path g =
-  let oc = open_out path in
-  output_string oc (to_json g);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_json g))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  of_json body
+let read_file path = of_json (In_channel.with_open_bin path In_channel.input_all)
 
 (* Exact diff: the simulator is deterministic, so any difference at all
    is a behaviour change somebody must own (and re-commit the snapshot

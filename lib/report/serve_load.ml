@@ -282,12 +282,6 @@ let measure ?(producers = 2) ?(workers = 2) ?(rate_hz = 200.)
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 
-let add_float b v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" v)
-  else if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
-  else Buffer.add_string b "null"
-
 type report = {
   schema : string;
   date : string;
@@ -298,78 +292,54 @@ type report = {
   rows : row list;
 }
 
+let row_to_tree r =
+  Json.Obj
+    [
+      ("mode", Str r.mode); ("arrival", Str r.arrival);
+      ("admission", Str r.admission); ("offered", Int r.offered);
+      ("admitted", Int r.admitted); ("rejected", Int r.rejected);
+      ("shed", Int r.shed); ("executed", Int r.executed);
+      ("expired", Int r.expired); ("cancelled", Int r.cancelled);
+      ("p50_ms", Num r.p50_ms); ("p99_ms", Num r.p99_ms);
+      ("p999_ms", Num r.p999_ms); ("throughput", Num r.throughput);
+      ("goodput", Num r.goodput); ("target_ms", Num r.target_ms);
+      ("elapsed_s", Num r.elapsed_s);
+      ("violations", Int (List.length r.violations));
+    ]
+
 let to_json ~date ~producers ~workers ~rate_hz ~duration_s rows =
-  let b = Buffer.create 2048 in
-  Printf.bprintf b
-    "{\"schema\":%S,\"date\":%S,\"producers\":%d,\"workers\":%d"
-    schema_version date producers workers;
-  Printf.bprintf b ",\"rate_hz\":";
-  add_float b rate_hz;
-  Printf.bprintf b ",\"duration_s\":";
-  add_float b duration_s;
-  Buffer.add_string b ",\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Printf.bprintf b
-        "{\"mode\":%S,\"arrival\":%S,\"admission\":%S,\"offered\":%d,\"admitted\":%d,\"rejected\":%d,\"shed\":%d,\"executed\":%d,\"expired\":%d,\"cancelled\":%d"
-        r.mode r.arrival r.admission r.offered r.admitted r.rejected r.shed
-        r.executed r.expired r.cancelled;
-      List.iter
-        (fun (k, v) ->
-          Printf.bprintf b ",\"%s\":" k;
-          add_float b v)
-        [
-          ("p50_ms", r.p50_ms); ("p99_ms", r.p99_ms); ("p999_ms", r.p999_ms);
-          ("throughput", r.throughput); ("goodput", r.goodput);
-          ("target_ms", r.target_ms); ("elapsed_s", r.elapsed_s);
-        ];
-      Printf.bprintf b ",\"violations\":%d}" (List.length r.violations))
-    rows;
-  Buffer.add_string b "]}\n";
-  let body = Buffer.contents b in
-  (match Json.validate body with
-  | Ok () -> ()
-  | Error msg -> failwith ("Serve_load.to_json: emitted invalid JSON: " ^ msg));
-  body
+  Json.to_string
+    (Obj
+       [
+         ("schema", Str schema_version); ("date", Str date);
+         ("producers", Int producers); ("workers", Int workers);
+         ("rate_hz", Num rate_hz); ("duration_s", Num duration_s);
+         ("rows", Arr (List.map row_to_tree rows));
+       ])
 
 (* ---- decoding (schema tests) ---- *)
 
 let ( let* ) o f = match o with Some v -> f v | None -> None
 
-let float_member k t =
-  match Json.member k t with
-  | None -> None
-  | Some Json.Null -> Some infinity (* inf round-trips as null *)
-  | Some v -> Json.to_float v
-
-let int_member k t =
-  let* v = float_member k t in
-  Some (int_of_float v)
-
-let string_member k t =
-  let* v = Json.member k t in
-  Json.to_string v
-
 let row_of_tree t =
-  let* mode = string_member "mode" t in
-  let* arrival = string_member "arrival" t in
-  let* offered = int_member "offered" t in
-  let* admitted = int_member "admitted" t in
-  let* rejected = int_member "rejected" t in
-  let* shed = int_member "shed" t in
-  let* executed = int_member "executed" t in
-  let* p50_ms = float_member "p50_ms" t in
-  let* p99_ms = float_member "p99_ms" t in
-  let* p999_ms = float_member "p999_ms" t in
-  let* throughput = float_member "throughput" t in
-  let* elapsed_s = float_member "elapsed_s" t in
-  let* violations = int_member "violations" t in
-  let* admission = string_member "admission" t in
-  let* expired = int_member "expired" t in
-  let* cancelled = int_member "cancelled" t in
-  let* goodput = float_member "goodput" t in
-  let* target_ms = float_member "target_ms" t in
+  let* mode = Json.string_member "mode" t in
+  let* arrival = Json.string_member "arrival" t in
+  let* admission = Json.string_member "admission" t in
+  let* offered = Json.int_member "offered" t in
+  let* admitted = Json.int_member "admitted" t in
+  let* rejected = Json.int_member "rejected" t in
+  let* shed = Json.int_member "shed" t in
+  let* executed = Json.int_member "executed" t in
+  let* expired = Json.int_member "expired" t in
+  let* cancelled = Json.int_member "cancelled" t in
+  let* p50_ms = Json.float_member "p50_ms" t in
+  let* p99_ms = Json.float_member "p99_ms" t in
+  let* p999_ms = Json.float_member "p999_ms" t in
+  let* throughput = Json.float_member "throughput" t in
+  let* goodput = Json.float_member "goodput" t in
+  let* target_ms = Json.float_member "target_ms" t in
+  let* elapsed_s = Json.float_member "elapsed_s" t in
+  let* violations = Json.int_member "violations" t in
   Some
     {
       mode; arrival; admission; offered; admitted; rejected; shed; executed;
@@ -383,18 +353,17 @@ let of_json body =
   | Error msg -> Error msg
   | Ok t -> (
       let report =
-        let* schema = string_member "schema" t in
+        let* schema = Json.string_member "schema" t in
         if schema <> schema_version then None
         else
-          let* date = string_member "date" t in
-          let* producers = int_member "producers" t in
-          let* workers = int_member "workers" t in
-          let* rate_hz = float_member "rate_hz" t in
-          let* duration_s = float_member "duration_s" t in
-          let* rows = Json.member "rows" t in
-          let* rows = Json.to_list rows in
+          let* date = Json.string_member "date" t in
+          let* producers = Json.int_member "producers" t in
+          let* workers = Json.int_member "workers" t in
+          let* rate_hz = Json.float_member "rate_hz" t in
+          let* duration_s = Json.float_member "duration_s" t in
+          let* rows = Json.list_member "rows" t in
           let rows = List.map row_of_tree rows in
-          if List.exists (fun r -> r = None) rows then None
+          if List.mem None rows then None
           else
             Some
               {
@@ -464,16 +433,10 @@ let run ?producers ?workers ?rate_hz ?duration_s ?lane_capacity
   let duration_s = Option.value ~default:1.0 duration_s in
   let body = to_json ~date ~producers ~workers ~rate_hz ~duration_s rows in
   let out = match out with Some p -> p | None -> default_out ~date in
-  let oc = open_out_bin out in
-  output_string oc body;
-  close_out oc;
+  Out_channel.with_open_bin out (fun oc -> output_string oc body);
   Printf.printf "wrote %s (%d rows)\n" out (List.length rows);
   if check then begin
-    let ic = open_in_bin out in
-    let len = in_channel_length ic in
-    let body' = really_input_string ic len in
-    close_in ic;
-    match of_json body' with
+    match of_json (In_channel.with_open_bin out In_channel.input_all) with
     | Ok _ -> print_endline "check: re-read JSON parses as wool-serve/2"
     | Error msg -> failwith (Printf.sprintf "check: %s: %s" out msg)
   end;

@@ -99,9 +99,9 @@ val to_json :
   duration_s:float ->
   row list ->
   string
-(** Render as a wool-serve/2 document; validated with
-    {!Wool_trace.Json.validate} before being returned (raises [Failure]
-    if that ever fails). *)
+(** Render as a compact wool-serve/2 document
+    ({!Wool_trace.Json.to_string}; an infinite latency prints as
+    [null]). *)
 
 val of_json : string -> (report, string) result
 (** Parse a wool-serve/2 document. Other schemas and missing fields

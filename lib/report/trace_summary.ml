@@ -105,12 +105,8 @@ let run ?(workers = 4) ?(out = "trace.json") ?(check = false) ?policy name =
   Printf.printf "wrote %s (%d events, %d dropped)\n" out
     (Array.length events) dropped;
   if check then begin
-    let ic = open_in_bin out in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    match Wool_trace.Json.validate body with
-    | Ok () -> Printf.printf "%s: JSON OK\n" out
+    match Wool_trace.Json.parse (In_channel.with_open_bin out In_channel.input_all) with
+    | Ok _ -> Printf.printf "%s: JSON OK\n" out
     | Error msg -> failwith (Printf.sprintf "%s: invalid JSON: %s" out msg)
   end;
   let summary = Summary.make ~dropped events in

@@ -21,7 +21,7 @@ val run :
     ["trace.json"]). [policy] selects the steal policy for both the real
     pool and the simulated counterpart (default: the pool's default,
     random victims with nap-after-64 backoff). With [check] the written
-    file is re-read and validated with {!Wool_trace.Json.validate}.
+    file is re-read and parsed with {!Wool_trace.Json.parse}.
     Raises [Failure] on an unknown workload name, (under [check])
     invalid JSON, or, when no event was dropped, an event count that
     disagrees with its {!Wool.Stats} counter. *)

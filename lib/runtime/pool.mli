@@ -620,8 +620,8 @@ val stall_report : t -> string
     (lane occupancy and {!ingress_stats} counters), and per worker the
     progress counter, direct-stack occupancy with live descriptor
     states, the queued modes' deque size, scheduler counters, and the
-    tail of the trace ring (when tracing is on). Valid JSON by
-    construction ({!Wool_trace.Json.validate} accepts it); safe to call
+    tail of the trace ring (when tracing is on), printed by
+    {!Wool_trace.Json.to_string}; safe to call
     at any time — concurrent readings are racy snapshots. *)
 
 val set_on_stall : t -> (string -> unit) -> unit

@@ -8,6 +8,7 @@ module Inject_queue = Wool_deque.Inject_queue
 module Ingress = Wool_deque.Ingress
 module Ring = Wool_trace.Ring
 module Event = Wool_trace.Event
+module Json = Wool_trace.Json
 module Select = Wool_policy.Select
 module Backoff = Wool_policy.Backoff
 module Fault = Wool_fault
@@ -962,13 +963,10 @@ module Stats = struct
       keys;
     Format.fprintf fmt "}@]"
 
-  let to_json s =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, key) -> Printf.sprintf {|"%s":%d|} k (get s key))
-           keys)
-    ^ "}"
+  let to_tree s =
+    Json.Obj (List.map (fun (k, key) -> (k, Json.Int (get s key))) keys)
+
+  let to_json s = Json.to_string (to_tree s)
 end
 
 (* ---- fault-injection stats ---- *)
@@ -1088,48 +1086,56 @@ let layout_check pool =
 (* ---- stall watchdog ---- *)
 
 let stall_report pool =
-  let buf = Buffer.create 1024 in
-  let esc = Wool_trace.Json.escape in
-  Buffer.add_string buf {|{"type":"wool_stall_report"|};
-  Printf.bprintf buf {|,"mode":"%s"|} (Mode.name pool.pmode);
-  Printf.bprintf buf {|,"policy":"%s"|} (esc (Wool_policy.name pool.policy));
-  Printf.bprintf buf {|,"active":%b|} (Atomic.get pool.active);
-  (let ig = ingress_stats pool in
-   Printf.bprintf buf
-     {|,"ingress":{"submitted":%d,"admitted":%d,"rejected":%d,"shed":%d,"executed":%d,"expired":%d,"cancelled":%d,"inflight":%d}|}
-     ig.submitted ig.admitted ig.rejected ig.shed ig.executed ig.expired
-     ig.cancelled ig.inflight);
-  (match pool.faults with
-  | Some p -> Printf.bprintf buf {|,"fault_plan":"%s"|} (esc p.Fault.Plan.name)
-  | None -> ());
-  Buffer.add_string buf {|,"workers":[|};
-  Array.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf {|{"id":%d,"progress":%d|} w.id
-        (w.hot.progress + Stats.count w.counts Event.Spawn);
-      Printf.bprintf buf {|,"dstack":{"depth":%d,"bot":%d,"slots":%d,"live":[|}
-        (Ds.depth w.dstack) (Ds.bot_index w.dstack) (Ds.length w.dstack);
-      List.iteri
-        (fun j (idx, st) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf {|{"index":%d,"state":"%s"}|} idx (esc st))
-        (Ds.dump_live w.dstack);
-      Buffer.add_string buf "]}";
-      Printf.bprintf buf {|,"queue_size":%d|} (q_size w);
-      Printf.bprintf buf {|,"stats":%s|} (Stats.to_json (Stats.of_worker w));
-      Buffer.add_string buf {|,"trace":[|};
-      let evs = Ring.snapshot w.ring ~worker:w.id in
-      let n = Array.length evs in
-      let start = max 0 (n - 32) in
-      for j = start to n - 1 do
-        if j > start then Buffer.add_char buf ',';
-        Buffer.add_string buf (Event.to_json evs.(j))
-      done;
-      Buffer.add_string buf "]}")
-    pool.workers;
-  Printf.bprintf buf {|],"trace_dropped":%d}|} (trace_dropped pool);
-  Buffer.contents buf
+  let ig = ingress_stats pool in
+  let worker w : Json.tree =
+    let evs = Ring.snapshot w.ring ~worker:w.id in
+    let n = Array.length evs in
+    let tail = Array.sub evs (max 0 (n - 32)) (min n 32) in
+    Obj
+      [
+        ("id", Int w.id);
+        ("progress", Int (w.hot.progress + Stats.count w.counts Event.Spawn));
+        ( "dstack",
+          Obj
+            [
+              ("depth", Int (Ds.depth w.dstack));
+              ("bot", Int (Ds.bot_index w.dstack));
+              ("slots", Int (Ds.length w.dstack));
+              ( "live",
+                Arr
+                  (List.map
+                     (fun (idx, st) ->
+                       Json.Obj [ ("index", Int idx); ("state", Str st) ])
+                     (Ds.dump_live w.dstack)) );
+            ] );
+        ("queue_size", Int (q_size w));
+        ("stats", Stats.to_tree (Stats.of_worker w));
+        ("trace", Arr (Array.to_list (Array.map Event.to_tree tail)));
+      ]
+  in
+  Json.to_string
+    (Obj
+       ([
+          ("type", Json.Str "wool_stall_report");
+          ("mode", Str (Mode.name pool.pmode));
+          ("policy", Str (Wool_policy.name pool.policy));
+          ("active", Bool (Atomic.get pool.active));
+          ( "ingress",
+            Obj
+              [
+                ("submitted", Int ig.submitted); ("admitted", Int ig.admitted);
+                ("rejected", Int ig.rejected); ("shed", Int ig.shed);
+                ("executed", Int ig.executed); ("expired", Int ig.expired);
+                ("cancelled", Int ig.cancelled); ("inflight", Int ig.inflight);
+              ] );
+        ]
+       @ (match pool.faults with
+         | Some p -> [ ("fault_plan", Json.Str p.Fault.Plan.name) ]
+         | None -> [])
+       @ [
+           ("workers", Arr (Array.to_list (Array.map worker pool.workers)));
+           ("trace_dropped", Int (trace_dropped pool));
+         ]))
 
 let set_on_stall pool f = pool.on_stall <- f
 let stalls_fired pool = Atomic.get pool.stall_reports

@@ -10,7 +10,7 @@
 val to_string :
   ?process_name:string -> ?ts_per_us:float -> Event.t array -> string
 (** Serialise the events (any order; emitted as given). The result always
-    validates under {!Json.validate}. *)
+    parses under {!Json.parse}. *)
 
 val write_file :
   ?process_name:string -> ?ts_per_us:float -> string -> Event.t array -> unit

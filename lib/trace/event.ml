@@ -58,76 +58,21 @@ let tag_of_name s =
   in
   go 0
 
-let to_json e =
-  Printf.sprintf {|{"ts":%d,"w":%d,"tag":"%s","a":%d,"b":%d}|} e.ts e.worker
-    (tag_name e.tag) e.a e.b
+let to_tree e =
+  Json.Obj
+    [
+      ("ts", Int e.ts); ("w", Int e.worker); ("tag", Str (tag_name e.tag));
+      ("a", Int e.a); ("b", Int e.b);
+    ]
 
-(* Parses exactly the shape [to_json] emits (fields in any order,
-   whitespace tolerated). *)
-let of_json_exn s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith ("Event.of_json_exn: " ^ msg) in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || s.[!pos] <> c then
-      fail (Printf.sprintf "expected '%c' at %d" c !pos);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    while !pos < n && s.[!pos] <> '"' do
-      Buffer.add_char b s.[!pos];
-      incr pos
-    done;
-    expect '"';
-    Buffer.contents b
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if !pos < n && s.[!pos] = '-' then incr pos;
-    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start then fail "expected integer";
-    int_of_string (String.sub s start (!pos - start))
-  in
-  let ts = ref None and w = ref None and tag = ref None in
-  let a = ref None and b = ref None in
-  expect '{';
-  let rec fields () =
-    let key = parse_string () in
-    expect ':';
-    (match key with
-    | "ts" -> ts := Some (parse_int ())
-    | "w" -> w := Some (parse_int ())
-    | "a" -> a := Some (parse_int ())
-    | "b" -> b := Some (parse_int ())
-    | "tag" -> (
-        let name = parse_string () in
-        match tag_of_name name with
-        | Some t -> tag := Some t
-        | None -> fail ("unknown tag " ^ name))
-    | k -> fail ("unknown field " ^ k));
-    skip_ws ();
-    if !pos < n && s.[!pos] = ',' then begin
-      incr pos;
-      fields ()
-    end
-  in
-  fields ();
-  expect '}';
-  match (!ts, !w, !tag, !a, !b) with
-  | Some ts, Some worker, Some tag, Some a, Some b ->
-      { ts; worker; tag; a; b }
-  | _ -> fail "missing field"
+let of_tree t =
+  let ( let* ) = Option.bind in
+  let* ts = Json.int_member "ts" t in
+  let* worker = Json.int_member "w" t in
+  let* tag = Option.bind (Json.string_member "tag" t) tag_of_name in
+  let* a = Json.int_member "a" t in
+  let* b = Json.int_member "b" t in
+  Some { ts; worker; tag; a; b }
 
 let pp fmt e =
   Format.fprintf fmt "[%d] w%d %s a=%d b=%d" e.ts e.worker (tag_name e.tag)

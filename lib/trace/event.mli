@@ -58,11 +58,12 @@ val tag_of_name : string -> tag option
 
 val all_tags : tag array
 
-val to_json : t -> string
-(** One-line JSON object [{"ts":..,"w":..,"tag":"..","a":..,"b":..}]. *)
+val to_tree : t -> Json.tree
+(** The object [{"ts":..,"w":..,"tag":"..","a":..,"b":..}]; print it
+    with {!Json.to_string}. *)
 
-val of_json_exn : string -> t
-(** Parse the output of {!to_json}. Raises [Failure] on malformed input —
-    test/tooling helper, not a general JSON parser. *)
+val of_tree : Json.tree -> t option
+(** Inverse of {!to_tree}, members in any order; [None] when one is
+    missing, is not an integer, or names an unknown tag. *)
 
 val pp : Format.formatter -> t -> unit

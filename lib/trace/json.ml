@@ -1,5 +1,13 @@
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+type tree =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Num of float
+  | Str of string
+  | Arr of tree list
+  | Obj of (string * tree) list
+
+let escape_into b s =
   String.iter
     (fun c ->
       match c with
@@ -11,156 +19,67 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  escape_into b s;
   Buffer.contents b
 
+(* ---- printing ---- *)
+
+(* The shortest of %.15g/%.16g/%.17g that reads back as [f], with a
+   fraction or exponent so that it parses as a [Num], not an [Int]. *)
+let float_repr f =
+  let s =
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+  in
+  if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+let add_string b s =
+  Buffer.add_char b '"';
+  escape_into b s;
+  Buffer.add_char b '"'
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Num f ->
+      (* inf and nan have no JSON spelling *)
+      Buffer.add_string b (if Float.is_finite f then float_repr f else "null")
+  | Str s -> add_string b s
+  | Arr l ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          to_buffer b v)
+        l;
+      Buffer.add_char b ']'
+  | Obj kvs ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_string b k;
+          Buffer.add_char b ':';
+          to_buffer b v)
+        kvs;
+      Buffer.add_char b '}'
+
+let to_string t =
+  let b = Buffer.create 256 in
+  to_buffer b t;
+  Buffer.contents b
+
+(* ---- parsing ---- *)
+
 exception Bad of int * string
-
-let validate s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then pos := !pos + l
-    else fail ("expected " ^ lit)
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> incr pos
-               | 'u' ->
-                   if !pos + 4 >= n then fail "short \\u escape";
-                   for k = 1 to 4 do
-                     match s.[!pos + k] with
-                     | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                     | _ -> fail "bad \\u escape"
-                   done;
-                   pos := !pos + 5
-               | _ -> fail "bad escape");
-            go ()
-        | c when Char.code c < 0x20 -> fail "control char in string"
-        | _ ->
-            incr pos;
-            go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let start = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        incr pos
-      done;
-      if !pos = start then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ())
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | None -> fail "expected value"
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then incr pos
-        else begin
-          let rec members () =
-            skip_ws ();
-            string_ ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ()
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then incr pos
-        else begin
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elements ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ()
-        end
-    | Some '"' -> string_ ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected '%c'" c));
-    skip_ws ()
-  in
-  match
-    value ();
-    if !pos <> n then fail "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad (at, msg) ->
-      Error (Printf.sprintf "invalid JSON at offset %d: %s" at msg)
-
-(* ---- parsing ----
-
-   The benchmark harness compares BENCH_*.json files across commits, which
-   needs actual values, not just well-formedness. Same grammar as
-   [validate], building a document tree. *)
-
-type tree =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of tree list
-  | Obj of (string * tree) list
 
 let parse s =
   let n = String.length s in
@@ -235,6 +154,8 @@ let parse s =
     go ();
     Buffer.contents b
   in
+  (* An integer literal that fits is an [Int] (a monotonic-ns timestamp
+     above 2^53 keeps every digit); anything else is a [Num]. *)
   let number () =
     let start = !pos in
     if peek () = Some '-' then incr pos;
@@ -246,17 +167,23 @@ let parse s =
       if !pos = d0 then fail "expected digit"
     in
     digits ();
+    let integral = ref true in
     if peek () = Some '.' then begin
+      integral := false;
       incr pos;
       digits ()
     end;
     (match peek () with
     | Some ('e' | 'E') ->
+        integral := false;
         incr pos;
         (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
         digits ()
     | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
+    let lit = String.sub s start (!pos - start) in
+    match if !integral then int_of_string_opt lit else None with
+    | Some i -> Int i
+    | None -> Num (float_of_string lit)
   in
   let rec value () =
     skip_ws ();
@@ -277,7 +204,6 @@ let parse s =
               skip_ws ();
               expect ':';
               let v = value () in
-              skip_ws ();
               match peek () with
               | Some ',' ->
                   incr pos;
@@ -299,7 +225,6 @@ let parse s =
           else begin
             let rec elements acc =
               let v = value () in
-              skip_ws ();
               match peek () with
               | Some ',' ->
                   incr pos;
@@ -321,7 +246,7 @@ let parse s =
       | Some 'n' ->
           literal "null";
           Null
-      | Some ('-' | '0' .. '9') -> Num (number ())
+      | Some ('-' | '0' .. '9') -> number ()
       | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
     in
     skip_ws ();
@@ -336,12 +261,27 @@ let parse s =
   | exception Bad (at, msg) ->
       Error (Printf.sprintf "invalid JSON at offset %d: %s" at msg)
 
-(* Accessors over a parsed tree; total, returning options. *)
+(* ---- typed readers; total, returning options ---- *)
 
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
+let to_float = function
+  | Int i -> Some (float_of_int i)
+  | Num f -> Some f
+  | _ -> None
+
+let float_member k t =
+  match member k t with
+  | Some Null -> Some infinity (* the printer writes inf as null *)
+  | Some v -> to_float v
+  | None -> None
+
+let int_member k t = match member k t with Some (Int i) -> Some i | _ -> None
+let bool_member k t = match member k t with Some (Bool v) -> Some v | _ -> None
+
+let string_member k t =
+  match member k t with Some (Str s) -> Some s | _ -> None
+
+let list_member k t = match member k t with Some (Arr l) -> Some l | _ -> None

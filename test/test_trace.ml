@@ -114,30 +114,122 @@ let test_tag_round_trips () =
   Alcotest.(check int) "bad int" (-1) (tag_int (Ev.tag_of_int Ev.n_tags));
   Alcotest.(check int) "bad name" (-1) (tag_int (Ev.tag_of_name "quux"))
 
+let event_of_string js =
+  match Json.parse js with
+  | Error e -> Alcotest.failf "%s: %s" js e
+  | Ok t -> (
+      match Ev.of_tree t with
+      | Some e -> e
+      | None -> Alcotest.failf "not an event: %s" js)
+
 let test_event_json_round_trip () =
   Array.iter
     (fun tag ->
       let e = { Ev.ts = 123456789; worker = 3; tag; a = 17; b = -1 } in
-      let js = Ev.to_json e in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s is valid JSON" (Ev.tag_name tag))
-        true
-        (Json.validate js = Ok ());
-      check_event (Ev.tag_name tag) e (Ev.of_json_exn js))
+      check_event (Ev.tag_name tag) e
+        (event_of_string (Json.to_string (Ev.to_tree e))))
     Ev.all_tags;
   (* field order independence *)
-  let e =
-    Ev.of_json_exn {|{"b":2,"a":1,"tag":"steal_ok","w":0,"ts":42}|}
-  in
-  check_event "shuffled fields" { Ev.ts = 42; worker = 0; tag = Ev.Steal_ok; a = 1; b = 2 } e
+  let e = event_of_string {|{"b":2,"a":1,"tag":"steal_ok","w":0,"ts":42}|} in
+  check_event "shuffled fields" { Ev.ts = 42; worker = 0; tag = Ev.Steal_ok; a = 1; b = 2 } e;
+  (* a monotonic-ns stamp above 2^53 keeps every digit *)
+  let big = { Ev.ts = (1 lsl 53) + 1; worker = 1; tag = Ev.Spawn; a = 0; b = -1 } in
+  let js = Json.to_string (Ev.to_tree big) in
+  Alcotest.(check bool) "ts printed exactly" true (contains js {|"ts":9007199254740993|});
+  check_event "ts above 2^53" big (event_of_string js);
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) ("not an event: " ^ bad) true
+        (match Json.parse bad with
+        | Ok t -> Ev.of_tree t = None
+        | Error _ -> true))
+    [ {|{"ts":1,"w":0,"tag":"quux","a":0,"b":0}|}; {|{"ts":1,"w":0,"a":0,"b":0}|};
+      {|{"ts":1.5,"w":0,"tag":"spawn","a":0,"b":0}|}; "[]" ]
 
-let test_json_validate_rejects () =
+let test_json_parse_rejects () =
   List.iter
     (fun bad ->
       Alcotest.(check bool) (Printf.sprintf "rejects %s" bad) true
-        (match Json.validate bad with Ok () -> false | Error _ -> true))
+        (match Json.parse bad with Ok _ -> false | Error _ -> true))
     [ ""; "{"; "[1,]"; {|{"a":}|}; {|{"a":1}}|}; "nul"; {|"unterminated|};
       "[1 2]"; "{1:2}" ]
+
+(* The printer and the parser agree: [parse (to_string t) = t] for
+   generated trees, non-finite numbers coming back as [Null]. *)
+let control_bytes = String.init 0x20 Char.chr
+
+let json_strings =
+  [| ""; "plain"; control_bytes; {|"|}; {|\|}; {|a"b\c/d|};
+     "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x90\x91" |]
+
+let json_ints = [| 0; -1; (1 lsl 53) + 1; max_int; min_int |]
+
+let json_floats =
+  [| -0.; 0.1; 1e-300; 1e300; 3.0; -2.5e-7; 5e-324; Float.max_float;
+     infinity; neg_infinity; nan |]
+
+let rec finite_only : Json.tree -> Json.tree = function
+  | Num f when not (Float.is_finite f) -> Null
+  | Arr l -> Arr (List.map finite_only l)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, finite_only v)) kvs)
+  | t -> t
+
+let gen_tree : Json.tree QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ oneofa json_ints; int ]);
+        map
+          (fun f -> Json.Num f)
+          (oneof [ oneofa json_floats; map Int64.float_of_bits ui64 ]);
+        map (fun s -> Json.Str s) (oneofa json_strings);
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 3) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 3)
+                      (pair (oneofa json_strings) (self (n - 1)))) );
+             ])
+
+let round_trips t =
+  let s = Json.to_string t in
+  (not (String.exists (fun c -> Char.code c < 0x20) s))
+  && Json.parse s = Ok (finite_only t)
+
+let qcheck_json_round_trip =
+  QCheck.Test.make ~name:"JSON print/parse round trip" ~count:2000
+    (QCheck.make ~print:Json.to_string gen_tree)
+    round_trips
+
+let test_json_print_parse_edges () =
+  let check t = Alcotest.(check bool) (Json.to_string t) true (round_trips t) in
+  (* every listed string as a value and as an escaped key, every number
+     on its own *)
+  Array.iter (fun s -> check (Obj [ (s, Str s) ])) json_strings;
+  Array.iter (fun i -> check (Int i)) json_ints;
+  Array.iter (fun f -> check (Num f)) json_floats;
+  Alcotest.(check string) "max_int as %d" (string_of_int max_int)
+    (Json.to_string (Int max_int));
+  Alcotest.(check string) "integral float keeps a fraction" "3.0"
+    (Json.to_string (Num 3.));
+  Alcotest.(check string) "shortest repr" "0.1" (Json.to_string (Num 0.1));
+  Alcotest.(check string) "non-finite as null" "[null,null,null]"
+    (Json.to_string (Arr [ Num infinity; Num neg_infinity; Num nan ]));
+  match Json.parse (Json.to_string (Num (-0.))) with
+  | Ok (Num f) -> Alcotest.(check bool) "-0. keeps its sign" true (1. /. f < 0.)
+  | _ -> Alcotest.fail "-0. did not come back as a Num"
 
 let test_ring_record_snapshot () =
   let r = Ring.create ~capacity:8 in
@@ -184,7 +276,7 @@ let test_chrome_export_is_valid_json () =
     |]
   in
   let s = Chrome.to_string events in
-  Alcotest.(check bool) "valid JSON" true (Json.validate s = Ok ());
+  Alcotest.(check bool) "valid JSON" true (Result.is_ok (Json.parse s));
   Alcotest.(check bool) "traceEvents array" true (contains s "\"traceEvents\"");
   Alcotest.(check bool) "one lane per worker" true
     (contains s "worker 0" && contains s "worker 1");
@@ -218,7 +310,10 @@ let suite =
       [
         Alcotest.test_case "tag round trips" `Quick test_tag_round_trips;
         Alcotest.test_case "event JSON round trip" `Quick test_event_json_round_trip;
-        Alcotest.test_case "validator rejects junk" `Quick test_json_validate_rejects;
+        Alcotest.test_case "validator rejects junk" `Quick test_json_parse_rejects;
+        Alcotest.test_case "JSON printer edge cases" `Quick
+          test_json_print_parse_edges;
+        QCheck_alcotest.to_alcotest qcheck_json_round_trip;
         Alcotest.test_case "ring record/snapshot" `Quick test_ring_record_snapshot;
         Alcotest.test_case "ring overflow" `Quick test_ring_overflow_drops_oldest;
         Alcotest.test_case "chrome export" `Quick test_chrome_export_is_valid_json;
