@@ -157,6 +157,10 @@ let policy_cmd =
     (Cmd.info "policy" ~doc)
     Term.(ret (const run $ workers_arg $ out_arg $ compare_arg))
 
+(* [bench --compare]'s verdict that a cell regressed: its own code, so
+   a caller can tell it from a usage error or a limit (124). *)
+let regressed_exit = 1
+
 let bench_cmd =
   let workloads_arg =
     let doc =
@@ -185,9 +189,12 @@ let bench_cmd =
   in
   let compare_arg =
     let doc =
-      "Baseline BENCH_*.json to diff against; exits non-zero if any cell's \
-       drift-corrected new median lands beyond the baseline's p90 plus 10% \
-       (whole-matrix machine drift is divided out and reported first)."
+      Printf.sprintf
+        "Baseline BENCH_*.json to diff against; exits %d if any cell's \
+         drift-corrected new median lands beyond the baseline's p90 plus \
+         10%% (whole-matrix machine drift is divided out and reported \
+         first)."
+        regressed_exit
     in
     Arg.(
       value & opt (some string) None & info [ "compare" ] ~docv:"FILE" ~doc)
@@ -225,8 +232,8 @@ let bench_cmd =
       with
       | 0 -> `Ok ()
       | n ->
-          `Error
-            (false, Printf.sprintf "%d cell(s) regressed beyond noise" n)
+          Printf.eprintf "woolbench: %d cell(s) regressed beyond noise\n" n;
+          exit regressed_exit
       | exception Failure msg -> `Error (false, msg)
       | exception Invalid_argument msg -> `Error (false, msg)
       | exception Sys_error msg -> `Error (false, msg)
@@ -236,8 +243,13 @@ let bench_cmd =
     "run the tier-1 benchmark matrix (workloads x modes x worker counts) \
      and write a schema-stable BENCH_<date>.json"
   in
+  let exits =
+    Cmd.Exit.info regressed_exit
+      ~doc:"when $(b,--compare) flagged a cell as regressed beyond noise."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "bench" ~doc)
+    (Cmd.info "bench" ~doc ~exits)
     Term.(
       ret
         (const run $ workers_arg $ repeats_arg $ tiny_arg $ modes_arg

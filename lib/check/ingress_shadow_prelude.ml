@@ -16,7 +16,9 @@
 
    No scenario thread blocks on a ticket, so [W.wake] has nothing to do;
    a Block producer waiting for a slot parks until another thread
-   writes, which keeps its wait finite under exploration.
+   writes, which keeps its wait finite under exploration. For the same
+   reason the idle poll's window reads no clock and ends after one
+   poll, which still lets a job be admitted during it.
 
    A gate is its epoch cell. A parked worker waits for that cell to
    move, not for any write: it re-reads the epoch after every write and
@@ -31,6 +33,9 @@ end
 module W = struct
   let wake () = ()
   let pause _ = Sched.relax ()
+
+  let poll_until _ = 0
+  let polling _ = false
 
   type gate = int A.t
 

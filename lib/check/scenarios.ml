@@ -848,20 +848,23 @@ let block_vs_drain =
 
 (* -- Scenario 13: one producer admitting while the lane's one worker
    parks. The worker runs a server pool's idle loop reduced to the
-   lane: it pops, and on an empty lane calls the body's [park]. When
-   [park] finds a job in flight the pool would nap; here the worker
-   polls once more and, on a miss, waits for the next write (a pause
-   right after the failed pop's read, which the producer's publish
-   ends). A wake lost between the worker's re-check and its wait leaves
-   it parked after the producer has finished: a deadlock. The job the
-   worker took runs in the final block, since its settlement races
-   nothing. The worker always takes the job, which runs once, its
-   ticket settles once, and no worker is left registered. *)
+   lane: it pops, and on an empty lane calls the body's [poll] (one
+   poll here) and then, unless the poll saw a job come in flight, its
+   [park]. When [park] finds a job in flight the pool would nap; here
+   the worker polls once more and, on a miss, waits for the next write
+   (a pause right after the failed pop's read, which the producer's
+   publish ends). A wake lost between the worker's re-check and its
+   wait leaves it parked after the producer has finished: a deadlock.
+   The job the worker took runs in the final block, since its
+   settlement races nothing. The worker always takes the job, which
+   runs once, its ticket settles once, and no worker is left
+   registered. *)
 let submit_vs_park =
   let run ~max_schedules =
     let saw_wait = ref false
     and saw_busy = ref false
-    and saw_no_park = ref false in
+    and saw_no_park = ref false
+    and saw_poll = ref false in
     let stats =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
@@ -875,6 +878,9 @@ let submit_vs_park =
                 | Some _ as job -> taken := job
                 | None when napped ->
                     Shadow_atomic.cpu_relax ();
+                    serve ~napped:false
+                | None when Ig.poll t 0 ->
+                    saw_poll := true;
                     serve ~napped:false
                 | None ->
                     incr parks;
@@ -895,6 +901,7 @@ let submit_vs_park =
     check !saw_wait "coverage: a wake of a parked worker never explored";
     check !saw_busy "coverage: the re-check finding a job never explored";
     check !saw_no_park "coverage: a first poll finding the job never explored";
+    check !saw_poll "coverage: a job admitted during the poll never explored";
     stats
   in
   {

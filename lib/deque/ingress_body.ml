@@ -21,8 +21,9 @@
    for a job its submitter runs), decides at dequeue whether a popped
    job runs ([must_run]), and keeps the Adaptive controller's EWMA. The
    pool pops the lane, runs what [must_run] says to run, and settles it.
-   A server pool's idle worker parks here ([park]) while nothing is in
-   flight, and an admission wakes one. *)
+   A server pool's idle worker polls here for up to 0.5 ms ([poll]),
+   then parks ([park]) while nothing is in flight, and an admission
+   wakes one. *)
 
 type 'a state =
   | Pending
@@ -264,6 +265,21 @@ let must_run t w (J j) =
   else if j.deadline <> max_int && (t.fault w Expire; t.now () > j.deadline)
   then settle_unrun t j.tk Expired
   else true
+
+(* Before it parks, a server pool's idle worker polls [inflight] and
+   [stop] for [window] ns, the reads [park]'s re-check makes: a request
+   that arrives within the window finds the worker awake, and pays no
+   wake-up. Whether the worker must go back to its idle loop without
+   napping: a job came in flight, or [stop] is set. A job already in
+   flight at entry starts no poll (false): the caller goes on to [park],
+   which naps, so an idle sibling still wakes to steal. The clock is
+   [W]'s; the checker's window ends after one poll. *)
+let poll t window =
+  let until = W.poll_until window in
+  let rec go () =
+    A.get t.inflight > 0 || A.get t.stop || (W.polling until && go ())
+  in
+  A.get t.inflight = 0 && go ()
 
 (* Park a server pool's idle worker until an admission or [stop] wakes
    it; whether the ingress was idle, with no job in flight and stop

@@ -68,6 +68,15 @@ module W = struct
     Condition.broadcast g.g_cond;
     Mutex.unlock g.g_lock
 
+  (* The idle poll's window: [poll_until w] is the clock [w] ns from
+     now, and [polling d] relaxes once and says whether [d] is still
+     ahead. *)
+  let poll_until window = Wool_util.Clock.now_ns () + window
+
+  let polling until =
+    Domain.cpu_relax ();
+    Wool_util.Clock.now_ns () < until
+
   (* Block admission's wait for a full lane: yield the timeslice every
      few spins so the draining workers run on an over-subscribed host. *)
   let pause tries =

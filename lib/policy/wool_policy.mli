@@ -174,8 +174,9 @@ module Backoff : sig
   (** What the idle loop should do after one more failed steal. [Nap f]
       means sleep [f] nap units; the unit is the scheduler's
       (50µs in the real runtime, [nap_cycles] in the simulator). A
-      worker of a real server pool with no job in flight parks instead,
-      until a submission or shutdown wakes it. *)
+      worker of a real server pool with no job in flight polls up to
+      0.5 ms, then parks instead, until a submission or shutdown wakes
+      it. *)
   type action = Relax | Yield | Nap of int
 
   type state

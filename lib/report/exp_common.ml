@@ -59,10 +59,6 @@ module Spec = struct
   let wordcount_n = function Std -> 200_000 | Tiny -> 2_000
   let histogram_n = function Std -> 400_000 | Tiny -> 4_000
 
-  (* simulator counterparts may use a smaller input so the
-     discrete-event run stays quick *)
-  let fib_sim_n = function Std -> 16 | Tiny -> 10
-
   type t = {
     name : string;
     descr : string;  (** e.g. "fib(22)" *)
@@ -86,14 +82,14 @@ module Spec = struct
     Array.fold_left (fun acc v -> (acc * 31) + v) 0 a
 
   let fib size =
-    let n = fib_n size and sim_n = fib_sim_n size in
+    let n = fib_n size in
     {
       name = "fib";
       descr = Printf.sprintf "fib(%d)" n;
       serial = (fun () -> Wool_workloads.Fib.serial n);
       wool = (fun ctx -> Wool_workloads.Fib.wool ctx n);
-      sim_descr = Printf.sprintf "fib(%d)" sim_n;
-      sim_tree = (fun () -> Wool_workloads.Fib.tree sim_n);
+      sim_descr = Printf.sprintf "fib(%d)" n;
+      sim_tree = (fun () -> Wool_workloads.Fib.tree n);
     }
 
   let stress size =

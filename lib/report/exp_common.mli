@@ -58,7 +58,6 @@ module Spec : sig
   val sort_n : size -> int
   val wordcount_n : size -> int
   val histogram_n : size -> int
-  val fib_sim_n : size -> int
 
   type t = {
     name : string;

@@ -155,8 +155,8 @@ module Config : sig
             backoff is the idle behaviour after failed steals; a
             {!Wool_policy.Backoff.Nap} factor sleeps that many 50µs
             units, except on a [server] pool with no job in flight,
-            where the worker parks until a submission wakes it (see
-            [server]). Default {!Wool_policy.default}: random victims,
+            where the worker polls up to 0.5 ms, then parks until a
+            submission wakes it (see [server]). Default {!Wool_policy.default}: random victims,
             nap after 64 failures — the historical behaviour *)
     faults : Wool_fault.Plan.t option;
         (** deterministic fault injection (default [None] = hooks compile
@@ -187,13 +187,16 @@ module Config : sig
             of submit-and-help. Use for pools whose owner must stay
             responsive (accept loops, load generators). An idle server
             worker whose backoff reaches a nap while no job is in
-            flight parks on the ingress instead of sleeping; each
-            admission wakes one parked worker (a submit to a pool with
-            none parked pays one load for this), a woken worker that
-            finds a job in flight wakes the next, and {!shutdown} wakes
-            them all. A park is counted and traced as one
-            [Nap_enter]/[Nap_exit] pair. While a job is in flight the
-            workers nap as on any pool, so its spawns can be stolen. *)
+            flight polls the ingress up to 0.5 ms, then parks on it
+            instead of sleeping: a job submitted within the poll starts
+            without a wake-up. Each admission wakes one parked worker
+            (a submit to a pool with none parked pays one load for
+            this), a woken worker that finds a job in flight wakes the
+            next, and {!shutdown} wakes them all. A park is counted and
+            traced as one [Nap_enter]/[Nap_exit] pair; a poll that ends
+            with a job in flight is neither. While a job is in flight
+            the workers nap as on any pool, so its spawns can be
+            stolen. *)
   }
 
   val default : t

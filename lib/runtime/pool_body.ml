@@ -135,9 +135,12 @@ let capacity = 65_536
 
 (* One nap unit of the idle backoff: an idle thief sleeps this long per
    [Backoff.Nap] factor, which keeps over-subscribed pools live. A
-   server pool's worker parks on the ingress instead while no job is in
-   flight ([idle_backoff]). *)
+   server pool's worker with no job in flight polls the ingress up to
+   [park_spin_ns] (0.5 ms, ten nap units), then parks on it instead
+   ([idle_backoff]): a request arriving within the poll pays no
+   wake-up. *)
 let idle_nap_ns = 50_000
+let park_spin_ns = 500_000
 
 (* A finished task's outcome, its type hidden: a result cell's value.
    Each slot of the direct stack has one cell ([Ds.set_result]). *)
@@ -362,13 +365,16 @@ let idle_backoff w =
       (* relinquish the timeslice without the full nap *)
       Unix.sleepf 0.
   | Backoff.Nap factor ->
-      if w.fl_on then fault_delay w Fault.Site.Nap_entry;
-      note w Event.Nap_enter ~a:factor ~b:(-1);
-      (* a server pool's worker with nothing in flight waits for the next
-         admission instead of polling for it nap by nap *)
-      if not (w.pool.server && Ingress.park w.pool.ingress) then
-        Unix.sleepf (float_of_int (idle_nap_ns * factor) *. 1e-9);
-      note w Event.Nap_exit ~a:(-1) ~b:(-1)
+      (* a server pool's worker with nothing in flight polls for the next
+         admission, then waits for it instead of polling nap by nap *)
+      if not (w.pool.server && Ingress.poll w.pool.ingress park_spin_ns)
+      then begin
+        if w.fl_on then fault_delay w Fault.Site.Nap_entry;
+        note w Event.Nap_enter ~a:factor ~b:(-1);
+        if not (w.pool.server && Ingress.park w.pool.ingress) then
+          Unix.sleepf (float_of_int (idle_nap_ns * factor) *. 1e-9);
+        note w Event.Nap_exit ~a:(-1) ~b:(-1)
+      end
 
 (* ---- the queued modes' deque (Locked/Clev) ----
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each of the eleven mutations breaks
-# one step of a shipped protocol body (seven in the ingress body, then
+# Acid check for the model checker: each of the twelve mutations breaks
+# one step of a shipped protocol body (eight in the ingress body, then
 # four in the direct-stack body), and `woolbench check --histories 0` must
 # then fail in the scenario named beside it. A mutation whose pattern no
 # longer matches the source fails the script, so a stale mutation cannot
@@ -77,6 +77,10 @@ mutate "Block reads stop between its failed push and its pause" "$body" block-vs
 mutate "park waits without re-checking after registering" "$body" submit-vs-park \
   '  let idle = A.get t.inflight = 0 && not (A.get t.stop) in' \
   '  let idle = true in'
+
+mutate "a poll that saw a job in flight parks anyway" "$body" submit-vs-park \
+  '    A.get t.inflight > 0 || A.get t.stop || (W.polling until && go ())' \
+  $'    ignore (A.get t.inflight > 0 || A.get t.stop : bool);\n    W.polling until && go ()'
 
 mutate "shed pops without settling" "$body" shed-vs-drain \
   $'          | Some oldest ->\n              drop t oldest;\n' \

@@ -112,7 +112,8 @@ let test_replay_deterministic () =
    scenarios whose producers admit into the lane moved when [admit]
    gained its read of the parked-worker count (submit-vs-shutdown
    19,977, submit-vs-drain 13,316, submit-vs-submit 1,110, shed-vs-drain
-   52,365 before it). *)
+   52,365 before it). submit-vs-park's worker polls once before it
+   parks since the idle poll came in (87,108 before it). *)
 let schedules =
   [
     ("single-task-lifecycle", 248);
@@ -129,7 +130,7 @@ let schedules =
     ("submit-vs-submit", 2_630);
     ("shed-vs-drain", 81_075);
     ("block-vs-drain", 23_940);
-    ("submit-vs-park", 87_108);
+    ("submit-vs-park", 245_497);
     ("cancel-vs-complete", 84);
     ("expire-vs-dequeue", 10);
     ("cancel-vs-shutdown", 1_705);

@@ -253,6 +253,29 @@ let test_idle_server_worker_parks () =
   Unix.sleepf 0.01;
   Wool.shutdown pool
 
+(* An idle server worker polls through a short gap before it parks: a
+   1-worker server pool that gets one job about every 100 µs, 200 in
+   all, records far fewer parks (a park is one [Nap_enter]) than jobs.
+   Parking once the backoff's 64 failed polls run out, about 3 µs
+   after each job, parks in every gap. The producer sleeps through the
+   gap rather than spinning: on a host with one free core, a spinning
+   producer and the polling worker take turns on it in scheduler
+   slices, and the window can run out while the producer waits. *)
+let test_server_worker_polls_short_gaps () =
+  let pool = Test_util.create ~workers:1 ~server:true () in
+  Unix.sleepf 0.01;
+  let naps () = Wool.Stats.count (Wool.Stats.aggregate pool) Nap_enter in
+  let before = naps () in
+  for _ = 1 to 200 do
+    Wool.Submit.await (Wool.Submit.submit pool (fun _ctx -> ()));
+    Unix.sleepf 100e-6
+  done;
+  let parks = naps () - before in
+  Wool.shutdown pool;
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer than 50 parks in 200 jobs (read %d)" parks)
+    true (parks < 50)
+
 (* A job in flight keeps every sibling awake to steal: both workers of
    an idle 2-worker server pool park, a submission wakes one, and the
    job it runs spawns a child and then waits, without joining, for a
@@ -355,6 +378,8 @@ let suite =
           test_multi_producer;
         Alcotest.test_case "idle server worker parks" `Quick
           test_idle_server_worker_parks;
+        Alcotest.test_case "server worker polls short gaps" `Quick
+          test_server_worker_polls_short_gaps;
         Alcotest.test_case "sibling steals from injected job" `Quick
           test_sibling_steals_from_injected_job;
         Alcotest.test_case "injected jobs can spawn" `Quick
