@@ -82,15 +82,16 @@ let publicity_name = function
   | Wool.All_public -> "all-public"
   | Wool.Adaptive n -> Printf.sprintf "adaptive-%d" n
 
-(* One (workload, mode, publicity, workers) cell: [repeats] timed pool
-   runs, a fresh pool per repeat so the counters describe exactly one
-   run. Pool construction and shutdown stay outside the timed region. *)
-let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
+(* One (workload, mode, publicity, workers) cell: [warmup] untimed pool
+   runs, then [repeats] timed ones, a fresh pool per run so the counters
+   describe exactly one run. Pool construction and shutdown stay outside
+   the timed region. *)
+let measure_cell (spec : Spec.t) ~expected ~serial ~warmup ~mode_name ~mode
     ~publicity ~workers ~repeats =
   let samples = Array.make repeats 0.0 in
   let ok = ref true in
   let spawns = ref 0 and steals = ref 0 in
-  for i = 0 to repeats - 1 do
+  for i = -warmup to repeats - 1 do
     let config =
       match publicity with
       | None -> Wool.Config.make ~workers ~mode ()
@@ -99,7 +100,7 @@ let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
     Wool.with_pool ~config (fun pool ->
         let result, ns = Clock.time (fun () -> Wool.run pool spec.Spec.wool) in
         if result <> expected then ok := false;
-        samples.(i) <- ns;
+        if i >= 0 then samples.(i) <- ns;
         let s = Wool.Stats.aggregate pool in
         spawns := Wool.Stats.count s Spawn;
         steals := Wool.Stats.count s Steal_ok)
@@ -128,8 +129,9 @@ let measure_cell (spec : Spec.t) ~expected ~serial ~mode_name ~mode
   }
 
 let measure ?(size = Spec.Std) ?(workers = [ 1; 2; 4 ]) ?(repeats = 3)
-    ?(mode_filter = List.map snd modes) ~date names =
+    ?(warmup = 0) ?(mode_filter = List.map snd modes) ~date names =
   if repeats < 1 then invalid_arg "Bench_json.measure: repeats < 1";
+  if warmup < 0 then invalid_arg "Bench_json.measure: warmup < 0";
   if workers = [] || List.exists (fun w -> w < 1) workers then
     invalid_arg "Bench_json.measure: bad worker list";
   if mode_filter = [] then invalid_arg "Bench_json.measure: empty mode list";
@@ -144,7 +146,7 @@ let measure ?(size = Spec.Std) ?(workers = [ 1; 2; 4 ]) ?(repeats = 3)
             (Clock.time_ns ~warmup:1 ~repeats (fun () ->
                  ignore (spec.Spec.serial () : int)))
         in
-        let cell = measure_cell spec ~expected ~serial ~repeats in
+        let cell = measure_cell spec ~expected ~serial ~warmup ~repeats in
         (* the mode sweep, every worker count *)
         List.concat_map
           (fun (mode_name, mode) ->

@@ -73,16 +73,18 @@ val measure :
   ?size:Exp_common.Spec.size ->
   ?workers:int list ->
   ?repeats:int ->
+  ?warmup:int ->
   ?mode_filter:Wool.Mode.t list ->
   date:string ->
   string list ->
   report
 (** [measure ~date names] benches each named workload: the selected
     modes (default all four) at every worker count (default [[1; 2; 4]],
-    [repeats] = 3 timed pool runs per cell, a fresh pool each), plus the
-    two publicity cells when [Private] is selected. Raises
-    [Failure] on an unknown name, [Invalid_argument] on an empty mode
-    filter, an empty or non-positive worker list, or [repeats < 1]. *)
+    [repeats] = 3 timed pool runs per cell, after [warmup] = 0 untimed
+    ones, a fresh pool each), plus the two publicity cells when
+    [Private] is selected. Raises [Failure] on an unknown name,
+    [Invalid_argument] on an empty mode filter, an empty or non-positive
+    worker list, [repeats < 1] or [warmup < 0]. *)
 
 val to_json : report -> string
 (** Render as compact JSON ({!Wool_trace.Json.to_string}); an infinite

@@ -33,25 +33,27 @@ let row version ~serial_ns ~ns ~spawns =
   }
 
 (* Steal-parent fib, measured as a benchmark cell is: a fresh 1-worker
-   pool per repeat, the run timed, the spawns of the last repeat. *)
+   pool per repeat, after one untimed warm-up, the run timed, the spawns
+   of the last repeat. *)
 let steal_parent ~n ~expected ~repeats =
-  let samples =
-    Array.init repeats (fun _ ->
-        Ca.with_pool ~workers:1 (fun pool ->
-            let got, ns =
-              Clock.time (fun () -> Ca.run pool (fun ctx -> Check_fuzz.cactus_fib ctx n))
-            in
-            if got <> expected then
-              failwith
-                (Printf.sprintf "table2: steal-parent fib(%d) = %d, serial says %d"
-                   n got expected);
-            (ns, (Ca.stats pool).Ca.spawns)))
+  let sample _ =
+    Ca.with_pool ~workers:1 (fun pool ->
+        let got, ns =
+          Clock.time (fun () -> Ca.run pool (fun ctx -> Check_fuzz.cactus_fib ctx n))
+        in
+        if got <> expected then
+          failwith
+            (Printf.sprintf "table2: steal-parent fib(%d) = %d, serial says %d"
+               n got expected);
+        (ns, (Ca.stats pool).Ca.spawns))
   in
+  ignore (sample () : float * int);
+  let samples = Array.init repeats sample in
   (Stats.median (Array.map fst samples), snd samples.(repeats - 1))
 
 let compute ?(size = Spec.Std) ?(repeats = 3) () =
   let report =
-    Bench_json.measure ~size ~workers:[ 1 ] ~repeats
+    Bench_json.measure ~size ~workers:[ 1 ] ~repeats ~warmup:1
       ~mode_filter:[ Wool.Locked; Wool.Swap_generic; Wool.Private ]
       ~date:"" [ "fib" ]
   in

@@ -1,7 +1,8 @@
 (** Table II: optimising inlined tasks — measured on the real runtime.
 
     A view over the benchmark's single-worker fib cells
-    ({!Bench_json.measure}: digest-checked, a fresh pool per repeat):
+    ({!Bench_json.measure}: digest-checked, a fresh pool per repeat,
+    each cell after one untimed warm-up run):
     per-worker locks ("base"), atomic exchange on the descriptor state
     ("synchronize on task"), the task-specific join — one row with
     private tasks in the worst (no private) case, which Table II gives

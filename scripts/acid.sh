@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each of the twelve mutations breaks
+# Acid check for the model checker: each of the thirteen mutations breaks
 # one step of a shipped protocol body (eight in the ingress body, then
-# four in the direct-stack body), and `woolbench check --histories 0` must
-# then fail in the scenario named beside it. A mutation whose pattern no
-# longer matches the source fails the script, so a stale mutation cannot
-# pass silently.
+# five in the direct-stack body, the last on its private fast path), and
+# `woolbench check --histories 0` must then fail in the scenario named
+# beside it. A mutation whose pattern no longer matches the source fails
+# the script, so a stale mutation cannot pass silently.
 #
 # Not part of `dune runtest`: it rebuilds the checker once per mutation
 # (about two minutes in all). Run it from anywhere:
@@ -111,5 +111,9 @@ mutate "sweep is a no-op" "$ds" single-task-lifecycle \
 mutate "grow makes fresh records for the old indices" "$ds" steal-vs-grow \
   $'(fun i ->\n        if i < n then old.(i) else new_slot t.dummy)' \
   '(fun _ -> new_slot t.dummy)'
+
+mutate "the fast join ignores pushed_public" "$ds" publish-window \
+  '       slot.payload == v && not slot.pushed_public' \
+  '       slot.payload == v'
 
 exit $failed

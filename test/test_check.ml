@@ -113,7 +113,11 @@ let test_replay_deterministic () =
    gained its read of the parked-worker count (submit-vs-shutdown
    19,977, submit-vs-drain 13,316, submit-vs-submit 1,110, shed-vs-drain
    52,365 before it). submit-vs-park's worker polls once before it
-   parks since the idle poll came in (87,108 before it). *)
+   parks since the idle poll came in (87,108 before it). publish-window
+   was 4,707 before the private fast pop: its owner's join of the
+   private slot now reads the publish request once on the fast path and,
+   finding it set, once more in the slow path's publish service, a
+   scheduling point the single read of the old [pop] did not have. *)
 let schedules =
   [
     ("single-task-lifecycle", 248);
@@ -121,7 +125,7 @@ let schedules =
     ("two-thieves-one-task", 482);
     ("recycled-descriptor-backoff", 3_232);
     ("trip-wire-steal-vs-privatize", 28_954);
-    ("publish-window", 4_707);
+    ("publish-window", 4_708);
     ("leapfrog-hold", 1_420);
     ("steal-vs-grow", 206);
     ("chase-lev-last-task", 125);

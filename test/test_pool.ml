@@ -169,13 +169,35 @@ let test_max_pool_depth_stat () =
             (List.rev futs));
       Alcotest.(check int) "O(n) descriptors" 300
         (Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool)));
-  (* deep recursion occupies one per level *)
+  (* deep recursion occupies one per level: fib n spawns at depths 0 to
+     n - 2 along its fib (n - 1) spine *)
   Test_util.with_pool ~workers:1 (fun pool ->
       Wool.Stats.reset pool;
       ignore (Wool.run pool (fun ctx -> fib ctx 12) : int);
-      let d = Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool) in
-      Alcotest.(check bool) (Printf.sprintf "depth-bounded (%d)" d) true
-        (d >= 6 && d <= 12))
+      Alcotest.(check int) "one per level" 11
+        (Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool)))
+
+(* A 1-worker all-private fib is all private pairs, the fast path's
+   case: fib 20 spawns once per call with n >= 2 (fib 21 - 1 of them),
+   inlines every one privately, and reaches depth 19. *)
+let test_private_fib_stats () =
+  Test_util.with_pool ~workers:1 ~publicity:Wool.All_private (fun pool ->
+      Wool.Stats.reset pool;
+      Alcotest.(check int) "fib 20" (fib_serial 20)
+        (Wool.run pool (fun ctx -> fib ctx 20));
+      let s = Wool.Stats.aggregate pool in
+      let n = Wool.Stats.count s in
+      Alcotest.(check int) "spawns" 10_945 (n Spawn);
+      Alcotest.(check int) "inlined_private" 10_945 (n Inline_private);
+      Alcotest.(check int) "inlined_public" 0 (n Inline_public);
+      Alcotest.(check int) "max_pool_depth" 19 (Wool.Stats.max_pool_depth s);
+      (* a reset restarts the high-water mark *)
+      Wool.Stats.reset pool;
+      ignore (Wool.run pool (fun ctx -> fib ctx 8) : int);
+      Alcotest.(check int) "max_pool_depth after reset" 7
+        (Wool.Stats.max_pool_depth (Wool.Stats.aggregate pool));
+      Alcotest.(check (list string)) "invariants" []
+        (Wool.Invariants.check pool))
 
 (* The stats JSON is a contract: [benchmark/] reads these keys by name
    (its per-op counters and the [inlined_*] pair), so a rename or a
@@ -732,6 +754,7 @@ let suite =
         Alcotest.test_case "stats consistency" `Slow
           test_stats_accounting_consistency;
         Alcotest.test_case "max pool depth" `Quick test_max_pool_depth_stat;
+        Alcotest.test_case "private fib stats" `Quick test_private_fib_stats;
         Alcotest.test_case "stats JSON contract" `Quick test_stats_json_contract;
         Alcotest.test_case "stats combine" `Quick test_stats_combine;
         Alcotest.test_case "workers and ids" `Quick test_num_workers_and_ids;
