@@ -1,28 +1,41 @@
-(** Lock-based task deque: the paper's baseline (§IV-B).
+(** Lock-based task pool: the paper's baseline (§IV-B).
 
-    A per-worker array deque whose join and steal operations are serialised
-    by one mutex ("per-worker locks for mutual exclusion of thieves and
-    victim; a worker takes the lock for join (but not spawn) operations").
-    Spawns are lock-free: only the owner moves [top], and a thief holding
-    the lock validates against it. A thief takes the lock as soon as it
-    has picked its victim, the §IV-C ladder's first rung; the simulator
-    ([Wool_sim.Policy]) models the ladder's peek and trylock rungs. *)
+    The lock guards the owner's stack itself: its slots keep the tasks,
+    and this is the range [\[bot, top)] of slot indices open to thieves.
+    The owner joins newest first and thieves take the oldest first, so
+    the open indices are one run ending at the stack's depth, as the
+    Cilk-5 THE protocol keeps only indices into its frame stack. The
+    range has no capacity: the stack's 65,536 slots bound it.
 
-type 'a t
+    Joins and steals take the per-worker lock, spawns do not ("a worker
+    takes the lock for join (but not spawn) operations"): only the owner
+    moves [top], and a thief holding the lock validates against it. A
+    thief takes the lock as soon as it has picked its victim, the §IV-C
+    ladder's first rung; [Wool_sim.Policy] models the peek and trylock
+    rungs. *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+type t
 
-val push : 'a t -> 'a -> unit
-(** Owner: spawn without taking the lock. Raises
-    {!Task_state.Pool_overflow} on overflow, before mutating anything. *)
+val create : unit -> t
+(** The empty range [\[0, 0)]. *)
 
-val pop : 'a t -> 'a option
-(** Owner: join under the lock; [None] when every remaining task has been
-    stolen (or the deque is empty), in which case the deque's indices
-    rewind to 0, so steals do not use up its capacity. *)
+val push : t -> unit
+(** Owner: open the slot at index [top], without the lock. *)
 
-val steal : 'a t -> 'a option
-(** Thief: take the oldest task under the lock. *)
+val pop : t -> int
+(** Owner: take back the newest index, or [-1], changing nothing, when
+    thieves took them all. *)
 
-val size : 'a t -> int
-(** Racy snapshot of available tasks. *)
+val steal : t -> int
+(** Thief: take the oldest index, or [-1]. *)
+
+val rewind : t -> int -> unit
+(** Owner: make the range [\[i, i)]. A join whose index [i] was stolen
+    finds the range at [\[i + 1, i + 1)] and rewinds it once the slot is
+    released. *)
+
+val range : t -> int * int
+(** Racy snapshot of [(bot, top)]. *)
+
+val size : t -> int
+(** Racy snapshot of the open indices' count. *)

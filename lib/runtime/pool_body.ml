@@ -128,8 +128,8 @@ module Config = struct
 end
 
 (* Task-pool slots per worker, in every mode: the cap the direct stack's
-   slot array grows to (a queued pool's [Locked] deque has as many cells;
-   its [Clev] deque grows, but the stack overflows first). *)
+   slot array grows to. A queued pool's deque holds that stack's slot
+   indices, so the stack overflows first. *)
 let capacity = 65_536
 
 (* One nap unit of the idle backoff: an idle thief sleeps this long per
@@ -198,7 +198,7 @@ and worker_hot = {
    [All_private], and this deque publishes the indices of its slots. *)
 and queue =
   | No_queue
-  | Locked_q of int Locked_deque.t
+  | Locked_q of Locked_deque.t
   | Clev_q of int Chase_lev.t
 
 and pool = {
@@ -416,14 +416,14 @@ let idle_backoff w =
 
 let q_push w index =
   match w.queue with
-  | Locked_q q -> Locked_deque.push q index
+  | Locked_q q -> Locked_deque.push q
   | Clev_q q -> Chase_lev.push q index
   | No_queue -> assert false
 
 let q_pop w =
   match w.queue with
   | Locked_q q -> Locked_deque.pop q
-  | Clev_q q -> Chase_lev.pop q
+  | Clev_q q -> ( match Chase_lev.pop q with Some i -> i | None -> -1)
   | No_queue -> assert false
 
 let q_steal victim =
@@ -431,8 +431,8 @@ let q_steal victim =
   | Locked_q q -> Locked_deque.steal q
   | Clev_q q -> (
       match Chase_lev.steal q with
-      | `Stolen index -> Some index
-      | `Empty | `Retry -> None)
+      | `Stolen index -> index
+      | `Empty | `Retry -> -1)
   | No_queue -> assert false
 
 let q_size w =
@@ -505,19 +505,14 @@ and unwind w ~depth =
    back off the deque and run it here, or wait out the thief that took
    it; the outcome, its cell left empty. A stolen slot stays pushed until
    the thief's DONE lands, so the spawns made while waiting go above it
-   instead of overwriting the task the thief reads. *)
+   instead of overwriting the task the thief reads. A [Locked] range
+   stays above it too, at [\[index + 1, index + 1)], until the slot is
+   released and the range rewinds to it. *)
 and take_queued : 'a. worker -> 'a future -> outcome =
  fun w fut ->
   let index = Ds.depth w.dstack - 1 in
   match q_pop w with
-  | Some i ->
-      (* every newer spawn is already joined and thieves take the oldest
-         first, so an index still in the deque is the newest slot's *)
-      assert (i = index);
-      ignore (Ds.pop_slow w.dstack : int);
-      note w Event.Inline_public ~a:index ~b:(-1);
-      run_body w fut
-  | None ->
+  | -1 ->
       (* No thief identity in the queued modes: steal per the policy
          while waiting. This is the strategy whose buried-join behaviour
          §I discusses. *)
@@ -526,7 +521,17 @@ and take_queued : 'a. worker -> 'a future -> outcome =
         ignore (steal_idle w : bool)
       done;
       Ds.release w.dstack ~index;
+      (match w.queue with
+      | Locked_q q -> Locked_deque.rewind q index
+      | Clev_q _ | No_queue -> ());
       Ds.take_result w.dstack ~index
+  | i ->
+      (* every newer spawn is already joined and thieves take the oldest
+         first, so an index still in the deque is the newest slot's *)
+      assert (i = index);
+      ignore (Ds.pop_slow w.dstack : int);
+      note w Event.Inline_public ~a:index ~b:(-1);
+      run_body w fut
 
 (* ---- steal attempts ---- *)
 
@@ -577,13 +582,11 @@ and steal_direct w ~victim =
    counts against the victim's stack, as a failed [Ds.steal] does: that
    count is its owner's steal-pressure signal. *)
 and steal_queued w ~victim =
-  match
-    if w.fl_on && w.inj_interfere Ds.Pre_cas then None else q_steal victim
-  with
-  | Some index -> index
-  | None ->
-      Ds.note_miss victim.dstack;
-      -1
+  let index =
+    if w.fl_on && w.inj_interfere Ds.Pre_cas then -1 else q_steal victim
+  in
+  if index < 0 then Ds.note_miss victim.dstack;
+  index
 
 (* A direct join whose task [pop] found stolen ([code] is the thief's id,
    or [Ds.stolen_finished]): wait, then free the slot. *)
@@ -1095,6 +1098,12 @@ module Invariants = struct
         List.iter
           (fun v -> add "worker %d: dstack %s" w.id v)
           (Ds.check_quiescent w.dstack);
+        (match w.queue with
+        | Locked_q q ->
+            let b, t = Locked_deque.range q in
+            if b <> 0 || t <> 0 then
+              add "worker %d: locked range is [%d, %d), not [0, 0)" w.id b t
+        | Clev_q _ | No_queue -> ());
         let qs = q_size w in
         if qs <> 0 then
           add "worker %d: %s deque holds %d tasks" w.id
@@ -1261,7 +1270,7 @@ let make_worker ~id ~pool ~publicity ~plan (c : Config.t) rng =
       dstack = Ds.create ~capacity ~publicity ~dummy:dummy_packed ();
       queue =
         (match c.mode with
-        | Locked -> Locked_q (Locked_deque.create ~capacity ~dummy:(-1) ())
+        | Locked -> Locked_q (Locked_deque.create ())
         | Clev -> Clev_q (Chase_lev.create ~dummy:(-1) ())
         | Swap_generic | Private -> No_queue);
       rng;

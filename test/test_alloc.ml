@@ -8,9 +8,10 @@
    ([Swap_generic]) stores the outcome in its result cell and reads it
    back: the [Ok] (2 words). A body closure capturing one variable, as
    in fib or the benchmark's pair probe, adds 4 words. The queued modes
-   (Locked, Clev) push the slot's index on their deque, whose pop returns
-   it in a [Some] (2 words), and run the task to its outcome, the [Ok]
-   (2): 4 words. *)
+   (Locked, Clev) publish the slot's index on their deque and run the
+   task to its outcome, the [Ok] (2 words). A [Locked] range pops a bare
+   index: 2 words. [Chase_lev]'s pop returns the index in a [Some] (2
+   more): 4 words. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -44,7 +45,7 @@ let test_spawn_join_words () =
     [
       (Wool.Private, 0);
       (Wool.Swap_generic, 2);
-      (Wool.Locked, 4);
+      (Wool.Locked, 2);
       (Wool.Clev, 4);
     ]
 

@@ -692,6 +692,32 @@ let test_stolen_result_collected () =
             (Wool.Invariants.check pool)))
     Wool.Mode.all
 
+(* A [Locked] range follows its stack through a stolen join: the join
+   finds the range empty above the stolen slot, waits out the thief and,
+   once the slot is released, rewinds the range to it. The run ends on
+   that join, so the range must be back at [0, 0). A range left above
+   the slot would make the next join on this worker pop an index that
+   is not its newest slot's. The steal is forced. *)
+let test_locked_range_after_stolen_join () =
+  Test_util.with_pool ~workers:2 ~mode:Wool.Locked (fun pool ->
+      let ran_on = Atomic.make (-1) in
+      Alcotest.(check int) "stolen join's value" 7
+        (Wool.run pool (fun ctx ->
+             let a =
+               Wool.spawn ctx (fun ctx ->
+                   Atomic.set ran_on (Wool.self_id ctx);
+                   7)
+             in
+             Test_util.await_flag ran_on;
+             Wool.join ctx a));
+      Alcotest.(check int) "stolen by worker 1" 1 (Atomic.get ran_on);
+      Alcotest.(check (list string)) "invariants after the stolen join" []
+        (Wool.Invariants.check pool);
+      Alcotest.(check int) "the next run" (fib_serial 12)
+        (Wool.run pool (fun ctx -> fib ctx 12));
+      Alcotest.(check (list string)) "invariants after the next run" []
+        (Wool.Invariants.check pool))
+
 (* A spawn chain 200 deep, past the 64 slots a worker's stack starts
    with, so the stack grows twice while a thief steals from it. Each
    level spawns a leaf, and the bottom waits until worker 1 has run 100
@@ -781,6 +807,8 @@ let suite =
           test_stolen_result_collected;
         Alcotest.test_case "deep chain grows under steals" `Quick
           test_deep_chain_grows_under_steals;
+        Alcotest.test_case "locked range after a stolen join" `Quick
+          test_locked_range_after_stolen_join;
         QCheck_alcotest.to_alcotest qcheck_parallel_reduce_matches_fold;
       ] );
   ]
