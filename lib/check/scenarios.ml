@@ -571,8 +571,8 @@ let ingress ?(note = fun _ -> ()) ?(now = fun () -> 0) () : unit Ig.t =
     ~fault:(fun () _ -> ())
     ~now
 
-let jobs ?(deadline = max_int) ?token runs =
-  let tks = Array.map (fun _ -> Ig.ticket ()) runs in
+let jobs ?(deadline = max_int) ?token t runs =
+  let tks = Array.map (fun _ -> Ig.ticket t) runs in
   let job i =
     let fn () = runs.(i) <- runs.(i) + 1 in
     Ig.J { fn; tk = tks.(i); deadline; token; enq_ns = 0 }
@@ -587,7 +587,8 @@ let pop (t : unit Ig.t) = Iq.try_pop t.lane
 (* The unscheduled prefix of a lifecycle scenario: job 0 admitted, and
    popped when [popped]. *)
 let one_job ?now ?deadline ?token ~popped runs =
-  let t = ingress ?now () and tks, jobs = jobs ?deadline ?token runs in
+  let t = ingress ?now () in
+  let tks, jobs = jobs ?deadline ?token t runs in
   check (admit t jobs.(0)) "setup: admission failed";
   (t, tks, if popped then pop t else None)
 
@@ -605,12 +606,14 @@ let settled_once (t : unit Ig.t) tks =
   let n = Shadow_atomic.get in
   Array.iteri
     (fun i tk ->
-      check (Ig.peek tk <> Pending) (Printf.sprintf "ticket %d stranded" i))
+      match Ig.peek tk with
+      | Pending _ -> failwith (Printf.sprintf "ticket %d stranded" i)
+      | _ -> ())
     tks;
   let won = n t.completed + n t.shed + n t.expired + n t.cancelled in
   check (won = n t.admitted)
     (Printf.sprintf "%d claims won for %d admitted tickets" won (n t.admitted));
-  check (n t.inflight = 0) "inflight not settled to zero";
+  check (n t.cells.inflight = 0) "inflight not settled to zero";
   check (n t.submitted = n t.admitted + n t.rejected) "ledger imbalance";
   check (Iq.size t.lane = 0) "lane not empty"
 
@@ -641,7 +644,7 @@ let submit_vs_shutdown =
             | Ig.Admit | Ig.Refuse | Ig.Enter -> ()
           in
           let t = ingress ~note () in
-          let tks, jobs = jobs [| 0 |] in
+          let tks, jobs = jobs t [| 0 |] in
           Sched.spawn (fun () ->
               if not (admit t jobs.(0)) then saw_early_reject := true);
           Sched.spawn (fun () ->
@@ -674,7 +677,7 @@ let submit_vs_drain =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
           let runs = Array.make 3 0 and admitted = [| true; true; false |] in
-          let tks, jobs = jobs runs in
+          let tks, jobs = jobs t runs in
           (* unscheduled prefix: the lane is full *)
           check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
           Sched.spawn (fun () -> admitted.(2) <- admit t jobs.(2));
@@ -710,7 +713,7 @@ let submit_vs_submit =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
           let runs = Array.make 3 0 and admitted = [| true; false; false |] in
-          let tks, jobs = jobs runs in
+          let tks, jobs = jobs t runs in
           (* unscheduled prefix: one slot taken, one free *)
           check (admit t jobs.(0)) "setup: prefill failed";
           let producer i =
@@ -758,7 +761,7 @@ let shed_vs_drain =
           let t = ingress () in
           let runs = Array.make 3 0 and admitted = ref false
           and taken = ref None in
-          let tks, jobs = jobs runs in
+          let tks, jobs = jobs t runs in
           (* unscheduled prefix: the lane is full *)
           check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
           Sched.spawn (fun () ->
@@ -817,7 +820,7 @@ let block_vs_drain =
           in
           let t = ingress ~note () in
           let runs = Array.make 3 0 and admitted = ref false in
-          let tks, jobs = jobs runs in
+          let tks, jobs = jobs t runs in
           (* unscheduled prefix: the lane is full *)
           check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
           let taken = ref [] in
@@ -869,7 +872,7 @@ let submit_vs_park =
       Sched.run ~max_schedules (fun () ->
           let t = ingress () in
           let runs = [| 0 |] in
-          let tks, jobs = jobs runs in
+          let tks, jobs = jobs t runs in
           let parks = ref 0 and taken = ref None in
           Sched.spawn (fun () -> check (admit t jobs.(0)) "admission refused");
           Sched.spawn (fun () ->
@@ -907,6 +910,58 @@ let submit_vs_park =
   {
     name = "submit-vs-park";
     descr = "admission vs an idle worker parking: no lost wake";
+    run;
+  }
+
+(* -- Scenario 14: a producer awaiting a ticket while the lane's worker
+   runs and settles its job, as a busy server's producer does. Two jobs
+   are admitted in the unscheduled prefix, so until the first settles
+   the awaiter sees another job in flight: it re-reads its ticket once,
+   naps, re-reads, and blocks when the nap's window ends (one nap
+   here). The worker pops the first job, runs it and settles it; the
+   second runs in the final block. A settle that finds an awaiter
+   registered rings the pool's bell. A wake lost between the awaiter's
+   re-check and its wait leaves it waiting after the worker has
+   finished: a deadlock. The await returns the job's outcome, every
+   ticket settles once, and no awaiter is left registered. *)
+let await_vs_settle =
+  let run ~max_schedules =
+    let saw_nap_settle = ref false and saw_woken = ref false in
+    let stats =
+      Sched.run ~max_schedules (fun () ->
+          Ig.W.naps := 0;
+          Ig.W.epochs := 0;
+          Ig.W.waits := 0;
+          let t = ingress () in
+          let runs = Array.make 2 0 and got = ref false in
+          let tks, jobs = jobs t runs in
+          check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
+          Sched.spawn (fun () ->
+              match Ig.await 0 tks.(0) with
+              | Done (Ok ()) -> got := true
+              | _ -> failwith "await: the job is not done");
+          Sched.spawn (fun () -> Option.iter (run_job t) (pop t));
+          Sched.final (fun () ->
+              check !got "the await did not return";
+              drain_run t;
+              settled_once t tks;
+              ran_once_if_admitted runs [| true; true |];
+              check
+                (Shadow_atomic.get t.cells.sleepers = 0)
+                "an awaiter left registered";
+              (* a wait that ended, or a nap and no registration: the
+                 nap's re-read returned the settled ticket *)
+              if !Ig.W.waits > 0 then saw_woken := true;
+              if !Ig.W.naps > 0 && !Ig.W.epochs = 0 then
+                saw_nap_settle := true))
+    in
+    check !saw_nap_settle "coverage: a nap seeing the settle never explored";
+    check !saw_woken "coverage: a blocked awaiter's wake never explored";
+    stats
+  in
+  {
+    name = "await-vs-settle";
+    descr = "an awaiter napping or blocking vs the settle: no lost wake";
     run;
   }
 
@@ -1052,6 +1107,7 @@ let all =
     shed_vs_drain;
     block_vs_drain;
     submit_vs_park;
+    await_vs_settle;
     cancel_vs_complete;
     expire_vs_dequeue;
     cancel_vs_shutdown;

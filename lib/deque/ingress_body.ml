@@ -1,10 +1,10 @@
 (* Protocol body for the ingress: the life of a submitted job from the
-   door to its settlement. Like inject_queue_body.ml, this file is
-   compiled with a build-generated prelude binding [A] (the atomic
-   backend), [Iq] (the injection lane's queue, compiled against that
-   backend), [L] (ledger counter updates) and [W] (waking blocked
-   awaiters, pausing a waiting producer, and the gate idle workers park
-   on); keep it free of direct [Atomic] use.
+   door to its settlement, and its awaiting. Like inject_queue_body.ml,
+   this file is compiled with a build-generated prelude binding [A] (the
+   atomic backend), [Iq] (the injection lane's queue, compiled against
+   that backend), [L] (ledger counter updates) and [W] (the gate that
+   blocked awaiters and idle workers wait on, an awaiter's nap, and
+   pausing a waiting producer); keep it free of direct [Atomic] use.
 
    There is no interface file: the types below are the pool's API.
 
@@ -15,7 +15,10 @@
    decides the outcome exactly once, however many deliveries race it.
    The winner bumps the ledger and decrements [inflight], and only then
    publishes the final state: an awaiter woken by the publication sees
-   the ledger settled.
+   the ledger settled. An unsettled state carries its pool's [cells],
+   so [await] reaches the pool from the ticket alone: each pool's
+   awaiters register and block on its own cells, and no await state is
+   process-wide.
 
    The body is the ledger's only writer. It admits ([admit], or [enter]
    for a job its submitter runs), decides at dequeue whether a popped
@@ -23,11 +26,20 @@
    pool pops the lane, runs what [must_run] says to run, and settles it.
    A server pool's idle worker polls here for up to 0.5 ms ([poll]),
    then parks ([park]) while nothing is in flight, and an admission
-   wakes one. *)
+   wakes one. An awaiter re-reads its ticket briefly, naps while its
+   pool has other jobs in flight, and blocks only after that ([await]):
+   a busy pool's settle finds no awaiter registered and wakes none. *)
+
+(* What an awaiter needs of its ticket's pool. *)
+type cells = {
+  inflight : int A.t; (* admitted, not yet settled *)
+  sleepers : int A.t; (* awaiters registered in [block] *)
+  bell : W.gate; (* what blocked awaiters wait on; one per pool *)
+}
 
 type 'a state =
-  | Pending
-  | Claimed (* a settler won the claim and is publishing *)
+  | Pending of cells
+  | Claimed of cells (* a settler won the claim and is publishing *)
   | Done of ('a, exn * Printexc.raw_backtrace) result
   | Rejected
   | Cancelled
@@ -75,17 +87,25 @@ type 'w t = {
   completed : int A.t;
   expired : int A.t;
   cancelled : int A.t;
-  inflight : int A.t; (* admitted, not yet settled *)
+  cells : cells; (* [inflight] and the awaiters' registry and gate *)
+  pending : 'a. 'a state; (* every ticket's first state, one per pool *)
+  claimed : 'a. 'a state; (* the state a winning claim installs *)
   parked : int A.t; (* workers registered in [park] *)
   gate : W.gate; (* what parked workers wait on; one per pool *)
 }
 
-let ticket () = A.make Pending
+(* A fresh ticket of [t]'s pool. Its states physically equal
+   [t.pending] until a claim: [settle]'s CAS compares against it. *)
+let ticket t = A.make t.pending
 
 let create ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
     ~note ~fault ~now =
+  let cells =
+    { inflight = A.make 0; sleepers = A.make 0; bell = W.gate () }
+  in
+  let pending = Pending cells in
   let dummy =
-    J { fn = ignore; tk = ticket (); deadline = max_int; token = None;
+    J { fn = ignore; tk = A.make pending; deadline = max_int; token = None;
         enq_ns = 0 }
   in
   {
@@ -104,7 +124,9 @@ let create ~capacity ~(admission : Wool_policy.Admission.t) ~target_ns
     completed = A.make 0;
     expired = A.make 0;
     cancelled = A.make 0;
-    inflight = A.make 0;
+    cells;
+    pending;
+    claimed = Claimed cells;
     parked = A.make 0;
     gate = W.gate ();
   }
@@ -119,14 +141,14 @@ let reset t =
 
 (* The ticket as outsiders see it: a claim not yet published is still
    pending. *)
-let peek tk = match A.get tk with Claimed -> Pending | s -> s
+let peek tk = match A.get tk with Claimed c -> Pending c | s -> s
 
 (* Settle an admitted job's ticket with a final state if this call wins
    its one claim; whether it did. The winner counts the state ([Rejected]
-   as shed), decrements [inflight], publishes, and wakes blocked
-   awaiters. *)
+   as shed), decrements [inflight], publishes, and only then reads
+   [sleepers] and rings the pool's awaiters ([block]). *)
 let settle t tk s =
-  A.compare_and_set tk Pending Claimed
+  A.compare_and_set tk t.pending t.claimed
   && begin
        L.bump
          (match s with
@@ -134,11 +156,14 @@ let settle t tk s =
          | Rejected -> t.shed
          | Cancelled -> t.cancelled
          | Expired -> t.expired
-         | Pending | Claimed -> invalid_arg "Ingress.settle: not a final state")
+         | Pending _ | Claimed _ ->
+             invalid_arg "Ingress.settle: not a final state")
          1;
-       L.bump t.inflight (-1);
+       L.bump t.cells.inflight (-1);
        A.set tk s;
-       W.wake ();
+       (* one load on a busy pool, whose awaiters nap: the lock and
+          broadcast of a wake are paid only while one is registered *)
+       if A.get t.cells.sleepers > 0 then W.unpark_all t.cells.bell;
        true
      end
 
@@ -181,7 +206,7 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
     (* count in flight before the push: a worker could pop and settle
        the job before a post-push increment, and a worker about to park
        must see the job in flight before it can find the lane empty *)
-    L.bump t.inflight 1;
+    L.bump t.cells.inflight 1;
     let rec push tries =
       Iq.try_push q job
       ||
@@ -223,7 +248,7 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
       true
     end
     else begin
-      L.bump t.inflight (-1);
+      L.bump t.cells.inflight (-1);
       refuse t job
     end
   end
@@ -233,7 +258,7 @@ let admit t ~(admission : Wool_policy.Admission.t) job =
    refused. *)
 let enter t =
   L.bump t.submitted 1;
-  L.bump t.inflight 1;
+  L.bump t.cells.inflight 1;
   L.bump t.admitted 1;
   t.note Enter
 
@@ -277,9 +302,9 @@ let must_run t w (J j) =
 let poll t window =
   let until = W.poll_until window in
   let rec go () =
-    A.get t.inflight > 0 || A.get t.stop || (W.polling until && go ())
+    A.get t.cells.inflight > 0 || A.get t.stop || (W.polling until && go ())
   in
-  A.get t.inflight = 0 && go ()
+  A.get t.cells.inflight = 0 && go ()
 
 (* Park a server pool's idle worker until an admission or [stop] wakes
    it; whether the ingress was idle, with no job in flight and stop
@@ -297,10 +322,11 @@ let poll t window =
 let[@inline never] park t =
   ignore (A.fetch_and_add t.parked 1 : int);
   let epoch = W.epoch t.gate in
-  let idle = A.get t.inflight = 0 && not (A.get t.stop) in
+  let idle = A.get t.cells.inflight = 0 && not (A.get t.stop) in
   if idle then W.park t.gate epoch;
   ignore (A.fetch_and_add t.parked (-1) : int);
-  if idle && A.get t.inflight > 0 && A.get t.parked > 0 then W.unpark t.gate;
+  if idle && A.get t.cells.inflight > 0 && A.get t.parked > 0 then
+    W.unpark t.gate;
   idle
 
 (* Set the pool's stop flag and wake every parked worker. Stop is
@@ -309,3 +335,56 @@ let[@inline never] park t =
 let stop t =
   A.set t.stop true;
   W.unpark_all t.gate
+
+(* ---- awaiting a ticket: [await] first re-reads it, then naps while
+   its pool is busy, and blocks only after that ---- *)
+
+(* Block until [tk] settles; its final state. The awaiter registers in
+   [sleepers], takes the bell's epoch, and only then re-reads the
+   ticket; [settle] publishes the final state before it reads
+   [sleepers]. Each side publishes before it reads the other, so with
+   sequentially consistent atomics at least one sees the other: the
+   awaiter does not wait, or the settler moves the epoch it waits on.
+   Any settle of the pool rings the bell, so a woken awaiter whose
+   ticket is still unsettled registers again. *)
+let rec block c tk =
+  ignore (A.fetch_and_add c.sleepers 1 : int);
+  let epoch = W.epoch c.bell in
+  let s = A.get tk in
+  let unsettled = match s with Pending _ | Claimed _ -> true | _ -> false in
+  if unsettled then W.park c.bell epoch;
+  ignore (A.fetch_and_add c.sleepers (-1) : int);
+  if unsettled then block c tk else s
+
+(* Nap and re-read the ticket while another job of the pool is in
+   flight and the clock is before [until]; then block. While the pool
+   is busy, a settle finds no awaiter registered, and the worker pays
+   no wake for it. The nap is [W]'s; the checker's window ends after
+   one nap. *)
+let rec doze c tk until =
+  let more = W.nap until in
+  match A.get tk with
+  | Pending _ | Claimed _ ->
+      if more && A.get c.inflight > 1 then doze c tk until else block c tk
+  | s -> s
+
+(* Re-read the ticket [n] more times, relaxing before each read, which
+   catches a job that settles within a few relaxes; then nap if the
+   pool is busy, or block. *)
+let rec spin c tk window n =
+  A.cpu_relax ();
+  match A.get tk with
+  | Pending _ | Claimed _ ->
+      if n > 1 then spin c tk window (n - 1)
+      else if A.get c.inflight > 1 then doze c tk (W.poll_until window)
+      else block c tk
+  | s -> s
+
+(* Wait for [tk] to settle; its final state. A busy pool's awaiter naps
+   for up to [window] ns; a lone awaiter blocks after its spin, so its
+   wake comes with the settle. Every step is a top-level function of
+   the cells and the ticket: an await allocates nothing. *)
+let await window tk =
+  match A.get tk with
+  | Pending c | Claimed c -> spin c tk window W.spins
+  | s -> s

@@ -1,46 +1,20 @@
 (* The production backend of ingress_body.ml beyond [A], textually
    included after atomic_real_prelude.ml (see the rule in dune).
 
-   [L.bump] updates a ledger counter. [W] is the wait/wake backend, and
-   [W.block] the pool's blocking await: awaiters of every ticket share
-   one mutex/condition pair, which a settler locks only while some
-   awaiter is registered in [sleepers]. That check cannot miss one: the
-   settler publishes the state before reading [sleepers], and an awaiter
-   registers before re-reading the state, so with sequentially
-   consistent atomics at least one of the two sees the other. The
-   awaiter's predicate is a closed function and its argument, so a
-   blocking await allocates no closure.
+   [L.bump] updates a ledger counter. [W] is the wait/wake backend.
+   There is no process-wide await state: each ingress registers its
+   blocked awaiters in its own cells and rings its own gate.
 
-   A [gate] is what one pool's parked workers wait on: its own
-   mutex/condition pair and an epoch that every wake moves. A worker
-   takes the epoch before its last re-check and waits until the epoch
-   differs, so a wake that lands between the re-check and the wait is
-   not lost. *)
+   A [gate] is what one pool's parked workers, or its blocked
+   awaiters, wait on: its own mutex/condition pair and an epoch that
+   every wake moves. A waiter takes the epoch before its last re-check
+   and waits until the epoch differs, so a wake that lands between the
+   re-check and the wait is not lost. *)
 module L = struct
   let[@inline] bump c n = ignore (Atomic.fetch_and_add c n : int)
 end
 
 module W = struct
-  let lock = Mutex.create ()
-  let cond = Condition.create ()
-  let sleepers = Atomic.make 0
-
-  let wake () =
-    if Atomic.get sleepers > 0 then begin
-      Mutex.lock lock;
-      Condition.broadcast cond;
-      Mutex.unlock lock
-    end
-
-  let block pending x =
-    Atomic.incr sleepers;
-    Mutex.lock lock;
-    while pending x do
-      Condition.wait cond lock
-    done;
-    Mutex.unlock lock;
-    Atomic.decr sleepers
-
   type gate = { g_lock : Mutex.t; g_cond : Condition.t; epoch : int Atomic.t }
 
   let gate () =
@@ -75,6 +49,24 @@ module W = struct
 
   let polling until =
     Domain.cpu_relax ();
+    Wool_util.Clock.now_ns () < until
+
+  (* An awaiter's re-reads before it naps or blocks: a few relaxes,
+     about 0.1 µs. Beside a CPU hog, 32 (about 0.8 µs) left the
+     producer and a 1-worker pool's worker taking turns on one core, the
+     producer woken only once the worker's idle poll ran out
+     (EXPERIMENTS.md). *)
+  let spins = 4
+
+  (* An awaiter's nap on a busy pool, which yields the core to the
+     workers; whether [until] is still ahead. 50 µs, one idle-nap unit
+     of the pool (about 0.1 ms with the timer slack): beside a CPU hog
+     the producer shares the worker's core, and each nap's wake costs
+     it. The OS's shortest sleep (1 µs asked, about 57 µs slept) woke
+     about once per 45 µs request and read serve's batch slower there
+     than blocking does (EXPERIMENTS.md). *)
+  let nap until =
+    Unix.sleepf 50e-6;
     Wool_util.Clock.now_ns () < until
 
   (* Block admission's wait for a full lane: yield the timeslice every

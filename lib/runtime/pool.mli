@@ -257,8 +257,8 @@ val run : t -> (ctx -> 'a) -> 'a
     {!self_id} of its context is always 0.
 
     On a [server] pool the caller is not a worker; [run pool f] is
-    [Submit.await (Submit.submit pool f)] and blocks the calling domain
-    without executing tasks on it.
+    [Submit.await (Submit.submit pool f)] and waits in the calling
+    domain, as {!Submit.await} does, without executing tasks on it.
 
     If the computation raises, every task it left outstanding is joined
     or drained first, so the pool is quiescent — and reusable — when the
@@ -376,7 +376,15 @@ module Submit : sig
       {!Cancel.Cancelled} for the corresponding drops. Idempotent
       — repeated [await]s of a resolved ticket return the same outcome.
       Do not call from inside task code on a non-server pool: a worker
-      blocked on a ticket is a worker not draining the lane. *)
+      blocked on a ticket is a worker not draining the lane.
+
+      The wait has three steps, and allocates nothing. It re-reads the
+      ticket a few times. While other jobs of the ticket's pool are in
+      flight, it then naps (50 µs at a time) and re-reads, for up to
+      0.5 ms: a busy pool's worker settles jobs
+      with no awaiter registered, so it pays no wake-up per job. Only
+      then does it block on the pool's own condition, and the settle
+      wakes it; a lone await blocks right after its re-reads. *)
 
   val await_for : 'a ticket -> float -> 'a option
   (** [await_for tk seconds]: {!await} with a producer-side timeout.

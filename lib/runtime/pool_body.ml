@@ -829,16 +829,10 @@ module Submit = struct
     | Rejected -> raise Submission_rejected
     | Cancelled -> raise Cancel.Cancelled
     | Expired -> raise Submission_expired
-    | Pending | Claimed -> invalid_arg "Wool: ticket not settled"
+    | Pending _ | Claimed _ -> invalid_arg "Wool: ticket not settled"
 
-  let is_pending tk = Ingress.peek tk == Pending
-
-  let await tk =
-    match Ingress.peek tk with
-    | Pending | Claimed ->
-        Ingress.W.block is_pending tk;
-        outcome (Ingress.peek tk)
-    | st -> outcome st
+  (* A busy pool's awaiter naps for up to the idle poll's window. *)
+  let await tk = outcome (Ingress.await park_spin_ns tk)
 
   let poll tk =
     match Ingress.peek tk with
@@ -847,7 +841,7 @@ module Submit = struct
     | Rejected -> `Rejected
     | Cancelled -> `Cancelled
     | Expired -> `Expired
-    | Pending | Claimed -> `Pending
+    | Pending _ | Claimed _ -> `Pending
 
   (* Timed await: OCaml's [Condition] has no timed wait, so this is a
      poll loop with exponentially growing naps (1µs → 1ms cap) — cheap
@@ -856,7 +850,7 @@ module Submit = struct
   let await_until tk ~deadline =
     let rec go nap =
       match Ingress.peek tk with
-      | Pending | Claimed ->
+      | Pending _ | Claimed _ ->
           if Wool_util.Clock.now_ns () >= deadline then None
           else begin
             Unix.sleepf (float_of_int nap *. 1e-9);
@@ -885,7 +879,7 @@ module Submit = struct
       (J { fn; tk; deadline; token = cancel; enq_ns = pool.ingress.now () })
 
   let submit_on ?deadline ?cancel pool ~batch fn =
-    let tk = Ingress.ticket () in
+    let tk = Ingress.ticket pool.ingress in
     let admission = pool.admission in
     ignore (admit ?deadline ?cancel pool ~batch ~admission tk fn);
     tk
@@ -899,7 +893,7 @@ module Submit = struct
 
   (* One-shot admission is admission under [Reject]. *)
   let try_submit ?deadline ?cancel pool fn =
-    let tk = Ingress.ticket () in
+    let tk = Ingress.ticket pool.ingress in
     if admit ?deadline ?cancel pool ~batch:(-1) ~admission:Reject tk fn
     then Some tk
     else None
@@ -955,7 +949,7 @@ let ingress_stats pool =
     executed = Atomic.get ig.completed;
     expired = Atomic.get ig.expired;
     cancelled = Atomic.get ig.cancelled;
-    inflight = Atomic.get ig.inflight;
+    inflight = Atomic.get ig.cells.inflight;
   }
 
 module Stats = struct
@@ -1233,7 +1227,7 @@ let watchdog_loop pool =
     Unix.sleepf interval;
     (* injected work keeps the pool "active" even with no [run] in
        progress — a server pool is driven entirely through the lane *)
-    if Atomic.get pool.active || Atomic.get pool.ingress.inflight > 0 then begin
+    if Atomic.get pool.active || Atomic.get pool.ingress.cells.inflight > 0 then begin
       let fired = ref false in
       Array.iteri
         (fun i w ->
@@ -1410,7 +1404,7 @@ let run pool f =
   else begin
     let w0 = pool.workers.(0) in
     let ig = pool.ingress in
-    let tk = Ingress.ticket () in
+    let tk = Ingress.ticket ig in
     Atomic.set pool.active true;
     Ingress.enter ig;
     (* Jobs queued before this call go first, as if the root job had

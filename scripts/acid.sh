@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each of the thirteen mutations breaks
-# one step of a shipped protocol body (eight in the ingress body, then
+# Acid check for the model checker: each of the fourteen mutations breaks
+# one step of a shipped protocol body (nine in the ingress body, then
 # five in the direct-stack body, the last on its private fast path), and
 # `woolbench check --histories 0` must then fail in the scenario named
 # beside it. A mutation whose pattern no longer matches the source fails
@@ -75,19 +75,23 @@ mutate "Block reads stop between its failed push and its pause" "$body" block-vs
   $'          (not (A.get t.stop)) && (W.pause tries; push (tries + 1))'
 
 mutate "park waits without re-checking after registering" "$body" submit-vs-park \
-  '  let idle = A.get t.inflight = 0 && not (A.get t.stop) in' \
+  '  let idle = A.get t.cells.inflight = 0 && not (A.get t.stop) in' \
   '  let idle = true in'
 
 mutate "a poll that saw a job in flight parks anyway" "$body" submit-vs-park \
-  '    A.get t.inflight > 0 || A.get t.stop || (W.polling until && go ())' \
-  $'    ignore (A.get t.inflight > 0 || A.get t.stop : bool);\n    W.polling until && go ()'
+  '    A.get t.cells.inflight > 0 || A.get t.stop || (W.polling until && go ())' \
+  $'    ignore (A.get t.cells.inflight > 0 || A.get t.stop : bool);\n    W.polling until && go ()'
 
 mutate "shed pops without settling" "$body" shed-vs-drain \
   $'          | Some oldest ->\n              drop t oldest;\n' \
   $'          | Some _ ->\n'
 
 mutate "last-writer-wins claim" "$body" cancel-vs-complete \
-  '  A.compare_and_set tk Pending Claimed' '  (A.set tk Claimed; true)'
+  '  A.compare_and_set tk t.pending t.claimed' '  (A.set tk t.claimed; true)'
+
+mutate "settle reads the awaiters before it publishes" "$body" await-vs-settle \
+  $'       A.set tk s;\n       (* one load on a busy pool, whose awaiters nap: the lock and\n          broadcast of a wake are paid only while one is registered *)\n       if A.get t.cells.sleepers > 0 then W.unpark_all t.cells.bell;\n' \
+  $'       let registered = A.get t.cells.sleepers > 0 in\n       A.set tk s;\n       if registered then W.unpark_all t.cells.bell;\n'
 
 mutate "no cancel check at dequeue" "$body" cancel-vs-complete \
   $'  let cancelled =\n    match j.token with\n    | Some c ->\n        t.fault w Cancel;\n        A.get c\n    | None -> false\n  in\n  if cancelled then settle_unrun t j.tk Cancelled\n  else if' \

@@ -25,10 +25,12 @@
 # It also prints, for information only, each one's static instruction
 # count in the object, a per-layer figure that no timing noise moves,
 # and where spawn and join sit: their offset mod 64 in the pool's
-# object and in the linked benchmark (benchmark/wool_bench.exe). Moving
-# the pair across a 64-byte boundary has moved fib's time before
-# (EXPERIMENTS.md), so a change that moves them is worth a
-# `wool_bench.exe ab`. The offset lines never change the exit status.
+# object and in the linked benchmark (benchmark/wool_bench.exe), and
+# the runtime's caml_modify's in the benchmark (every spawn calls it;
+# a resize of any OCaml code linked ahead of the runtime moves it). Moving the pair across a
+# 64-byte boundary has moved fib's time before (EXPERIMENTS.md), so a
+# change that moves any of them is worth a `wool_bench.exe ab`. The
+# offset lines never change the exit status.
 #
 # Not part of `dune runtest`. Needs objdump and nm (binutils). Run it from
 # anywhere:
@@ -82,16 +84,22 @@ for fn in spawn join; do
   echo "info  $fn: $count instructions"
 done
 
+# offset FILE WHERE NAME PATTERN: the first symbol of FILE matching
+# PATTERN, printed as NAME's offset and its offset mod 64
+offset() {
+  local addr
+  addr=$(nm "$1" | awk -v re="$4" '!found && $3 ~ re { print $1; found = 1 }')
+  if [ -n "$addr" ]; then
+    echo "info  $3: $2 offset 0x${addr#"${addr%%[!0]*}"}," \
+      "mod 64 = $((16#$addr % 64))"
+  else
+    echo "info  $3: not found in $2"
+  fi
+}
+
 placement() {
   for fn in spawn join; do
-    addr=$(nm "$1" | awk -v fn="$fn" '
-      !found && $3 ~ "^camlWool__Pool[.]" fn "_[0-9]+$" { print $1; found = 1 }')
-    if [ -n "$addr" ]; then
-      echo "info  $fn: $2 offset 0x${addr#"${addr%%[!0]*}"}," \
-        "mod 64 = $((16#$addr % 64))"
-    else
-      echo "info  $fn: not found in $2"
-    fi
+    offset "$1" "$2" "$fn" "^camlWool__Pool[.]${fn}_[0-9]+\$"
   done
 }
 placement "$obj" object
@@ -99,6 +107,7 @@ exe=$root/_build/default/benchmark/wool_bench.exe
 if (cd "$root" && dune build --display=quiet ./benchmark/wool_bench.exe) &&
   [ -f "$exe" ]; then
   placement "$exe" benchmark
+  offset "$exe" benchmark caml_modify '^caml_modify$'
 else
   echo "info  no benchmark executable at $exe"
 fi

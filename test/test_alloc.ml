@@ -11,7 +11,15 @@
    (Locked, Clev) publish the slot's index on their deque and run the
    task to its outcome, the [Ok] (2 words). A [Locked] range pops a bare
    index: 2 words. [Chase_lev]'s pop returns the index in a [Some] (2
-   more): 4 words. *)
+   more): 4 words.
+
+   A server round trip, [Submit.await (Submit.submit pool body)] with a
+   closed body, allocates on the producer's domain only what the
+   submission builds: the ticket, the queued job and the admission's
+   own words. The await allocates nothing, whichever way it waits: it
+   re-reads, naps and blocks through top-level functions of the ticket
+   and the cells its unsettled state carries. An await that captured
+   the ticket in a closure would add its words to the pin. *)
 
 let body _ = 1
 let pairs = 10_000
@@ -49,8 +57,33 @@ let test_spawn_join_words () =
       (Wool.Clev, 4);
     ]
 
+let trips = 2_000
+let round_trip_words = 15
+
+let test_round_trip_words () =
+  Test_util.with_pool ~workers:1 ~server:true (fun pool ->
+      let trip () = Wool.Submit.await (Wool.Submit.submit pool body) in
+      for _ = 1 to 100 do
+        ignore (trip () : int)
+      done;
+      let sum = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to trips do
+        sum := !sum + trip ()
+      done;
+      let w1 = Gc.minor_words () in
+      Alcotest.(check int) "results" trips !sum;
+      let w = (w1 -. w0) /. float_of_int trips in
+      if Float.abs (w -. float_of_int round_trip_words) > 0.01 then
+        Alcotest.failf "%.2f minor words per round trip (pinned at %d)" w
+          round_trip_words)
+
 let suite =
   [
     ( "alloc",
-      [ Alcotest.test_case "spawn+join words" `Quick test_spawn_join_words ] );
+      [
+        Alcotest.test_case "spawn+join words" `Quick test_spawn_join_words;
+        Alcotest.test_case "server round trip words" `Quick
+          test_round_trip_words;
+      ] );
   ]

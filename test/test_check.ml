@@ -117,7 +117,13 @@ let test_replay_deterministic () =
    was 4,707 before the private fast pop: its owner's join of the
    private slot now reads the publish request once on the fast path and,
    finding it set, once more in the slow path's publish service, a
-   scheduling point the single read of the old [pop] did not have. *)
+   scheduling point the single read of the old [pop] did not have. The
+   six scenarios whose threads settle a ticket moved when [settle]
+   gained its read of the pool's registered awaiters, after its publish
+   (submit-vs-shutdown 32,787, submit-vs-drain 31,532, shed-vs-drain
+   81,075, cancel-vs-complete 84, expire-vs-dequeue 10,
+   cancel-vs-shutdown 1,705 before it); the scenarios that settle only
+   in their final block did not move. *)
 let schedules =
   [
     ("single-task-lifecycle", 248);
@@ -129,15 +135,16 @@ let schedules =
     ("leapfrog-hold", 1_420);
     ("steal-vs-grow", 206);
     ("chase-lev-last-task", 125);
-    ("submit-vs-shutdown", 32_787);
-    ("submit-vs-drain", 31_532);
+    ("submit-vs-shutdown", 49_713);
+    ("submit-vs-drain", 81_765);
     ("submit-vs-submit", 2_630);
-    ("shed-vs-drain", 81_075);
+    ("shed-vs-drain", 121_485);
     ("block-vs-drain", 23_940);
     ("submit-vs-park", 245_497);
-    ("cancel-vs-complete", 84);
-    ("expire-vs-dequeue", 10);
-    ("cancel-vs-shutdown", 1_705);
+    ("await-vs-settle", 3_692);
+    ("cancel-vs-complete", 168);
+    ("expire-vs-dequeue", 15);
+    ("cancel-vs-shutdown", 2_653);
   ]
 
 (* Both directions: a scenario without a pin, and a pin whose scenario

@@ -297,8 +297,8 @@ let ingress ~admission =
     ~fault:(fun () _ -> ())
     ~now:(fun () -> !clock)
 
-let job ?(deadline = max_int) ?token () =
-  let tk = Ig.ticket () in
+let job ?(deadline = max_int) ?token t =
+  let tk = Ig.ticket t in
   (tk, Ig.J { fn = (fun () -> ()); tk; deadline; token; enq_ns = 0 })
 
 let pop (t : unit Ig.t) =
@@ -316,7 +316,7 @@ let test_expired_pop_feeds_ewma () =
   clock := 100;
   let t = ingress ~admission:Adaptive in
   let admit = Ig.admit t ~admission:Adaptive in
-  let tk0, j0 = job ~deadline:50 () and _, j1 = job () and tk2, j2 = job () in
+  let tk0, j0 = job ~deadline:50 t and _, j1 = job t and tk2, j2 = job t in
   Alcotest.(check bool) "job 0 admitted" true (admit j0);
   Alcotest.(check bool) "job 1 admitted" true (admit j1);
   Alcotest.(check bool) "expired job not run" false (Ig.must_run t () (pop t));
@@ -332,7 +332,7 @@ let test_expired_pop_feeds_ewma () =
 let test_cancel_before_expiry () =
   clock := 100;
   let t = ingress ~admission:Reject in
-  let tk, j = job ~deadline:50 ~token:(Atomic.make true) () in
+  let tk, j = job ~deadline:50 ~token:(Atomic.make true) t in
   Alcotest.(check bool) "admitted" true
     (Ig.admit t ~admission:Reject j);
   Alcotest.(check bool) "not run" false (Ig.must_run t () (pop t));
@@ -346,7 +346,7 @@ let test_reset () =
   clock := 100;
   let t = ingress ~admission:Adaptive in
   let admit j = ignore (Ig.admit t ~admission:Adaptive j : bool) in
-  let _, j0 = job ~deadline:50 () and _, j1 = job () and _, j2 = job () in
+  let _, j0 = job ~deadline:50 t and _, j1 = job t and _, j2 = job t in
   admit j0;
   admit j1;
   ignore (Ig.must_run t () (pop t) : bool);
@@ -357,7 +357,7 @@ let test_reset () =
   Alcotest.(check (list int))
     "ledger after" [ 0; 0; 0; 0; 0; 0; 0 ] (ledger t);
   Alcotest.(check int) "EWMA after" 0 (Atomic.get t.wait_ewma);
-  Alcotest.(check int) "inflight kept" 1 (Atomic.get t.inflight)
+  Alcotest.(check int) "inflight kept" 1 (Atomic.get t.cells.inflight)
 
 (* Rounding a capacity above 2^61 up to a power of two has no [int]
    answer: the lane raises instead of doubling its counter into 0. *)

@@ -350,6 +350,44 @@ let test_ticket_dedup_under_dup_fault () =
       Wool.shutdown pool)
     Test_util.all_modes
 
+(* -- awaiting on a busy pool: an awaiter naps while other jobs of its
+   pool are in flight, and blocks after the nap window -- *)
+
+(* 200 submissions back to back to a 1-worker server pool, awaited in
+   order: every await but the last finds other jobs in flight, so it
+   naps instead of blocking. *)
+let test_awaits_in_order_busy () =
+  Test_util.with_pool ~workers:1 ~server:true (fun pool ->
+      let tks =
+        Array.init 200 (fun i -> Wool.Submit.submit pool (fun _ctx -> 3 * i))
+      in
+      Array.iteri
+        (fun i tk ->
+          let v = Wool.Submit.await tk in
+          if v <> 3 * i then Alcotest.failf "await %d returned %d" i v)
+        tks;
+      Alcotest.(check (list string))
+        "invariants" [] (Wool.Invariants.check pool))
+
+(* A job that sleeps 5 ms, ten times the 0.5 ms nap window, with a
+   second job queued behind it: its awaiter naps through the window
+   and then blocks, and the settle wakes it. *)
+let test_await_outlasting_window () =
+  Test_util.with_pool ~workers:1 ~server:true (fun pool ->
+      let slow =
+        Wool.Submit.submit pool (fun _ctx ->
+            Unix.sleepf 0.005;
+            7)
+      in
+      let next = Wool.Submit.submit pool (fun _ctx -> 8) in
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check int) "the slow job's value" 7 (Wool.Submit.await slow);
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "awaited past the window (%.2f ms)" (waited *. 1e3))
+        true (waited > 0.002);
+      Alcotest.(check int) "the queued job's value" 8 (Wool.Submit.await next))
+
 let suite =
   [
     ( "submit",
@@ -380,6 +418,10 @@ let suite =
           test_idle_server_worker_parks;
         Alcotest.test_case "server worker polls short gaps" `Quick
           test_server_worker_polls_short_gaps;
+        Alcotest.test_case "awaits in order on a busy pool" `Quick
+          test_awaits_in_order_busy;
+        Alcotest.test_case "await outlasting the window" `Quick
+          test_await_outlasting_window;
         Alcotest.test_case "sibling steals from injected job" `Quick
           test_sibling_steals_from_injected_job;
         Alcotest.test_case "injected jobs can spawn" `Quick
