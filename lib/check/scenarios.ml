@@ -607,7 +607,8 @@ let settled_once (t : unit Ig.t) tks =
   Array.iteri
     (fun i tk ->
       match Ig.peek tk with
-      | Pending _ -> failwith (Printf.sprintf "ticket %d stranded" i)
+      | Pending _ | Claimed _ ->
+          failwith (Printf.sprintf "ticket %d stranded" i)
       | _ -> ())
     tks;
   let won = n t.completed + n t.shed + n t.expired + n t.cancelled in
@@ -913,56 +914,68 @@ let submit_vs_park =
     run;
   }
 
-(* -- Scenario 14: a producer awaiting a ticket while the lane's worker
-   runs and settles its job, as a busy server's producer does. Two jobs
-   are admitted in the unscheduled prefix, so until the first settles
-   the awaiter sees another job in flight: it re-reads its ticket once,
-   naps, re-reads, and blocks when the nap's window ends (one nap
-   here). The worker pops the first job, runs it and settles it; the
-   second runs in the final block. A settle that finds an awaiter
+(* -- Scenarios 14 and 15: a producer awaiting a ticket while the
+   lane's worker runs and settles its job, as a busy server's producer
+   does. Two jobs are admitted in the unscheduled prefix, so until the
+   first settles the awaiter sees another job in flight. In
+   await-vs-settle the second job is the awaiter's own backlog: it
+   re-reads its ticket once, naps, re-reads, and blocks when the nap's
+   window ends (one nap here). In lone-await-vs-settle the second job
+   is another producer's: the awaiter re-reads once and blocks, and
+   never naps. The worker pops the first job, runs it and settles it;
+   the second runs in the final block. A settle that finds an awaiter
    registered rings the pool's bell. A wake lost between the awaiter's
    re-check and its wait leaves it waiting after the worker has
    finished: a deadlock. The await returns the job's outcome, every
    ticket settles once, and no awaiter is left registered. *)
-let await_vs_settle =
-  let run ~max_schedules =
-    let saw_nap_settle = ref false and saw_woken = ref false in
-    let stats =
-      Sched.run ~max_schedules (fun () ->
-          Ig.W.naps := 0;
-          Ig.W.epochs := 0;
-          Ig.W.waits := 0;
-          let t = ingress () in
-          let runs = Array.make 2 0 and got = ref false in
-          let tks, jobs = jobs t runs in
-          check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
-          Sched.spawn (fun () ->
-              match Ig.await 0 tks.(0) with
-              | Done (Ok ()) -> got := true
-              | _ -> failwith "await: the job is not done");
-          Sched.spawn (fun () -> Option.iter (run_job t) (pop t));
-          Sched.final (fun () ->
-              check !got "the await did not return";
-              drain_run t;
-              settled_once t tks;
-              ran_once_if_admitted runs [| true; true |];
-              check
-                (Shadow_atomic.get t.cells.sleepers = 0)
-                "an awaiter left registered";
-              (* a wait that ended, or a nap and no registration: the
-                 nap's re-read returned the settled ticket *)
-              if !Ig.W.waits > 0 then saw_woken := true;
-              if !Ig.W.naps > 0 && !Ig.W.epochs = 0 then
-                saw_nap_settle := true))
-    in
-    check !saw_nap_settle "coverage: a nap seeing the settle never explored";
-    check !saw_woken "coverage: a blocked awaiter's wake never explored";
-    stats
+let awaiting ~backlog ~max_schedules =
+  let saw_nap_settle = ref false and saw_woken = ref false in
+  let stats =
+    Sched.run ~max_schedules (fun () ->
+        Ig.W.naps := 0;
+        Ig.W.epochs := 0;
+        Ig.W.waits := 0;
+        let t = ingress () in
+        let runs = Array.make 2 0 and got = ref false in
+        let tks, jobs = jobs t runs in
+        check (admit t jobs.(0) && admit t jobs.(1)) "setup: prefill failed";
+        Sched.spawn (fun () ->
+            match Ig.await ~backlog 0 tks.(0) with
+            | Done (Ok ()) -> got := true
+            | _ -> failwith "await: the job is not done");
+        Sched.spawn (fun () -> Option.iter (run_job t) (pop t));
+        Sched.final (fun () ->
+            check !got "the await did not return";
+            drain_run t;
+            settled_once t tks;
+            ran_once_if_admitted runs [| true; true |];
+            check
+              (Shadow_atomic.get t.cells.sleepers = 0)
+              "an awaiter left registered";
+            check (backlog || !Ig.W.naps = 0)
+              "an awaiter with one job outstanding napped";
+            (* a wait that ended, or a nap and no registration: the
+               nap's re-read returned the settled ticket *)
+            if !Ig.W.waits > 0 then saw_woken := true;
+            if !Ig.W.naps > 0 && !Ig.W.epochs = 0 then saw_nap_settle := true))
   in
+  check (!saw_nap_settle || not backlog)
+    "coverage: a nap seeing the settle never explored";
+  check !saw_woken "coverage: a blocked awaiter's wake never explored";
+  stats
+
+let await_vs_settle =
   {
     name = "await-vs-settle";
     descr = "an awaiter napping or blocking vs the settle: no lost wake";
-    run;
+    run = awaiting ~backlog:true;
+  }
+
+let lone_await_vs_settle =
+  {
+    name = "lone-await-vs-settle";
+    descr = "an awaiter with one job outstanding on a busy pool never naps";
+    run = awaiting ~backlog:false;
   }
 
 (* ---- lifecycle scenarios: cancellation and deadlines on the shipped
@@ -1108,6 +1121,7 @@ let all =
     block_vs_drain;
     submit_vs_park;
     await_vs_settle;
+    lone_await_vs_settle;
     cancel_vs_complete;
     expire_vs_dequeue;
     cancel_vs_shutdown;

@@ -26,9 +26,12 @@
    pool pops the lane, runs what [must_run] says to run, and settles it.
    A server pool's idle worker polls here for up to 0.5 ms ([poll]),
    then parks ([park]) while nothing is in flight, and an admission
-   wakes one. An awaiter re-reads its ticket briefly, naps while its
-   pool has other jobs in flight, and blocks only after that ([await]):
-   a busy pool's settle finds no awaiter registered and wakes none. *)
+   wakes one. An awaiter re-reads its ticket briefly; one that has
+   submitted more jobs since naps while the pool has other jobs in
+   flight, and every awaiter blocks after that ([await]). A producer
+   awaiting its own backlog thus leaves the busy pool's settles with no
+   awaiter registered to wake, and a producer with one job outstanding
+   is woken by its settle. *)
 
 (* What an awaiter needs of its ticket's pool. *)
 type cells = {
@@ -139,9 +142,9 @@ let reset t =
     [ t.submitted; t.admitted; t.rejected; t.shed; t.completed; t.expired;
       t.cancelled; t.wait_ewma ]
 
-(* The ticket as outsiders see it: a claim not yet published is still
-   pending. *)
-let peek tk = match A.get tk with Claimed c -> Pending c | s -> s
+(* The ticket's state. A claim not yet published reads [Claimed], which
+   every caller treats as [Pending]. *)
+let peek (tk : 'a ticket) : 'a state = A.get tk
 
 (* Settle an admitted job's ticket with a final state if this call wins
    its one claim; whether it did. The winner counts the state ([Rejected]
@@ -337,7 +340,8 @@ let stop t =
   W.unpark_all t.gate
 
 (* ---- awaiting a ticket: [await] first re-reads it, then naps while
-   its pool is busy, and blocks only after that ---- *)
+   its awaiter's own later jobs keep the pool busy, and blocks after
+   that ---- *)
 
 (* Block until [tk] settles; its final state. The awaiter registers in
    [sleepers], takes the bell's epoch, and only then re-reads the
@@ -369,22 +373,28 @@ let rec doze c tk until =
   | s -> s
 
 (* Re-read the ticket [n] more times, relaxing before each read, which
-   catches a job that settles within a few relaxes; then nap if the
-   pool is busy, or block. *)
-let rec spin c tk window n =
+   catches a job that settles within a few relaxes; then nap if
+   [backlog] and the pool is busy, or block. *)
+let rec spin c tk ~backlog window n =
   A.cpu_relax ();
   match A.get tk with
   | Pending _ | Claimed _ ->
-      if n > 1 then spin c tk window (n - 1)
-      else if A.get c.inflight > 1 then doze c tk (W.poll_until window)
+      if n > 1 then spin c tk ~backlog window (n - 1)
+      else if backlog && A.get c.inflight > 1 then
+        doze c tk (W.poll_until window)
       else block c tk
   | s -> s
 
-(* Wait for [tk] to settle; its final state. A busy pool's awaiter naps
-   for up to [window] ns; a lone awaiter blocks after its spin, so its
-   wake comes with the settle. Every step is a top-level function of
-   the cells and the ticket: an await allocates nothing. *)
-let await window tk =
+(* Wait for [tk] to settle; its final state. [backlog] says whether the
+   awaiter has submitted jobs after [tk]. Only such an awaiter naps, for
+   up to [window] ns while other jobs are in flight: its own later jobs
+   keep the workers busy while it sleeps past the settle, and it
+   collects several settled tickets per wake. An awaiter with one job
+   outstanding blocks after its spin, however busy other producers keep
+   the pool, so its wake comes with the settle. Every step is a
+   top-level function of the cells and the ticket: an await allocates
+   nothing. *)
+let await ~backlog window tk =
   match A.get tk with
-  | Pending c | Claimed c -> spin c tk window W.spins
+  | Pending c | Claimed c -> spin c tk ~backlog window W.spins
   | s -> s

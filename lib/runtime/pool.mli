@@ -379,12 +379,15 @@ module Submit : sig
       blocked on a ticket is a worker not draining the lane.
 
       The wait has three steps, and allocates nothing. It re-reads the
-      ticket a few times. While other jobs of the ticket's pool are in
-      flight, it then naps (50 µs at a time) and re-reads, for up to
-      0.5 ms: a busy pool's worker settles jobs
-      with no awaiter registered, so it pays no wake-up per job. Only
-      then does it block on the pool's own condition, and the settle
-      wakes it; a lone await blocks right after its re-reads. *)
+      ticket a few times. If the calling domain has submitted jobs
+      since [tk] and other jobs of the ticket's pool are in flight, it
+      then naps (50 µs at a time) and re-reads, for up to 0.5 ms: a
+      producer awaiting its own backlog leaves the pool's worker
+      settling jobs with no awaiter registered, so it pays no wake-up
+      per job. Only then does it block on the pool's own condition,
+      and the settle wakes it. A producer with one job outstanding
+      blocks right after its re-reads, however busy other producers
+      keep the pool. Threads of one domain count as one producer. *)
 
   val await_for : 'a ticket -> float -> 'a option
   (** [await_for tk seconds]: {!await} with a producer-side timeout.

@@ -818,6 +818,9 @@ let policy pool = pool.policy
 (* ---- the ingress path (external submission): [Submit] maps the
    public surface onto [Ingress], the model-checked protocol body ---- *)
 
+(* The last ticket the calling domain submitted, to any pool. *)
+let latest : Obj.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Obj.repr ())
+
 module Submit = struct
   type nonrec 'a ticket = 'a ticket
 
@@ -831,8 +834,12 @@ module Submit = struct
     | Expired -> raise Submission_expired
     | Pending _ | Claimed _ -> invalid_arg "Wool: ticket not settled"
 
-  (* A busy pool's awaiter naps for up to the idle poll's window. *)
-  let await tk = outcome (Ingress.await park_spin_ns tk)
+  (* An awaiter with jobs submitted after [tk] naps on a busy pool for up
+     to the idle poll's window; one whose latest submission is [tk]
+     blocks. The comparison is physical, so it is typed at [Obj.t]. *)
+  let await tk =
+    let backlog = Obj.repr tk != Domain.DLS.get latest in
+    outcome (Ingress.await ~backlog park_spin_ns tk)
 
   let poll tk =
     match Ingress.peek tk with
@@ -875,6 +882,7 @@ module Submit = struct
   let admit ?(deadline = max_int) ?cancel pool ~batch ~admission tk fn =
     ig_fault pool.probe Fault.Site.Submit;
     ig_record pool.probe Event.Submit ~a:(-1) ~b:batch;
+    Domain.DLS.set latest (Obj.repr tk);
     Ingress.admit pool.ingress ~admission
       (J { fn; tk; deadline; token = cancel; enq_ns = pool.ingress.now () })
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Acid check for the model checker: each of the fourteen mutations breaks
-# one step of a shipped protocol body (nine in the ingress body, then
+# Acid check for the model checker: each of the fifteen mutations breaks
+# one step of a shipped protocol body (ten in the ingress body, then
 # five in the direct-stack body, the last on its private fast path), and
 # `woolbench check --histories 0` must then fail in the scenario named
 # beside it. A mutation whose pattern no longer matches the source fails
@@ -92,6 +92,11 @@ mutate "last-writer-wins claim" "$body" cancel-vs-complete \
 mutate "settle reads the awaiters before it publishes" "$body" await-vs-settle \
   $'       A.set tk s;\n       (* one load on a busy pool, whose awaiters nap: the lock and\n          broadcast of a wake are paid only while one is registered *)\n       if A.get t.cells.sleepers > 0 then W.unpark_all t.cells.bell;\n' \
   $'       let registered = A.get t.cells.sleepers > 0 in\n       A.set tk s;\n       if registered then W.unpark_all t.cells.bell;\n'
+
+mutate "an awaiter with one job outstanding naps on a busy pool" "$body" \
+  lone-await-vs-settle \
+  '      else if backlog && A.get c.inflight > 1 then' \
+  '      else if A.get c.inflight > 1 then'
 
 mutate "no cancel check at dequeue" "$body" cancel-vs-complete \
   $'  let cancelled =\n    match j.token with\n    | Some c ->\n        t.fault w Cancel;\n        A.get c\n    | None -> false\n  in\n  if cancelled then settle_unrun t j.tk Cancelled\n  else if' \

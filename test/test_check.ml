@@ -142,6 +142,7 @@ let schedules =
     ("block-vs-drain", 23_940);
     ("submit-vs-park", 245_497);
     ("await-vs-settle", 3_692);
+    ("lone-await-vs-settle", 1_974);
     ("cancel-vs-complete", 168);
     ("expire-vs-dequeue", 15);
     ("cancel-vs-shutdown", 2_653);

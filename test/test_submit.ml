@@ -350,12 +350,13 @@ let test_ticket_dedup_under_dup_fault () =
       Wool.shutdown pool)
     Test_util.all_modes
 
-(* -- awaiting on a busy pool: an awaiter naps while other jobs of its
-   pool are in flight, and blocks after the nap window -- *)
+(* -- awaiting on a busy pool: an awaiter with its own later jobs in
+   flight naps, and blocks after the nap window; one with a single job
+   outstanding blocks at once -- *)
 
 (* 200 submissions back to back to a 1-worker server pool, awaited in
-   order: every await but the last finds other jobs in flight, so it
-   naps instead of blocking. *)
+   order: every await but the last has later jobs of its own in flight,
+   so it naps instead of blocking. *)
 let test_awaits_in_order_busy () =
   Test_util.with_pool ~workers:1 ~server:true (fun pool ->
       let tks =
@@ -369,24 +370,77 @@ let test_awaits_in_order_busy () =
       Alcotest.(check (list string))
         "invariants" [] (Wool.Invariants.check pool))
 
-(* A job that sleeps 5 ms, ten times the 0.5 ms nap window, with a
-   second job queued behind it: its awaiter naps through the window
-   and then blocks, and the settle wakes it. *)
+(* The await's branches on a bare ingress, [Wool_deque.Ingress] driven
+   by hand: two jobs are in flight, this domain awaits the first, and a
+   helper domain plays its worker. The helper runs [watch] on the
+   pool's count of registered (blocked) awaiters, then settles the
+   first job; [await_watched] returns what [watch] returned. *)
+module Ig = Wool_deque.Ingress
+
+let await_watched ~backlog ~window watch =
+  let t =
+    Ig.create ~capacity:4 ~admission:Reject ~target_ns:0
+      ~note:(fun _ -> ())
+      ~fault:(fun () _ -> ())
+      ~now:(fun () -> 0)
+  in
+  let admitted () =
+    let tk = Ig.ticket t in
+    let job =
+      Ig.J { fn = ignore; tk; deadline = max_int; token = None; enq_ns = 0 }
+    in
+    if not (Ig.admit t ~admission:Reject job) then
+      Alcotest.fail "setup: admission refused";
+    tk
+  in
+  let tk = admitted () in
+  ignore (admitted () : unit Ig.ticket);
+  let helper =
+    Domain.spawn (fun () ->
+        let seen = watch t.cells.sleepers in
+        ignore (Ig.settle t tk (Done (Ok ())) : bool);
+        seen)
+  in
+  (match Ig.await ~backlog window tk with
+  | Done (Ok ()) -> ()
+  | _ -> Alcotest.fail "the await returned an unsettled state");
+  Domain.join helper
+
+let registered sleepers =
+  Test_util.spin_until ~timeout_ns:5_000_000_000 (fun () ->
+      Atomic.get sleepers = 1)
+
+(* A 5 ms job, ten times the 0.5 ms nap window, with a later job of the
+   awaiter's in flight behind it: the awaiter naps through the window,
+   then registers and blocks, and the settle wakes it. An awaiter that
+   napped until the settle would never register. *)
 let test_await_outlasting_window () =
-  Test_util.with_pool ~workers:1 ~server:true (fun pool ->
-      let slow =
-        Wool.Submit.submit pool (fun _ctx ->
-            Unix.sleepf 0.005;
-            7)
-      in
-      let next = Wool.Submit.submit pool (fun _ctx -> 8) in
-      let t0 = Unix.gettimeofday () in
-      Alcotest.(check int) "the slow job's value" 7 (Wool.Submit.await slow);
-      let waited = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "awaited past the window (%.2f ms)" (waited *. 1e3))
-        true (waited > 0.002);
-      Alcotest.(check int) "the queued job's value" 8 (Wool.Submit.await next))
+  let blocked =
+    await_watched ~backlog:true ~window:500_000 (fun sleepers ->
+        Unix.sleepf 0.005;
+        registered sleepers)
+  in
+  Alcotest.(check bool) "the awaiter blocked and was woken" true blocked
+
+(* An awaiter with one job outstanding, on a pool another producer's
+   job keeps busy, blocks after its re-reads. The nap window here is
+   10 s, so an awaiter that napped would not register within the
+   helper's 5 s. *)
+let test_lone_await_blocks () =
+  let blocked =
+    await_watched ~backlog:false ~window:10_000_000_000 registered
+  in
+  Alcotest.(check bool) "the awaiter blocked at once" true blocked
+
+(* With later jobs of its own in flight, the awaiter naps: 20 ms into a
+   10 s window it has not registered, and the settle ends its nap. *)
+let test_backlog_await_naps () =
+  let unregistered =
+    await_watched ~backlog:true ~window:10_000_000_000 (fun sleepers ->
+        Unix.sleepf 0.02;
+        Atomic.get sleepers = 0)
+  in
+  Alcotest.(check bool) "the awaiter napped" true unregistered
 
 let suite =
   [
@@ -422,6 +476,10 @@ let suite =
           test_awaits_in_order_busy;
         Alcotest.test_case "await outlasting the window" `Quick
           test_await_outlasting_window;
+        Alcotest.test_case "lone await on a busy pool blocks" `Quick
+          test_lone_await_blocks;
+        Alcotest.test_case "await with a backlog naps" `Quick
+          test_backlog_await_naps;
         Alcotest.test_case "sibling steals from injected job" `Quick
           test_sibling_steals_from_injected_job;
         Alcotest.test_case "injected jobs can spawn" `Quick
